@@ -24,8 +24,8 @@ optimizer loop has since been lightly tuned too), the replica is the
 *faster* of the two, so the recorded speedup is a lower bound.
 
 Every measurement group runs once per loadable kernel backend
-(:mod:`repro.kernels`: numpy always; cext/numba when this machine can
-build/import them); per-backend results live under ``kernels.<name>`` and
+(:mod:`repro.kernels`: numpy always; cext when this machine has a C
+compiler); per-backend results live under ``kernels.<name>`` and
 every entry carries a ``kernel`` field. The legacy top-level groups are
 the **numpy** backend's numbers, keeping the file comparable with the
 committed history. The ``acceptance.kernel`` section records the compiled

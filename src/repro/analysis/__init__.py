@@ -3,7 +3,7 @@
 The headline claims of this codebase — seed-for-seed multi-chain parity,
 parallel == serial experiment results, the 30-run ANOVA study — hold only
 while every RNG draw flows through :mod:`repro.utils.rng` seed streams and
-everything dispatched to :func:`repro.utils.parallel.parallel_map` is a
+everything dispatched to :class:`repro.utils.parallel.WorkerPool` is a
 stateless, picklable, seed-carrying callable. This package enforces those
 invariants mechanically, in two layers: an AST-visitor linter
 (``repro-lint`` / ``python -m repro.analysis``) with per-file rules,

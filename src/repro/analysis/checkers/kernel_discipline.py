@@ -1,7 +1,7 @@
 """kernel-discipline: compiled-kernel access only through ``repro.kernels``.
 
-The kernel layer's headline guarantee — every backend (numpy, numba, C)
-produces bit-identical floats, verified by the cross-backend parity
+The kernel layer's headline guarantee — both backends (numpy and C)
+produce bit-identical floats, verified by the cross-backend parity
 matrix — only covers code that reaches compiled paths *through* the
 :mod:`repro.kernels` dispatch boundary. A ``numba`` / ``cffi`` /
 ``Cython`` / ``cppyy`` import, an ``@njit`` decoration, or a raw shared-
@@ -109,6 +109,6 @@ class KernelDisciplineChecker(Checker):
                 self.report(
                     dec,
                     f"@{dotted} outside repro.kernels; JIT-compiled hot "
-                    "loops belong in repro/kernels/_loops.py where the "
+                    "loops belong in repro/kernels/kernels.c where the "
                     "parity matrix covers them",
                 )

@@ -7,9 +7,9 @@ integer seed rather than a live ``numpy.random.Generator`` (pickling a
 Generator copies its state, so workers would replay *the same* stream the
 parent keeps advancing, and results would depend on worker count).
 
-The checker inspects call sites of :func:`repro.utils.parallel.parallel_map`
-and of ``submit``/``map``/``starmap``/``apply_async`` methods on
-pool/executor-named receivers:
+The checker inspects call sites of ``submit``/``map``/``starmap``/
+``apply_async`` methods on pool/executor-named receivers (the
+execution fabric's :class:`repro.utils.parallel.WorkerPool` included):
 
 * the callable must not be a ``lambda`` or a function nested inside
   another function (both unpicklable); ``functools.partial`` is unwrapped
@@ -108,8 +108,6 @@ class ParallelSafetyChecker(Checker):
     # -- dispatch-site detection -------------------------------------------
     def _dispatched_callable(self, node: ast.Call) -> ast.AST | None:
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "parallel_map" and node.args:
-            return node.args[0]
         if (
             isinstance(func, ast.Attribute)
             and func.attr in DISPATCH_METHODS
@@ -163,9 +161,9 @@ class ParallelSafetyChecker(Checker):
             self.report(
                 node,
                 f"direct {constructed}() construction bypasses the execution "
-                "fabric; go through repro.utils.parallel (WorkerPool / "
-                "parallel_map) so runs get warm-worker reuse, shared-memory "
-                "cleanup and the REPRO_WORKERS override",
+                "fabric; go through repro.utils.parallel.WorkerPool so runs "
+                "get warm-worker reuse, shared-memory cleanup and the "
+                "REPRO_WORKERS override",
             )
 
     def _check_shm_allocation(self, node: ast.Call) -> None:

@@ -10,8 +10,7 @@ Scopes:
 * **worker scope** — the closure of every function the execution fabric
   dispatches: first arguments of ``pool.map`` / ``map_salvage`` /
   ``submit`` / ``starmap`` / ``apply_async`` on pool-ish receivers
-  (name contains ``pool``/``executor`` or stated ``WorkerPool`` type) and
-  of :func:`repro.utils.parallel.parallel_map`;
+  (name contains ``pool``/``executor`` or stated ``WorkerPool`` type);
 * **solver scope** — the closure of ``start``/``step``/``finalize`` on
   every in-project subclass of ``SearchSolver``;
 * ``shm-lifecycle`` has no roots: it is a per-function CFG property
@@ -57,8 +56,6 @@ DISPATCH_METHODS = frozenset(
 POOLISH = ("pool", "executor")
 #: Stated receiver types that dispatch regardless of variable name.
 POOL_CLASS_NAMES = frozenset({"WorkerPool"})
-#: Free functions that dispatch their first argument.
-DISPATCH_FUNCTIONS = frozenset({"parallel_map"})
 
 #: The solver base class whose lifecycle methods anchor budget/rng scope.
 SOLVER_BASE = "SearchSolver"
@@ -114,21 +111,15 @@ def worker_roots(index: ProjectIndex, graph: CallGraph) -> dict[str, str]:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            task_arg: ast.expr | None = None
-            if (
+            if not (
                 isinstance(func, ast.Attribute)
                 and func.attr in DISPATCH_METHODS
                 and node.args
                 and _is_poolish(func.value, env)
             ):
-                task_arg = node.args[0]
-            elif (
-                isinstance(func, ast.Name)
-                and func.id in DISPATCH_FUNCTIONS
-                and node.args
-            ):
-                task_arg = node.args[0]
-            if task_arg is None or not isinstance(task_arg, ast.Name):
+                continue
+            task_arg = node.args[0]
+            if not isinstance(task_arg, ast.Name):
                 continue
             target = graph.resolve_call(
                 ast.Call(func=task_arg, args=[], keywords=[]), fn, module, env

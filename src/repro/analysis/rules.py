@@ -150,7 +150,7 @@ RULES: dict[str, Rule] = {
             id=KERNEL_DISCIPLINE,
             summary="compiled-kernel access only through repro.kernels",
             rationale=(
-                "the bit-exactness contract (numpy == numba == C, golden "
+                "the bit-exactness contract (numpy == C, golden "
                 "fixtures invariant under REPRO_KERNEL) is enforced at the "
                 "repro.kernels dispatch boundary; a numba/cffi/Cython/cppyy "
                 "import, @njit decoration, or ctypes/CDLL load elsewhere "

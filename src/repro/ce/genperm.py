@@ -10,8 +10,8 @@ result is always a valid one-to-one mapping, i.e. a permutation when
 samples through the process-active kernel backend
 (:mod:`repro.kernels`): the masked roulette-wheel position loop §5.2
 describes — batched row gathers, masked cumulative sums and inverse-CDF
-draws — executes as compiled code (numba or C) when available and as the
-vectorized numpy reference otherwise, all backends bit-identical. The
+draws — executes as compiled C when available and as the vectorized
+numpy reference otherwise, both backends bit-identical. The
 uniforms are pre-drawn *outside* the kernel (one block for the task
 orders, one for the roulette draws), so the RNG stream position never
 depends on the backend.

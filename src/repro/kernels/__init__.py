@@ -1,19 +1,18 @@
 """Compiled kernel backends for the hot loops (DESIGN.md §11).
 
-Three interchangeable, bit-identical implementations of the library's
+Two interchangeable, bit-identical implementations of the library's
 three hot kernels — batched Eq. (1)/(2) scoring, the GenPerm position
 loop, and the O(deg) delta probes — behind one dispatch point:
 
-* ``numba``: the spec loops under ``@njit(cache=True)`` (optional
-  dependency, ``pip install .[fast]``);
-* ``cext``: the same loops translated to C and compiled on demand with
-  the system C compiler (no extra Python dependency);
-* ``numpy``: the vectorized reference, always available.
+* ``cext``: scalar loops in C, compiled on demand with the system C
+  compiler (no extra Python dependency);
+* ``numpy``: the vectorized reference, always available, and the oracle
+  the compiled backend is tested against.
 
-Select with ``REPRO_KERNEL={auto,numba,cext,numpy}`` or ``--kernel``;
-``auto`` falls back silently because every backend produces identical
-bytes (the cross-backend parity suite in ``tests/kernels/`` enforces
-this, and the golden fixtures run under each available backend).
+Select with ``REPRO_KERNEL={auto,cext,numpy}`` or ``--kernel``; ``auto``
+falls back silently because both backends produce identical bytes (the
+cross-backend parity suite in ``tests/kernels/`` enforces this, and the
+golden fixtures run under each available backend).
 """
 
 from repro.kernels.csr import ProblemPack, build_adjacency, build_pack

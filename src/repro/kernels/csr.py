@@ -2,8 +2,8 @@
 
 Every compiled kernel consumes the same CSR-packed view of a
 :class:`~repro.mapping.problem.MappingProblem`: contiguous float64/int64
-arrays with no Python objects behind them, so the numba, C and numpy
-backends all read identical bytes. The pack is built once per
+arrays with no Python objects behind them, so the C and numpy backends
+read identical bytes. The pack is built once per
 :class:`~repro.mapping.cost_model.CostModel` and shared by every
 evaluator attacking the instance.
 

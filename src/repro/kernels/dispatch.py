@@ -1,17 +1,15 @@
 """Backend selection for the compiled kernel layer.
 
 One dispatch point decides, per process, which implementation of the hot
-kernels runs: ``numba`` (JIT of the spec loops), ``cext`` (the
-system-cc-compiled C translation), or ``numpy`` (the vectorized
-reference, always available). Selection:
+kernels runs: ``cext`` (the system-cc-compiled C kernels) or ``numpy``
+(the vectorized reference, always available). Selection:
 
 * ``REPRO_KERNEL`` environment variable or the CLI ``--kernel`` flag
   (which just sets the variable, so pool workers inherit it):
-  ``auto`` (default), ``numba``, ``cext``, ``numpy``.
-* ``auto`` tries ``numba -> cext -> numpy`` and *silently* falls back —
-  a missing optional dependency or an unusable compiler must never
-  change behaviour, only speed (every backend is bit-identical, see
-  :mod:`repro.kernels._loops`).
+  ``auto`` (default), ``cext``, ``numpy``.
+* ``auto`` tries ``cext -> numpy`` and *silently* falls back — an
+  unusable compiler must never change behaviour, only speed (both
+  backends are bit-identical, see the header of ``kernels.c``).
 * naming an unavailable backend explicitly raises
   :class:`~repro.exceptions.ConfigurationError` carrying the load
   error — an explicit request must not silently degrade.
@@ -43,10 +41,10 @@ __all__ = [
 ]
 
 #: Valid values for REPRO_KERNEL / --kernel.
-KERNEL_CHOICES = ("auto", "numba", "cext", "numpy")
+KERNEL_CHOICES = ("auto", "cext", "numpy")
 
-#: auto-resolution order: fastest first, numpy as the unconditional floor.
-_AUTO_ORDER = ("numba", "cext", "numpy")
+#: auto-resolution order: compiled first, numpy as the unconditional floor.
+_AUTO_ORDER = ("cext", "numpy")
 
 
 @dataclass(frozen=True)
@@ -63,23 +61,10 @@ class KernelBackend:
     swap_costs: Callable
 
 
-def _numpy_backend() -> KernelBackend:
-    return KernelBackend(
-        name="numpy",
-        compiled=False,
-        times_batch=impl_numpy.times_batch,
-        eval_batch=impl_numpy.eval_batch,
-        genperm=impl_numpy.genperm,
-        move_cost=impl_numpy.move_cost,
-        swap_cost=impl_numpy.swap_cost,
-        swap_costs=impl_numpy.swap_costs,
-    )
-
-
-def _compiled_backend(name: str, impl: object) -> KernelBackend:
+def _table(name: str, impl: object, *, compiled: bool) -> KernelBackend:
     return KernelBackend(
         name=name,
-        compiled=True,
+        compiled=compiled,
         times_batch=impl.times_batch,
         eval_batch=impl.eval_batch,
         genperm=impl.genperm,
@@ -103,15 +88,11 @@ def _load(name: str) -> KernelBackend | None:
     backend: KernelBackend | None = None
     try:
         if name == "numpy":
-            backend = _numpy_backend()
+            backend = _table("numpy", impl_numpy, compiled=False)
         elif name == "cext":
             from repro.kernels import impl_cext
 
-            backend = _compiled_backend("cext", impl_cext.load())
-        elif name == "numba":
-            from repro.kernels import impl_numba
-
-            backend = _compiled_backend("numba", impl_numba.load())
+            backend = _table("cext", impl_cext.load(), compiled=True)
         else:
             raise ConfigurationError(
                 f"unknown kernel backend {name!r}; choices: {', '.join(KERNEL_CHOICES)}"

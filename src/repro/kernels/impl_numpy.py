@@ -4,7 +4,7 @@ These are the vectorized implementations that previously lived inline in
 ``mapping/cost_model.py`` (``bincount`` scatter-add batch scoring) and
 ``ce/genperm.py`` (the column-major GenPerm position loop), moved behind
 the backend API unchanged so ``REPRO_KERNEL=numpy`` reproduces every
-historical result bit-for-bit. The compiled backends are tested against
+historical result bit-for-bit. The compiled backend is tested against
 this module, not the other way around.
 """
 

@@ -1,15 +1,24 @@
 /* Compiled hot-loop kernels for the MaTCH reproduction.
  *
- * Value-for-value translation of repro/kernels/_loops.py — see that
- * module's docstring for the bit-exactness contract. Loop structure may
- * differ where it buys instruction-level parallelism (the GenPerm
- * position loop interleaves four samples), but every per-sample float
- * operation sequence matches the reference exactly. The build
- * (driven by impl_cext.py) uses `-O3 -ffp-contract=off` and no
- * -ffast-math: every float add/multiply must round exactly like the
- * numpy reference, so fused multiply-adds and reassociation are off the
- * table. Accumulation orders (tasks ascending, edges ascending, the
- * `(proc + acc_s) + acc_b` combine) are load-bearing.
+ * Scalar-loop form of the vectorized reference in
+ * repro/kernels/impl_numpy.py, which is the oracle: the parity suite in
+ * tests/kernels/ pins every function here against it bit for bit. Loop
+ * structure may differ where it buys instruction-level parallelism (the
+ * GenPerm position loop interleaves four samples), but every per-sample
+ * float operation sequence matches the reference exactly.
+ *
+ * Bit-exactness rules:
+ *
+ *  - Accumulation order matches numpy. `bincount` accumulates per bucket
+ *    in input order, so the processing term sums tasks ascending, each
+ *    edge term sums edges ascending, and the three Eq. (1) terms combine
+ *    as `(proc + acc_s) + acc_b`.
+ *  - Every product is a single IEEE multiply. The build (driven by
+ *    impl_cext.py) uses `-O3 -ffp-contract=off` and never -ffast-math:
+ *    fused multiply-adds and reassociation would change last-ulp results
+ *    against numpy.
+ *  - GenPerm consumes pre-drawn uniforms only. The RNG never enters a
+ *    kernel, so the stream position is backend-invariant by construction.
  *
  * No Python.h: the library is plain C called through ctypes, so one
  * shared object serves every interpreter version. All functions return

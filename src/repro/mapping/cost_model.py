@@ -19,10 +19,10 @@ Two implementations are provided and cross-validated in the test suite:
 * :class:`CostModel` — the production evaluator. Its batch methods
   dispatch through :mod:`repro.kernels` (DESIGN.md §11): the problem is
   snapshotted once into a CSR-packed :class:`~repro.kernels.ProblemPack`
-  and scored by whichever backend ``REPRO_KERNEL`` selected — numba JIT,
-  the on-demand-compiled C kernels, or the vectorized numpy reference.
-  All backends are bit-identical (the cross-backend parity suite pins
-  them against each other and against :func:`evaluate_reference`), so
+  and scored by whichever backend ``REPRO_KERNEL`` selected — the
+  on-demand-compiled C kernels or the vectorized numpy reference. Both
+  backends are bit-identical (the cross-backend parity suite pins them
+  against each other and against :func:`evaluate_reference`), so
   the choice affects throughput only. One CE iteration at ``n = 50``
   evaluates ``N = 2·50² = 5000`` mappings; this is the library's hot
   path (see the hpc guide note in :mod:`repro.graphs.base`).

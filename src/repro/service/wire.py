@@ -40,15 +40,29 @@ __all__ = [
     "problem_from_wire",
     "request_from_wire",
     "request_to_wire",
+    "MAX_WIRE_TASKS",
 ]
 
 #: plane-array names that carry vertex/edge indices (decoded as int64).
 _INDEX_ARRAYS = frozenset({"tig_edges", "res_edges"})
 
+#: Largest task count a wire problem may name, by generator spec or inline
+#: arrays. MaTCH scores N = 2n² samples of n tasks per iteration, so the
+#: size is the one request field that scales a solve's memory and time;
+#: the paper's largest instance is n = 50.
+MAX_WIRE_TASKS = 128
+
 
 def problem_to_wire(problem: MappingProblem) -> dict[str, Any]:
     """Inline wire form: the plane arrays as nested lists."""
     return {"arrays": {k: v.tolist() for k, v in problem.plane_arrays().items()}}
+
+
+def _check_task_count(n_tasks: int, what: str) -> None:
+    if n_tasks > MAX_WIRE_TASKS:
+        raise ValidationError(
+            f"{what} names {n_tasks} tasks; the wire accepts at most {MAX_WIRE_TASKS}"
+        )
 
 
 def _decode_array(name: str, value: Any) -> np.ndarray:
@@ -69,11 +83,17 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
         if not isinstance(raw, Mapping):
             raise ValidationError("problem.arrays must be an object of named arrays")
         arrays = {str(k): _decode_array(str(k), v) for k, v in raw.items()}
+        task_weights = arrays.get("task_weights")
+        if task_weights is not None:
+            _check_task_count(task_weights.size, "problem.arrays")
         return MappingProblem.from_plane_arrays(arrays)
     if "size" in payload:
         from repro.graphs import generate_paper_pair
 
-        size = int(payload["size"])
+        size = payload["size"]
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise ValidationError(f"problem.size must be an integer, got {size!r}")
+        _check_task_count(size, "problem.size")
         seed = int(payload.get("seed", 2005))
         pair = generate_paper_pair(size, seed)
         return MappingProblem(pair.tig, pair.resources, require_square=True)

@@ -11,7 +11,7 @@ from repro.utils.rng import (
     derive_seed,
     spawn_generators,
 )
-from repro.utils.parallel import WorkerPool, default_worker_count, parallel_map
+from repro.utils.parallel import WorkerPool, default_worker_count
 from repro.utils.shared_plane import (
     ProblemPlane,
     SharedProblemHandle,
@@ -35,7 +35,6 @@ __all__ = [
     "as_generator",
     "derive_seed",
     "spawn_generators",
-    "parallel_map",
     "default_worker_count",
     "WorkerPool",
     "ProblemPlane",

@@ -11,10 +11,6 @@ that serves many map calls per lifetime, owns a shared-memory problem plane
 of pickled per cell, and schedules straggler-prone cells first
 (cost-weighted longest-processing-time-first with per-cell futures).
 
-:func:`parallel_map` remains as the one-shot convenience wrapper — exact
-same public signature and serial-fallback semantics as before, now a thin
-shim over a single-use :class:`WorkerPool`.
-
 Tasks must be picklable top-level callables; per-task arguments should
 carry their own seeds (see :class:`repro.utils.rng.RngStreams`) so results
 are identical regardless of worker count — a property the tests assert.
@@ -45,7 +41,6 @@ from repro.utils.shared_plane import (
 
 __all__ = [
     "WorkerPool",
-    "parallel_map",
     "default_worker_count",
     "RetryPolicy",
     "CellFailure",
@@ -719,31 +714,3 @@ class _ResilientDispatch:
                 self.results[i] = result
                 self.done[i] = True
 
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    n_workers: int | None = None,
-    chunksize: int = 1,
-) -> list[R]:
-    """Map ``fn`` over ``items``, optionally across processes.
-
-    Results are returned in input order. ``n_workers=None`` uses
-    :func:`default_worker_count`; ``n_workers <= 1`` runs serially in this
-    process (no pickling requirements, exact same semantics) — the default
-    on single-CPU hosts, keeping behaviour deterministic and debuggable.
-
-    Exceptions raised by ``fn`` propagate to the caller (the first failing
-    item's exception, as with ``Executor.map``). This is the one-shot
-    convenience form; callers dispatching more than once should hold a
-    :class:`WorkerPool` open and amortize the worker warm-up.
-    """
-    if chunksize < 1:
-        raise ValidationError(f"chunksize must be >= 1, got {chunksize}")
-    workers = default_worker_count() if n_workers is None else n_workers
-    item_list: Sequence[T] = list(items)
-    if workers <= 1 or len(item_list) <= 1:
-        return [fn(item) for item in item_list]
-    with WorkerPool(workers) as pool:
-        return pool.map(fn, item_list, chunksize=chunksize)

@@ -180,7 +180,7 @@ class TestFloatEquality:
 class TestParallelSafety:
     def test_lambda_flagged(self):
         assert "parallel-safety" in rules_hit(
-            "parallel_map(lambda x: x + 1, items)\n"
+            "pool.map(lambda x: x + 1, items)\n"
         )
 
     def test_nested_def_flagged(self):
@@ -188,14 +188,14 @@ class TestParallelSafety:
             def outer(items):
                 def worker(x):
                     return x + 1
-                return parallel_map(worker, items)
+                return pool.map(worker, items)
         """
         assert "parallel-safety" in rules_hit(src)
 
     def test_partial_of_lambda_flagged(self):
         src = """
             from functools import partial
-            parallel_map(partial(lambda x, y: x + y, 1), items)
+            pool.map(partial(lambda x, y: x + y, 1), items)
         """
         assert "parallel-safety" in rules_hit(src)
 
@@ -204,7 +204,7 @@ class TestParallelSafety:
             def worker(x):
                 return x + 1
             def run(items):
-                return parallel_map(worker, items)
+                return pool.map(worker, items)
         """
         assert rules_hit(src) == set()
 
@@ -219,7 +219,7 @@ class TestParallelSafety:
         src = """
             from repro.utils.rng import as_generator
             def run(items, seed):
-                return parallel_map(worker, [(x, as_generator(seed)) for x in items])
+                return pool.map(worker, [(x, as_generator(seed)) for x in items])
         """
         hits = [f for f in findings_for(src) if f.rule == "parallel-safety"]
         assert hits and "integer seeds" in hits[0].message
@@ -228,7 +228,7 @@ class TestParallelSafety:
         src = """
             from repro.utils.rng import derive_seed
             def run(items, seed):
-                return parallel_map(worker, [(x, derive_seed(seed, x)) for x in items])
+                return pool.map(worker, [(x, derive_seed(seed, x)) for x in items])
         """
         assert rules_hit(src) == set()
 
@@ -399,7 +399,7 @@ class TestKernelDiscipline:
 
             lib = ctypes.CDLL("libfoo.so")
         """
-        assert rules_hit(src, path="src/repro/kernels/impl_numba.py") == set()
+        assert rules_hit(src, path="src/repro/kernels/impl_cext.py") == set()
 
     def test_plain_ctypes_import_clean(self):
         # importing ctypes for struct layout is fine; only CDLL loads count

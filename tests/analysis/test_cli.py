@@ -81,9 +81,10 @@ def impure_worker_tree(tmp_path, monkeypatch):
     (pkg / "__init__.py").write_text("", encoding="utf-8")
     (pkg / "driver.py").write_text(
         "from repro.cells import run_cell\n"
-        "from repro.utils.parallel import parallel_map\n\n"
+        "from repro.utils.parallel import WorkerPool\n\n"
         "def run_all(specs):\n"
-        "    return parallel_map(run_cell, specs)\n",
+        "    with WorkerPool(2) as pool:\n"
+        "        return pool.map(run_cell, specs)\n",
         encoding="utf-8",
     )
     (pkg / "cells.py").write_text(

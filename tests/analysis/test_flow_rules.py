@@ -33,11 +33,12 @@ def assert_per_file_clean(sources: dict[str, str]):
 
 DISPATCH = {
     "src/repro/experiments/driver.py": """
-        from repro.utils.parallel import parallel_map
+        from repro.utils.parallel import WorkerPool
         from repro.experiments.cells import run_cell
 
         def run_all(specs):
-            return parallel_map(run_cell, specs)
+            with WorkerPool(2) as pool:
+                return pool.map(run_cell, specs)
     """
 }
 

@@ -10,8 +10,8 @@ from repro.graphs import generate_paper_pair
 from repro.mapping.problem import MappingProblem
 
 #: Backends that load in this environment (numpy always; cext needs a C
-#: compiler; numba needs the optional dependency). Computed once at
-#: collection — the memoized loads make this cheap for the tests proper.
+#: compiler). Computed once at collection — the memoized loads make this
+#: cheap for the tests proper.
 AVAILABLE = [name for name, ok in kernels.available_backends().items() if ok]
 
 #: Compiled backends only, for tests comparing against the numpy floor.

@@ -7,7 +7,6 @@ import pytest
 
 from repro import kernels
 from repro.exceptions import ConfigurationError
-from repro.kernels.impl_cext import KernelUnavailable
 
 from tests.kernels.conftest import AVAILABLE, make_problem, random_batch
 
@@ -18,13 +17,6 @@ def clean_dispatch():
     kernels.reset_kernel_state()
     yield
     kernels.reset_kernel_state()
-
-
-def _break_numba(monkeypatch):
-    def _raise():
-        raise KernelUnavailable("numba disabled for this test")
-
-    monkeypatch.setattr("repro.kernels.impl_numba.load", _raise)
 
 
 def _break_cext(monkeypatch, tmp_path):
@@ -48,23 +40,27 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             kernels.get_backend()
 
-    def test_explicit_unavailable_backend_raises(self, clean_dispatch, monkeypatch):
-        _break_numba(monkeypatch)
+    def test_removed_numba_choice_rejected(self, clean_dispatch, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "numba")
-        with pytest.raises(ConfigurationError, match="numba disabled"):
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
             kernels.get_backend()
 
-    def test_load_error_reports_reason(self, clean_dispatch, monkeypatch):
-        _break_numba(monkeypatch)
-        assert kernels.available_backends()["numba"] is False
-        assert "numba disabled" in kernels.load_error("numba")
+    def test_explicit_unavailable_backend_raises(self, clean_dispatch, monkeypatch, tmp_path):
+        _break_cext(monkeypatch, tmp_path)
+        monkeypatch.setenv("REPRO_KERNEL", "cext")
+        with pytest.raises(ConfigurationError, match="no-such-cc"):
+            kernels.get_backend()
+
+    def test_load_error_reports_reason(self, clean_dispatch, monkeypatch, tmp_path):
+        _break_cext(monkeypatch, tmp_path)
+        assert kernels.available_backends()["cext"] is False
+        assert "no-such-cc" in kernels.load_error("cext")
 
 
 class TestGracefulDegradation:
     def test_auto_falls_back_to_numpy(self, clean_dispatch, monkeypatch, tmp_path):
-        # No numba, no working C compiler: auto must silently give numpy
-        # (degraded speed, identical numbers), never raise.
-        _break_numba(monkeypatch)
+        # No working C compiler: auto must silently give numpy (degraded
+        # speed, identical numbers), never raise.
         _break_cext(monkeypatch, tmp_path)
         monkeypatch.setenv("REPRO_KERNEL", "auto")
         backend = kernels.get_backend()

@@ -1,11 +1,8 @@
 """Cross-backend bit-parity matrix.
 
-Every available backend (numpy always; cext when a C compiler exists;
-numba when installed) must produce *bit-identical* floats to the numpy
-reference on every kernel — scoring, GenPerm sampling, and the O(deg)
-probes. The numba source (:mod:`repro.kernels._loops`) is additionally
-executed as plain Python so its semantics are pinned even in
-environments where numba itself is absent.
+Every available backend (numpy always; cext when a C compiler exists)
+must produce *bit-identical* floats to the numpy reference on every
+kernel — scoring, GenPerm sampling, and the O(deg) probes.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ import pytest
 
 from repro import kernels
 from repro.ce.genperm import sample_permutations, sample_permutations_stacked
-from repro.kernels import _loops, build_pack, impl_numpy
+from repro.kernels import build_pack, impl_numpy
 from repro.mapping import CostModel
 from repro.mapping.incremental import IncrementalEvaluator
 
@@ -145,60 +142,6 @@ class TestProbeParity:
         for t1 in range(problem.n_tasks):
             for t2 in range(problem.n_tasks):
                 assert inc.swap_cost(t1, t2) == ref.swap_cost(t1, t2)
-
-
-class TestSpecLoopsAsPython:
-    """Run the numba source as plain Python against the numpy reference."""
-
-    def test_times_batch_loops(self):
-        problem = make_problem(8, 5)
-        pack = build_pack(problem)
-        X = random_batch(problem, 13, 6)
-        assert np.array_equal(
-            _loops.times_batch_loops(
-                X,
-                pack.task_weights,
-                pack.proc_weights,
-                pack.comm_flat,
-                pack.eu,
-                pack.ev,
-                pack.edge_vol,
-                pack.n_resources,
-            ),
-            impl_numpy.times_batch(pack, X),
-        )
-
-    def test_genperm_loops(self):
-        n = 7
-        P, orders, pos = genperm_inputs(n, n, 11, 3)
-        offsets = np.zeros(11, dtype=np.int64)
-        assert np.array_equal(
-            _loops.genperm_loops(P, offsets, orders, pos, n),
-            impl_numpy.genperm(P, None, orders, pos, n),
-        )
-
-    def test_swap_costs_loops(self):
-        problem = make_problem(8, 5)
-        model = CostModel(problem)
-        pack = model.pack
-        x = np.random.default_rng(0).permutation(8).astype(np.int64)
-        exec_s = model.per_resource_times(x).astype(np.float64)
-        pairs = np.array([(0, 1), (2, 7), (3, 3), (5, 4)], dtype=np.int64)
-        assert np.array_equal(
-            _loops.swap_costs_loops(
-                exec_s,
-                x,
-                pairs,
-                pack.task_weights,
-                pack.proc_weights,
-                pack.comm_flat,
-                pack.n_resources,
-                pack.off,
-                pack.nbr,
-                pack.nbr_vol,
-            ),
-            impl_numpy.swap_costs(pack, exec_s, x, pairs),
-        )
 
 
 @pytest.mark.parametrize("name", AVAILABLE)

@@ -96,7 +96,7 @@ class TestBuildManifest:
         assert manifest["rng"]["root_seed"] == 7
         assert manifest["env"]["REPRO_WORKERS"] == "3"
         assert manifest["workers"] == "3"
-        assert manifest["kernel_backend"] in ("numpy", "cext", "numba", "unresolved")
+        assert manifest["kernel_backend"] in ("numpy", "cext", "unresolved")
         assert manifest["host"]["host_class"] == host_class()
         assert set(manifest["retry"]) == {"max_retries", "cell_timeout"}
         assert manifest["solver"]["name"] == "match"

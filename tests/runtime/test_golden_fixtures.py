@@ -23,8 +23,8 @@ FIXTURE = Path(__file__).parent.parent / "fixtures" / "golden_solvers.json"
 
 #: The fixtures were recorded on the pure-numpy tree; every kernel
 #: backend available here must reproduce them bit-for-bit, so the whole
-#: module is parametrized over the backends (numpy always; cext/numba
-#: when this environment can load them).
+#: module is parametrized over the backends (numpy always; cext when
+#: this environment can compile it).
 _BACKENDS = [name for name, ok in kernels.available_backends().items() if ok]
 
 

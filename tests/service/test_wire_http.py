@@ -21,6 +21,7 @@ from repro.service import (
     start_http_server,
     submit_over_http,
 )
+from repro.service.wire import MAX_WIRE_TASKS
 
 
 def make_problem(n: int = 10, seed: int = 7) -> MappingProblem:
@@ -65,6 +66,30 @@ class TestWire:
         with pytest.raises(ValidationError):
             problem_from_wire({"neither": True})
 
+    @pytest.mark.parametrize("size", [MAX_WIRE_TASKS + 1, 10**9])
+    def test_oversized_generator_spec_rejected(self, size, monkeypatch):
+        def _never(*args):
+            raise AssertionError("generator ran before the size check")
+
+        monkeypatch.setattr("repro.graphs.generate_paper_pair", _never)
+        with pytest.raises(ValidationError, match="at most"):
+            problem_from_wire({"size": size})
+
+    @pytest.mark.parametrize("size", [2.7, 10.0, "10", None, True])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            problem_from_wire({"size": size})
+
+    def test_size_cap_is_inclusive(self):
+        problem = problem_from_wire({"size": MAX_WIRE_TASKS, "seed": 1})
+        assert problem.n_tasks == MAX_WIRE_TASKS
+
+    def test_oversized_inline_arrays_rejected(self):
+        arrays = problem_to_wire(make_problem(4, 1))["arrays"]
+        arrays["task_weights"] = [1.0] * (MAX_WIRE_TASKS + 1)
+        with pytest.raises(ValidationError, match="at most"):
+            problem_from_wire({"arrays": arrays})
+
 
 class TestHttp:
     def test_solve_healthz_stats_and_errors(self):
@@ -94,6 +119,9 @@ class TestHttp:
                 status3, bad = await loop.run_in_executor(
                     None, post, {"problem": {"neither": True}}
                 )
+                status4, oversized = await loop.run_in_executor(
+                    None, post, {"problem": {"size": MAX_WIRE_TASKS + 1}}
+                )
 
                 def raw(request_bytes):
                     with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
@@ -114,15 +142,18 @@ class TestHttp:
                 server.close()
                 await server.wait_closed()
                 stats = service.stats()
-                return status1, first, status2, second, status3, bad, health, missing, stats
+                return (status1, first, status2, second, status3, bad,
+                        status4, oversized, health, missing, stats)
 
         (status1, first, status2, second, status3, bad,
-         health, missing, stats) = asyncio.run(main())
+         status4, oversized, health, missing, stats) = asyncio.run(main())
 
         assert status1 == 200 and first["status"] == "ok" and not first["cached"]
         assert status2 == 200 and second["cached"]
         assert second["result"] == first["result"]
         assert status3 == 400 and bad["error"]["kind"] == "bad-request"
+        assert status4 == 400 and oversized["error"]["kind"] == "bad-request"
+        assert "at most" in oversized["error"]["message"]
         assert health.startswith(b"HTTP/1.1 200") and b'{"ok": true}' in health
         assert missing.startswith(b"HTTP/1.1 404")
         assert stats["requests"] == 2 and stats["cache_hits"] == 1

@@ -69,17 +69,15 @@ class TestMain:
 
         assert strip(capsys.readouterr().out) == strip(pinned)
 
-    def test_solve_unavailable_kernel_errors(self, capsys, monkeypatch):
+    def test_solve_unavailable_kernel_errors(self, capsys, monkeypatch, tmp_path):
         from repro import kernels
-        from repro.kernels.impl_cext import KernelUnavailable
 
-        def _raise():
-            raise KernelUnavailable("numba disabled for this test")
-
+        # A bogus compiler plus an empty cache directory: cext cannot load.
+        monkeypatch.setenv("REPRO_CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
         kernels.reset_kernel_state()
-        monkeypatch.setattr("repro.kernels.impl_numba.load", _raise)
         try:
-            assert main(["solve", "--size", "6", "--kernel", "numba"]) == 1
+            assert main(["solve", "--size", "6", "--kernel", "cext"]) == 1
             assert "unavailable" in capsys.readouterr().err
         finally:
             kernels.reset_kernel_state()

@@ -1,4 +1,4 @@
-"""Tests for the parallel map utility."""
+"""Map semantics of :meth:`WorkerPool.map`: ordering, serial fallback, errors."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.utils.parallel import default_worker_count, parallel_map
+from repro.utils.parallel import WorkerPool, default_worker_count
 
 
 def square(x: int) -> int:
@@ -20,41 +20,47 @@ def failing(x: int) -> int:
     return x
 
 
+def pool_map(fn, items, n_workers=None, **kwargs):
+    with WorkerPool(n_workers) as pool:
+        return pool.map(fn, items, **kwargs)
+
+
 class TestParallelMap:
     def test_serial_path(self):
-        assert parallel_map(square, range(6), n_workers=1) == [0, 1, 4, 9, 16, 25]
+        assert pool_map(square, range(6), n_workers=1) == [0, 1, 4, 9, 16, 25]
 
     def test_serial_accepts_lambdas(self):
         # the serial path has no pickling requirement
-        assert parallel_map(lambda x: x + 1, [1, 2], n_workers=1) == [2, 3]  # repro: noqa[parallel-safety] -- n_workers=1 never forks, so no pickling
+        with WorkerPool(1) as pool:
+            assert pool.map(lambda x: x + 1, [1, 2]) == [2, 3]  # repro: noqa[parallel-safety] -- n_workers=1 never forks, so no pickling
 
     def test_parallel_path_ordered(self):
-        result = parallel_map(square, range(8), n_workers=2)
+        result = pool_map(square, range(8), n_workers=2)
         assert result == [x * x for x in range(8)]
 
     def test_parallel_equals_serial(self):
         items = list(range(12))
-        assert parallel_map(square, items, n_workers=2) == parallel_map(
+        assert pool_map(square, items, n_workers=2) == pool_map(
             square, items, n_workers=1
         )
 
     def test_empty_items(self):
-        assert parallel_map(square, [], n_workers=2) == []
+        assert pool_map(square, [], n_workers=2) == []
 
     def test_single_item_stays_serial(self):
-        assert parallel_map(square, [5], n_workers=4) == [25]
+        assert pool_map(square, [5], n_workers=4) == [25]
 
     def test_exception_propagates_serial(self):
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(failing, [1, 2, 3], n_workers=1)
+            pool_map(failing, [1, 2, 3], n_workers=1)
 
     def test_exception_propagates_parallel(self):
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(failing, [1, 2, 3, 4], n_workers=2)
+            pool_map(failing, [1, 2, 3, 4], n_workers=2)
 
     def test_chunksize_validation(self):
         with pytest.raises(ValidationError):
-            parallel_map(square, [1], chunksize=0)
+            pool_map(square, [1], chunksize=0)
 
     def test_default_worker_count_positive(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
