@@ -20,12 +20,7 @@ from repro.baselines import (
     SAConfig,
     SimulatedAnnealingMapper,
 )
-from repro.core import (
-    AdaptiveMatchMapper,
-    DistributedMatchMapper,
-    MatchConfig,
-    MatchMapper,
-)
+from repro.core import DistributedMatchMapper, MatchConfig, MatchMapper
 from repro.graphs import generate_paper_pair
 from repro.mapping import CostModel, MappingProblem
 
@@ -52,7 +47,6 @@ def random_floor(problem):
 
 MAPPERS = {
     "match": lambda: MatchMapper(MatchConfig()),
-    "match_adaptive": lambda: AdaptiveMatchMapper(),
     "match_distributed": lambda: DistributedMatchMapper(),
     "fastmap_ga": lambda: FastMapGA(GAConfig(population_size=150, generations=200)),
     "random_search": lambda: RandomSearchMapper(10_000),

@@ -2,10 +2,8 @@
 """Watch the cross-entropy method converge — a live Figure 3.
 
 Runs MaTCH with matrix tracking and prints the stochastic matrix as ASCII
-heat maps at several points of the run, together with the γ (elite
-threshold) and entropy trajectories. Also demonstrates the two other
-members of the CE family the paper introduces in §3: continuous
-multiextremal optimization and rare-event probability estimation.
+heat maps at several points of the run, each with its degeneracy and
+entropy, followed by the γ (elite threshold) trajectory.
 
 Run:
     python examples/ce_convergence.py [n] [seed]
@@ -15,11 +13,7 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
-
 from repro import MappingProblem, MatchConfig, generate_paper_pair
-from repro.ce import ContinuousCEConfig, ContinuousCEOptimizer, ExponentialFamily
-from repro.ce.rare_event import estimate_rare_event
 from repro.core import MatchMapper, evolution_frames, render_matrix_ascii
 
 
@@ -45,52 +39,10 @@ def mapping_demo(n: int, seed: int) -> None:
     print("  " + " -> ".join(f"{g:.0f}" for g in gammas))
 
 
-def continuous_demo(seed: int) -> None:
-    print("\n--- continuous CE: minimizing a multiextremal function ---")
-
-    def rastrigin(X: np.ndarray) -> np.ndarray:
-        return (X**2 - 10 * np.cos(2 * np.pi * X) + 10).sum(axis=1)
-
-    opt = ContinuousCEOptimizer(
-        rastrigin,
-        mean0=np.full(3, 4.0),  # start in a far local basin
-        sigma0=np.full(3, 3.0),
-        config=ContinuousCEConfig(n_samples=300, rho=0.05),
-        rng=seed,
-    )
-    res = opt.run()
-    print(f"rastrigin minimum found: f = {res.best_value:.2e} at "
-          f"{np.round(res.best_point, 4)} in {res.n_iterations} iterations")
-
-
-def rare_event_demo(seed: int) -> None:
-    print("\n--- rare-event CE: the method's original home (§3) ---")
-    d, gamma = 6, 25.0
-    res = estimate_rare_event(
-        score=lambda x: x.sum(axis=1),
-        family=ExponentialFamily(),
-        u=np.ones(d),
-        gamma=gamma,
-        n_samples=2000,
-        rng=seed,
-    )
-    from scipy import stats as ss
-
-    true = ss.gamma.sf(gamma, a=d, scale=1.0)
-    print(f"P(sum of {d} Exp(1) >= {gamma}):")
-    print(f"  CE estimate : {res.probability:.3e} "
-          f"(rel. err {res.relative_error:.2%}, "
-          f"{res.n_iterations} tilting levels)")
-    print(f"  exact value : {true:.3e}")
-    print(f"  naive Monte Carlo would need ~{1/true:,.0f} samples per hit")
-
-
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     mapping_demo(n, seed)
-    continuous_demo(seed)
-    rare_event_demo(seed)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 
 Extends the paper's two-heuristic comparison with the auxiliary baselines
 (random search, swap local search, simulated annealing, greedy) and the
-MaTCH variants (adaptive, distributed), reporting quality, mapping time
+distributed MaTCH variant, reporting quality, mapping time
 and application turnaround (ATN, Fig. 9) side by side.
 
 Run:
@@ -26,12 +26,7 @@ from repro.baselines import (
     SAConfig,
     SimulatedAnnealingMapper,
 )
-from repro.core import (
-    AdaptiveMatchMapper,
-    DistributedMatchMapper,
-    MatchConfig,
-    MatchMapper,
-)
+from repro.core import DistributedMatchMapper, MatchConfig, MatchMapper
 from repro.utils.rng import RngStreams
 from repro.utils.tables import format_table
 
@@ -39,7 +34,6 @@ from repro.utils.tables import format_table
 def mappers():
     return {
         "MaTCH": lambda: MatchMapper(MatchConfig()),
-        "MaTCH-adaptive": lambda: AdaptiveMatchMapper(),
         "MaTCH-distributed": lambda: DistributedMatchMapper(),
         "FastMap-GA": lambda: FastMapGA(
             GAConfig(population_size=200, generations=300)

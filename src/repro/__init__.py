@@ -16,9 +16,9 @@ Package map
 * :mod:`repro.graphs` — TIGs, resource graphs, §5.2 generators;
 * :mod:`repro.overset` — synthetic overset-grid CFD scenarios (Fig. 1);
 * :mod:`repro.mapping` — the Eq. (1)/(2) cost model (reference + batched);
-* :mod:`repro.ce` — the cross-entropy method library (GenPerm, updates,
-  continuous CE, rare-event CE);
-* :mod:`repro.core` — MaTCH and its adaptive/distributed variants;
+* :mod:`repro.ce` — the cross-entropy method library (GenPerm, elite
+  updates, stopping rules, single- and multi-chain engines);
+* :mod:`repro.core` — MaTCH and its distributed variant;
 * :mod:`repro.baselines` — FastMap-GA and auxiliary heuristics;
 * :mod:`repro.simulate` — discrete-event platform simulator;
 * :mod:`repro.stats` — ANOVA, confidence intervals, F/t distributions;
@@ -38,7 +38,6 @@ from repro.baselines import (
 )
 from repro.ce import CEConfig, CEResult, CrossEntropyOptimizer, StochasticMatrix
 from repro.core import (
-    AdaptiveMatchMapper,
     DistributedMatchMapper,
     MatchConfig,
     MatchMapper,
@@ -106,7 +105,6 @@ __all__ = [
     "MatchMapper",
     "MatchResult",
     "match_map",
-    "AdaptiveMatchMapper",
     "DistributedMatchMapper",
     # baselines
     "Mapper",

@@ -15,7 +15,22 @@ from typing import ClassVar
 
 from repro.analysis.findings import Finding
 
-__all__ = ["CheckContext", "Checker", "dotted_name"]
+__all__ = [
+    "DISPATCH_METHODS",
+    "POOLISH",
+    "CheckContext",
+    "Checker",
+    "dotted_name",
+    "is_shm_create",
+]
+
+#: Pool methods that ship a callable to worker processes. Shared by the
+#: per-file ``parallel-safety`` rule and the flow layer's worker roots.
+DISPATCH_METHODS = frozenset(
+    {"map", "map_salvage", "submit", "starmap", "apply_async", "imap", "imap_unordered"}
+)
+#: Receiver-name fragments that mark a pool-ish object.
+POOLISH = ("pool", "executor")
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -28,6 +43,17 @@ def dotted_name(node: ast.AST) -> str | None:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def is_shm_create(call: ast.Call) -> bool:
+    """True for ``SharedMemory(..., create=True)``: a new segment, not an attach."""
+    callee = dotted_name(call.func) or ""
+    return callee.split(".")[-1] == "SharedMemory" and any(
+        kw.arg == "create"
+        and isinstance(kw.value, ast.Constant)
+        and kw.value.value is True
+        for kw in call.keywords
+    )
 
 
 @dataclass

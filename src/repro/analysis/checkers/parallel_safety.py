@@ -7,9 +7,10 @@ integer seed rather than a live ``numpy.random.Generator`` (pickling a
 Generator copies its state, so workers would replay *the same* stream the
 parent keeps advancing, and results would depend on worker count).
 
-The checker inspects call sites of ``submit``/``map``/``starmap``/
-``apply_async`` methods on pool/executor-named receivers (the
-execution fabric's :class:`repro.utils.parallel.WorkerPool` included):
+The checker inspects call sites of the dispatch methods
+(``submit``/``map``/``map_salvage``/``starmap``/``apply_async``/…) on
+pool/executor-named receivers (the execution fabric's
+:class:`repro.utils.parallel.WorkerPool` included):
 
 * the callable must not be a ``lambda`` or a function nested inside
   another function (both unpicklable); ``functools.partial`` is unwrapped
@@ -34,15 +35,18 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.checkers.base import Checker, CheckContext, dotted_name
+from repro.analysis.checkers.base import (
+    DISPATCH_METHODS,
+    POOLISH,
+    Checker,
+    CheckContext,
+    dotted_name,
+    is_shm_create,
+)
 from repro.analysis.rules import PARALLEL_SAFETY, path_matches
 
 __all__ = ["ParallelSafetyChecker"]
 
-DISPATCH_METHODS = frozenset(
-    {"submit", "map", "starmap", "imap", "imap_unordered", "apply_async"}
-)
-POOLISH = ("pool", "executor")
 GENERATOR_BUILDERS = frozenset({"as_generator", "default_rng", "spawn_generators"})
 #: The one module allowed to construct raw process pools.
 FABRIC_PATHS = ("repro/utils/parallel.py",)
@@ -175,18 +179,7 @@ class ParallelSafetyChecker(Checker):
         tracking, so nothing unlinks the segment on close/SIGINT and the
         resource tracker reports a leak at interpreter exit.
         """
-        if self._in_plane:
-            return
-        name = dotted_name(node.func)
-        if name is None or name.split(".")[-1] != "SharedMemory":
-            return
-        creates = any(
-            kw.arg == "create"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-            for kw in node.keywords
-        )
-        if creates:
+        if not self._in_plane and is_shm_create(node):
             self.report(
                 node,
                 "SharedMemory(create=True) outside repro/utils/shared_plane.py "

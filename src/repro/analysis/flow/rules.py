@@ -26,17 +26,12 @@ from __future__ import annotations
 import ast
 from typing import Callable, Iterable, Sequence
 
-from repro.analysis.checkers.base import dotted_name
+from repro.analysis.checkers.base import DISPATCH_METHODS, POOLISH, dotted_name, is_shm_create
 from repro.analysis.findings import Finding
 from repro.analysis.flow.callgraph import CallGraph, local_types
 from repro.analysis.flow.cfg import CFG, build_cfg, walk_scan
 from repro.analysis.flow.project import FunctionInfo, ProjectIndex
-from repro.analysis.flow.summaries import (
-    FunctionSummary,
-    is_charge_call,
-    is_cost_probe,
-    summarize,
-)
+from repro.analysis.flow.summaries import is_charge_call, is_cost_probe, summarize
 from repro.analysis.rules import (
     BUDGET_FLOW,
     FLOW_RULE_IDS,
@@ -48,12 +43,6 @@ from repro.analysis.rules import (
 
 __all__ = ["run_flow_rules", "worker_roots", "solver_roots"]
 
-#: Pool methods that ship a callable to worker processes.
-DISPATCH_METHODS = frozenset(
-    {"map", "map_salvage", "submit", "starmap", "apply_async", "imap", "imap_unordered"}
-)
-#: Receiver-name fragments that mark a pool-ish object.
-POOLISH = ("pool", "executor")
 #: Stated receiver types that dispatch regardless of variable name.
 POOL_CLASS_NAMES = frozenset({"WorkerPool"})
 
@@ -192,16 +181,7 @@ def _shm_creations(fn: FunctionInfo) -> list[tuple[ast.Assign, str]]:
     for node in ast.walk(fn.node):
         if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
             continue
-        callee = dotted_name(node.value.func) or ""
-        if callee.split(".")[-1] != "SharedMemory":
-            continue
-        creates = any(
-            kw.arg == "create"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is True
-            for kw in node.value.keywords
-        )
-        if not creates:
+        if not is_shm_create(node.value):
             continue
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             out.append((node, node.targets[0].id))

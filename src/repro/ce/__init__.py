@@ -4,17 +4,16 @@ Contents:
 
 * :class:`StochasticMatrix` and the Eq. (11)/(13) update machinery;
 * :func:`sample_permutations` — the batched GenPerm sampler (Fig. 4);
-* elite quantile selection, stopping criteria, and the generic
-  :class:`CrossEntropyOptimizer` (Fig. 2) for combinatorial problems;
+* elite quantile selection, stopping criteria, and the single-chain
+  :class:`CrossEntropyOptimizer` (Fig. 2);
 * :class:`MultiChainCE` — R independent chains advanced as one batched
-  tensor loop, seed-for-seed equal to R sequential runs;
-* :class:`ContinuousCEOptimizer` — normal-family CE for continuous
-  multiextremal optimization;
-* :func:`estimate_rare_event` — the original rare-event-simulation form of
-  the CE method.
+  tensor loop, seed-for-seed equal to R sequential runs.
+
+Both engines run the one path MaTCH needs: GenPerm samples one-to-one
+task→resource mappings and elite updates sharpen the matrix towards a
+lower Eq. (2) execution time.
 """
 
-from repro.ce.continuous import ContinuousCEConfig, ContinuousCEOptimizer, ContinuousCEResult
 from repro.ce.diagnostics import (
     commit_iterations,
     elite_diversity,
@@ -23,27 +22,18 @@ from repro.ce.diagnostics import (
 )
 from repro.ce.genperm import (
     genperm_exact_probabilities,
-    sample_assignments,
     sample_permutations,
     sample_permutations_stacked,
 )
 from repro.ce.multichain import MultiChainCE, MultiChainResult
-from repro.ce.maxcut import MaxCutResult, ce_max_cut, cut_value
 from repro.ce.optimizer import CEConfig, CEResult, CrossEntropyOptimizer
 from repro.ce.quantile import elite_mask, elite_threshold, select_elites
-from repro.ce.rare_event import (
-    BernoulliFamily,
-    ExponentialFamily,
-    RareEventResult,
-    estimate_rare_event,
-)
-from repro.ce.smoothing import dynamic_smoothing_factor, smooth
+from repro.ce.smoothing import smooth
 from repro.ce.stochastic_matrix import (
     StochasticMatrix,
     elite_counts_update,
     stacked_elite_update,
 )
-from repro.ce.tsp import TourResult, ce_tsp, tour_length
 from repro.ce.stopping import (
     AnyOf,
     DegenerateMatrix,
@@ -57,12 +47,6 @@ from repro.ce.stopping import (
 
 __all__ = [
     "StochasticMatrix",
-    "MaxCutResult",
-    "TourResult",
-    "ce_tsp",
-    "tour_length",
-    "ce_max_cut",
-    "cut_value",
     "elite_counts_update",
     "stacked_elite_update",
     "sample_permutations",
@@ -71,13 +55,11 @@ __all__ = [
     "elite_diversity",
     "iterations_to_degeneracy",
     "mass_trajectory",
-    "sample_assignments",
     "genperm_exact_probabilities",
     "elite_threshold",
     "elite_mask",
     "select_elites",
     "smooth",
-    "dynamic_smoothing_factor",
     "IterationState",
     "StoppingCriterion",
     "RowMaximaStable",
@@ -91,11 +73,4 @@ __all__ = [
     "CrossEntropyOptimizer",
     "MultiChainCE",
     "MultiChainResult",
-    "ContinuousCEConfig",
-    "ContinuousCEResult",
-    "ContinuousCEOptimizer",
-    "ExponentialFamily",
-    "BernoulliFamily",
-    "RareEventResult",
-    "estimate_rare_event",
 ]

@@ -22,9 +22,6 @@ advance through one flattened ``(R·N, n_res)`` view with per-chain row
 gathers. Chain ``r`` of the stacked call is bit-identical to a standalone
 :func:`sample_permutations` call fed the same uniforms, which is what lets
 the multi-chain engine reproduce sequential runs seed-for-seed.
-
-:func:`sample_assignments` is the unconstrained sampler of Eq. (8) (each
-task independent), used by the theory-side demos and the rare-event module.
 """
 
 from __future__ import annotations
@@ -39,46 +36,21 @@ from repro.utils.rng import as_generator
 __all__ = [
     "sample_permutations",
     "sample_permutations_stacked",
-    "sample_assignments",
     "genperm_exact_probabilities",
 ]
 
 
-def _check_matrix(P: ProbabilityMatrix, *, one_to_one: bool = False) -> np.ndarray:
+def _check_matrix(P: ProbabilityMatrix) -> np.ndarray:
     arr = np.asarray(P, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"P must be 2-D, got shape {arr.shape}")
-    if one_to_one and arr.shape[0] > arr.shape[1]:
+    if arr.shape[0] > arr.shape[1]:
         raise ValidationError(
             f"one-to-one sampling needs n_tasks <= n_resources, got shape {arr.shape}"
         )
     if np.any(arr < 0):
         raise ValidationError("P has negative entries")
     return arr
-
-
-def sample_assignments(
-    P: ProbabilityMatrix, n_samples: int, rng: SeedLike = None
-) -> AssignmentBatch:
-    """Draw ``n_samples`` unconstrained assignments, each row i.i.d. from ``P[i]``.
-
-    This is the naive sampler of Eq. (8); it may (and usually does) produce
-    many-to-one mappings. One batched inverse-CDF draw covers every
-    (sample, row) cell: counting the CDF entries at or below the uniform is
-    exactly ``searchsorted(..., side="right")``, broadcast over the batch.
-    """
-    arr = _check_matrix(P)
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-    gen = as_generator(rng)
-    n_rows, _ = arr.shape
-    cdf = np.cumsum(arr, axis=1)  # (n_rows, n_cols)
-    totals = cdf[:, -1]
-    if np.any(totals <= 0):
-        raise ValidationError("P has a zero row; cannot sample")
-    u = gen.random((n_samples, n_rows)) * totals[np.newaxis, :]
-    choice = (cdf[np.newaxis, :, :] <= u[:, :, np.newaxis]).sum(axis=2, dtype=np.int64)
-    return np.minimum(choice, arr.shape[1] - 1)
 
 
 def sample_permutations(
@@ -116,7 +88,7 @@ def sample_permutations(
     the limit behaviour of renormalizing an all-zero row and keeps every
     sample valid.
     """
-    arr = _check_matrix(P, one_to_one=True)
+    arr = _check_matrix(P)
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     n_tasks, n_res = arr.shape
@@ -212,7 +184,7 @@ def genperm_exact_probabilities(
     """
     from itertools import permutations as _perms
 
-    arr = _check_matrix(P, one_to_one=True)
+    arr = _check_matrix(P)
     n_tasks, n_res = arr.shape
     if n_tasks != n_res:
         raise ValidationError("exact enumeration supports square matrices only")

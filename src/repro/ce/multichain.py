@@ -20,8 +20,11 @@ that Python overhead dominates at ``n = 10``.
   (:func:`repro.ce.stochastic_matrix.stacked_elite_update`), and the
   degeneracy/entropy diagnostics are computed on the whole tensor.
 
-Each chain owns its generator and its stopping-criteria state, so chain
-``r`` of a multi-chain run is **bit-identical** to a standalone
+Each chain owns its generator, and one vectorized tracker keeps every
+chain's stopping counters as arrays, replicating the sequential
+optimizer's criterion set (iteration budget, Eq. (12) row-maxima
+stability, γ stagnation, degeneracy) rule for rule. So chain ``r`` of a
+multi-chain run is **bit-identical** to a standalone
 :class:`~repro.ce.optimizer.CrossEntropyOptimizer` run seeded the same way
 — the property the test suite pins and the experiment layer relies on to
 swap the serial repetition loops for this engine without changing any
@@ -32,27 +35,18 @@ live set; the joint loop ends when every chain has stopped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.ce.genperm import sample_assignments, sample_permutations_stacked
-from repro.ce.optimizer import CEConfig, CEResult, SamplerLike
+from repro.ce.genperm import sample_permutations_stacked
+from repro.ce.optimizer import CEConfig, CEResult
 from repro.ce.quantile import select_elites, select_top_k
 from repro.ce.stochastic_matrix import StochasticMatrix, stacked_elite_update
-from repro.ce.stopping import (
-    AnyOf,
-    DegenerateMatrix,
-    GammaStagnation,
-    IterationState,
-    MaxIterations,
-    RowMaximaStable,
-    StopKind,
-    StoppingCriterion,
-)
+from repro.ce.stopping import StopKind
 from repro.exceptions import ConfigurationError
 from repro.runtime.budget import EvaluationBudget
-from repro.types import BatchObjectiveFn, ProbabilityMatrix, SeedLike
+from repro.types import BatchObjectiveFn, SeedLike
 from repro.utils.dedup import collapse_duplicate_rows, pack_rows
 from repro.utils.rng import as_generator
 
@@ -100,20 +94,6 @@ class MultiChainResult:
         return 1.0 - self.n_unique_evaluations / self.n_evaluations
 
 
-def _build_stopping(
-    config: CEConfig, extra: tuple[StoppingCriterion, ...]
-) -> AnyOf:
-    """The optimizer's default criterion set, built fresh (stateful!)."""
-    criteria: list[StoppingCriterion] = [MaxIterations(config.max_iterations)]
-    if config.stability_window > 0:
-        criteria.append(RowMaximaStable(config.stability_window, tol=config.stability_tol))
-    if config.gamma_window > 0:
-        criteria.append(GammaStagnation(config.gamma_window))
-    criteria.append(DegenerateMatrix())
-    criteria.extend(extra)
-    return AnyOf(tuple(criteria))
-
-
 class MultiChainCE:
     """Advance ``R`` independent CE chains through one batched loop.
 
@@ -130,14 +110,6 @@ class MultiChainCE:
     seeds:
         One seed-like per chain; chain ``r`` consumes exactly the random
         stream a sequential run seeded with ``seeds[r]`` would.
-    sampler:
-        ``"permutation"`` (stacked GenPerm fast path), ``"independent"``,
-        or a callable applied per chain.
-    extra_stopping_factory:
-        Optional zero-arg callable returning fresh extra criteria; called
-        once per chain because criteria are stateful.
-    initial_matrix:
-        Optional shared starting matrix (default uniform).
     """
 
     def __init__(
@@ -148,15 +120,12 @@ class MultiChainCE:
         config: CEConfig,
         *,
         seeds: Sequence[SeedLike],
-        sampler: SamplerLike = "permutation",
-        extra_stopping_factory: Callable[[], tuple[StoppingCriterion, ...]] | None = None,
-        initial_matrix: ProbabilityMatrix | None = None,
     ) -> None:
         if n_rows < 1 or n_cols < 1:
             raise ConfigurationError(f"matrix dims must be >= 1, got ({n_rows}, {n_cols})")
         if len(seeds) < 1:
             raise ConfigurationError("need at least one chain seed")
-        if sampler == "permutation" and n_rows > n_cols:
+        if n_rows > n_cols:
             raise ConfigurationError(
                 "permutation sampling requires n_rows <= n_cols "
                 f"(got {n_rows} tasks, {n_cols} resources)"
@@ -167,32 +136,7 @@ class MultiChainCE:
         self.config = config
         self._gens = [as_generator(s) for s in seeds]
         self.n_chains = len(self._gens)
-        self._sampler = sampler
-        if callable(sampler):
-            self._sample_one = sampler
-        elif sampler == "independent":
-            self._sample_one = sample_assignments
-        elif sampler != "permutation":
-            raise ConfigurationError(f"unknown sampler {sampler!r}")
-        # With only the default criteria the joint loop runs a vectorized
-        # stopping tracker (exactly equivalent per chain); user-supplied
-        # extra criteria are stateful objects, so they force the per-chain
-        # AnyOf machinery.
-        self._fast_stopping = extra_stopping_factory is None
-        extra_factory = extra_stopping_factory or (lambda: ())
-        self._stoppings = [
-            _build_stopping(config, tuple(extra_factory())) for _ in range(self.n_chains)
-        ]
         self._select = select_top_k if config.elite_mode == "exact_k" else select_elites
-        if initial_matrix is not None:
-            P0 = StochasticMatrix(initial_matrix).values
-            if P0.shape != (n_rows, n_cols):
-                raise ConfigurationError(
-                    f"initial_matrix shape {P0.shape} != ({n_rows}, {n_cols})"
-                )
-        else:
-            P0 = StochasticMatrix.uniform(n_rows, n_cols).values
-        self._P0 = P0
         self.budget = EvaluationBudget()
         self._started = False
 
@@ -320,7 +264,8 @@ class MultiChainCE:
         # Fresh score memo per run (sorted key -> exact objective float).
         self._memo_keys = np.empty(0, dtype=np.int64)
         self._memo_costs = np.empty(0, dtype=np.float64)
-        self._P = np.broadcast_to(self._P0, (R, n_t, n_r)).copy()
+        P0 = StochasticMatrix.uniform(n_t, n_r).values
+        self._P = np.broadcast_to(P0, (R, n_t, n_r)).copy()
         self._best_costs = np.full(R, np.inf)
         self._best_xs = [np.zeros(n_t, dtype=np.int64) for _ in range(R)]
         self._chain_results = [
@@ -341,8 +286,6 @@ class MultiChainCE:
         )
         self._live = list(range(R))
         self._k = 0
-        for stopping in self._stoppings:
-            stopping.reset()
 
         # Per-chain history rows, scatter-filled each joint iteration and
         # sliced into the CEResult list form when a chain stops.
@@ -353,27 +296,26 @@ class MultiChainCE:
             np.empty((R, cfg.max_iterations)),
         )
 
-        # Vectorized stopping state (fast path): per-chain stability
-        # counters maintained as arrays, replicating RowMaximaStable /
-        # GammaStagnation / DegenerateMatrix / MaxIterations chain by
-        # chain. Tolerances mirror the optimizer's criterion construction.
-        if self._fast_stopping:
-            self._rm_prev = np.zeros((R, n_t))
-            self._rm_has_prev = np.zeros(R, dtype=bool)
-            self._rm_stable = np.zeros(R, dtype=np.int64)
-            self._g_prev = np.zeros(R)
-            self._g_has_prev = np.zeros(R, dtype=bool)
-            self._g_stable = np.zeros(R, dtype=np.int64)
-            self._reasons = {
-                StopKind.BUDGET: f"iteration budget of {cfg.max_iterations} exhausted",
-                StopKind.ROW_MAXIMA_STABLE: (
-                    f"row maxima stable for {cfg.stability_window} iterations (Eq. 12)"
-                ),
-                StopKind.GAMMA_STAGNATION: (
-                    f"elite threshold gamma stagnant for {cfg.gamma_window} iterations"
-                ),
-                StopKind.DEGENERATE: "stochastic matrix degenerate",
-            }
+        # Vectorized stopping state: per-chain stability counters kept as
+        # arrays, replicating RowMaximaStable / GammaStagnation /
+        # DegenerateMatrix / MaxIterations chain by chain. Tolerances and
+        # reasons mirror the optimizer's criterion construction.
+        self._rm_prev = np.zeros((R, n_t))
+        self._rm_has_prev = np.zeros(R, dtype=bool)
+        self._rm_stable = np.zeros(R, dtype=np.int64)
+        self._g_prev = np.zeros(R)
+        self._g_has_prev = np.zeros(R, dtype=bool)
+        self._g_stable = np.zeros(R, dtype=np.int64)
+        self._reasons = {
+            StopKind.BUDGET: f"iteration budget of {cfg.max_iterations} exhausted",
+            StopKind.ROW_MAXIMA_STABLE: (
+                f"row maxima stable for {cfg.stability_window} iterations (Eq. 12)"
+            ),
+            StopKind.GAMMA_STAGNATION: (
+                f"elite threshold gamma stagnant for {cfg.gamma_window} iterations"
+            ),
+            StopKind.DEGENERATE: "stochastic matrix degenerate",
+        }
         self._started = True
 
     @property
@@ -413,15 +355,12 @@ class MultiChainCE:
         joint = self._joint
         histories = self._histories
         gh, bh, dh, eh = histories
-        fast = self._fast_stopping
-        if fast:
-            rm_prev = self._rm_prev
-            rm_has_prev = self._rm_has_prev
-            rm_stable = self._rm_stable
-            g_prev = self._g_prev
-            g_has_prev = self._g_has_prev
-            g_stable = self._g_stable
-            reasons = self._reasons
+        rm_prev = self._rm_prev
+        rm_has_prev = self._rm_has_prev
+        rm_stable = self._rm_stable
+        g_prev = self._g_prev
+        g_has_prev = self._g_has_prev
+        g_stable = self._g_stable
         k = self._k + 1
         self._k = k
         joint.n_joint_iterations = k
@@ -433,17 +372,12 @@ class MultiChainCE:
         #    roulette uniforms (PCG64 fills doubles sequentially, so a
         #    single (2·N·n_t,) draw is stream-identical to the two
         #    separate draws the sequential sampler makes).
-        if self._sampler == "permutation":
-            buf = np.empty((L, 2 * N * n_t))
-            for j, r in enumerate(live):
-                self._gens[r].random(out=buf[j])
-            rand_orders = buf[:, : N * n_t].reshape(L, N, n_t)
-            rand_pos = buf[:, N * n_t :].reshape(L, n_t, N)
-            Xs = sample_permutations_stacked(P[live], rand_orders, rand_pos)
-        else:
-            Xs = np.stack(
-                [self._sample_one(P[r], N, self._gens[r]) for r in live]
-            )
+        buf = np.empty((L, 2 * N * n_t))
+        for j, r in enumerate(live):
+            self._gens[r].random(out=buf[j])
+        rand_orders = buf[:, : N * n_t].reshape(L, N, n_t)
+        rand_pos = buf[:, N * n_t :].reshape(L, n_t, N)
+        Xs = sample_permutations_stacked(P[live], rand_orders, rand_pos)
 
         # 2. One fused scoring call over every live chain's candidates.
         costs = self._score_joint(Xs.reshape(L * N, n_t), joint).reshape(L, N)
@@ -493,32 +427,31 @@ class MultiChainCE:
             ent_terms = np.where(P_live > 0, -P_live * np.log(P_live), 0.0)
         entropies = ent_terms.sum(axis=2).mean(axis=1)
 
-        # 6. Stopping. The fast path updates every chain's counters as
-        #    array ops; firing priority follows the AnyOf order
-        #    (budget, Eq. 12 stability, gamma stagnation, degeneracy).
-        if fast:
-            rm_close = rm_has_prev[la] & (
-                np.abs(mu - rm_prev[la]) <= cfg.stability_tol
-            ).all(axis=1)
-            rm_stable[la] = np.where(rm_close, rm_stable[la] + 1, 0)
-            rm_prev[la] = mu
-            rm_has_prev[la] = True
-            g_close = g_has_prev[la] & (np.abs(gammas - g_prev[la]) <= 1e-9)
-            g_stable[la] = np.where(g_close, g_stable[la] + 1, 0)
-            g_prev[la] = gammas
-            g_has_prev[la] = True
-            budget_fire = k >= cfg.max_iterations
-            rm_fire = (
-                rm_stable[la] >= cfg.stability_window
-                if cfg.stability_window > 0
-                else np.zeros(L, dtype=bool)
-            )
-            g_fire = (
-                g_stable[la] >= cfg.gamma_window
-                if cfg.gamma_window > 0
-                else np.zeros(L, dtype=bool)
-            )
-            deg_fire = (mu >= 1.0 - 1e-6).all(axis=1)
+        # 6. Stopping: every chain's counters update as array ops; firing
+        #    priority follows the optimizer's AnyOf order (budget, Eq. 12
+        #    stability, gamma stagnation, degeneracy).
+        rm_close = rm_has_prev[la] & (
+            np.abs(mu - rm_prev[la]) <= cfg.stability_tol
+        ).all(axis=1)
+        rm_stable[la] = np.where(rm_close, rm_stable[la] + 1, 0)
+        rm_prev[la] = mu
+        rm_has_prev[la] = True
+        g_close = g_has_prev[la] & (np.abs(gammas - g_prev[la]) <= 1e-9)
+        g_stable[la] = np.where(g_close, g_stable[la] + 1, 0)
+        g_prev[la] = gammas
+        g_has_prev[la] = True
+        budget_fire = k >= cfg.max_iterations
+        rm_fire = (
+            rm_stable[la] >= cfg.stability_window
+            if cfg.stability_window > 0
+            else np.zeros(L, dtype=bool)
+        )
+        g_fire = (
+            g_stable[la] >= cfg.gamma_window
+            if cfg.gamma_window > 0
+            else np.zeros(L, dtype=bool)
+        )
+        deg_fire = (mu >= 1.0 - 1e-6).all(axis=1)
 
         # 7. Histories land in preallocated per-chain rows (converted
         #    to the sequential run's list form only at finalize) and
@@ -531,51 +464,32 @@ class MultiChainCE:
         if cfg.track_matrices and (k - 1) % cfg.matrix_snapshot_every == 0:
             for r in live:
                 chain_results[r].matrix_history.append(P[r].copy())
-        if fast:
-            fired = rm_fire | g_fire | deg_fire
+        fired = rm_fire | g_fire | deg_fire
+        if budget_fire:
+            fired = np.ones(L, dtype=bool)
+        if not fired.any():
+            return bool(improved.size)
+        reasons = self._reasons
+        survivors: list[int] = []
+        for j, r in enumerate(live):
+            if not fired[j]:
+                survivors.append(r)
+                continue
             if budget_fire:
-                fired = np.ones(L, dtype=bool)
-            if not fired.any():
-                return bool(improved.size)
-            survivors: list[int] = []
-            for j, r in enumerate(live):
-                if not fired[j]:
-                    survivors.append(r)
-                    continue
-                if budget_fire:
-                    kind = StopKind.BUDGET
-                elif rm_fire[j]:
-                    kind = StopKind.ROW_MAXIMA_STABLE
-                elif g_fire[j]:
-                    kind = StopKind.GAMMA_STAGNATION
-                else:
-                    kind = StopKind.DEGENERATE
-                res = chain_results[r]
-                res.stop_reason = reasons[kind]
-                res.stop_kind = kind
-                self._finalize_chain(
-                    res, r, k, P[r], best_costs[r], best_xs[r], histories
-                )
-            self._live = survivors
-        else:
-            survivors = []
-            for j, r in enumerate(live):
-                state = IterationState(
-                    iteration=k,
-                    gamma=float(gammas[j]),
-                    best_cost=float(best_costs[r]),
-                    matrix=StochasticMatrix._from_trusted(P[r]),
-                )
-                if self._stoppings[r].update(state):
-                    res = chain_results[r]
-                    res.stop_reason = self._stoppings[r].reason
-                    res.stop_kind = self._stoppings[r].kind
-                    self._finalize_chain(
-                        res, r, k, P[r], best_costs[r], best_xs[r], histories
-                    )
-                else:
-                    survivors.append(r)
-            self._live = survivors
+                kind = StopKind.BUDGET
+            elif rm_fire[j]:
+                kind = StopKind.ROW_MAXIMA_STABLE
+            elif g_fire[j]:
+                kind = StopKind.GAMMA_STAGNATION
+            else:
+                kind = StopKind.DEGENERATE
+            res = chain_results[r]
+            res.stop_reason = reasons[kind]
+            res.stop_kind = kind
+            self._finalize_chain(
+                res, r, k, P[r], best_costs[r], best_xs[r], histories
+            )
+        self._live = survivors
         return bool(improved.size)
 
     def note_external_stop(self, reason: str) -> None:

@@ -1,13 +1,11 @@
-"""Generic cross-entropy optimizer for combinatorial problems (Fig. 2 / §3).
+"""Single-chain cross-entropy optimizer for one-to-one mapping (Fig. 2 / §3).
 
-This is the reusable engine under MaTCH: it owns the CE iteration
-(sample → score → elite quantile → matrix update → stopping check) while
-remaining agnostic of *what* is being optimized. The sampling family is
-pluggable:
-
-* ``"permutation"`` — GenPerm one-to-one sampling (the MaTCH setting);
-* ``"independent"`` — unconstrained per-row categorical sampling (Eq. (8));
-* any callable ``(P, n_samples, rng) -> AssignmentBatch``.
+This is the engine under MaTCH: it owns the CE iteration (sample → score
+→ elite quantile → matrix update → stopping check). Samples are GenPerm
+one-to-one mappings (Fig. 4) of ``n_rows`` tasks onto ``n_cols >= n_rows``
+resources; a replacement sampler callable ``(P, n_samples, rng) ->
+AssignmentBatch`` may stand in for GenPerm (the hot-path benchmark replays
+an older GenPerm implementation this way).
 
 The objective is a batch function mapping an ``(N, n_rows)`` integer batch
 to ``(N,)`` costs — lower is better. The engine minimizes.
@@ -16,11 +14,11 @@ to ``(N,)`` costs — lower is better. The engine minimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from repro.ce.genperm import sample_assignments, sample_permutations
+from repro.ce.genperm import sample_permutations
 from repro.ce.quantile import select_elites, select_top_k
 from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.ce.stopping import (
@@ -42,7 +40,7 @@ from repro.utils.validation import check_in_range
 
 __all__ = ["CEConfig", "CEResult", "CrossEntropyOptimizer"]
 
-SamplerLike = Union[str, Callable[[ProbabilityMatrix, int, np.random.Generator], AssignmentBatch]]
+Sampler = Callable[[ProbabilityMatrix, int, np.random.Generator], AssignmentBatch]
 
 
 @dataclass(frozen=True)
@@ -185,11 +183,10 @@ class CrossEntropyOptimizer:
     config:
         Hyper-parameters.
     sampler:
-        ``"permutation"``, ``"independent"``, or a callable.
+        Replacement for GenPerm with the same signature; ``None`` (the
+        default) samples with :func:`~repro.ce.genperm.sample_permutations`.
     rng:
         Seed or generator for the whole run.
-    extra_stopping:
-        Optional additional criteria OR-ed with the defaults.
     """
 
     def __init__(
@@ -199,32 +196,28 @@ class CrossEntropyOptimizer:
         n_cols: int,
         config: CEConfig,
         *,
-        sampler: SamplerLike = "permutation",
+        sampler: Sampler | None = None,
         rng: SeedLike = None,
-        extra_stopping: tuple[StoppingCriterion, ...] = (),
-        initial_matrix: ProbabilityMatrix | None = None,
         budget: "EvaluationBudget | None" = None,
     ) -> None:
         if n_rows < 1 or n_cols < 1:
             raise ConfigurationError(f"matrix dims must be >= 1, got ({n_rows}, {n_cols})")
-        if sampler == "permutation" and n_rows > n_cols:
+        if n_rows > n_cols:
             raise ConfigurationError(
                 "permutation sampling requires n_rows <= n_cols "
                 f"(got {n_rows} tasks, {n_cols} resources)"
             )
+        if sampler is not None and not callable(sampler):
+            raise ConfigurationError(f"sampler must be a callable or None, got {sampler!r}")
         self.objective = objective
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.config = config
         self.rng = as_generator(rng)
-        if callable(sampler):
-            self._sample = sampler
-        elif sampler == "permutation":
-            self._sample = sample_permutations
-        elif sampler == "independent":
-            self._sample = sample_assignments
-        else:
-            raise ConfigurationError(f"unknown sampler {sampler!r}")
+        # Resolved from the module global at construction (not bound as a
+        # default argument), so a wrapper installed on this module's
+        # ``sample_permutations`` sees every call.
+        self._sample = sample_permutations if sampler is None else sampler
 
         criteria: list[StoppingCriterion] = [MaxIterations(config.max_iterations)]
         if config.stability_window > 0:
@@ -234,18 +227,9 @@ class CrossEntropyOptimizer:
         if config.gamma_window > 0:
             criteria.append(GammaStagnation(config.gamma_window))
         criteria.append(DegenerateMatrix())
-        criteria.extend(extra_stopping)
         self.stopping = AnyOf(tuple(criteria))
         self._select = select_top_k if config.elite_mode == "exact_k" else select_elites
-
-        if initial_matrix is not None:
-            self.matrix = StochasticMatrix(initial_matrix)
-            if self.matrix.shape != (n_rows, n_cols):
-                raise ConfigurationError(
-                    f"initial_matrix shape {self.matrix.shape} != ({n_rows}, {n_cols})"
-                )
-        else:
-            self.matrix = StochasticMatrix.uniform(n_rows, n_cols)
+        self.matrix = StochasticMatrix.uniform(n_rows, n_cols)
 
         self.budget = budget if budget is not None else EvaluationBudget()
         self._result: CEResult | None = None

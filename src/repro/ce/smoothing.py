@@ -3,10 +3,6 @@
 ``P_{k+1} = ζ Q_{k+1} + (1 - ζ) P_k`` where ``Q`` is the raw elite-count
 update. Smoothing slows convergence, protecting the CE method against the
 premature lock-in a coarse update can cause; the paper uses ``ζ = 0.3``.
-
-This module also provides *dynamic* smoothing (Rubinstein's
-``ζ_k = β (1 - 1/k)^q`` schedule), an optional extension exercised by the
-ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.types import ProbabilityMatrix
 
-__all__ = ["smooth", "dynamic_smoothing_factor"]
+__all__ = ["smooth"]
 
 
 def smooth(
@@ -35,21 +31,3 @@ def smooth(
         raise ValidationError(f"zeta must be in (0, 1], got {zeta}")
     return zeta * Q + (1.0 - zeta) * P
 
-
-def dynamic_smoothing_factor(iteration: int, *, beta: float = 0.8, q: float = 5.0) -> float:
-    """Rubinstein's dynamic schedule ``ζ_k = β (1 - 1/k)^q`` for ``k ≥ 2``.
-
-    Early iterations get a small ``ζ`` (heavy smoothing, cautious updates);
-    as ``k`` grows ``ζ`` rises towards ``β`` so late iterations can lock
-    in. The literal formula gives ``ζ_1 = 0`` (no update at all), so the
-    first iteration returns ``β`` instead.
-    """
-    if iteration < 1:
-        raise ValidationError(f"iteration must be >= 1, got {iteration}")
-    if not 0.0 < beta <= 1.0:
-        raise ValidationError(f"beta must be in (0, 1], got {beta}")
-    if q <= 0:
-        raise ValidationError(f"q must be > 0, got {q}")
-    if iteration == 1:
-        return beta
-    return float(beta * (1.0 - 1.0 / iteration) ** q)

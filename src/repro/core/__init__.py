@@ -1,10 +1,8 @@
-"""MaTCH core: the paper's primary contribution plus its future-work variants."""
+"""MaTCH core: the paper's primary contribution plus its distributed variant."""
 
-from repro.core.adaptive import AdaptiveMatchConfig, AdaptiveMatchMapper
 from repro.core.config import MatchConfig, paper_sample_size
 from repro.core.distributed import DistributedMatchConfig, DistributedMatchMapper
 from repro.core.match import MatchMapper, match_map
-from repro.core.refine import RefinedMatchConfig, RefinedMatchMapper
 from repro.core.result import MatchResult
 from repro.core.trace import evolution_frames, render_matrix_ascii, trace_to_dict
 
@@ -13,11 +11,7 @@ __all__ = [
     "paper_sample_size",
     "MatchMapper",
     "match_map",
-    "RefinedMatchConfig",
-    "RefinedMatchMapper",
     "MatchResult",
-    "AdaptiveMatchConfig",
-    "AdaptiveMatchMapper",
     "DistributedMatchConfig",
     "DistributedMatchMapper",
     "evolution_frames",

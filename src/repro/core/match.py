@@ -98,7 +98,6 @@ class _MatchSolver(MapperSolver):
             problem.n_tasks,
             problem.n_resources,
             self._ce_cfg,
-            sampler="permutation",
             rng=seed,
             budget=self.budget,
         )

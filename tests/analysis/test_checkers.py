@@ -208,6 +208,20 @@ class TestParallelSafety:
         """
         assert rules_hit(src) == set()
 
+    def test_map_salvage_lambda_flagged(self):
+        assert "parallel-safety" in rules_hit(
+            "pool.map_salvage(lambda c: c, cells)\n"
+        )
+
+    def test_map_salvage_nested_def_flagged(self):
+        src = """
+            def outer(cells):
+                def worker(c):
+                    return c
+                return pool.map_salvage(worker, cells)
+        """
+        assert "parallel-safety" in rules_hit(src)
+
     def test_executor_submit_lambda_flagged(self):
         src = """
             def run(executor, x):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ce.genperm import sample_assignments, sample_permutations
+from repro.ce.genperm import sample_permutations
 from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.exceptions import ValidationError
 from repro.utils.validation import is_permutation
@@ -122,31 +122,6 @@ class TestSamplePermutationsDistribution:
         P = StochasticMatrix.uniform(3, 3).values
         with pytest.raises(ValidationError, match="task_orders"):
             sample_permutations(P, 5, 0, task_orders=np.zeros((4, 3), dtype=np.int64))
-
-
-class TestSampleAssignments:
-    def test_shape_and_range(self):
-        P = StochasticMatrix.uniform(4, 6).values
-        X = sample_assignments(P, 300, 0)
-        assert X.shape == (300, 4)
-        assert X.min() >= 0 and X.max() < 6
-
-    def test_respects_row_distribution(self):
-        P = np.array([[0.9, 0.1], [0.1, 0.9]])
-        X = sample_assignments(P, 5000, 1)
-        assert abs((X[:, 0] == 0).mean() - 0.9) < 0.03
-        assert abs((X[:, 1] == 1).mean() - 0.9) < 0.03
-
-    def test_zero_row_rejected(self):
-        P = np.array([[0.0, 0.0], [0.5, 0.5]])
-        with pytest.raises(ValidationError, match="zero row"):
-            sample_assignments(P, 10, 0)
-
-    def test_allows_duplicates(self):
-        P = StochasticMatrix.uniform(4, 4).values
-        X = sample_assignments(P, 200, 2)
-        dup_rows = sum(1 for row in X if len(set(row.tolist())) < 4)
-        assert dup_rows > 0  # unconstrained sampling does collide
 
 
 @settings(max_examples=25, deadline=None)

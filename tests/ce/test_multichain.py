@@ -15,7 +15,7 @@ import pytest
 
 from repro.ce.multichain import MultiChainCE, MultiChainResult
 from repro.ce.optimizer import CEConfig, CEResult, CrossEntropyOptimizer
-from repro.ce.stopping import GammaStagnation, StopKind
+from repro.ce.stopping import StopKind
 from repro.exceptions import ConfigurationError
 from repro.graphs import generate_paper_pair
 from repro.mapping import CostModel, MappingProblem
@@ -46,19 +46,17 @@ def run_sequential(model, problem, cfg, seed) -> CEResult:
         problem.n_tasks,
         problem.n_resources,
         cfg,
-        sampler="permutation",
         rng=seed,
     ).run()
 
 
-def run_joint(model, problem, cfg, seeds, **kwargs) -> MultiChainResult:
+def run_joint(model, problem, cfg, seeds) -> MultiChainResult:
     return MultiChainCE(
         model.evaluate_batch,
         problem.n_tasks,
         problem.n_resources,
         cfg,
         seeds=seeds,
-        **kwargs,
     ).run()
 
 
@@ -77,14 +75,41 @@ def assert_chain_equals_sequential(chain: CEResult, seq: CEResult) -> None:
     assert np.array_equal(chain.final_matrix, seq.final_matrix)
 
 
+#: One config per stop kind the fused tracker must reproduce; each makes
+#: its kind fire on at least one of the three chains.
+STOP_CONFIGS = {
+    StopKind.BUDGET: dict(max_iterations=5),
+    StopKind.ROW_MAXIMA_STABLE: dict(
+        gamma_window=0, stability_window=3, stability_tol=0.05
+    ),
+    StopKind.GAMMA_STAGNATION: dict(),
+    StopKind.DEGENERATE: dict(stability_window=0, gamma_window=0, zeta=1.0),
+}
+STOP_IDS = {
+    StopKind.BUDGET: "budget",
+    StopKind.ROW_MAXIMA_STABLE: "rowmax",
+    StopKind.GAMMA_STAGNATION: "gamma",
+    StopKind.DEGENERATE: "degen",
+}
+
+
 class TestSeedForSeedParity:
-    def test_three_chains_reproduce_sequential_runs(self, model, problem):
-        cfg = config()
+    @pytest.mark.parametrize("kind", list(STOP_CONFIGS), ids=STOP_IDS.get)
+    def test_three_chains_reproduce_sequential_runs(self, model, problem, kind):
+        cfg = config(**STOP_CONFIGS[kind])
         joint = run_joint(model, problem, cfg, SEEDS)
         assert joint.n_chains == len(SEEDS)
         for seed, chain in zip(SEEDS, joint.chains):
             seq = run_sequential(model, problem, cfg, seed)
             assert_chain_equals_sequential(chain, seq)
+        assert kind in {chain.stop_kind for chain in joint.chains}
+
+    def test_stop_configs_cover_every_stop_kind(self, model, problem):
+        # Every rule of the optimizer's criterion set has a parity case.
+        seq = CrossEntropyOptimizer(
+            model.evaluate_batch, problem.n_tasks, problem.n_resources, config()
+        )
+        assert set(STOP_CONFIGS) == {c.kind for c in seq.stopping.criteria}
 
     def test_single_chain(self, model, problem):
         cfg = config()
@@ -102,41 +127,6 @@ class TestSeedForSeedParity:
             assert_chain_equals_sequential(chain, seq)
             assert chain.stop_kind == StopKind.BUDGET
             assert not chain.converged
-
-    def test_slow_path_with_extra_criteria_matches_sequential(self, model, problem):
-        # An extra_stopping_factory forces the per-chain (slow) stopping
-        # path; results must still match a sequential run with the same
-        # extra criterion.
-        cfg = config()
-        joint = run_joint(
-            model,
-            problem,
-            cfg,
-            SEEDS,
-            extra_stopping_factory=lambda: (GammaStagnation(4),),
-        )
-        for seed, chain in zip(SEEDS, joint.chains):
-            seq = CrossEntropyOptimizer(
-                model.evaluate_batch,
-                problem.n_tasks,
-                problem.n_resources,
-                cfg,
-                sampler="permutation",
-                rng=seed,
-                extra_stopping=(GammaStagnation(4),),
-            ).run()
-            assert_chain_equals_sequential(chain, seq)
-
-    def test_fast_and_slow_stopping_paths_agree(self, model, problem):
-        # A factory returning no criteria still disables the vectorized
-        # stopping fast path; both paths must produce identical chains.
-        cfg = config()
-        fast = run_joint(model, problem, cfg, SEEDS)
-        slow = run_joint(
-            model, problem, cfg, SEEDS, extra_stopping_factory=lambda: ()
-        )
-        for a, b in zip(fast.chains, slow.chains):
-            assert_chain_equals_sequential(a, b)
 
 
 class TestDedup:

@@ -71,21 +71,6 @@ class TestOptimizerConstruction:
         opt.run()
         assert calls and all(c == 10 for c in calls)
 
-    def test_initial_matrix_respected(self):
-        cfg = CEConfig(n_samples=10, max_iterations=1)
-        P0 = np.eye(3)
-        opt = CrossEntropyOptimizer(
-            lambda X: np.zeros(len(X)), 3, 3, cfg, initial_matrix=P0
-        )
-        np.testing.assert_array_equal(opt.matrix.row_argmax(), [0, 1, 2])
-
-    def test_initial_matrix_shape_checked(self):
-        cfg = CEConfig(n_samples=10)
-        with pytest.raises(ConfigurationError, match="initial_matrix"):
-            CrossEntropyOptimizer(
-                lambda X: np.zeros(len(X)), 3, 3, cfg, initial_matrix=np.eye(4)
-            )
-
     def test_objective_shape_checked(self):
         cfg = CEConfig(n_samples=10, max_iterations=1)
         # Wrong length for any batch — caught on both the dedup and the
@@ -102,17 +87,6 @@ class TestOptimizerConstruction:
 
 
 class TestOptimizerConvergence:
-    def test_finds_planted_optimum_independent_sampler(self):
-        """CE with independent sampling recovers a planted target."""
-        target = np.array([2, 0, 3, 1, 4])
-        cfg = CEConfig(n_samples=200, rho=0.1, zeta=0.7, max_iterations=100)
-        opt = CrossEntropyOptimizer(
-            linear_objective(target), 5, 5, cfg, sampler="independent", rng=0
-        )
-        res = opt.run()
-        assert res.best_cost == 0.0
-        np.testing.assert_array_equal(res.best_assignment, target)
-
     def test_finds_planted_optimum_permutation_sampler(self):
         target = np.random.default_rng(3).permutation(8)
         cfg = CEConfig(n_samples=300, rho=0.05, zeta=0.5, max_iterations=150)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ce.quantile import elite_mask, elite_threshold, select_elites, select_top_k
-from repro.ce.smoothing import dynamic_smoothing_factor, smooth
+from repro.ce.smoothing import smooth
 from repro.exceptions import ValidationError
 
 
@@ -126,24 +126,3 @@ class TestSmoothing:
         Q = rng.dirichlet(np.ones(5), size=4)
         out = smooth(P, Q, 0.4)
         np.testing.assert_allclose(out.sum(axis=1), 1.0)
-
-
-class TestDynamicSmoothing:
-    def test_first_iteration_is_beta(self):
-        assert dynamic_smoothing_factor(1, beta=0.8) == 0.8
-
-    def test_monotone_increasing_to_beta(self):
-        vals = [dynamic_smoothing_factor(k, beta=0.8, q=5.0) for k in range(2, 50)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] < 0.8
-        assert dynamic_smoothing_factor(10**6, beta=0.8, q=5.0) == pytest.approx(
-            0.8, abs=1e-4
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            dynamic_smoothing_factor(0)
-        with pytest.raises(ValidationError):
-            dynamic_smoothing_factor(2, beta=0.0)
-        with pytest.raises(ValidationError):
-            dynamic_smoothing_factor(2, q=0.0)

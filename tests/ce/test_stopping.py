@@ -197,7 +197,6 @@ class TestStopKind:
             3,
             3,
             CEConfig(n_samples=20, max_iterations=2, stability_window=50),
-            sampler="permutation",
             rng=0,
         ).run()
         assert result.stop_kind == StopKind.BUDGET
@@ -211,7 +210,6 @@ class TestStopKind:
             3,
             3,
             CEConfig(n_samples=60, max_iterations=200),
-            sampler="permutation",
             rng=0,
         ).run()
         assert result.stop_kind in (

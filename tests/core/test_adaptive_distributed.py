@@ -1,92 +1,14 @@
-"""Tests for the adaptive and distributed MaTCH variants (extensions)."""
+"""Tests for the distributed MaTCH variant (an extension)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    AdaptiveMatchConfig,
-    AdaptiveMatchMapper,
-    DistributedMatchConfig,
-    DistributedMatchMapper,
-)
+from repro.core import DistributedMatchConfig, DistributedMatchMapper
 from repro.exceptions import ConfigurationError
 from repro.graphs import generate_resource_graph, generate_tig
 from repro.mapping import MappingProblem
-
-
-class TestAdaptiveConfig:
-    def test_defaults_valid(self):
-        AdaptiveMatchConfig()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iterations": 0},
-            {"stagnation_window": 0},
-            {"escalation_factor": 1.0},
-            {"max_escalations": -1},
-            {"gamma_window": 0},
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            AdaptiveMatchConfig(**kwargs)
-
-
-class TestAdaptiveMapper:
-    def test_valid_output(self, small_problem):
-        cfg = AdaptiveMatchConfig(base_n_samples=100, max_iterations=60)
-        result = AdaptiveMatchMapper(cfg).map(small_problem, 1)
-        assert small_problem.is_one_to_one(result.assignment)
-        assert result.extras["iterations"] >= 1
-        assert result.extras["final_degeneracy"] > 0
-
-    def test_escalation_triggers_on_stagnation(self, small_problem):
-        cfg = AdaptiveMatchConfig(
-            base_n_samples=64,
-            stagnation_window=1,
-            escalation_factor=2.0,
-            max_escalations=2,
-            gamma_window=50,
-            max_iterations=60,
-        )
-        result = AdaptiveMatchMapper(cfg).map(small_problem, 2)
-        # a small instance stagnates quickly -> escalations occur
-        assert result.extras["escalations"] >= 1
-        assert result.extras["final_n_samples"] > 64
-
-    def test_escalation_disabled(self, small_problem):
-        cfg = AdaptiveMatchConfig(
-            base_n_samples=64, escalate_on_stagnation=False, max_iterations=40
-        )
-        result = AdaptiveMatchMapper(cfg).map(small_problem, 2)
-        assert result.extras["escalations"] == 0
-        assert result.extras["final_n_samples"] == 64
-
-    def test_quality_comparable_to_plain(self, small_problem, small_model):
-        from repro.core import MatchConfig, MatchMapper
-
-        plain = MatchMapper(MatchConfig(n_samples=144, max_iterations=80)).map(
-            small_problem, 5
-        )
-        adaptive = AdaptiveMatchMapper(
-            AdaptiveMatchConfig(base_n_samples=144, max_iterations=80)
-        ).map(small_problem, 5)
-        assert adaptive.execution_time <= plain.execution_time * 1.2
-
-    def test_narrow_platform_rejected(self):
-        tig = generate_tig(5, 0)
-        res = generate_resource_graph(3, 0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveMatchMapper().map(MappingProblem(tig, res), 0)
-
-    def test_deterministic(self, small_problem):
-        cfg = AdaptiveMatchConfig(base_n_samples=80, max_iterations=40)
-        a = AdaptiveMatchMapper(cfg).map(small_problem, 9)
-        b = AdaptiveMatchMapper(cfg).map(small_problem, 9)
-        np.testing.assert_array_equal(a.assignment, b.assignment)
 
 
 class TestDistributedConfig:

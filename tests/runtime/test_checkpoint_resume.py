@@ -11,6 +11,8 @@ and must land on the same final cost, assignment and evaluation count.
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,30 @@ def test_killed_run_resumes_to_identical_result(
     # The resumed MT spans the whole logical run, so it can't be smaller
     # than the heuristic seconds already banked in the checkpoint.
     assert resumed.mapping_time >= payload["elapsed"]
+
+
+#: A ``match`` checkpoint written by an earlier release (see
+#: ``tests/fixtures/record_checkpoint_v1.py``); it must keep resuming.
+CHECKPOINT_V1 = Path(__file__).parent.parent / "fixtures" / "checkpoint_v1_match.json"
+
+
+def test_committed_v1_checkpoint_resumes_bit_identically(golden_problem, tmp_path):
+    path = tmp_path / CHECKPOINT_V1.name
+    shutil.copyfile(CHECKPOINT_V1, path)
+    payload = load_checkpoint(path)
+    assert payload["format"] == "repro-checkpoint/1"
+    assert payload["iteration"] == 3
+    expect = payload["expect"]
+
+    _, resumed = resume_run(path, keep_checkpointing=False)
+    baseline = create_mapper(
+        payload["solver"]["name"], payload["solver"]["params"]
+    ).map(golden_problem, payload["seed"])
+    for result in (resumed, baseline):
+        assert [int(x) for x in result.assignment] == expect["assignment"]
+        assert result.execution_time == expect["execution_time"]
+        assert result.extras["iterations"] == expect["iterations"]
+        assert result.n_evaluations == expect["n_evaluations"]
 
 
 def test_resumed_run_keeps_checkpointing(golden_problem, tmp_path):

@@ -39,8 +39,6 @@ class TestExamples:
     def test_ce_convergence(self):
         out = run_example("ce_convergence.py", "8", "3")
         assert "MaTCH on n = 8" in out
-        assert "rastrigin minimum found" in out
-        assert "CE estimate" in out
 
     def test_overset_cfd_mapping(self):
         out = run_example("overset_cfd_mapping.py", "8", "3")
