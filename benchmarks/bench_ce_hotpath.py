@@ -6,8 +6,7 @@ measurement groups:
 * **sampling** — GenPerm throughput (mappings/s) at ``n ∈ {10, 50}`` for
   the single-matrix sampler, the stacked multi-chain sampler, and a
   replica of the pre-optimization ("seed") sampler;
-* **scoring** — batch Eq. (2) throughput, plain vs duplicate-collapsed,
-  with the measured collapse rate on a near-degenerate batch;
+* **scoring** — batch Eq. (2) throughput on a near-degenerate batch;
 * **end_to_end** — multi-run CE wall-clock: the fused multi-chain engine
   (:meth:`MatchMapper.map_many` with ``mode="fused"`` forced) vs a serial
   per-run loop vs the seed-path replica, plus an ``auto`` stage recording
@@ -18,10 +17,10 @@ measurement groups:
 
 The seed-path replica reproduces the hot path the repo shipped before the
 multi-chain engine: the row-major GenPerm sampler with per-position
-allocations and the 2-D fancy-index communication lookup, no duplicate
-collapsing. Where the replica and the original differ (the surrounding
-optimizer loop has since been lightly tuned too), the replica is the
-*faster* of the two, so the recorded speedup is a lower bound.
+allocations and the 2-D fancy-index communication lookup. Where the
+replica and the original differ (the surrounding optimizer loop has since
+been lightly tuned too), the replica is the *faster* of the two, so the
+recorded speedup is a lower bound.
 
 Every measurement group runs once per loadable kernel backend
 (:mod:`repro.kernels`: numpy always; cext when this machine has a C
@@ -182,11 +181,11 @@ def _bench_sampling(n: int, repeats: int) -> dict:
 
 
 def _bench_scoring(problem: MappingProblem, repeats: int) -> dict:
-    """Batch Eq. (2) throughput, plain vs dedup, on a near-degenerate batch.
+    """Batch Eq. (2) throughput on one ``N = 2n²`` batch.
 
-    The batch tiles a handful of distinct mappings (as late CE iterations
-    do once ``P`` commits), so the collapse is substantial and exact
-    agreement between the two paths is checked on every repeat.
+    The batch tiles a handful of distinct mappings, as late CE iterations
+    draw once ``P`` commits; it is the batch earlier reports measured, so
+    ``plain_rows_per_s`` stays comparable with its history.
     """
     n = problem.n_tasks
     n_samples = 2 * n * n
@@ -200,22 +199,11 @@ def _bench_scoring(problem: MappingProblem, repeats: int) -> dict:
     np.random.default_rng(11).shuffle(batch)
 
     model = CostModel(problem)
-    t_plain, costs_plain = _best_of(lambda: model.evaluate_batch(batch), repeats)
-    t_dedup, costs_dedup = _best_of(lambda: model.evaluate_batch_dedup(batch), repeats)
-    if not np.array_equal(costs_plain, costs_dedup):
-        raise AssertionError("dedup scoring diverged from plain scoring")
+    t_plain, _ = _best_of(lambda: model.evaluate_batch(batch), repeats)
     return {
         "n": n,
         "batch_size": n_samples,
         "plain_rows_per_s": n_samples / t_plain,
-        "dedup_rows_per_s": n_samples / t_dedup,
-        "dedup_speedup": t_plain / t_dedup,
-        "batch_collapse_rate": 1.0 - distinct.shape[0] / n_samples,
-        # Below the DEDUP_MIN_CELLS area threshold evaluate_batch_dedup
-        # skips the collapse (the measured small-n regression fix); the
-        # hit rate is then 0 by construction — nothing was inspected.
-        "dedup_bypassed": model.dedup_stats.bypassed_calls > 0,
-        "model_dedup_hit_rate": model.dedup_stats.hit_rate,
     }
 
 
@@ -262,12 +250,10 @@ def _bench_end_to_end(
         return [r.execution_time for r in results]
 
     def seed_path() -> list[float]:
-        from dataclasses import replace
-
         from repro.ce.optimizer import CrossEntropyOptimizer
 
         scorer = _seed_batch_scorer(problem)
-        ce_cfg = replace(config.ce_config(problem.n_resources), dedup=False)
+        ce_cfg = config.ce_config(problem.n_resources)
         ets = []
         for s in run_seeds:
             result = CrossEntropyOptimizer(

@@ -13,9 +13,7 @@ that Python overhead dominates at ``n = 10``.
 * one batched GenPerm pass (:func:`repro.ce.genperm.sample_permutations_stacked`)
   samples all ``R × N`` permutations through a single flattened
   ``(R·N, n_res)`` position loop;
-* all candidates are scored with ONE objective call per joint iteration,
-  after collapsing duplicates across every chain (near-degenerate chains
-  — and chains that have converged to the same mapping — share scores);
+* all candidates are scored with ONE objective call per joint iteration;
 * Eq. (11)+(13) matrix updates run as one stacked ``bincount``
   (:func:`repro.ce.stochastic_matrix.stacked_elite_update`), and the
   degeneracy/entropy diagnostics are computed on the whole tensor.
@@ -34,7 +32,7 @@ live set; the joint loop ends when every chain has stopped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +45,6 @@ from repro.ce.stopping import StopKind
 from repro.exceptions import ConfigurationError
 from repro.runtime.budget import EvaluationBudget
 from repro.types import BatchObjectiveFn, SeedLike
-from repro.utils.dedup import collapse_duplicate_rows, pack_rows
 from repro.utils.rng import as_generator
 
 __all__ = ["MultiChainResult", "MultiChainCE"]
@@ -59,17 +56,13 @@ class MultiChainResult:
 
     ``chains[r]`` is a full per-chain :class:`CEResult`, field-for-field
     equal (histories included) to what a sequential single-chain run with
-    the same seed would have produced — except the dedup diagnostics,
-    which for a joint run live here: duplicates are collapsed across *all*
-    live chains at once, so the collapse rate is a property of the joint
-    batch, not of any one chain.
+    the same seed would have produced. ``n_evaluations`` counts every
+    sampled row of every chain.
     """
 
     chains: list[CEResult]
     n_joint_iterations: int
     n_evaluations: int
-    n_unique_evaluations: int
-    dedup_rate_history: list[float] = field(default_factory=list)
 
     @property
     def n_chains(self) -> int:
@@ -85,13 +78,6 @@ class MultiChainResult:
     def best(self) -> CEResult:
         """The chain result with the lowest best cost."""
         return self.chains[self.best_index]
-
-    @property
-    def dedup_collapse_rate(self) -> float:
-        """Overall fraction of candidate rows collapsed as duplicates."""
-        if self.n_evaluations <= 0:
-            return 0.0
-        return 1.0 - self.n_unique_evaluations / self.n_evaluations
 
 
 class MultiChainCE:
@@ -141,118 +127,32 @@ class MultiChainCE:
         self._started = False
 
     def bind_budget(self, budget: EvaluationBudget) -> None:
-        """Swap in the shared budget all freshly scored rows are charged against."""
+        """Swap in the shared budget all scored rows are charged against."""
         self.budget = budget
 
     # -- scoring ---------------------------------------------------------------
     def _score_joint(
         self, flat: np.ndarray, result: MultiChainResult
     ) -> np.ndarray:
-        """Score the concatenated live batch, collapsing cross-chain duplicates.
+        """Score the concatenated live batch with one objective call.
 
-        On top of the within-batch collapse, packable alphabets get a
-        cross-*iteration* memo: a sorted array of row keys with the exact
-        float the objective returned for each. Successive CE iterations
-        sample from slowly-moving distributions, so late iterations find
-        almost every unique candidate already scored. The memo is exact —
-        a hit returns the very float the objective computed for that row.
-
-        A capped budget clamps how many *fresh* rows are scored: rows past
-        the cap receive ``+inf`` (they can never become an incumbent best)
-        and are neither charged nor memoized, so ``used`` stops exactly at
-        ``max_evaluations`` while the chains' sampling RNG streams remain
-        byte-identical to an uncapped run.
+        A capped budget clamps how many rows are scored: rows past the cap
+        receive ``+inf`` (they can never become an incumbent best) and are
+        not charged, so ``used`` stops exactly at ``max_evaluations`` while
+        the chains' sampling RNG streams remain byte-identical to an
+        uncapped run.
         """
         result.n_evaluations += flat.shape[0]
-        if not self.config.dedup:
-            n_score = self.budget.clamp_batch(flat.shape[0])
-            costs = np.full(flat.shape[0], np.inf)
-            if n_score:
-                scored = np.asarray(self.objective(flat[:n_score]), dtype=np.float64)
-                if scored.shape != (n_score,):
-                    raise ConfigurationError(
-                        f"objective returned shape {scored.shape}, expected ({n_score},)"
-                    )
-                costs[:n_score] = scored
-                self.budget.charge(n_score)
-            result.n_unique_evaluations += n_score
-            return costs
-        keys = pack_rows(flat, self.n_cols)
-        if keys is None:
-            unique_rows, inverse = collapse_duplicate_rows(flat, self.n_cols)
-            n_score = self.budget.clamp_batch(unique_rows.shape[0])
-            unique_costs = np.full(unique_rows.shape[0], np.inf)
-            if n_score:
-                scored = np.asarray(
-                    self.objective(unique_rows[:n_score]), dtype=np.float64
+        n_score = self.budget.clamp_batch(flat.shape[0])
+        costs = np.full(flat.shape[0], np.inf)
+        if n_score:
+            scored = np.asarray(self.objective(flat[:n_score]), dtype=np.float64)
+            if scored.shape != (n_score,):
+                raise ConfigurationError(
+                    f"objective returned shape {scored.shape}, expected ({n_score},)"
                 )
-                if scored.shape != (n_score,):
-                    raise ConfigurationError(
-                        f"objective returned shape {scored.shape}, "
-                        f"expected ({n_score},)"
-                    )
-                unique_costs[:n_score] = scored
-                self.budget.charge(n_score)
-            result.n_unique_evaluations += n_score
-            result.dedup_rate_history.append(1.0 - n_score / flat.shape[0])
-            return unique_costs[inverse]
-        # Resolve every row against the memo first; only keys never seen in
-        # any iteration are deduped and scored. Once chains sharpen, whole
-        # batches resolve without a single objective call or unique() pass.
-        K = self._memo_keys.shape[0]
-        pos = np.searchsorted(self._memo_keys, keys)
-        if K:
-            hit = self._memo_keys[np.minimum(pos, K - 1)] == keys
-        else:
-            hit = np.zeros(keys.shape[0], dtype=bool)
-        costs = np.empty(keys.shape[0])
-        if hit.any():
-            costs[hit] = self._memo_costs[pos[hit]]
-        n_score = 0
-        if not hit.all():
-            miss = ~hit
-            miss_keys, minv = np.unique(keys[miss], return_inverse=True)
-            n_fresh = miss_keys.shape[0]
-            # Budget clamp: score only the affordable prefix of the fresh
-            # keys; the remainder costs +inf and stays OUT of the memo (an
-            # unscored row must be rescored if a later run can afford it).
-            n_score = self.budget.clamp_batch(n_fresh)
-            miss_costs = np.full(n_fresh, np.inf)
-            if n_score:
-                # Unpack the packed keys back into rows (bijective, so the
-                # unpacked digits are exactly the original row values).
-                rem = miss_keys[:n_score].copy()
-                miss_rows = np.empty((n_score, self.n_rows), dtype=np.int64)
-                for c in range(self.n_rows - 1, -1, -1):
-                    np.mod(rem, self.n_cols, out=miss_rows[:, c])
-                    rem //= self.n_cols
-                scored = np.asarray(self.objective(miss_rows), dtype=np.float64)
-                if scored.shape != (n_score,):
-                    raise ConfigurationError(
-                        f"objective returned shape {scored.shape}, "
-                        f"expected ({n_score},)"
-                    )
-                miss_costs[:n_score] = scored
-                self.budget.charge(n_score)
-            costs[miss] = miss_costs[minv]
-            if n_score:
-                # One-pass sorted merge of the freshly *scored* keys into
-                # the memo (np.unique returns sorted keys, so the prefix is
-                # itself sorted).
-                ins = np.searchsorted(self._memo_keys, miss_keys[:n_score])
-                tgt = ins + np.arange(n_score)
-                new_keys = np.empty(K + n_score, dtype=np.int64)
-                new_costs = np.empty(K + n_score)
-                keep = np.ones(K + n_score, dtype=bool)
-                keep[tgt] = False
-                new_keys[tgt] = miss_keys[:n_score]
-                new_costs[tgt] = miss_costs[:n_score]
-                new_keys[keep] = self._memo_keys
-                new_costs[keep] = self._memo_costs
-                self._memo_keys = new_keys
-                self._memo_costs = new_costs
-        result.n_unique_evaluations += n_score
-        result.dedup_rate_history.append(1.0 - n_score / flat.shape[0])
+            costs[:n_score] = scored
+            self.budget.charge(n_score)
         return costs
 
     # -- the joint loop ---------------------------------------------------------
@@ -261,9 +161,6 @@ class MultiChainCE:
         cfg = self.config
         R = self.n_chains
         n_t, n_r = self.n_rows, self.n_cols
-        # Fresh score memo per run (sorted key -> exact objective float).
-        self._memo_keys = np.empty(0, dtype=np.int64)
-        self._memo_costs = np.empty(0, dtype=np.float64)
         P0 = StochasticMatrix.uniform(n_t, n_r).values
         self._P = np.broadcast_to(P0, (R, n_t, n_r)).copy()
         self._best_costs = np.full(R, np.inf)
@@ -282,7 +179,6 @@ class MultiChainCE:
             chains=self._chain_results,
             n_joint_iterations=0,
             n_evaluations=0,
-            n_unique_evaluations=0,
         )
         self._live = list(range(R))
         self._k = 0

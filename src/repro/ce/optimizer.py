@@ -34,7 +34,6 @@ from repro.ce.stopping import (
 from repro.exceptions import ConfigurationError
 from repro.runtime.budget import EvaluationBudget
 from repro.types import AssignmentBatch, BatchObjectiveFn, ProbabilityMatrix, SeedLike
-from repro.utils.dedup import collapse_duplicate_rows
 from repro.utils.rng import as_generator, generator_from_state, generator_state
 from repro.utils.validation import check_in_range
 
@@ -74,15 +73,6 @@ class CEConfig:
         ``"exact_k"`` (default) keeps exactly the ``⌈ρN⌉`` best samples;
         ``"threshold"`` keeps every sample with cost ≤ γ (the textbook
         rule, which over-weights tied duplicates late in a run).
-    dedup:
-        Collapse duplicate candidate rows (packed-int64 keys, falling back
-        to ``np.unique`` along axis 0 for huge alphabets) before calling
-        the objective, scattering the unique costs back via the inverse
-        index. Exact — identical costs to the plain path —
-        because the objective is required to be a pure row-wise function.
-        Once ``P`` nears degeneracy most of the ``N`` samples coincide, so
-        late iterations score a fraction of the batch. Disable for
-        objectives with row-order-dependent or stateful semantics.
     max_iterations:
         Hard iteration budget (safety net; the adaptive criteria usually
         fire long before).
@@ -100,7 +90,6 @@ class CEConfig:
     stability_tol: float = 1e-6
     gamma_window: int = 12
     elite_mode: str = "exact_k"
-    dedup: bool = True
     max_iterations: int = 500
     track_matrices: bool = False
     matrix_snapshot_every: int = 1
@@ -134,9 +123,8 @@ class CEConfig:
 class CEResult:
     """Outcome of a CE run, including per-iteration diagnostics.
 
-    ``n_evaluations`` counts logical candidates (``N`` per iteration);
-    ``n_unique_evaluations`` counts the rows actually scored after
-    duplicate collapse — the gap is the work dedup-aware scoring saved.
+    ``n_evaluations`` counts the sampled candidates (``N`` per iteration),
+    every one of which the objective scored.
     """
 
     best_assignment: np.ndarray
@@ -145,12 +133,10 @@ class CEResult:
     n_evaluations: int
     stop_reason: str
     stop_kind: StopKind = StopKind.NOT_RUN
-    n_unique_evaluations: int = 0
     gamma_history: list[float] = field(default_factory=list)
     best_cost_history: list[float] = field(default_factory=list)
     degeneracy_history: list[float] = field(default_factory=list)
     entropy_history: list[float] = field(default_factory=list)
-    dedup_rate_history: list[float] = field(default_factory=list)
     matrix_history: list[np.ndarray] = field(default_factory=list, repr=False)
     final_matrix: np.ndarray | None = field(default=None, repr=False)
 
@@ -162,13 +148,6 @@ class CEResult:
             StopKind.NOT_RUN,
             StopKind.EXTERNAL,
         )
-
-    @property
-    def dedup_collapse_rate(self) -> float:
-        """Overall fraction of candidate rows collapsed as duplicates."""
-        if self.n_evaluations <= 0:
-            return 0.0
-        return 1.0 - self.n_unique_evaluations / self.n_evaluations
 
 
 class CrossEntropyOptimizer:
@@ -242,33 +221,15 @@ class CrossEntropyOptimizer:
         """Swap in the shared budget all scored rows are charged against."""
         self.budget = budget
 
-    def _score(self, X: AssignmentBatch, result: CEResult) -> np.ndarray:
-        """Score a batch, collapsing duplicate rows first when configured.
-
-        The dedup path is exact: duplicate rows receive the very float the
-        objective computed for their unique representative, so downstream
-        elite selection and argmin behave identically to the plain path.
-        """
-        if not self.config.dedup:
-            costs = np.asarray(self.objective(X), dtype=np.float64)
-            if costs.shape != (X.shape[0],):
-                raise ConfigurationError(
-                    f"objective returned shape {costs.shape}, expected ({X.shape[0]},)"
-                )
-            result.n_unique_evaluations += X.shape[0]
-            self.budget.charge(X.shape[0])
-            return costs
-        unique_rows, inverse = collapse_duplicate_rows(np.asarray(X), self.n_cols)
-        unique_costs = np.asarray(self.objective(unique_rows), dtype=np.float64)
-        if unique_costs.shape != (unique_rows.shape[0],):
+    def _score(self, X: AssignmentBatch) -> np.ndarray:
+        """Score every sampled row and charge them all to the budget."""
+        costs = np.asarray(self.objective(X), dtype=np.float64)
+        if costs.shape != (X.shape[0],):
             raise ConfigurationError(
-                f"objective returned shape {unique_costs.shape}, "
-                f"expected ({unique_rows.shape[0]},)"
+                f"objective returned shape {costs.shape}, expected ({X.shape[0]},)"
             )
-        result.n_unique_evaluations += unique_rows.shape[0]
-        self.budget.charge(unique_rows.shape[0])
-        result.dedup_rate_history.append(1.0 - unique_rows.shape[0] / X.shape[0])
-        return unique_costs[inverse]
+        self.budget.charge(X.shape[0])
+        return costs
 
     # -- stepwise protocol (driven by repro.runtime.SearchLoop) -----------------
     def start(self) -> None:
@@ -306,8 +267,7 @@ class CrossEntropyOptimizer:
 
         The sample batch is clamped to the evaluations the budget can still
         afford, so the final iteration of a capped run shrinks instead of
-        overshooting ``max_evaluations`` (dedup can only make the charged
-        count smaller than the draw, never larger). Unlimited budgets pass
+        overshooting ``max_evaluations``. Unlimited budgets pass
         ``n_samples`` through untouched — the RNG stream of unbudgeted runs
         is byte-identical to before.
         """
@@ -321,7 +281,7 @@ class CrossEntropyOptimizer:
             self.note_external_stop("evaluation budget exhausted before sampling")
             return False
         X = self._sample(self.matrix.view(), n_draw, self.rng)
-        costs = self._score(X, result)
+        costs = self._score(X)
         result.n_evaluations += X.shape[0]
 
         gamma, elite_idx = self._select(costs, cfg.rho)
@@ -416,14 +376,12 @@ class CrossEntropyOptimizer:
             "stopping": self.stopping.export_state(),
             "result": {
                 "n_evaluations": result.n_evaluations,
-                "n_unique_evaluations": result.n_unique_evaluations,
                 "stop_reason": result.stop_reason,
                 "stop_kind": result.stop_kind.value,
                 "gamma_history": list(result.gamma_history),
                 "best_cost_history": list(result.best_cost_history),
                 "degeneracy_history": list(result.degeneracy_history),
                 "entropy_history": list(result.entropy_history),
-                "dedup_rate_history": list(result.dedup_rate_history),
             },
         }
         if self.config.track_matrices:
@@ -449,12 +407,10 @@ class CrossEntropyOptimizer:
             n_evaluations=int(saved["n_evaluations"]),
             stop_reason=str(saved["stop_reason"]),
             stop_kind=StopKind(saved["stop_kind"]),
-            n_unique_evaluations=int(saved["n_unique_evaluations"]),
             gamma_history=[float(v) for v in saved["gamma_history"]],
             best_cost_history=[float(v) for v in saved["best_cost_history"]],
             degeneracy_history=[float(v) for v in saved["degeneracy_history"]],
             entropy_history=[float(v) for v in saved["entropy_history"]],
-            dedup_rate_history=[float(v) for v in saved["dedup_rate_history"]],
         )
         if self.config.track_matrices and "matrix_history" in state:
             self._result.matrix_history = [

@@ -43,10 +43,6 @@ class MatchConfig:
         :class:`repro.ce.optimizer.CEConfig`.
     track_matrices / matrix_snapshot_every:
         Record stochastic-matrix snapshots (Fig. 3 reproduction).
-    dedup:
-        Collapse duplicate candidate mappings before scoring (exact — see
-        :mod:`repro.utils.dedup`); on by default, disable only to time the
-        raw scoring path.
     """
 
     rho: float = 0.05
@@ -59,7 +55,6 @@ class MatchConfig:
     max_iterations: int = 500
     track_matrices: bool = False
     matrix_snapshot_every: int = 1
-    dedup: bool = True
 
     def __post_init__(self) -> None:
         check_in_range("rho", self.rho, 0.0, 1.0, inclusive=(False, False))
@@ -81,5 +76,4 @@ class MatchConfig:
             max_iterations=self.max_iterations,
             track_matrices=self.track_matrices,
             matrix_snapshot_every=self.matrix_snapshot_every,
-            dedup=self.dedup,
         )

@@ -63,9 +63,9 @@ __all__ = ["MatchMapper", "match_map", "FUSED_CROSSOVER_MAX_TASKS", "prefer_fuse
 #:
 #: Above the crossover the joint batch (R·N candidate rows per iteration)
 #: outgrows what batching amortizes: per-row scoring work is O(n + deg)
-#: and dominates the Python overhead fusion removes, while the collapsed
-#: duplicate rate falls with n, so fusing only adds tensor bookkeeping.
-#: More chains make that *worse*, not better, at large n.
+#: and dominates the Python overhead fusion removes, so fusing only adds
+#: tensor bookkeeping. More chains make that *worse*, not better, at
+#: large n.
 FUSED_CROSSOVER_MAX_TASKS = 20
 
 
@@ -224,7 +224,6 @@ class MatchMapper(Mapper):
             "max_iterations": cfg.max_iterations,
             "track_matrices": cfg.track_matrices,
             "matrix_snapshot_every": cfg.matrix_snapshot_every,
-            "dedup": cfg.dedup,
         }
 
     def _make_solver(self) -> MapperSolver:
@@ -319,7 +318,6 @@ class MatchMapper(Mapper):
                             else None
                         ),
                         "joint_chains": joint.n_chains,
-                        "joint_dedup_collapse_rate": joint.dedup_collapse_rate,
                         "multichain_mode": "fused",
                     },
                 )

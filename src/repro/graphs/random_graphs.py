@@ -39,7 +39,7 @@ def _all_pairs(n: int) -> np.ndarray:
     return np.stack([iu, iv], axis=1)
 
 
-def _dedupe(edges: np.ndarray) -> np.ndarray:
+def _unique_edges(edges: np.ndarray) -> np.ndarray:
     """Canonicalize rows (u<v), sort lexicographically, drop duplicates."""
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
@@ -127,7 +127,7 @@ def random_spanning_tree_edges(n: int, rng: SeedLike = None) -> np.ndarray:
     attach_idx = np.array([gen.integers(0, i) for i in range(1, n)])
     u = order[1:]
     v = order[attach_idx]
-    return _dedupe(np.stack([u, v], axis=1).astype(np.int64))
+    return _unique_edges(np.stack([u, v], axis=1).astype(np.int64))
 
 
 def ensure_connected_edges(n: int, edges: np.ndarray, rng: SeedLike = None) -> np.ndarray:
@@ -138,4 +138,4 @@ def ensure_connected_edges(n: int, edges: np.ndarray, rng: SeedLike = None) -> n
     tree = random_spanning_tree_edges(n, rng)
     if edges.size == 0:
         return tree
-    return _dedupe(np.concatenate([np.asarray(edges, dtype=np.int64), tree], axis=0))
+    return _unique_edges(np.concatenate([np.asarray(edges, dtype=np.int64), tree], axis=0))

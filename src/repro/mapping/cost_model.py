@@ -35,22 +35,12 @@ import numpy as np
 from repro import kernels
 from repro.mapping.problem import MappingProblem
 from repro.types import AssignmentBatch, AssignmentVector, CostVector, as_assignment_batch
-from repro.utils.dedup import DedupStats, collapse_duplicate_rows
 
 __all__ = [
     "evaluate_reference",
     "per_resource_times_reference",
     "CostModel",
-    "DEDUP_MIN_CELLS",
 ]
-
-#: Minimum batch area (``rows · n_tasks``) for the dedup collapse to pay.
-#: Below this the Horner packing + ``np.unique`` overhead exceeds the
-#: scoring it saves — measured on the bench instances: the n=10 CE batch
-#: (200 × 10 = 2 000 cells) ran at 0.94× with unconditional dedup while
-#: n=50 (5 000 × 50 = 250 000 cells) enjoys 1.36×; the crossover sits
-#: around a few tens of thousands of cells on current hardware.
-DEDUP_MIN_CELLS = 32_768
 
 
 def per_resource_times_reference(
@@ -97,13 +87,11 @@ class CostModel:
     :class:`~repro.kernels.ProblemPack` and resolves the process-active
     kernel backend once; evaluation methods are pure functions of the
     assignment argument, so one ``CostModel`` can be shared by every
-    optimizer attacking the same instance (the only mutable state is the
-    :attr:`dedup_stats` diagnostics counter, which never influences
-    returned costs).
+    optimizer attacking the same instance.
     """
 
     __slots__ = ("problem", "pack", "_kernel", "_W", "_w", "_C", "_ccm",
-                 "_eu", "_ev", "_n_r", "_n_t", "dedup_stats")
+                 "_eu", "_ev", "_n_r", "_n_t")
 
     def __init__(self, problem: MappingProblem) -> None:
         self.problem = problem
@@ -117,7 +105,6 @@ class CostModel:
         self._ev = self.pack.ev
         self._n_r = problem.n_resources
         self._n_t = problem.n_tasks
-        self.dedup_stats = DedupStats()
 
     @property
     def kernel_name(self) -> str:
@@ -167,25 +154,6 @@ class CostModel:
     def evaluate_batch(self, assignments: AssignmentBatch) -> CostVector:
         """Eq. (2) for a whole batch: one cost per row (lower is better)."""
         return self._kernel.eval_batch(self.pack, self._check_batch(assignments))
-
-    def evaluate_batch_dedup(self, assignments: AssignmentBatch) -> CostVector:
-        """Eq. (2) for a batch, collapsing duplicate rows before scoring.
-
-        Exact: duplicate rows receive the identical float computed for
-        their unique representative (the cost model is a pure row-wise
-        function). Small batches (area below :data:`DEDUP_MIN_CELLS`)
-        bypass the collapse entirely — the packing overhead outruns the
-        savings there (the measured n=10 regression) — and the bypass is
-        recorded on :attr:`dedup_stats` so diagnostics can tell "no
-        duplicates found" from "did not look".
-        """
-        X = as_assignment_batch(assignments)
-        if X.shape[0] * self._n_t < DEDUP_MIN_CELLS:
-            self.dedup_stats.record_bypass(X.shape[0])
-            return self.evaluate_batch(X)
-        unique_rows, inverse = collapse_duplicate_rows(X, self._n_r)
-        self.dedup_stats.record(X.shape[0], unique_rows.shape[0])
-        return self.evaluate_batch(unique_rows)[inverse]
 
     # -- diagnostics -------------------------------------------------------------
     def breakdown(self, assignment: AssignmentVector) -> dict[str, float]:

@@ -7,9 +7,11 @@ bytes produced. That purity is worth money at serving time: a request the
 process (or a previous process) already answered can be served from a
 lookup instead of a CE run.
 
-:func:`cache_key` turns the triple into a stable sha256 hex key built on
+:func:`cache_key` turns the triple, plus the solve's evaluation cap, into
+a stable sha256 hex key built on
 :func:`repro.mapping.problem_key.problem_key` (the canonical problem
-hash), the spec's canonical ``(name, sorted params)`` form, and the seed.
+hash), the spec's canonical ``(name, sorted params)`` form, the seed and
+``max_evaluations``.
 The kernel backend is deliberately **not** part of the key: backends are
 bit-identical, so one entry serves all tiers exactly.
 
@@ -34,10 +36,17 @@ __all__ = ["cache_key", "ResultCache"]
 
 #: Version tag for the key derivation; bump on any change to the recipe so
 #: stale persisted entries can never be misread as hits.
-_CACHE_KEY_SCHEMA = "repro.cache-key/1"
+_CACHE_KEY_SCHEMA = "repro.cache-key/2"
 
 
-def cache_key(problem_digest: str, solver_name: str, params: Mapping[str, Any] | None, seed: int) -> str:
+def cache_key(
+    problem_digest: str,
+    solver_name: str,
+    params: Mapping[str, Any] | None,
+    seed: int,
+    *,
+    max_evaluations: int | None = None,
+) -> str:
     """The canonical cache key for one ``(problem, solver, seed)`` solve.
 
     ``problem_digest`` is the :func:`~repro.mapping.problem_key.problem_key`
@@ -45,6 +54,8 @@ def cache_key(problem_digest: str, solver_name: str, params: Mapping[str, Any] |
     Params are canonicalized by sorted key through JSON, matching
     :meth:`SolverSpec.of`'s ordering, so specs built from differently-
     ordered dicts in different processes produce the same key.
+    ``max_evaluations`` is the solve's evaluation cap (``None`` for
+    uncapped): a capped run stops early, so it is a different result.
     """
     payload = json.dumps(
         {
@@ -53,6 +64,7 @@ def cache_key(problem_digest: str, solver_name: str, params: Mapping[str, Any] |
             "solver": solver_name,
             "params": dict(params or {}),
             "seed": int(seed),
+            "max_evaluations": None if max_evaluations is None else int(max_evaluations),
         },
         sort_keys=True,
         separators=(",", ":"),

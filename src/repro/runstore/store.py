@@ -143,7 +143,7 @@ class RunHandle:
         """Record one named metrics group; rewrites ``metrics.json`` atomically.
 
         Groups accumulate over the run (``comparison``, ``table3``,
-        ``dedup``, ...); recording the same group twice replaces it.
+        ...); recording the same group twice replaces it.
         """
         self._metrics[group] = to_jsonable(payload)
         _atomic_write_json(self.path / "metrics.json", self._metrics)

@@ -20,10 +20,12 @@ active limit trips. A budget with no limits is unlimited and free:
 charging is a single integer add, so production runs pay nothing for the
 accounting.
 
-Dedup note: CE's duplicate collapse means fewer objective rows are scored
-than candidates drawn; the budget charges the rows *actually evaluated*
-(memo hits and collapsed duplicates are free), i.e. real work, which is
-the quantity a fair effort-matched comparison should equalize.
+CE charges every row it samples, duplicates included, because it scores
+every one of them: after an uncapped CE run ``used`` equals the run's
+``n_evaluations``. A capped run stops exactly at ``max_evaluations``: the
+sequential engine draws only the rows the budget can still afford, and
+the fused multi-chain engine scores the affordable prefix of its joint
+batch and sets the rest to ``+inf``.
 """
 
 from __future__ import annotations

@@ -62,6 +62,11 @@ def resume_run(
     solver_info: dict[str, Any] = payload["solver"]
     name = solver_info["name"]
     params = dict(solver_info.get("params") or {})
+    if name == "match":
+        # ``dedup`` was a MatchConfig knob until duplicate-collapsing scoring
+        # was deleted; scoring every row yields the same costs, so a
+        # checkpoint that still names it resumes without it.
+        params.pop("dedup", None)
     mapper = create_mapper(name, params)
     problem = problem_from_payload(payload["problem"])
     if budget is None:

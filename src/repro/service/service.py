@@ -10,9 +10,9 @@ same shape that makes inference servers fast:
 
 1. **cache** — the canonical key (:func:`repro.runstore.cache.cache_key`
    over the :func:`~repro.mapping.problem_key.problem_key` digest, solver
-   spec, and seed) is checked first. Solves are pure functions of that
-   triple and kernel backends are bit-identical, so a hit is *exact* and
-   is served without touching quota or workers.
+   spec, seed and evaluation cap) is checked first. Solves are pure
+   functions of those inputs and kernel backends are bit-identical, so a
+   hit is *exact* and is served without touching quota or workers.
 2. **single-flight** — a request whose key is already being solved
    attaches to the in-flight future instead of queueing a duplicate; the
    solve runs once and fans out.
@@ -340,7 +340,11 @@ class MappingService:
         watch = Stopwatch().start()
         digest = problem_key(request.problem)
         key = cache_key(
-            digest, request.solver.name, request.solver.params_dict(), request.seed
+            digest,
+            request.solver.name,
+            request.solver.params_dict(),
+            request.seed,
+            max_evaluations=request.max_evaluations,
         )
         self._counters["requests"] += 1
         queue_depth = self._queue.qsize()

@@ -30,7 +30,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.exceptions import ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.mapping.problem import MappingProblem
 from repro.runtime.registry import SolverSpec
 from repro.service.service import MappingRequest
@@ -104,7 +104,12 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
 
 
 def request_from_wire(payload: Mapping[str, Any]) -> MappingRequest:
-    """Decode one ``/solve`` body into a :class:`MappingRequest`."""
+    """Decode one ``/solve`` body into a :class:`MappingRequest`.
+
+    The solver spec is built once here, so an unknown solver name or a
+    parameter its constructor rejects is a :class:`ValidationError` at
+    decode instead of a failed solve after quota admission.
+    """
     if not isinstance(payload, Mapping):
         raise ValidationError(f"request must be a JSON object, got {type(payload).__name__}")
     if "problem" not in payload:
@@ -116,6 +121,10 @@ def request_from_wire(payload: Mapping[str, Any]) -> MappingRequest:
     solver = SolverSpec.of(
         str(solver_raw["name"]), dict(solver_raw.get("params") or {})
     )
+    try:
+        solver.build()
+    except (TypeError, ConfigurationError) as exc:
+        raise ValidationError(f"invalid solver {solver}: {exc}") from exc
     max_evaluations = payload.get("max_evaluations")
     return MappingRequest(
         problem=problem,

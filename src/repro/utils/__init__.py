@@ -4,7 +4,6 @@ These helpers are deliberately dependency-light (numpy + stdlib only) and are
 shared by every other subpackage.
 """
 
-from repro.utils.dedup import DedupStats, collapse_duplicate_rows, pack_rows
 from repro.utils.rng import (
     RngStreams,
     as_generator,
@@ -28,9 +27,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "DedupStats",
-    "collapse_duplicate_rows",
-    "pack_rows",
     "RngStreams",
     "as_generator",
     "derive_seed",

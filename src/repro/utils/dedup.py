@@ -1,12 +1,13 @@
-"""Exact duplicate-row collapsing for batched scoring.
+"""Exact duplicate-row collapsing of an integer batch.
 
-CE iterations re-draw many identical candidate mappings once the
-stochastic matrix sharpens — scoring each copy repeats the same bincount
-scatter-adds. :func:`collapse_duplicate_rows` finds the unique rows of an
-integer assignment batch and the inverse map that reinflates per-unique
-costs back to the full batch. Because every objective in this repo is a
-pure row-wise function, scoring the unique rows and gathering through the
-inverse is *exact* — bit-identical to scoring the full batch.
+:func:`collapse_duplicate_rows` finds the unique rows of an integer
+assignment batch and the inverse map that reinflates per-unique values
+back to the full batch. No solver calls it any more: CE scores every
+sampled row, because under the compiled kernels scoring a row is cheaper
+than the lookups that would skip it (DESIGN.md §6). The module stays
+because the repository benchmark's traced run wraps
+``repro.utils.dedup.collapse_duplicate_rows`` by name; its ``ce.dedup``
+layer now reads 0.
 
 When the row alphabet fits in 63 bits (``n_cols · log2(n_symbols) ≤ 63``)
 each row is packed into a single int64 key by Horner's rule and deduped
@@ -22,11 +23,10 @@ byte-comparison argsort dominated the whole CE iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["pack_rows", "pack_rows_words", "collapse_duplicate_rows", "DedupStats"]
+__all__ = ["pack_rows", "pack_rows_words", "collapse_duplicate_rows"]
 
 
 def pack_rows(X: np.ndarray, n_symbols: int) -> np.ndarray | None:
@@ -115,47 +115,3 @@ def collapse_duplicate_rows(
     inverse = np.empty(N, dtype=np.int64)
     inverse[order] = np.cumsum(flag) - 1
     return X[order[flag]], inverse
-
-
-@dataclass
-class DedupStats:
-    """Running counters for a dedup-aware scoring path.
-
-    ``hit_rate`` is the fraction of scored rows that were duplicates of an
-    earlier row in their batch — the work the collapse avoided.
-    """
-
-    calls: int = 0
-    total_rows: int = 0
-    unique_rows: int = 0
-    #: Batches that skipped the collapse because they were too small for
-    #: packing to pay (see ``CostModel.DEDUP_MIN_CELLS``). Kept separate
-    #: from the collapse counters so ``hit_rate`` keeps meaning "fraction
-    #: of *inspected* rows that were duplicates".
-    bypassed_calls: int = 0
-    bypassed_rows: int = 0
-    _history: list[float] = field(default_factory=list, repr=False)
-
-    def record(self, n_rows: int, n_unique: int) -> None:
-        """Account one collapsed batch of ``n_rows`` rows, ``n_unique`` kept."""
-        self.calls += 1
-        self.total_rows += int(n_rows)
-        self.unique_rows += int(n_unique)
-        self._history.append(1.0 - n_unique / n_rows if n_rows else 0.0)
-
-    def record_bypass(self, n_rows: int) -> None:
-        """Account one batch scored without looking for duplicates."""
-        self.bypassed_calls += 1
-        self.bypassed_rows += int(n_rows)
-
-    @property
-    def hit_rate(self) -> float:
-        """Overall duplicate fraction across every recorded batch."""
-        if self.total_rows == 0:
-            return 0.0
-        return 1.0 - self.unique_rows / self.total_rows
-
-    @property
-    def per_call_rates(self) -> list[float]:
-        """Collapse rate of each recorded batch, in call order."""
-        return list(self._history)

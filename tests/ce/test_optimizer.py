@@ -73,15 +73,7 @@ class TestOptimizerConstruction:
 
     def test_objective_shape_checked(self):
         cfg = CEConfig(n_samples=10, max_iterations=1)
-        # Wrong length for any batch — caught on both the dedup and the
-        # plain scoring path.
         opt = CrossEntropyOptimizer(lambda X: np.zeros(X.shape[0] + 1), 3, 3, cfg)
-        with pytest.raises(ConfigurationError, match="objective returned"):
-            opt.run()
-        cfg_plain = CEConfig(n_samples=10, max_iterations=1, dedup=False)
-        opt = CrossEntropyOptimizer(
-            lambda X: np.zeros(X.shape[0] + 1), 3, 3, cfg_plain
-        )
         with pytest.raises(ConfigurationError, match="objective returned"):
             opt.run()
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ce.genperm import sample_permutations
 from repro.graphs import generate_paper_pair, generate_resource_graph, generate_tig
 from repro.mapping import (
     CostModel,
@@ -200,3 +201,47 @@ def test_property_cost_positive_and_max(seed):
     times = model.per_resource_times(x)
     assert model.evaluate(x) == times.max()
     assert model.evaluate(x) > 0
+
+
+def degenerate_batch(problem, n_rows: int, seed: int) -> np.ndarray:
+    """A batch with heavy duplication, like late CE iterations produce."""
+    distinct = sample_permutations(
+        np.full((problem.n_tasks, problem.n_resources), 1.0 / problem.n_resources),
+        max(1, n_rows // 6),
+        rng=seed,
+    )
+    reps = -(-n_rows // distinct.shape[0])
+    batch = np.tile(distinct, (reps, 1))[:n_rows]
+    np.random.default_rng(seed + 1).shuffle(batch)
+    return batch
+
+
+class TestChunkedBatchScoring:
+    def test_matches_per_row_reference(self, small_problem):
+        model = CostModel(small_problem)
+        batch = degenerate_batch(small_problem, 40, seed=6)
+        times = model.per_resource_times_batch(batch)
+        for row, expected in zip(batch, times):
+            assert np.array_equal(model.per_resource_times(row), expected)
+
+    def test_block_boundaries_change_nothing(self, small_problem):
+        # A batch larger than the internal block size must score exactly
+        # as a single unchunked pass (blocking is a pure layout decision).
+        model = CostModel(small_problem)
+        widest = max(small_problem.edges.shape[0], small_problem.n_tasks, 1)
+        block = max(512, 262_144 // widest)
+        n_rows = block + 37
+        batch = degenerate_batch(small_problem, n_rows, seed=7)
+        chunked = model.per_resource_times_batch(batch)
+        assert np.array_equal(chunked, model._times_block(batch))
+
+    def test_batch_shape_validation(self, small_problem):
+        model = CostModel(small_problem)
+        with pytest.raises(ValueError):
+            model.per_resource_times_batch(
+                np.zeros((4, small_problem.n_tasks + 1), dtype=np.int64)
+            )
+        with pytest.raises(ValueError):
+            bad = np.zeros((4, small_problem.n_tasks), dtype=np.int64)
+            bad[0, 0] = small_problem.n_resources
+            model.per_resource_times_batch(bad)

@@ -21,6 +21,9 @@ class TestCacheKey:
         assert cache_key("d" * 64, "other", {"a": 1}, 5) != base
         assert cache_key("d" * 64, "match", {"a": 2}, 5) != base
         assert cache_key("d" * 64, "match", {"a": 1}, 6) != base
+        capped = cache_key("d" * 64, "match", {"a": 1}, 5, max_evaluations=50)
+        assert capped != base
+        assert cache_key("d" * 64, "match", {"a": 1}, 5, max_evaluations=51) != capped
 
     def test_kernel_backend_excluded_by_construction(self):
         # The key is a pure function of (problem, solver, params, seed);

@@ -85,6 +85,31 @@ class TestBitParity:
         assert second.result == first.result
 
 
+class TestEvaluationCap:
+    def test_capped_solve_is_not_served_to_an_uncapped_request(self):
+        # A capped run stops early, so its result must not answer the same
+        # (problem, solver, seed) asked without a cap.
+        problem = make_problem(8, 5)
+        spec = SolverSpec.of("match")
+
+        async def go(service):
+            capped = await service.submit(
+                MappingRequest(problem=problem, solver=spec, seed=5, max_evaluations=50)
+            )
+            uncapped = await service.submit(
+                MappingRequest(problem=problem, solver=spec, seed=5)
+            )
+            return capped, uncapped
+
+        capped, uncapped = serve(go)
+        direct = spec.build().map(problem, 5)
+        assert capped.ok and capped.result["n_evaluations"] == 50
+        assert uncapped.ok and not uncapped.cached
+        assert uncapped.key != capped.key
+        assert uncapped.result["n_evaluations"] == direct.n_evaluations
+        assert uncapped.result["execution_time"] == direct.execution_time
+
+
 class TestQuota:
     def test_over_quota_is_a_structured_rejection(self):
         async def go(service):

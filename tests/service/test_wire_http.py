@@ -62,6 +62,22 @@ class TestWire:
         assert request.solver.name == "match"
         assert request.client == "anonymous"
 
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            {"name": "match", "params": {"bogus": 1}},
+            {"name": "match", "params": {"dedup": False}},
+            {"name": "match", "params": {"zeta": 0.0}},
+            {"name": "no-such-solver"},
+        ],
+        ids=["unknown-param", "retired-dedup", "out-of-range", "unknown-solver"],
+    )
+    def test_invalid_solver_rejected_at_decode(self, solver):
+        # Rejected before admission: the spec's mapper is built at decode,
+        # not first in a worker after the quota was charged.
+        with pytest.raises(ValidationError):
+            request_from_wire({"problem": {"size": 8}, "solver": solver})
+
     def test_malformed_problem_rejected(self):
         with pytest.raises(ValidationError):
             problem_from_wire({"neither": True})
@@ -122,6 +138,9 @@ class TestHttp:
                 status4, oversized = await loop.run_in_executor(
                     None, post, {"problem": {"size": MAX_WIRE_TASKS + 1}}
                 )
+                status5, bogus = await loop.run_in_executor(
+                    None, post, {**payload, "solver": {"name": "match", "params": {"bogus": 1}}}
+                )
 
                 def raw(request_bytes):
                     with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
@@ -143,10 +162,10 @@ class TestHttp:
                 await server.wait_closed()
                 stats = service.stats()
                 return (status1, first, status2, second, status3, bad,
-                        status4, oversized, health, missing, stats)
+                        status4, oversized, status5, bogus, health, missing, stats)
 
         (status1, first, status2, second, status3, bad,
-         status4, oversized, health, missing, stats) = asyncio.run(main())
+         status4, oversized, status5, bogus, health, missing, stats) = asyncio.run(main())
 
         assert status1 == 200 and first["status"] == "ok" and not first["cached"]
         assert status2 == 200 and second["cached"]
@@ -154,6 +173,8 @@ class TestHttp:
         assert status3 == 400 and bad["error"]["kind"] == "bad-request"
         assert status4 == 400 and oversized["error"]["kind"] == "bad-request"
         assert "at most" in oversized["error"]["message"]
+        assert status5 == 400 and bogus["error"]["kind"] == "bad-request"
+        assert "bogus" in bogus["error"]["message"]
         assert health.startswith(b"HTTP/1.1 200") and b'{"ok": true}' in health
         assert missing.startswith(b"HTTP/1.1 404")
         assert stats["requests"] == 2 and stats["cache_hits"] == 1

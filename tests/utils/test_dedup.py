@@ -1,11 +1,11 @@
-"""Tests for duplicate-row collapsing (the dedup-aware scoring substrate)."""
+"""Tests for duplicate-row collapsing (kept as a traced benchmark layer)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.utils.dedup import DedupStats, collapse_duplicate_rows, pack_rows
+from repro.utils.dedup import collapse_duplicate_rows, pack_rows
 
 
 class TestPackRows:
@@ -66,22 +66,3 @@ class TestCollapseDuplicateRows:
         unique_rows, inverse = collapse_duplicate_rows(X, 12)
         assert unique_rows.shape[0] == 4
         assert np.array_equal(unique_rows[inverse], X)
-
-
-class TestDedupStats:
-    def test_counters_and_hit_rate(self):
-        stats = DedupStats()
-        assert stats.hit_rate == 0.0
-        stats.record(100, 25)
-        stats.record(100, 75)
-        assert stats.calls == 2
-        assert stats.total_rows == 200
-        assert stats.unique_rows == 100
-        assert stats.hit_rate == 0.5
-        assert stats.per_call_rates == [0.75, 0.25]
-
-    def test_empty_batch_recorded_safely(self):
-        stats = DedupStats()
-        stats.record(0, 0)
-        assert stats.hit_rate == 0.0
-        assert stats.per_call_rates == [0.0]
