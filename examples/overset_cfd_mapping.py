@@ -4,8 +4,8 @@
 Synthesises an overset-grid system around an irregular 3-D body (component
 grids with exact lattice point counts and pairwise overlap volumes),
 extracts the Task Interaction Graph exactly as Figure 1 abstracts it, maps
-the grids onto a heterogeneous platform with MaTCH, and simulates a
-multi-iteration CFD solve under the produced mapping.
+the grids onto a heterogeneous platform with MaTCH, and prints which
+resource each grid landed on.
 
 Run:
     python examples/overset_cfd_mapping.py [n_grids] [seed]
@@ -19,7 +19,6 @@ from repro import (
     MappingProblem,
     MatchConfig,
     MatchMapper,
-    IterativeWorkload,
     build_tig,
     generate_overset_scenario,
     generate_resource_graph,
@@ -61,15 +60,7 @@ def main() -> None:
         title="\nMapping the overset system",
     ))
 
-    # 5. Simulate a 50-iteration CFD solve under each mapping, including a
-    #    mild per-step weight drift (grid adaptation between iterations).
-    for name, result in (("MaTCH", match), ("Greedy", greedy)):
-        workload = IterativeWorkload(problem, n_steps=50, drift=0.02, rng=seed)
-        outcome = workload.run(result.assignment)
-        print(f"{name:7s}: 50-step solve takes {outcome.total_time:,.0f} units "
-              f"(mean step {outcome.mean_step:,.0f})")
-
-    # 6. Which grids ended up together? Print the mapping.
+    # 5. Which grids ended up together? Print the mapping.
     mapping = match.mapping(problem)
     placements = [
         (f"grid-{t}", f"r{mapping.resource_of(t)}",

@@ -20,7 +20,6 @@ Package map
   updates, stopping rules, single- and multi-chain engines);
 * :mod:`repro.core` — MaTCH and its distributed variant;
 * :mod:`repro.baselines` — FastMap-GA and auxiliary heuristics;
-* :mod:`repro.simulate` — discrete-event platform simulator;
 * :mod:`repro.stats` — ANOVA, confidence intervals, F/t distributions;
 * :mod:`repro.experiments` — every table/figure of the paper as code.
 """
@@ -46,13 +45,11 @@ from repro.core import (
 )
 from repro.exceptions import (
     ConfigurationError,
-    ConvergenceError,
     ExperimentError,
     GraphError,
     MappingError,
     ReproError,
     SerializationError,
-    SimulationError,
     ValidationError,
 )
 from repro.graphs import (
@@ -73,7 +70,6 @@ from repro.mapping import (
     evaluate_reference,
 )
 from repro.overset import build_tig, generate_overset_scenario
-from repro.simulate import IterativeWorkload, PlatformSimulator
 from repro.stats import one_way_anova, summarize_sample
 
 __all__ = [
@@ -115,9 +111,6 @@ __all__ = [
     "LocalSearchMapper",
     "SimulatedAnnealingMapper",
     "GreedyConstructiveMapper",
-    # simulate
-    "PlatformSimulator",
-    "IterativeWorkload",
     # stats
     "one_way_anova",
     "summarize_sample",
@@ -126,9 +119,7 @@ __all__ = [
     "ValidationError",
     "GraphError",
     "MappingError",
-    "ConvergenceError",
     "ConfigurationError",
-    "SimulationError",
     "ExperimentError",
     "SerializationError",
 ]

@@ -7,9 +7,9 @@ criterion (Fig. 2, step 4) instead watches the elite threshold ``γ``.
 Both are provided, together with an iteration budget and a full-degeneracy
 test, and can be combined with :class:`AnyOf`.
 
-A criterion is an object with ``update(state) -> bool`` (True = stop) and
-``reset()``; ``state`` is the :class:`IterationState` snapshot the
-optimizer publishes each iteration.
+A criterion is an object with ``update(state) -> bool`` (True = stop),
+``reset()`` and a structured ``kind``; ``state`` is the
+:class:`IterationState` snapshot the optimizer publishes each iteration.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "IterationState",
     "StoppingCriterion",
     "RowMaximaStable",
-    "ArgmaxStable",
     "GammaStagnation",
     "MaxIterations",
     "DegenerateMatrix",
@@ -47,10 +46,8 @@ class StopKind(enum.Enum):
     NOT_RUN = "not_run"
     BUDGET = "budget"
     ROW_MAXIMA_STABLE = "row_maxima_stable"
-    ARGMAX_STABLE = "argmax_stable"
     GAMMA_STAGNATION = "gamma_stagnation"
     DEGENERATE = "degenerate"
-    CUSTOM = "custom"
     #: The run was ended from outside the CE engine — an
     #: :class:`repro.runtime.budget.EvaluationBudget` limit or an
     #: interrupt in the surrounding :class:`repro.runtime.loop.SearchLoop`.
@@ -82,9 +79,9 @@ class StoppingCriterion:
         return type(self).__name__
 
     @property
-    def kind(self) -> StopKind:
-        """Structured stop kind; user-defined criteria default to CUSTOM."""
-        return StopKind.CUSTOM
+    def kind(self) -> StopKind:  # pragma: no cover - interface
+        """Structured stop kind of this rule."""
+        raise NotImplementedError
 
     # -- checkpoint support (stateless criteria need no override) ----------
     def export_state(self) -> dict:
@@ -147,55 +144,6 @@ class RowMaximaStable(StoppingCriterion):
     @property
     def kind(self) -> StopKind:
         return StopKind.ROW_MAXIMA_STABLE
-
-
-class ArgmaxStable(StoppingCriterion):
-    """The decoded mapping (per-row argmax) unchanged for ``c`` iterations.
-
-    A discrete, float-robust reading of Eq. (12): once every task's most
-    likely resource has been the same for ``c`` consecutive iterations the
-    matrix has committed to one mapping, even if the probabilities are
-    still creeping towards 1 under smoothing.
-    """
-
-    def __init__(self, c: int = 10) -> None:
-        if c < 1:
-            raise ConfigurationError(f"c must be >= 1, got {c}")
-        self.c = c
-        self._prev: np.ndarray | None = None
-        self._stable = 0
-
-    def update(self, state: IterationState) -> bool:
-        decoded = state.matrix.row_argmax()
-        if self._prev is not None and np.array_equal(decoded, self._prev):
-            self._stable += 1
-        else:
-            self._stable = 0
-        self._prev = decoded
-        return self._stable >= self.c
-
-    def reset(self) -> None:
-        self._prev = None
-        self._stable = 0
-
-    def export_state(self) -> dict:
-        return {
-            "prev": None if self._prev is None else self._prev.tolist(),
-            "stable": self._stable,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        prev = state.get("prev")
-        self._prev = None if prev is None else np.asarray(prev, dtype=np.int64)
-        self._stable = int(state.get("stable", 0))
-
-    @property
-    def reason(self) -> str:
-        return f"decoded mapping stable for {self.c} iterations"
-
-    @property
-    def kind(self) -> StopKind:
-        return StopKind.ARGMAX_STABLE
 
 
 class GammaStagnation(StoppingCriterion):

@@ -29,16 +29,8 @@ class MappingError(ReproError):
     """A task-to-resource mapping is invalid for the given problem instance."""
 
 
-class ConvergenceError(ReproError):
-    """An iterative optimizer failed to converge within its iteration budget."""
-
-
 class ConfigurationError(ReproError, ValueError):
     """An algorithm configuration contains out-of-range or inconsistent values."""
-
-
-class SimulationError(ReproError):
-    """The discrete-event platform simulator reached an inconsistent state."""
 
 
 class ExperimentError(ReproError):
@@ -65,15 +57,6 @@ class FaultInjectionError(ReproError):
     attempt must fail with an exception. Tests and the CI chaos job use it
     to distinguish injected failures from genuine bugs; it never escapes a
     production run because ``REPRO_FAULTS`` is unset there.
-    """
-
-
-class CellTimeoutError(ReproError):
-    """A dispatched cell exceeded its per-attempt deadline.
-
-    Recorded in the salvage manifest when the fault-tolerant dispatcher
-    kills a worker whose cell ran past ``RetryPolicy.cell_timeout`` and the
-    cell has no retries left.
     """
 
 

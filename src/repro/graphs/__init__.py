@@ -1,4 +1,4 @@
-"""Graph substrate: TIGs, resource graphs, synthetic generators, metrics, I/O."""
+"""Graph substrate: TIGs, resource graphs, synthetic generators, JSON I/O."""
 
 from repro.graphs.base import WeightedGraph, canonicalize_edges
 from repro.graphs.clustering import (
@@ -17,9 +17,7 @@ from repro.graphs.generators import (
     generate_resource_graph,
     generate_tig,
 )
-from repro.graphs.lattice import grid_tig, ring_tig
-from repro.graphs.io import graph_from_dict, graph_to_dict, load_graph, save_graph, to_dot
-from repro.graphs.metrics import GraphSummary, load_imbalance_lower_bound, summarize_graph
+from repro.graphs.io import graph_from_dict, graph_to_dict, load_graph, save_graph
 from repro.graphs.random_graphs import (
     ensure_connected_edges,
     gnp_edges,
@@ -53,14 +51,8 @@ __all__ = [
     "random_geometric_edges",
     "random_spanning_tree_edges",
     "ensure_connected_edges",
-    "grid_tig",
-    "ring_tig",
-    "GraphSummary",
-    "summarize_graph",
-    "load_imbalance_lower_bound",
     "graph_to_dict",
     "graph_from_dict",
     "save_graph",
     "load_graph",
-    "to_dot",
 ]

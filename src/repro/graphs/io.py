@@ -1,4 +1,4 @@
-"""Graph persistence: JSON round-trips and Graphviz DOT export.
+"""Graph persistence: versioned JSON round-trips.
 
 The JSON schema is intentionally simple and versioned::
 
@@ -23,7 +23,7 @@ from repro.graphs.resource_graph import ResourceGraph
 from repro.graphs.task_graph import TaskInteractionGraph
 from repro.utils.serialization import dump_json, load_json
 
-__all__ = ["graph_to_dict", "graph_from_dict", "save_graph", "load_graph", "to_dot"]
+__all__ = ["graph_to_dict", "graph_from_dict", "save_graph", "load_graph"]
 
 _SCHEMA = "repro.graph/1"
 
@@ -85,13 +85,3 @@ def load_graph(path: str | Path) -> WeightedGraph:
     """Load a graph written by :func:`save_graph`."""
     return graph_from_dict(load_json(path))
 
-
-def to_dot(graph: WeightedGraph, *, graph_name: str = "G") -> str:
-    """Render the graph as Graphviz DOT text (for visual inspection)."""
-    lines = [f"graph {graph_name} {{"]
-    for i, w in enumerate(graph.node_weights):
-        lines.append(f'  n{i} [label="{i} (w={w:g})"];')
-    for (u, v), w in zip(graph.edges, graph.edge_weights):
-        lines.append(f'  n{u} -- n{v} [label="{w:g}"];')
-    lines.append("}")
-    return "\n".join(lines)

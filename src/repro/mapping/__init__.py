@@ -1,12 +1,5 @@
 """Mapping core: problem instances, the Eq. (1)/(2) cost model, mappings."""
 
-from repro.mapping.analysis import MappingAnalysis, analyze_mapping
-from repro.mapping.bounds import (
-    combined_lower_bound,
-    communication_lower_bound,
-    compute_lower_bound,
-    sorted_matching_bound,
-)
 from repro.mapping.cost_model import (
     CostModel,
     evaluate_reference,
@@ -21,12 +14,6 @@ from repro.mapping.turnaround import TurnaroundRecord
 __all__ = [
     "MappingProblem",
     "problem_key",
-    "MappingAnalysis",
-    "analyze_mapping",
-    "combined_lower_bound",
-    "communication_lower_bound",
-    "compute_lower_bound",
-    "sorted_matching_bound",
     "Mapping",
     "CostModel",
     "evaluate_reference",

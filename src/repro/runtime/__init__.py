@@ -19,13 +19,7 @@ from repro.runtime.checkpoint import (
     CheckpointWriter,
     load_checkpoint,
 )
-from repro.runtime.hooks import (
-    BestCostRecorder,
-    HookList,
-    ProgressLogger,
-    SearchHooks,
-    callback_hook,
-)
+from repro.runtime.hooks import BestCostRecorder, HookList, SearchHooks
 from repro.runtime.loop import STOP_CONVERGED, STOP_INTERRUPTED, LoopOutcome, SearchLoop
 from repro.runtime.registry import (
     SolverSpec,
@@ -48,8 +42,6 @@ __all__ = [
     "SearchHooks",
     "HookList",
     "BestCostRecorder",
-    "ProgressLogger",
-    "callback_hook",
     "CheckpointWriter",
     "CHECKPOINT_FORMAT",
     "load_checkpoint",

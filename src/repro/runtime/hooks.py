@@ -1,7 +1,7 @@
 """Lifecycle hooks: observation without contaminating the measurement.
 
 Everything that used to be inlined into heuristic loops as special cases —
-Fig. 3 trace snapshots, convergence recording, progress logging — is a
+Fig. 3 trace snapshots, convergence recording, run-store events — is a
 :class:`SearchHooks` subclass attached to the
 :class:`~repro.runtime.loop.SearchLoop`. The loop *pauses its stopwatch*
 around every hook call, so arbitrarily expensive observation (plotting,
@@ -23,8 +23,7 @@ order and must not mutate the solver.
 
 from __future__ import annotations
 
-import logging
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.runtime.solver import StepReport
 
@@ -35,12 +34,7 @@ __all__ = [
     "SearchHooks",
     "HookList",
     "BestCostRecorder",
-    "ProgressLogger",
-    "callback_hook",
 ]
-
-logger = logging.getLogger("repro.runtime")
-
 
 class SearchHooks:
     """No-op base class; override any subset of the four lifecycle events."""
@@ -102,57 +96,3 @@ class BestCostRecorder(SearchHooks):
     def on_stop(self, solver: "SearchSolver", kind: str, reason: str) -> None:
         self.stop_kind = kind
         self.stop_reason = reason
-
-
-class ProgressLogger(SearchHooks):
-    """Log search progress through :mod:`logging` (every Nth step + events)."""
-
-    def __init__(self, every: int = 10, level: int = logging.INFO) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.every = every
-        self.level = level
-
-    def on_start(self, solver: "SearchSolver", problem: Any) -> None:
-        logger.log(self.level, "%s: search started", type(solver).__name__)
-
-    def on_iteration(self, solver: "SearchSolver", report: StepReport) -> None:
-        if (report.iteration + 1) % self.every == 0:
-            logger.log(
-                self.level,
-                "%s: iteration %d, best cost %.6g, %d evaluations",
-                type(solver).__name__,
-                report.iteration,
-                report.best_cost,
-                solver.budget.used,
-            )
-
-    def on_improvement(self, solver: "SearchSolver", report: StepReport) -> None:
-        logger.log(
-            self.level,
-            "%s: improved to %.6g at iteration %d",
-            type(solver).__name__,
-            report.best_cost,
-            report.iteration,
-        )
-
-    def on_stop(self, solver: "SearchSolver", kind: str, reason: str) -> None:
-        logger.log(self.level, "%s: stopped (%s): %s", type(solver).__name__, kind, reason)
-
-
-def callback_hook(
-    on_iteration: Callable[["SearchSolver", StepReport], None] | None = None,
-    on_improvement: Callable[["SearchSolver", StepReport], None] | None = None,
-) -> SearchHooks:
-    """Small adapter turning plain callables into a :class:`SearchHooks`."""
-
-    class _CallbackHook(SearchHooks):
-        def on_iteration(self, solver: "SearchSolver", report: StepReport) -> None:
-            if on_iteration is not None:
-                on_iteration(solver, report)
-
-        def on_improvement(self, solver: "SearchSolver", report: StepReport) -> None:
-            if on_improvement is not None:
-                on_improvement(solver, report)
-
-    return _CallbackHook()

@@ -65,6 +65,17 @@ def _check_task_count(n_tasks: int, what: str) -> None:
         )
 
 
+def _wire_int(value: Any, what: str, minimum: int) -> int:
+    """``value`` as a JSON integer ``>= minimum``; floats and bools are rejected.
+
+    Checked at decode so a bad field is an HTTP 400 before quota admission,
+    never a silent truncation or a failure inside a worker.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _decode_array(name: str, value: Any) -> np.ndarray:
     if name in _INDEX_ARRAYS:
         arr = np.asarray(value, dtype=np.int64)
@@ -90,11 +101,9 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
     if "size" in payload:
         from repro.graphs import generate_paper_pair
 
-        size = payload["size"]
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise ValidationError(f"problem.size must be an integer, got {size!r}")
+        size = _wire_int(payload["size"], "problem.size", 1)
         _check_task_count(size, "problem.size")
-        seed = int(payload.get("seed", 2005))
+        seed = _wire_int(payload.get("seed", 2005), "problem.seed", 0)
         pair = generate_paper_pair(size, seed)
         return MappingProblem(pair.tig, pair.resources, require_square=True)
     raise ValidationError(
@@ -108,12 +117,18 @@ def request_from_wire(payload: Mapping[str, Any]) -> MappingRequest:
 
     The solver spec is built once here, so an unknown solver name or a
     parameter its constructor rejects is a :class:`ValidationError` at
-    decode instead of a failed solve after quota admission.
+    decode instead of a failed solve after quota admission. The integer
+    fields (``seed``, ``problem.seed``, ``max_evaluations``) are checked
+    the same way.
     """
     if not isinstance(payload, Mapping):
         raise ValidationError(f"request must be a JSON object, got {type(payload).__name__}")
     if "problem" not in payload:
         raise ValidationError("request is missing the 'problem' field")
+    seed = _wire_int(payload.get("seed", 2005), "seed", 0)
+    max_evaluations = payload.get("max_evaluations")
+    if max_evaluations is not None:
+        max_evaluations = _wire_int(max_evaluations, "max_evaluations", 1)
     problem = problem_from_wire(payload["problem"])
     solver_raw = payload.get("solver") or {"name": "match"}
     if not isinstance(solver_raw, Mapping) or "name" not in solver_raw:
@@ -125,13 +140,12 @@ def request_from_wire(payload: Mapping[str, Any]) -> MappingRequest:
         solver.build()
     except (TypeError, ConfigurationError) as exc:
         raise ValidationError(f"invalid solver {solver}: {exc}") from exc
-    max_evaluations = payload.get("max_evaluations")
     return MappingRequest(
         problem=problem,
         solver=solver,
-        seed=int(payload.get("seed", 2005)),
+        seed=seed,
         client=str(payload.get("client", "anonymous")),
-        max_evaluations=int(max_evaluations) if max_evaluations is not None else None,
+        max_evaluations=max_evaluations,
     )
 
 

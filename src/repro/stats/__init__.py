@@ -1,7 +1,6 @@
 """Statistics substrate: descriptive stats, ANOVA, F/t distributions."""
 
 from repro.stats.anova import AnovaResult, one_way_anova
-from repro.stats.bootstrap import BootstrapCI, bootstrap_ci, bootstrap_mean_difference
 from repro.stats.comparison import SeriesBySize, geometric_mean, improvement_factor
 from repro.stats.descriptive import SampleSummary, summarize_sample
 from repro.stats.distributions import (
@@ -14,9 +13,6 @@ from repro.stats.distributions import (
 
 __all__ = [
     "AnovaResult",
-    "BootstrapCI",
-    "bootstrap_ci",
-    "bootstrap_mean_difference",
     "one_way_anova",
     "SampleSummary",
     "summarize_sample",

@@ -1,4 +1,4 @@
-"""Shared type aliases and protocols used across the :mod:`repro` library.
+"""Shared type aliases used across the :mod:`repro` library.
 
 The library passes around a small set of recurring shapes:
 
@@ -14,7 +14,7 @@ Centralising the aliases keeps signatures short and greppable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -39,22 +39,6 @@ ObjectiveFn = Callable[[AssignmentVector], float]
 
 #: A vectorized objective over a batch, returning one cost per row.
 BatchObjectiveFn = Callable[[AssignmentBatch], CostVector]
-
-
-class SupportsEvaluate(Protocol):
-    """Protocol for objects that can score a single mapping."""
-
-    def evaluate(self, assignment: AssignmentVector) -> float:
-        """Return the scalar cost of ``assignment`` (lower is better)."""
-        ...
-
-
-class SupportsEvaluateBatch(Protocol):
-    """Protocol for objects that can score a batch of mappings at once."""
-
-    def evaluate_batch(self, assignments: AssignmentBatch) -> CostVector:
-        """Return one cost per row of ``assignments`` (lower is better)."""
-        ...
 
 
 def as_assignment(x: Any) -> AssignmentVector:

@@ -8,14 +8,12 @@ import pytest
 from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.ce.stopping import (
     AnyOf,
-    ArgmaxStable,
     DegenerateMatrix,
     GammaStagnation,
     IterationState,
     MaxIterations,
     RowMaximaStable,
     StopKind,
-    StoppingCriterion,
 )
 from repro.exceptions import ConfigurationError
 
@@ -64,27 +62,6 @@ class TestRowMaximaStable:
 
     def test_reason(self):
         assert "Eq. 12" in RowMaximaStable(c=5).reason
-
-
-class TestArgmaxStable:
-    def test_fires_on_stable_decode(self):
-        crit = ArgmaxStable(c=2)
-        m = StochasticMatrix(np.array([[0.6, 0.4], [0.3, 0.7]]))
-        m2 = StochasticMatrix(np.array([[0.7, 0.3], [0.2, 0.8]]))  # same argmax
-        assert not crit.update(state(1, 1.0, m))
-        assert not crit.update(state(2, 1.0, m2))
-        assert crit.update(state(3, 1.0, m))
-
-    def test_resets_on_decode_change(self):
-        crit = ArgmaxStable(c=1)
-        a = StochasticMatrix(np.array([[0.6, 0.4]]))
-        b = StochasticMatrix(np.array([[0.4, 0.6]]))
-        crit.update(state(1, 1.0, a))
-        assert not crit.update(state(2, 1.0, b))
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ArgmaxStable(c=0)
 
 
 class TestGammaStagnation:
@@ -163,20 +140,8 @@ class TestStopKind:
     def test_builtin_criteria_report_their_kind(self):
         assert MaxIterations(1).kind == StopKind.BUDGET
         assert RowMaximaStable(2).kind == StopKind.ROW_MAXIMA_STABLE
-        assert ArgmaxStable(2).kind == StopKind.ARGMAX_STABLE
         assert GammaStagnation(2).kind == StopKind.GAMMA_STAGNATION
         assert DegenerateMatrix().kind == StopKind.DEGENERATE
-
-    def test_custom_criterion_defaults_to_custom(self):
-        class Always(StoppingCriterion):
-            def update(self, s: IterationState) -> bool:
-                return True
-
-            @property
-            def reason(self) -> str:
-                return "always"
-
-        assert Always().kind == StopKind.CUSTOM
 
     def test_anyof_kind_tracks_firing_member(self):
         crit = AnyOf((MaxIterations(2), GammaStagnation(k=50)))

@@ -1,8 +1,7 @@
-"""Tests for graph metrics and JSON/DOT I/O."""
+"""Tests for graph JSON I/O."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import SerializationError
@@ -10,50 +9,12 @@ from repro.graphs import (
     ResourceGraph,
     TaskInteractionGraph,
     WeightedGraph,
-    generate_paper_pair,
     generate_tig,
     graph_from_dict,
     graph_to_dict,
     load_graph,
-    load_imbalance_lower_bound,
     save_graph,
-    summarize_graph,
-    to_dot,
 )
-from repro.mapping import CostModel, MappingProblem
-
-
-class TestSummarize:
-    def test_fields(self):
-        tig = generate_tig(20, 4)
-        s = summarize_graph(tig)
-        assert s.n_nodes == 20
-        assert s.n_edges == tig.n_edges
-        assert 0 < s.density <= 1
-        assert s.connected
-        assert s.degree_max >= s.degree_mean
-
-    def test_edgeless(self):
-        s = summarize_graph(WeightedGraph([1.0, 2.0]))
-        assert s.edge_weight_mean == 0.0 and s.degree_max == 0
-
-
-class TestLowerBound:
-    def test_no_mapping_beats_bound(self):
-        pair = generate_paper_pair(10, 21)
-        problem = MappingProblem(pair.tig, pair.resources)
-        model = CostModel(problem)
-        bound = load_imbalance_lower_bound(
-            pair.tig, float(problem.proc_weights.min())
-        )
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert model.evaluate(rng.permutation(10)) >= bound
-
-    def test_invalid_weight(self):
-        tig = generate_tig(5, 0)
-        with pytest.raises(ValueError):
-            load_imbalance_lower_bound(tig, 0.0)
 
 
 class TestGraphJson:
@@ -103,12 +64,3 @@ class TestGraphJson:
         with pytest.raises(SerializationError):
             graph_from_dict([1, 2, 3])
 
-
-class TestDot:
-    def test_contains_nodes_and_edges(self):
-        g = WeightedGraph([1.5, 2.0], [(0, 1)], [7.0])
-        dot = to_dot(g)
-        assert dot.startswith("graph G {")
-        assert "n0 -- n1" in dot
-        assert 'label="7"' in dot
-        assert dot.endswith("}")

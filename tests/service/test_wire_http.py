@@ -96,6 +96,31 @@ class TestWire:
         with pytest.raises(ValidationError, match="must be an integer"):
             problem_from_wire({"size": size})
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_evaluations": 0},
+            {"max_evaluations": -5},
+            {"max_evaluations": 2.7},
+            {"max_evaluations": True},
+            {"seed": -1},
+            {"seed": 2.7},
+            {"seed": True},
+            {"seed": "7"},
+            {"problem": {"size": 8, "seed": 2.5}},
+            {"problem": {"size": 8, "seed": -1}},
+        ],
+        ids=[
+            "max-evals-zero", "max-evals-negative", "max-evals-float", "max-evals-bool",
+            "seed-negative", "seed-float", "seed-bool", "seed-string",
+            "problem-seed-float", "problem-seed-negative",
+        ],
+    )
+    def test_bad_integer_fields_rejected_at_decode(self, fields):
+        # Never truncated, and never left to fail in admission or a worker.
+        with pytest.raises(ValidationError, match="must be an integer"):
+            request_from_wire({"problem": {"size": 8}, **fields})
+
     def test_size_cap_is_inclusive(self):
         problem = problem_from_wire({"size": MAX_WIRE_TASKS, "seed": 1})
         assert problem.n_tasks == MAX_WIRE_TASKS
@@ -141,6 +166,9 @@ class TestHttp:
                 status5, bogus = await loop.run_in_executor(
                     None, post, {**payload, "solver": {"name": "match", "params": {"bogus": 1}}}
                 )
+                status6, no_evals = await loop.run_in_executor(
+                    None, post, {**payload, "max_evaluations": 0}
+                )
 
                 def raw(request_bytes):
                     with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
@@ -161,11 +189,11 @@ class TestHttp:
                 server.close()
                 await server.wait_closed()
                 stats = service.stats()
-                return (status1, first, status2, second, status3, bad,
-                        status4, oversized, status5, bogus, health, missing, stats)
+                return (status1, first, status2, second, status3, bad, status4, oversized,
+                        status5, bogus, status6, no_evals, health, missing, stats)
 
-        (status1, first, status2, second, status3, bad,
-         status4, oversized, status5, bogus, health, missing, stats) = asyncio.run(main())
+        (status1, first, status2, second, status3, bad, status4, oversized,
+         status5, bogus, status6, no_evals, health, missing, stats) = asyncio.run(main())
 
         assert status1 == 200 and first["status"] == "ok" and not first["cached"]
         assert status2 == 200 and second["cached"]
@@ -175,6 +203,9 @@ class TestHttp:
         assert "at most" in oversized["error"]["message"]
         assert status5 == 400 and bogus["error"]["kind"] == "bad-request"
         assert "bogus" in bogus["error"]["message"]
+        # Rejected before admission: an answer, not a dropped connection.
+        assert status6 == 400 and no_evals["error"]["kind"] == "bad-request"
+        assert "max_evaluations" in no_evals["error"]["message"]
         assert health.startswith(b"HTTP/1.1 200") and b'{"ok": true}' in health
         assert missing.startswith(b"HTTP/1.1 404")
         assert stats["requests"] == 2 and stats["cache_hits"] == 1

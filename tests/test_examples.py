@@ -34,7 +34,7 @@ class TestExamples:
     def test_quickstart(self):
         out = run_example("quickstart.py", "8", "3")
         assert "Mapping quality at n = 8" in out
-        assert "DES replay confirms the analytic cost" in out
+        assert "reference Eq. (2) evaluation confirms the reported cost" in out
 
     def test_ce_convergence(self):
         out = run_example("ce_convergence.py", "8", "3")
@@ -54,8 +54,3 @@ class TestExamples:
         out = run_example("many_to_one_clustering.py", "12", "4", "3")
         assert "Heavy-edge clustering" in out
         assert "Per-resource execution times" in out
-
-    def test_contention_study(self):
-        out = run_example("contention_study.py", "8", "3")
-        assert "Link-contention study at n = 8" in out
-        assert "slowdown" in out

@@ -51,7 +51,6 @@ SUBPACKAGES = [
     "repro.ce",
     "repro.core",
     "repro.baselines",
-    "repro.simulate",
     "repro.stats",
     "repro.experiments",
     "repro.runtime",
