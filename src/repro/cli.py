@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         metavar="S",
         help=(
-            "heartbeat + join deadline in seconds; a silent island is declared "
+            "heartbeat + join deadline in seconds; it must cover one sync "
+            "interval of an island's work; a silent island is declared "
             "dead and its chains replay on survivors (default 60)"
         ),
     )
@@ -772,6 +773,7 @@ def _cmd_island(args: argparse.Namespace) -> int:
         "islands": extras["n_islands"],
         "node failures": extras["node_failures"],
         "replayed agent-rounds": extras["replayed_agent_rounds"],
+        "discarded agent-rounds": extras["discarded_agent_rounds"],
     }
     print(
         render_kv_block(

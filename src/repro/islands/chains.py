@@ -8,6 +8,13 @@ by the island worker's pool cells, and by the deterministic replay that
 heals a lost node — so there is exactly one implementation to diverge from,
 i.e. none.
 
+Islands run a whole sync interval per cell: :func:`run_chain_round` runs
+an agent's rounds up to the next gossip back to back
+(:func:`chain_rounds`) and returns every round's entry, so the coordinator
+can fold them round by round exactly as the simulation's loop would. No
+gossip falls inside an interval, so the chain's arithmetic is the same
+whether its rounds run one per call or many.
+
 Placement independence falls out of the RNG discipline: agent ``k``'s
 stream is the ``k``-th ``SeedSequence`` spawn of the root seed
 (:func:`agent_streams`), which any process can reconstruct from
@@ -40,6 +47,7 @@ __all__ = [
     "DEGENERACY_TOL",
     "agent_streams",
     "chain_round",
+    "chain_rounds",
     "blend_towards",
     "ChainRoundCell",
     "run_chain_round",
@@ -99,13 +107,43 @@ def blend_towards(
     return StochasticMatrix(blended)
 
 
+def chain_rounds(
+    matrix: StochasticMatrix,
+    rng: np.random.Generator,
+    model: CostModel,
+    per_agent: int,
+    rho: float,
+    zeta: float,
+    n_rounds: int,
+) -> list[dict[str, Any]]:
+    """``n_rounds`` consecutive :func:`chain_round` calls with no gossip.
+
+    Returns one entry per round: ``cost``, ``x``, ``gamma`` and whether the
+    matrix is ``degenerate`` after that round's update.
+    """
+    entries: list[dict[str, Any]] = []
+    for _ in range(n_rounds):
+        cost, x, gamma = chain_round(matrix, rng, model, per_agent, rho, zeta)
+        entries.append(
+            {
+                "cost": cost,
+                "x": x,
+                "gamma": gamma,
+                "degenerate": bool(matrix.is_degenerate(tol=DEGENERACY_TOL)),
+            }
+        )
+    return entries
+
+
 @dataclass(frozen=True)
 class ChainRoundCell:
-    """Picklable work unit: one agent's round, shipped to a pool worker.
+    """Picklable work unit: one agent's rounds up to the next sync.
 
     Pure in the cell — the problem comes off the shared plane (or rides
     along on the serial path), the matrix and the RNG position are explicit
-    state, so a retry or a replay on any worker is bit-identical.
+    state, so a retry or a replay on any worker is bit-identical. No gossip
+    falls inside the cell: the coordinator only asks for intervals that
+    end on a sync round (or the run's last round).
     """
 
     problem_ref: ProblemRef
@@ -114,25 +152,23 @@ class ChainRoundCell:
     per_agent: int
     rho: float
     zeta: float
+    n_rounds: int
 
 
 def run_chain_round(cell: ChainRoundCell) -> dict[str, Any]:
-    """Top-level (picklable) pool entry: run one :class:`ChainRoundCell`."""
+    """Top-level (picklable) pool entry: run one :class:`ChainRoundCell`.
+
+    Returns the final ``matrix`` and ``rng_state`` plus ``rounds``, one
+    :func:`chain_rounds` entry per round.
+    """
     problem = resolve_problem(cell.problem_ref)
     model = CostModel(problem)
     matrix = StochasticMatrix(np.asarray(cell.matrix, dtype=np.float64))
     rng = generator_from_state(dict(cell.rng_state))
-    cost, x, gamma = chain_round(
-        matrix, rng, model, cell.per_agent, cell.rho, cell.zeta
+    rounds = chain_rounds(
+        matrix, rng, model, cell.per_agent, cell.rho, cell.zeta, cell.n_rounds
     )
-    return {
-        "matrix": matrix.values,
-        "rng_state": generator_state(rng),
-        "cost": cost,
-        "x": x,
-        "gamma": gamma,
-        "degenerate": bool(matrix.is_degenerate(tol=DEGENERACY_TOL)),
-    }
+    return {"matrix": matrix.values, "rng_state": generator_state(rng), "rounds": rounds}
 
 
 @dataclass(frozen=True)
@@ -150,17 +186,14 @@ class SyncRecord:
 
 
 class ChainState:
-    """One live agent chain: matrix, RNG position, best-so-far."""
+    """One live agent chain: matrix, RNG position, degeneracy flag."""
 
-    __slots__ = ("index", "matrix", "rng_state", "best_cost", "best_x", "last_gamma", "degenerate", "last_sync")
+    __slots__ = ("index", "matrix", "rng_state", "degenerate", "last_sync")
 
     def __init__(self, index: int, n_t: int, n_r: int, rng: np.random.Generator) -> None:
         self.index = index
         self.matrix = StochasticMatrix.uniform(n_t, n_r)
         self.rng_state = generator_state(rng)
-        self.best_cost = float("inf")
-        self.best_x = np.zeros(n_t, dtype=np.int64)
-        self.last_gamma = float("inf")
         self.degenerate = False
         #: Highest sync round whose gossip blend this chain has applied —
         #: makes a re-broadcast gossip (heal path) idempotent per agent.
@@ -179,47 +212,37 @@ def replay_chain(
     gossip_weight: float,
     history: Sequence[SyncRecord],
     through_round: int,
-) -> tuple[ChainState, dict[str, Any] | None]:
+) -> tuple[ChainState, dict[int, dict[str, Any]]]:
     """Deterministically rebuild agent ``agent_index`` after a node loss.
 
     Replays rounds ``1..through_round`` from the root seed, applying every
     recorded gossip blend at its original round (skipped when this agent
     *was* the leader, exactly as live chains skip it). Returns the rebuilt
-    :class:`ChainState` plus the final round's report entry
-    (``cost``/``x``/``gamma``/``degenerate``) — the coordinator folds that
-    into the interrupted round as if the dead node had answered. The second
-    element is ``None`` when ``through_round`` is 0 (death before any
-    round completed).
+    :class:`ChainState` plus every round's report entry
+    (``cost``/``x``/``gamma``/``degenerate``, keyed by round; a sync
+    round's ``degenerate`` is read after its blend) — the coordinator folds
+    the lost interval's entries as if the dead node had answered. The
+    reports are empty when ``through_round`` is 0 (death before any round
+    completed).
     """
     n_t, n_r = problem.n_tasks, problem.n_resources
     rng = agent_streams(root_seed, n_agents)[agent_index]
     state = ChainState(agent_index, n_t, n_r, rng)
     by_round = {record.round: record for record in history}
-    last_report: dict[str, Any] | None = None
+    reports: dict[int, dict[str, Any]] = {}
     for r in range(1, through_round + 1):
-        cost, x, gamma = chain_round(
-            state.matrix, rng, model, per_agent, rho, zeta
-        )
-        state.last_gamma = gamma
-        if cost < state.best_cost:
-            state.best_cost = cost
-            state.best_x = x.copy()
-        state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
+        (entry,) = chain_rounds(state.matrix, rng, model, per_agent, rho, zeta, 1)
         record = by_round.get(r)
         if record is not None:
             if record.leader != agent_index:
                 state.matrix = blend_towards(
                     state.matrix, record.matrix, gossip_weight
                 )
-                state.degenerate = bool(
+                entry["degenerate"] = bool(
                     state.matrix.is_degenerate(tol=DEGENERACY_TOL)
                 )
             state.last_sync = r
-        last_report = {
-            "cost": cost,
-            "x": x,
-            "gamma": gamma,
-            "degenerate": state.degenerate,
-        }
+        state.degenerate = entry["degenerate"]
+        reports[r] = entry
     state.rng_state = generator_state(rng)
-    return state, last_report
+    return state, reports

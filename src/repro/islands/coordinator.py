@@ -3,14 +3,25 @@
 The coordinator owns everything *global* about a distributed MaTCH run:
 it shards the per-round sample budget across agents exactly as the
 sequential simulation does (``per_agent = max(2, total // n_agents)``, so
-the run stays compute-fair against a monolithic solve), drives islands in
-lockstep rounds, elects the gossip leader (minimum best cost, ties to the
-lowest agent index — the same ``min()`` the simulation runs), and applies
-the simulation's stopping rules. Because every number an agent draws
-depends only on the root seed and the agent index
-(:mod:`repro.islands.chains`), the coordinator's result is **bit-identical
-to the sequential** :class:`~repro.core.distributed.DistributedMatchMapper`
-for the same seeds, however the agents are placed.
+the run stays compute-fair against a monolithic solve), elects the gossip
+leader (minimum best cost, ties to the lowest agent index — the same
+``min()`` the simulation runs), and applies the simulation's stopping
+rules.
+
+Islands are driven one *interval* at a time, not one round: an interval
+runs up to the next sync round (or ``max_rounds``), so no gossip falls
+inside it and each island computes it unbroken, then sends one report
+holding every round's entries. The coordinator folds those entries round
+by round with the simulation's agent order, gossip and stop logic, and
+discards the rounds an island computed past the stop
+(``discarded_agent_rounds``). Every reply is validated before it is
+folded; a malformed one is a protocol violation that loses the node.
+
+Because every number an agent draws depends only on the root seed and the
+agent index (:mod:`repro.islands.chains`), the coordinator's result is
+**bit-identical to the sequential**
+:class:`~repro.core.distributed.DistributedMatchMapper` for the same
+seeds, however the agents are placed.
 
 Node loss extends the execution fabric's heal ladder one level up. Inside
 an island a dead *worker* is healed by ``map_salvage`` (retry → respawn →
@@ -26,6 +37,7 @@ healed run returns the same bytes a failure-free run would have.
 
 from __future__ import annotations
 
+import math
 import socket
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -38,7 +50,7 @@ from repro.islands.chains import (
     ChainState,
     SyncRecord,
     blend_towards,
-    chain_round,
+    chain_rounds,
     replay_chain,
 )
 from repro.mapping.cost_model import CostModel
@@ -55,6 +67,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # here to keep the package import acyclic.
 
 __all__ = ["IslandCoordinator", "run_loopback", "shard_agents"]
+
+#: Per-round report entries of one interval: ``{round: {agent: entry}}``.
+_Rounds = dict[int, dict[int, dict[str, Any]]]
+
+
+def _merge(into: _Rounds, rounds: _Rounds) -> None:
+    for r, by_agent in rounds.items():
+        into[r].update(by_agent)
 
 
 def shard_agents(n_agents: int, n_islands: int) -> list[list[int]]:
@@ -114,15 +134,18 @@ class IslandCoordinator:
         Islands that must join before the run starts.
     heartbeat_timeout:
         Seconds an island may stay silent when a frame is owed before it
-        is declared dead (the node-tier heartbeat deadline). ``None``
-        waits forever — only sensible in tests.
+        is declared dead (the node-tier heartbeat deadline). An island
+        owes its report only after computing a whole interval, so the
+        deadline must cover ``sync_every`` rounds of its agents' work.
+        ``None`` waits forever — only sensible in tests.
     accept_timeout:
         Seconds to wait for all islands to join.
     run:
         Optional run handle; node losses and heals are logged as
         structured events (the failure manifest).
     round_hook:
-        Test hook called with the round number before each round.
+        Test hook called with each round number of an interval before the
+        interval is sent to the islands.
     """
 
     def __init__(
@@ -245,10 +268,10 @@ class IslandCoordinator:
             try:
                 island_wire.send_frame(conn.sock, payload)
             except (OSError, FrameError) as exc:
-                self._mark_dead(conn, 0, "node-death", f"job send failed: {exc}")
+                self._mark_dead(conn, 0, 0, "node-death", f"job send failed: {exc}")
         if not self._alive():
             # Every island died before round 1: the run is fully local.
-            self._go_local(0, include_sync_r=False)
+            self._go_local(1, 0)
 
     def _drive(self) -> dict[str, Any]:
         cfg = self.config
@@ -264,42 +287,54 @@ class IslandCoordinator:
         prev_global = float("inf")
         rounds = 0
         n_syncs = 0
+        discarded = 0
+        stopped = False
 
-        for r in range(1, cfg.max_rounds + 1):
-            rounds = r
+        while not stopped and rounds < cfg.max_rounds:
+            # One interval: every round up to the next sync (or the last
+            # round). No gossip falls inside it, so islands run it unbroken.
+            first = rounds + 1
+            through = min(cfg.max_rounds, -(-first // cfg.sync_every) * cfg.sync_every)
             if self.round_hook is not None:
-                self.round_hook(r)
-            entries = self._phase_round(r)
-            # Fold in agent index order — the simulation updates the global
-            # incumbent inside its agent loop, so strict-improvement order
-            # is part of the bit-for-bit contract.
-            for g in range(n_agents):
-                entry = entries[g]
-                cost = float(entry["cost"])
-                if cost < agent_best[g]:
-                    agent_best[g] = cost
-                    agent_best_x[g] = np.asarray(entry["x"], dtype=np.int64)
-                agent_degenerate[g] = bool(entry["degenerate"])
-                if agent_best[g] < global_best:
-                    global_best = agent_best[g]
-                    global_x = agent_best_x[g].copy()
+                for r in range(first, through + 1):
+                    self.round_hook(r)
+            interval = self._phase_interval(first, through)
+            for r in range(first, through + 1):
+                rounds = r
+                entries = interval[r]
+                # Fold in agent index order — the simulation updates the
+                # global incumbent inside its agent loop, so
+                # strict-improvement order is part of the bit-for-bit
+                # contract.
+                for g in range(n_agents):
+                    entry = entries[g]
+                    cost = entry["cost"]
+                    if cost < agent_best[g]:
+                        agent_best[g] = cost
+                        agent_best_x[g] = np.asarray(entry["x"], dtype=np.int64)
+                    agent_degenerate[g] = entry["degenerate"]
+                    if agent_best[g] < global_best:
+                        global_best = agent_best[g]
+                        global_x = agent_best_x[g].copy()
 
-            if n_agents > 1 and r % cfg.sync_every == 0:
-                leader = min(range(n_agents), key=lambda g: (agent_best[g], g))
-                flags = self._phase_gossip(r, leader)
-                for g, flag in flags.items():
-                    agent_degenerate[g] = flag
-                n_syncs += 1
+                if n_agents > 1 and r % cfg.sync_every == 0:
+                    leader = min(range(n_agents), key=lambda g: (agent_best[g], g))
+                    flags = self._phase_gossip(r, leader)
+                    for g, flag in flags.items():
+                        agent_degenerate[g] = flag
+                    n_syncs += 1
 
-            if abs(global_best - prev_global) <= 1e-9:
-                stagnant += 1
-            else:
-                stagnant = 0
-            prev_global = global_best
-            if stagnant >= cfg.gamma_window:
-                break
-            if all(agent_degenerate):
-                break
+                if abs(global_best - prev_global) <= 1e-9:
+                    stagnant += 1
+                else:
+                    stagnant = 0
+                prev_global = global_best
+                if stagnant >= cfg.gamma_window or all(agent_degenerate):
+                    # The interval's later rounds were computed but the
+                    # simulation never runs them: discard, and count them.
+                    stopped = True
+                    discarded = (through - r) * n_agents
+                    break
 
         n_evals = rounds * n_agents * self.per_agent
         result = {
@@ -314,69 +349,67 @@ class IslandCoordinator:
                 "n_islands": self.n_islands,
                 "node_failures": len(self._failures),
                 "replayed_agent_rounds": self._replayed_rounds,
+                "discarded_agent_rounds": discarded,
                 "finished_locally": self._local_chains is not None,
             },
         }
         self._event("islands-run-completed", **result["extras"], best_cost=result["best_cost"])
         return result
 
-    # -- phase: one CE round ------------------------------------------------
-    def _phase_round(self, r: int) -> dict[int, dict[str, Any]]:
+    # -- phase: one interval of CE rounds -------------------------------------
+    def _phase_interval(self, first: int, through: int) -> _Rounds:
         if self._local_chains is not None:
-            return self._local_round(r)
-        entries: dict[int, dict[str, Any]] = {}
+            return self._local_interval(first, through)
+        rounds: _Rounds = {r: {} for r in range(first, through + 1)}
         sent: list[_IslandConn] = []
         for conn in self._alive():
             try:
-                island_wire.send_frame(conn.sock, {"type": "round", "round": r})
+                island_wire.send_frame(
+                    conn.sock, {"type": "round", "round": first, "through": through}
+                )
                 sent.append(conn)
             except (OSError, FrameError) as exc:
-                self._mark_dead(conn, r, "node-death", f"round send failed: {exc}")
+                self._mark_dead(conn, first, through, "node-death", f"round send failed: {exc}")
         for conn in sent:
             if not conn.alive:
                 continue
             try:
                 msg = self._expect(conn, "report")
+                _merge(rounds, self._check_rounds(msg, first, through, self._agents_of(conn)))
             except _PeerLost as exc:
-                self._mark_dead(conn, r, exc.kind, str(exc))
-                continue
-            for key, entry in msg.get("agents", {}).items():
-                entries[int(key)] = entry
-        missing = [g for g in range(self.config.n_agents) if g not in entries]
-        if missing:
+                self._mark_dead(conn, first, through, exc.kind, str(exc))
+        if len(rounds[first]) < self.config.n_agents:
             try:
-                entries.update(self._heal(r, include_sync_r=False))
+                _merge(rounds, self._heal(first, through))
             except _AllIslandsLost:
-                return self._go_local(r, include_sync_r=False)
-        return entries
+                return self._go_local(first, through)
+        return rounds
 
     # -- phase: gossip ------------------------------------------------------
     def _phase_gossip(self, r: int, leader: int) -> dict[int, bool]:
-        cfg = self.config
         if self._local_chains is not None:
             return self._local_gossip(r, leader)
         # Fetch the leader's matrix (retrying across heals: the replayed
         # leader has a bit-identical matrix wherever it lands).
         while True:
-            owner = self._islands.get(self._owner[leader])
-            if owner is None or not owner.alive:
+            owner = self._islands[self._owner[leader]]
+            if not owner.alive:
                 try:
-                    self._heal(r, include_sync_r=False)
+                    self._heal(r, r)
                 except _AllIslandsLost:
-                    self._go_local(r, include_sync_r=False)
+                    self._go_local(r, r)
                     return self._local_gossip(r, leader)
                 continue
             try:
                 island_wire.send_frame(
                     owner.sock, {"type": "matrix-request", "agent": leader}
                 )
-                msg = self._expect(owner, "matrix")
-                leader_matrix = island_wire.decode_matrix(msg["matrix"])
+                leader_matrix = self._check_matrix(self._expect(owner, "matrix"), leader)
                 break
             except _PeerLost as exc:
-                self._mark_dead(owner, r, exc.kind, str(exc))
+                self._mark_dead(owner, r, r, exc.kind, str(exc))
             except (OSError, FrameError) as exc:
-                self._mark_dead(owner, r, "node-death", f"matrix request failed: {exc}")
+                self._mark_dead(owner, r, r, "node-death", f"matrix request failed: {exc}")
 
         self._history.append(SyncRecord(round=r, leader=leader, matrix=leader_matrix))
         self._history_wire.append(
@@ -399,48 +432,45 @@ class IslandCoordinator:
                 island_wire.send_frame(conn.sock, gossip)
                 sent.append(conn)
             except (OSError, FrameError) as exc:
-                self._mark_dead(conn, r, "node-death", f"gossip send failed: {exc}")
+                self._mark_dead(conn, r, r, "node-death", f"gossip send failed: {exc}")
         for conn in sent:
             if not conn.alive:
                 continue
             try:
                 msg = self._expect(conn, "gossip-ok")
+                flags.update(self._check_flags(msg, self._agents_of(conn)))
             except _PeerLost as exc:
-                self._mark_dead(conn, r, exc.kind, str(exc))
-                continue
-            for key, flag in msg.get("degenerate", {}).items():
-                flags[int(key)] = bool(flag)
-        missing = [g for g in range(cfg.n_agents) if g not in flags]
-        if missing:
+                self._mark_dead(conn, r, r, exc.kind, str(exc))
+        if len(flags) < self.config.n_agents:
             # Replays include round r's gossip record, so adopted chains
-            # come back post-blend; their flags ride on the adopt reply.
+            # come back post-blend and so do their round-r flags.
             try:
-                healed = self._heal(r, include_sync_r=True)
+                healed = self._heal(r, r)[r]
             except _AllIslandsLost:
-                self._go_local(r, include_sync_r=True)
-                chains = self._local_chains
-                assert chains is not None
-                return {g: chains[g][0].degenerate for g in chains}
+                healed = self._go_local(r, r)[r]
             for g, entry in healed.items():
-                flags[g] = bool(entry["degenerate"])
+                flags[g] = entry["degenerate"]
         return flags
 
     # -- node-loss healing --------------------------------------------------
-    def _heal(self, r: int, *, include_sync_r: bool) -> dict[int, dict[str, Any]]:
-        """Re-shard every orphaned chain onto survivors; return their round
-        ``r`` report entries (replayed, bit-identical to the lost answers)."""
-        entries: dict[int, dict[str, Any]] = {}
-        history = [
-            h for h in self._history_wire
-            if h["round"] < r or (include_sync_r and h["round"] == r)
-        ]
+    def _heal(self, first: int, through: int) -> _Rounds:
+        """Re-shard every orphaned chain onto survivors; return their entries
+        for rounds ``first..through`` (replayed, bit-identical to the lost
+        answers).
+
+        The replay applies every recorded gossip — when a sync round's
+        gossip is already recorded, the orphan comes back post-blend, like
+        the survivors that applied it live.
+        """
+        rounds: _Rounds = {r: {} for r in range(first, through + 1)}
+        history = self._history_wire
         while True:
             orphans = sorted(
                 g for g, island_id in self._owner.items()
                 if not self._islands[island_id].alive
             )
             if not orphans:
-                return entries
+                return rounds
             survivors = self._alive()
             if not survivors:
                 raise _AllIslandsLost()
@@ -457,81 +487,80 @@ class IslandCoordinator:
                         {
                             "type": "adopt",
                             "agents": agents,
-                            "through_round": r,
+                            "from_round": first,
+                            "through_round": through,
                             "history": history,
                         },
                     )
                     msg = self._expect(conn, "adopted")
+                    adopted = self._check_rounds(msg, first, through, agents)
                 except _PeerLost as exc:
-                    self._mark_dead(conn, r, exc.kind, str(exc))
+                    self._mark_dead(conn, first, through, exc.kind, str(exc))
                     continue
                 except (OSError, FrameError) as exc:
-                    self._mark_dead(conn, r, "node-death", f"adopt failed: {exc}")
+                    self._mark_dead(conn, first, through, "node-death", f"adopt failed: {exc}")
                     continue
                 for g in agents:
                     self._owner[g] = conn.id
-                for key, entry in msg.get("agents", {}).items():
-                    entries[int(key)] = entry
-                self._replayed_rounds += len(agents) * r
+                _merge(rounds, adopted)
+                self._replayed_rounds += len(agents) * through
                 self._event(
                     "island-adopted",
                     island=conn.id,
                     agents=agents,
-                    through_round=r,
+                    from_round=first,
+                    through_round=through,
                     replayed_gossips=len(history),
                 )
 
-    def _go_local(self, r: int, *, include_sync_r: bool) -> dict[int, dict[str, Any]]:
+    def _go_local(self, first: int, through: int) -> _Rounds:
         """Last heal rung: no islands left — replay everything in-process.
 
         The node-tier analogue of the dispatcher's serial tail: the
         coordinator rebuilds every chain from the root seed and the gossip
-        history, then finishes the remaining rounds itself. Returns round
-        ``r``'s entries (empty when ``r`` is 0 — nothing ran yet).
+        history through round ``through``, then finishes the remaining
+        rounds itself. Returns the entries for rounds ``first..through``
+        (none when ``through`` is 0 — nothing ran yet).
         """
         cfg = self.config
-        history = [
-            h for h in self._history
-            if h.round < r or (include_sync_r and h.round == r)
-        ]
+        history = list(self._history)
         chains: dict[int, tuple[ChainState, np.random.Generator]] = {}
-        entries: dict[int, dict[str, Any]] = {}
+        rounds: _Rounds = {r: {} for r in range(first, through + 1)}
         for g in range(cfg.n_agents):
-            state, last_report = replay_chain(
+            state, reports = replay_chain(
                 self.problem, self._model, self.seed, cfg.n_agents, g,
                 self.per_agent, cfg.rho, cfg.zeta, cfg.gossip_weight,
-                history, r,
+                history, through,
             )
             chains[g] = (state, generator_from_state(state.rng_state))
-            if last_report is not None:
-                entries[g] = last_report
-            self._replayed_rounds += r
+            for r in rounds:
+                rounds[r][g] = reports[r]
+            self._replayed_rounds += through
         self._local_chains = chains
         self._event(
             "islands-degraded-local",
-            through_round=r,
+            from_round=first,
+            through_round=through,
             replayed_gossips=len(history),
             n_agents=cfg.n_agents,
         )
-        return entries
+        return rounds
 
-    def _local_round(self, r: int) -> dict[int, dict[str, Any]]:
+    def _local_interval(self, first: int, through: int) -> _Rounds:
         cfg = self.config
         chains = self._local_chains
         assert chains is not None
-        entries: dict[int, dict[str, Any]] = {}
+        rounds: _Rounds = {r: {} for r in range(first, through + 1)}
         for g in sorted(chains):
             state, rng = chains[g]
-            cost, x, gamma = chain_round(
-                state.matrix, rng, self._model, self.per_agent, cfg.rho, cfg.zeta
+            entries = chain_rounds(
+                state.matrix, rng, self._model, self.per_agent,
+                cfg.rho, cfg.zeta, through - first + 1,
             )
-            state.last_gamma = gamma
-            if cost < state.best_cost:
-                state.best_cost = cost
-                state.best_x = x.copy()
-            state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
-            entries[g] = {"cost": cost, "x": x, "gamma": gamma, "degenerate": state.degenerate}
-        return entries
+            state.degenerate = entries[-1]["degenerate"]
+            for r, entry in enumerate(entries, start=first):
+                rounds[r][g] = entry
+        return rounds
 
     def _local_gossip(self, r: int, leader: int) -> dict[int, bool]:
         cfg = self.config
@@ -580,7 +609,94 @@ class IslandCoordinator:
             )
         return msg
 
-    def _mark_dead(self, conn: _IslandConn, r: int, kind: str, message: str) -> None:
+    def _agents_of(self, conn: _IslandConn) -> list[int]:
+        return sorted(g for g, owner in self._owner.items() if owner == conn.id)
+
+    def _check_rounds(
+        self, msg: dict[str, Any], first: int, through: int, agents: list[int]
+    ) -> _Rounds:
+        """Validate a ``report``/``adopted`` reply's per-round entries.
+
+        The round keys must be exactly the interval and each round's agent
+        keys exactly ``agents``; any defect is a protocol violation.
+        """
+        rounds = msg.get("rounds")
+        if not isinstance(rounds, dict) or set(rounds) != {
+            str(r) for r in range(first, through + 1)
+        }:
+            raise _PeerLost(
+                "node-protocol", f"{msg.get('type')} must cover rounds {first}..{through}"
+            )
+        want = {str(g) for g in agents}
+        out: _Rounds = {}
+        for key, by_agent in rounds.items():
+            if not isinstance(by_agent, dict) or set(by_agent) != want:
+                raise _PeerLost(
+                    "node-protocol", f"round {key} must carry exactly agents {agents}"
+                )
+            out[int(key)] = {
+                int(g): self._check_entry(entry, key, g) for g, entry in by_agent.items()
+            }
+        return out
+
+    def _check_entry(self, entry: Any, r: str, g: str) -> dict[str, Any]:
+        n_t, n_r = self.problem.n_tasks, self.problem.n_resources
+        if not isinstance(entry, dict):
+            raise _PeerLost("node-protocol", f"round {r} agent {g}: entry is not an object")
+        cost, x, degenerate = entry.get("cost"), entry.get("x"), entry.get("degenerate")
+        if not isinstance(cost, float) or not math.isfinite(cost):
+            raise _PeerLost("node-protocol", f"round {r} agent {g}: cost {cost!r} is not a finite float")
+        if not (
+            isinstance(x, list)
+            and len(x) == n_t
+            and all(type(v) is int and 0 <= v < n_r for v in x)
+            and len(set(x)) == n_t
+        ):
+            raise _PeerLost(
+                "node-protocol",
+                f"round {r} agent {g}: x must hold {n_t} distinct ints in [0, {n_r})",
+            )
+        if not isinstance(degenerate, bool):
+            raise _PeerLost("node-protocol", f"round {r} agent {g}: degenerate is not a bool")
+        return {"cost": cost, "x": x, "degenerate": degenerate}
+
+    def _check_flags(self, msg: dict[str, Any], agents: list[int]) -> dict[int, bool]:
+        """Validate a ``gossip-ok`` reply: one bool flag per owned agent."""
+        flags = msg.get("degenerate")
+        if (
+            not isinstance(flags, dict)
+            or set(flags) != {str(g) for g in agents}
+            or not all(isinstance(f, bool) for f in flags.values())
+        ):
+            raise _PeerLost(
+                "node-protocol", f"gossip-ok must carry one bool flag for each of {agents}"
+            )
+        return {int(g): f for g, f in flags.items()}
+
+    def _check_matrix(self, msg: dict[str, Any], leader: int) -> np.ndarray:
+        """Validate a ``matrix`` reply: the leader's finite float64 P."""
+        shape = (self.problem.n_tasks, self.problem.n_resources)
+        try:
+            matrix = island_wire.decode_matrix(msg.get("matrix"))
+        except FrameError as exc:
+            raise _PeerLost("node-protocol", f"matrix: {exc}") from exc
+        if (
+            msg.get("agent") != leader
+            or matrix.dtype != np.float64
+            or matrix.shape != shape
+            or not np.isfinite(matrix).all()
+        ):
+            raise _PeerLost(
+                "node-protocol",
+                f"matrix for agent {leader} must be finite float64 of shape {shape}",
+            )
+        return matrix
+
+    def _mark_dead(
+        self, conn: _IslandConn, first: int, through: int, kind: str, message: str
+    ) -> None:
+        """Close ``conn`` and write its ``node-lost`` manifest; ``first`` and
+        ``through`` name the rounds whose answers were lost."""
         if not conn.alive:
             return
         conn.alive = False
@@ -588,14 +704,14 @@ class IslandCoordinator:
             conn.sock.close()
         except OSError:  # pragma: no cover - close is best-effort
             pass
-        agents = sorted(g for g, owner in self._owner.items() if owner == conn.id)
         manifest = {
             "island": conn.id,
             "name": conn.name,
             "pid": conn.pid,
-            "round": r,
+            "round": first,
+            "through_round": through,
             "kind": kind,
-            "agents": agents,
+            "agents": self._agents_of(conn),
             "message": message,
             "survivors": [c.id for c in self._alive()],
         }

@@ -2,13 +2,16 @@
 
 An island dials the coordinator, announces itself, and receives a *job*
 frame — the problem (service wire format), the distributed config, the
-root seed and its slice of the agent indices. From then on it is a lockstep
-protocol follower: each ``round`` frame runs one CE round for every local
-agent through the island's own :class:`~repro.utils.parallel.WorkerPool`
+root seed and its slice of the agent indices. From then on it follows the
+coordinator's interval protocol: each ``round`` frame names an interval
+(``round`` … ``through``) that ends on a sync round or the run's last
+round, and the island runs every local agent through all of it in one
+cell per agent on its own :class:`~repro.utils.parallel.WorkerPool`
 (``map_salvage``, so a dead pool worker heals *inside* the island before
-the coordinator ever notices), ``gossip`` frames blend local matrices
-towards the leader, and ``adopt`` frames re-home a dead node's chains by
-deterministic replay.
+the coordinator ever notices). One ``report`` then carries every round's
+entries. ``gossip`` frames blend local matrices towards the leader, and
+``adopt`` frames re-home a dead node's chains by deterministic replay,
+answering with the lost interval's entries.
 
 The island is deliberately stateless about the global run: best-so-far
 tracking, leader election, stopping and budget sharding all live in the
@@ -44,9 +47,18 @@ __all__ = ["IslandWorker", "run_island"]
 
 
 def _chain_weight(cell: ChainRoundCell) -> float:
-    """LPT weight for a round cell: scoring cost ~ samples x n²."""
+    """LPT weight for a chain cell: scoring cost ~ rounds x samples x n²."""
     n_t = int(cell.matrix.shape[0])
-    return float(cell.per_agent) * float(n_t) * float(n_t)
+    return float(cell.n_rounds) * float(cell.per_agent) * float(n_t) * float(n_t)
+
+
+def _wire_entry(entry: dict[str, Any]) -> dict[str, Any]:
+    """One agent-round as the coordinator folds it (``gamma`` stays home)."""
+    return {
+        "cost": float(entry["cost"]),
+        "x": [int(v) for v in entry["x"]],
+        "degenerate": bool(entry["degenerate"]),
+    }
 
 
 class IslandWorker:
@@ -63,10 +75,9 @@ class IslandWorker:
         self.address = address
         self.n_workers = n_workers
         self.name = name or f"island-{os.getpid()}"
-        #: Test hook: called with the round number before each round runs.
+        #: Test hook: called with each round number of an interval before
+        #: the interval runs.
         self.on_round = on_round
-        self.rounds_run = 0
-        self.agents_adopted = 0
 
     # -- lifecycle ---------------------------------------------------------
     def run(self) -> None:
@@ -110,7 +121,7 @@ class IslandWorker:
                 msg = island_wire.recv_frame(sock)
                 kind = msg.get("type")
                 if kind == "round":
-                    self._run_round(sock, pool, ref, msg, chains, per_agent, rho, zeta)
+                    self._run_interval(sock, pool, ref, msg, chains, per_agent, rho, zeta)
                 elif kind == "matrix-request":
                     g = int(msg["agent"])
                     if g not in chains:
@@ -136,7 +147,7 @@ class IslandWorker:
                 else:
                     raise IslandError(f"unknown frame type from coordinator: {kind!r}")
 
-    def _run_round(
+    def _run_interval(
         self,
         sock: socket.socket,
         pool: WorkerPool,
@@ -147,9 +158,10 @@ class IslandWorker:
         rho: float,
         zeta: float,
     ) -> None:
-        r = int(msg["round"])
+        first, through = int(msg["round"]), int(msg["through"])
         if self.on_round is not None:
-            self.on_round(r)
+            for r in range(first, through + 1):
+                self.on_round(r)
         order = sorted(chains)
         cells = [
             ChainRoundCell(
@@ -159,6 +171,7 @@ class IslandWorker:
                 per_agent=per_agent,
                 rho=rho,
                 zeta=zeta,
+                n_rounds=through - first + 1,
             )
             for g in order
         ]
@@ -171,27 +184,20 @@ class IslandWorker:
                 f"agent {order[f.index]}: {f.kind} after {f.attempts} attempts"
                 for f in report.failures
             )
-            raise IslandError(f"round {r} lost {len(report.failures)} chain(s): {detail}")
-        agents_payload: dict[str, Any] = {}
+            raise IslandError(
+                f"rounds {first}..{through} lost {len(report.failures)} chain(s): {detail}"
+            )
+        rounds: dict[str, dict[str, Any]] = {str(r): {} for r in range(first, through + 1)}
         for g, outcome in zip(order, report.results):
             state = chains[g]
             state.matrix = StochasticMatrix(outcome["matrix"])
             state.rng_state = outcome["rng_state"]
-            state.last_gamma = float(outcome["gamma"])
-            state.degenerate = bool(outcome["degenerate"])
-            cost = float(outcome["cost"])
-            if cost < state.best_cost:
-                state.best_cost = cost
-                state.best_x = outcome["x"].copy()
-            agents_payload[str(g)] = {
-                "cost": cost,
-                "x": [int(v) for v in outcome["x"]],
-                "gamma": float(outcome["gamma"]),
-                "degenerate": bool(outcome["degenerate"]),
-            }
-        self.rounds_run += 1
+            state.degenerate = bool(outcome["rounds"][-1]["degenerate"])
+            for r, entry in enumerate(outcome["rounds"], start=first):
+                rounds[str(r)][str(g)] = _wire_entry(entry)
         island_wire.send_frame(
-            sock, {"type": "report", "round": r, "agents": agents_payload}
+            sock,
+            {"type": "report", "round": first, "through": through, "rounds": rounds},
         )
 
     def _apply_gossip(
@@ -238,7 +244,8 @@ class IslandWorker:
         zeta: float,
         gossip_weight: float,
     ) -> None:
-        through_round = int(msg["through_round"])
+        first = int(msg["from_round"])
+        through = int(msg["through_round"])
         history = [
             SyncRecord(
                 round=int(h["round"]),
@@ -247,25 +254,24 @@ class IslandWorker:
             )
             for h in msg.get("history", [])
         ]
-        adopted_payload: dict[str, Any] = {}
+        rounds: dict[str, dict[str, Any]] = {str(r): {} for r in range(first, through + 1)}
         for g in (int(a) for a in msg["agents"]):
-            state, last_report = replay_chain(
+            state, reports = replay_chain(
                 problem, model, seed, n_agents, g,
                 per_agent, rho, zeta, gossip_weight,
-                history, through_round,
+                history, through,
             )
             chains[g] = state
-            self.agents_adopted += 1
-            if last_report is not None:
-                adopted_payload[str(g)] = {
-                    "cost": float(last_report["cost"]),
-                    "x": [int(v) for v in last_report["x"]],
-                    "gamma": float(last_report["gamma"]),
-                    "degenerate": bool(last_report["degenerate"]),
-                }
+            for r in range(first, through + 1):
+                rounds[str(r)][str(g)] = _wire_entry(reports[r])
         island_wire.send_frame(
             sock,
-            {"type": "adopted", "through_round": through_round, "agents": adopted_payload},
+            {
+                "type": "adopted",
+                "from_round": first,
+                "through_round": through,
+                "rounds": rounds,
+            },
         )
 
 
