@@ -182,10 +182,6 @@ class StochasticMatrix:
         """``μ^i``: maximal element of each row — Eq. (12)'s convergence signal."""
         return self._P.max(axis=1)
 
-    def row_argmax(self) -> np.ndarray:
-        """Most likely resource per task (the decoded mapping when degenerate)."""
-        return self._P.argmax(axis=1)
-
     def entropy(self) -> float:
         """Mean Shannon entropy of the rows (nats); 0 when degenerate."""
         P = self._P

@@ -160,14 +160,6 @@ class WeightedGraph:
             self._adj_cache = adj
         return self._adj_cache
 
-    def degrees(self) -> np.ndarray:
-        """Unweighted vertex degrees as an ``(n,)`` int array."""
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.n_edges:
-            np.add.at(deg, self._edges[:, 0], 1)
-            np.add.at(deg, self._edges[:, 1], 1)
-        return deg
-
     def weighted_degrees(self) -> np.ndarray:
         """Sum of incident edge weights per vertex."""
         deg = np.zeros(self.n_nodes, dtype=np.float64)
@@ -200,13 +192,6 @@ class WeightedGraph:
         if idx.size == 0:
             raise GraphError(f"no edge ({u}, {v})")
         return float(self._edge_weights[idx[0]])
-
-    def density(self) -> float:
-        """Edge density ``E / C(n, 2)`` (0 for a single-vertex graph)."""
-        n = self.n_nodes
-        if n < 2:
-            return 0.0
-        return self.n_edges / (n * (n - 1) / 2)
 
     def is_connected(self) -> bool:
         """True iff the graph is connected (BFS over the edge arrays)."""

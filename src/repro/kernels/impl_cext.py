@@ -2,23 +2,30 @@
 
 Plain C through ctypes — no ``Python.h``, no build-time dependency beyond
 a working C compiler, and one cached shared object serves every
-interpreter version. The compile happens at most once per source digest:
-the object lands in ``$REPRO_KERNEL_CACHE`` (default
+interpreter version. The compile happens at most once per build: the
+object lands in ``$REPRO_KERNEL_CACHE`` (default
 ``~/.cache/repro-kernels``) under a name keyed on a SHA-256 of the
-source, written via a temp file + atomic rename so concurrent processes
-race benignly. Any failure — no compiler, sandboxed filesystem, bad
-flags — raises :class:`KernelUnavailable`, which the dispatcher treats
-as "this backend does not exist here".
+source, the flags and the resolved compiler path, written via a temp
+file + atomic rename so concurrent processes race benignly. Any failure
+— no compiler, sandboxed filesystem, bad flags — raises
+:class:`KernelUnavailable`, which the dispatcher treats as "this backend
+does not exist here".
 
 Flags are part of the bit-exactness contract: ``-ffp-contract=off``
 forbids fused multiply-adds (GNU C defaults to ``fast`` contraction at
 ``-O3``, which would change last-ulp results against numpy) and no
 ``-ffast-math`` is ever passed.
+
+The batch kernels split their rows across POSIX threads: one per
+:data:`MIN_WORK_PER_THREAD` cells of work, at most one per core this
+process may run on, and one only in pool workers, whose pool already
+uses the cores. Any split gives the same bits.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -30,10 +37,20 @@ import numpy as np
 
 from repro.kernels.csr import ProblemPack
 
-__all__ = ["KernelUnavailable", "load"]
+__all__ = [
+    "KernelUnavailable",
+    "MIN_WORK_PER_THREAD",
+    "load",
+    "use_one_thread",
+]
 
 _SOURCE = Path(__file__).with_name("kernels.c")
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
+
+#: Least work (cells) one kernel thread must get: a batch call runs on
+#: ``min(cores, work // MIN_WORK_PER_THREAD)`` threads, at least one.
+#: Set from the 1- vs 2-thread crossover table in DESIGN.md §11.
+MIN_WORK_PER_THREAD = 1 << 17
 
 _F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -52,24 +69,46 @@ def _cache_dir() -> Path:
 
 
 def _compiler() -> str:
-    cc = os.environ.get("REPRO_CC") or shutil.which("cc") or shutil.which("gcc")
+    """The C compiler's resolved path: ``$REPRO_CC``, else cc, else gcc."""
+    return _resolve_compiler(os.environ.get("REPRO_CC"), os.environ.get("PATH"))
+
+
+@functools.lru_cache(maxsize=8)
+def _resolve_compiler(env: str | None, path: str | None) -> str:
+    # Memoized: the PATH walk and symlink resolution would otherwise cost
+    # every backend load more than the cached-object check itself.
+    if env:
+        cc = shutil.which(env, path=path)
+    else:
+        cc = shutil.which("cc", path=path) or shutil.which("gcc", path=path)
     if not cc:
-        raise KernelUnavailable("no C compiler found (set REPRO_CC to override)")
-    return cc
+        raise KernelUnavailable(
+            f"C compiler {env!r} not found"
+            if env
+            else "no C compiler found (set REPRO_CC to override)"
+        )
+    return os.path.realpath(cc)
+
+
+def _build_digest(source: bytes, cflags: tuple[str, ...], cc: str) -> str:
+    """Cache key of one build: the source, the flags and the compiler path."""
+    h = hashlib.sha256(source)
+    for part in (*cflags, cc):
+        h.update(b"\0" + part.encode())
+    return h.hexdigest()[:16]
 
 
 def _shared_object() -> Path:
-    """Compile (once per source digest) and return the .so path."""
+    """Compile (once per source, flags and compiler) and return the .so path."""
     try:
         source = _SOURCE.read_bytes()
     except OSError as exc:
         raise KernelUnavailable(f"kernel source unreadable: {exc}") from exc
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    cc = _compiler()
     cache = _cache_dir()
-    so_path = cache / f"repro_kernels_{digest}.so"
+    so_path = cache / f"repro_kernels_{_build_digest(source, _CFLAGS, cc)}.so"
     if so_path.exists():
         return so_path
-    cc = _compiler()
     try:
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
@@ -96,19 +135,41 @@ def _shared_object() -> Path:
     return so_path
 
 
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+#: Most threads one kernel call may use in this process.
+_thread_budget = _cores()
+
+
+def use_one_thread() -> None:
+    """Run this process's kernel calls single-threaded (pool workers)."""
+    global _thread_budget
+    _thread_budget = 1
+
+
+def _n_threads(work: int) -> int:
+    """Threads for one batch call doing ``work`` cells."""
+    return max(1, min(_thread_budget, work // MIN_WORK_PER_THREAD))
+
+
 def _bind(lib: ctypes.CDLL) -> None:
     batch_args = [
         _I64, _c_i64, _c_i64, _c_i64,  # X, N, n_t, n_r
         _F64, _F64, _F64,  # W, w, ccm_flat
         _I64, _I64, _F64, _c_i64,  # eu, ev, C, n_e
-        _F64,  # out
+        _F64, _c_i64,  # out, n_threads
     ]
     lib.repro_times_batch.argtypes = batch_args
     lib.repro_times_batch.restype = ctypes.c_int
     lib.repro_eval_batch.argtypes = batch_args
     lib.repro_eval_batch.restype = ctypes.c_int
     lib.repro_genperm.argtypes = [
-        _F64, _I64, _I64, _F64, _c_i64, _c_i64, _c_i64, _I64,
+        _F64, _I64, _I64, _F64, _c_i64, _c_i64, _c_i64, _I64, _c_i64,
     ]
     lib.repro_genperm.restype = ctypes.c_int
     probe_head = [
@@ -136,31 +197,27 @@ class _CExtKernels:
         if status != 0:
             raise MemoryError("C kernel scratch allocation failed")
 
-    def times_batch(self, pack: ProblemPack, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.int64)
-        N = X.shape[0]
-        out = np.empty((N, pack.n_resources), dtype=np.float64)
+    def _batch(self, fn, pack: ProblemPack, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        N, n_e = X.shape[0], pack.eu.shape[0]
         self._check(
-            self._lib.repro_times_batch(
+            fn(
                 X, N, pack.n_tasks, pack.n_resources,
                 pack.task_weights, pack.proc_weights, pack.comm_flat,
-                pack.eu, pack.ev, pack.edge_vol, pack.eu.shape[0], out,
+                pack.eu, pack.ev, pack.edge_vol, n_e, out,
+                _n_threads(N * (pack.n_tasks + n_e)),
             )
         )
         return out
 
+    def times_batch(self, pack: ProblemPack, X: np.ndarray) -> np.ndarray:
+        X = np.ascontiguousarray(X, dtype=np.int64)
+        out = np.empty((X.shape[0], pack.n_resources), dtype=np.float64)
+        return self._batch(self._lib.repro_times_batch, pack, X, out)
+
     def eval_batch(self, pack: ProblemPack, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.int64)
-        N = X.shape[0]
-        out = np.empty(N, dtype=np.float64)
-        self._check(
-            self._lib.repro_eval_batch(
-                X, N, pack.n_tasks, pack.n_resources,
-                pack.task_weights, pack.proc_weights, pack.comm_flat,
-                pack.eu, pack.ev, pack.edge_vol, pack.eu.shape[0], out,
-            )
-        )
-        return out
+        out = np.empty(X.shape[0], dtype=np.float64)
+        return self._batch(self._lib.repro_eval_batch, pack, X, out)
 
     def genperm(
         self,
@@ -180,7 +237,8 @@ class _CExtKernels:
         X = np.empty((B, n_t), dtype=np.int64)
         self._check(
             self._lib.repro_genperm(
-                P_rows, row_offsets, task_orders, rand_pos, B, n_t, n_res, X
+                P_rows, row_offsets, task_orders, rand_pos, B, n_t, n_res, X,
+                _n_threads(B * n_t * n_res),
             )
         )
         return X

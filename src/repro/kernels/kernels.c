@@ -19,6 +19,13 @@
  *    against numpy.
  *  - GenPerm consumes pre-drawn uniforms only. The RNG never enters a
  *    kernel, so the stream position is backend-invariant by construction.
+ *  - The batch kernels (scoring and GenPerm) may split a call's rows
+ *    into contiguous ranges on several POSIX threads (split_rows). Each
+ *    output row depends only on its own task order, uniforms and unused
+ *    list, and each thread has its own scratch and writes only its own
+ *    rows, so the result is bit-identical for every thread count. The
+ *    caller (impl_cext.py) picks the count from the call's work; no
+ *    thread outlives the call.
  *
  * No Python.h: the library is plain C called through ctypes, so one
  * shared object serves every interpreter version. All functions return
@@ -26,11 +33,78 @@
  * return the cost through an out-pointer for the same reason).
  */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 typedef int64_t i64;
+
+/* ---------------- Row-range splitter ---------------- */
+
+/* The batch kernels compute every output row from that row's inputs
+ * alone, so a batch can be cut into contiguous row ranges that run on
+ * separate threads, each with its own scratch, writing disjoint output
+ * rows. Every row goes through the same operation sequence whatever the
+ * split, so the result is bit-identical for any thread count. Threads
+ * live only inside one call: split_rows creates and joins them. */
+
+typedef int (*rows_fn)(void *args, i64 lo, i64 hi);
+
+#define MAX_THREADS 64
+
+struct rows_job {
+    rows_fn fn;
+    void *args;
+    i64 lo, hi;
+    int status;
+};
+
+static void *rows_job_run(void *p)
+{
+    struct rows_job *job = p;
+    job->status = job->fn(job->args, job->lo, job->hi);
+    return NULL;
+}
+
+/* Run fn over rows [0, N) in n_threads contiguous ranges. The caller's
+ * thread takes the first range; a range whose thread cannot be created
+ * runs inline. Returns -1 if any range failed, else 0. */
+static int split_rows(rows_fn fn, void *args, i64 N, i64 n_threads)
+{
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS];
+    struct rows_job jobs[MAX_THREADS];
+    int status = 0;
+    i64 t;
+    if (n_threads > N)
+        n_threads = N;
+    if (n_threads > MAX_THREADS)
+        n_threads = MAX_THREADS;
+    if (n_threads <= 1)
+        return fn(args, 0, N);
+    for (t = 0; t < n_threads; t++) {
+        jobs[t].fn = fn;
+        jobs[t].args = args;
+        jobs[t].lo = N * t / n_threads;
+        jobs[t].hi = N * (t + 1) / n_threads;
+        jobs[t].status = 0;
+        started[t] = 0;
+    }
+    for (t = 1; t < n_threads; t++) {
+        started[t] = pthread_create(&tid[t], NULL, rows_job_run, &jobs[t]) == 0;
+        if (!started[t])
+            rows_job_run(&jobs[t]);
+    }
+    rows_job_run(&jobs[0]);
+    for (t = 0; t < n_threads; t++) {
+        if (started[t])
+            pthread_join(tid[t], NULL);
+        if (jobs[t].status != 0)
+            status = -1;
+    }
+    return status;
+}
 
 /* ---------------- Eq. (1)/(2) batch scoring ---------------- */
 
@@ -58,56 +132,82 @@ static void times_row(const i64 *xrow, i64 n_t, i64 n_r,
     }
 }
 
-int repro_times_batch(const i64 *X, i64 N, i64 n_t, i64 n_r,
-                      const double *W, const double *w, const double *ccm,
-                      const i64 *eu, const i64 *ev, const double *C, i64 n_e,
-                      double *out)
+struct batch_args {
+    const i64 *X;
+    i64 n_t, n_r;
+    const double *W, *w, *ccm;
+    const i64 *eu, *ev;
+    const double *C;
+    i64 n_e;
+    double *out;
+};
+
+/* Rows [lo, hi) of repro_times_batch: the full (N, n_r) time matrix. */
+static int times_rows(void *p, i64 lo, i64 hi)
 {
-    double *scratch = malloc((size_t)(3 * n_r) * sizeof(double));
+    const struct batch_args *a = p;
+    double *scratch = malloc((size_t)(3 * a->n_r) * sizeof(double));
     double *proc, *acc_s, *acc_b;
     i64 j, r;
     if (scratch == NULL)
         return -1;
     proc = scratch;
-    acc_s = scratch + n_r;
-    acc_b = scratch + 2 * n_r;
-    for (j = 0; j < N; j++) {
-        times_row(X + j * n_t, n_t, n_r, W, w, ccm, eu, ev, C, n_e,
-                  proc, acc_s, acc_b);
-        for (r = 0; r < n_r; r++)
-            out[j * n_r + r] = (proc[r] + acc_s[r]) + acc_b[r];
+    acc_s = scratch + a->n_r;
+    acc_b = scratch + 2 * a->n_r;
+    for (j = lo; j < hi; j++) {
+        times_row(a->X + j * a->n_t, a->n_t, a->n_r, a->W, a->w, a->ccm,
+                  a->eu, a->ev, a->C, a->n_e, proc, acc_s, acc_b);
+        for (r = 0; r < a->n_r; r++)
+            a->out[j * a->n_r + r] = (proc[r] + acc_s[r]) + acc_b[r];
     }
     free(scratch);
     return 0;
 }
 
-int repro_eval_batch(const i64 *X, i64 N, i64 n_t, i64 n_r,
-                     const double *W, const double *w, const double *ccm,
-                     const i64 *eu, const i64 *ev, const double *C, i64 n_e,
-                     double *out)
+/* Rows [lo, hi) of repro_eval_batch: the Eq. (2) max per row. */
+static int eval_rows(void *p, i64 lo, i64 hi)
 {
-    double *scratch = malloc((size_t)(3 * n_r) * sizeof(double));
+    const struct batch_args *a = p;
+    double *scratch = malloc((size_t)(3 * a->n_r) * sizeof(double));
     double *proc, *acc_s, *acc_b;
     i64 j, r;
     if (scratch == NULL)
         return -1;
     proc = scratch;
-    acc_s = scratch + n_r;
-    acc_b = scratch + 2 * n_r;
-    for (j = 0; j < N; j++) {
+    acc_s = scratch + a->n_r;
+    acc_b = scratch + 2 * a->n_r;
+    for (j = lo; j < hi; j++) {
         double best, v;
-        times_row(X + j * n_t, n_t, n_r, W, w, ccm, eu, ev, C, n_e,
-                  proc, acc_s, acc_b);
+        times_row(a->X + j * a->n_t, a->n_t, a->n_r, a->W, a->w, a->ccm,
+                  a->eu, a->ev, a->C, a->n_e, proc, acc_s, acc_b);
         best = (proc[0] + acc_s[0]) + acc_b[0];
-        for (r = 1; r < n_r; r++) {
+        for (r = 1; r < a->n_r; r++) {
             v = (proc[r] + acc_s[r]) + acc_b[r];
             if (v > best)
                 best = v;
         }
-        out[j] = best;
+        a->out[j] = best;
     }
     free(scratch);
     return 0;
+}
+
+int repro_times_batch(const i64 *X, i64 N, i64 n_t, i64 n_r,
+                      const double *W, const double *w, const double *ccm,
+                      const i64 *eu, const i64 *ev, const double *C, i64 n_e,
+                      double *out, i64 n_threads)
+{
+    struct batch_args a = {X, n_t, n_r, W, w, ccm, eu, ev, C, n_e, out};
+    return split_rows(times_rows, &a, N, n_threads);
+}
+
+int repro_eval_batch(const i64 *X, i64 N, i64 n_t, i64 n_r,
+                     const double *W, const double *w, const double *ccm,
+                     const i64 *eu, const i64 *ev, const double *C, i64 n_e,
+                     double *out, i64 n_threads)
+{
+    struct batch_args a = {X, n_t, n_r, W, w, ccm, eu, ev, C, n_e, out};
+    return split_rows(eval_rows, &a, N, n_threads);
 }
 
 /* ---------------- GenPerm position loop ---------------- */
@@ -179,11 +279,26 @@ static i64 genperm_pick(double *cdf, int32_t *idx, i64 K, i64 n_res,
     return choice;
 }
 
-int repro_genperm(const double *P_rows, const i64 *row_offsets,
-                  const i64 *task_orders, const double *rand_pos,
-                  i64 B, i64 n_t, i64 n_res, i64 *X)
+struct genperm_args {
+    const double *P_rows;
+    const i64 *row_offsets, *task_orders;
+    const double *rand_pos;
+    i64 B, n_t, n_res;
+    i64 *X;
+};
+
+/* Samples [lo, hi) of repro_genperm. Position `pos` keeps its uniforms
+ * for the whole batch at rand_pos[pos * B], so the uniform stride B is
+ * separate from the range's row count. */
+static int genperm_rows(void *p, i64 lo, i64 hi)
 {
-    int32_t *avail = malloc((size_t)(B * n_res) * sizeof(int32_t));
+    const struct genperm_args *a = p;
+    const i64 rows = hi - lo, n_t = a->n_t, n_res = a->n_res;
+    const double *P_rows = a->P_rows;
+    const i64 *row_offsets = a->row_offsets + lo;
+    const i64 *task_orders = a->task_orders + lo * n_t;
+    i64 *X = a->X + lo * n_t;
+    int32_t *avail = malloc((size_t)(rows * n_res) * sizeof(int32_t));
     double *cdf = malloc((size_t)(4 * n_res) * sizeof(double));
     i64 j, pos, i;
     if (avail == NULL || cdf == NULL) {
@@ -191,16 +306,16 @@ int repro_genperm(const double *P_rows, const i64 *row_offsets,
         free(cdf);
         return -1;
     }
-    for (j = 0; j < B; j++)
+    for (j = 0; j < rows; j++)
         for (i = 0; i < n_res; i++)
             avail[j * n_res + i] = (int32_t)i;
     for (pos = 0; pos < n_t; pos++) {
         const i64 K = n_res - pos;
-        const double *u_pos = rand_pos + pos * B;
+        const double *u_pos = a->rand_pos + pos * a->B + lo;
         if (K == 1) {
             /* Square case, last position: the one unused resource is
              * forced (the reference's rem-sum shortcut). */
-            for (j = 0; j < B; j++)
+            for (j = 0; j < rows; j++)
                 X[j * n_t + task_orders[j * n_t + pos]] = avail[j * n_res];
             break;
         }
@@ -210,7 +325,7 @@ int repro_genperm(const double *P_rows, const i64 *row_offsets,
          * four accumulator chains in flight hide the FP add latency while
          * each sample's own adds stay in reference order. */
         j = 0;
-        for (; j + 4 <= B; j += 4) {
+        for (; j + 4 <= rows; j += 4) {
             i64 t0 = task_orders[(j + 0) * n_t + pos];
             i64 t1 = task_orders[(j + 1) * n_t + pos];
             i64 t2 = task_orders[(j + 2) * n_t + pos];
@@ -244,7 +359,7 @@ int repro_genperm(const double *P_rows, const i64 *row_offsets,
             X[(j + 2) * n_t + t2] = genperm_pick(c2, i2, K, n_res, u_pos[j + 2]);
             X[(j + 3) * n_t + t3] = genperm_pick(c3, i3, K, n_res, u_pos[j + 3]);
         }
-        for (; j < B; j++) {
+        for (; j < rows; j++) {
             i64 task = task_orders[j * n_t + pos];
             const double *row = P_rows + (row_offsets[j] + task) * n_res;
             int32_t *idx = avail + j * n_res;
@@ -260,6 +375,15 @@ int repro_genperm(const double *P_rows, const i64 *row_offsets,
     free(avail);
     free(cdf);
     return 0;
+}
+
+int repro_genperm(const double *P_rows, const i64 *row_offsets,
+                  const i64 *task_orders, const double *rand_pos,
+                  i64 B, i64 n_t, i64 n_res, i64 *X, i64 n_threads)
+{
+    struct genperm_args a = {P_rows, row_offsets, task_orders, rand_pos,
+                             B, n_t, n_res, X};
+    return split_rows(genperm_rows, &a, B, n_threads);
 }
 
 /* ---------------- O(deg) delta probes ---------------- */

@@ -72,6 +72,14 @@ def default_worker_count() -> int:
     return max(1, (os.cpu_count() or 1) - 1)
 
 
+def _init_worker() -> None:
+    """Worker start-up: kernel calls run on one thread, because the pool
+    already spreads its work across the cores."""
+    from repro.kernels.impl_cext import use_one_thread
+
+    use_one_thread()
+
+
 def _shutdown_executor(executor: ProcessPoolExecutor | None) -> None:
     """Module-level shutdown helper usable by a ``weakref.finalize`` guard."""
     if executor is not None:
@@ -420,7 +428,9 @@ class WorkerPool:
                 resource_tracker.ensure_running()
             except Exception:  # pragma: no cover - platform-specific
                 pass
-            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.n_workers, initializer=_init_worker
+            )
             self._exec_finalizer = weakref.finalize(
                 self, _shutdown_executor, self._executor
             )

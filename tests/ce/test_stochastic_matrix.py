@@ -60,7 +60,7 @@ class TestStochasticMatrix:
     def test_degenerate_from_assignment(self):
         m = StochasticMatrix.degenerate_from_assignment([2, 0, 1], 3)
         assert m.is_degenerate()
-        np.testing.assert_array_equal(m.row_argmax(), [2, 0, 1])
+        np.testing.assert_array_equal(m.values.argmax(axis=1), [2, 0, 1])
 
     def test_values_is_copy(self):
         m = StochasticMatrix.uniform(2, 2)
@@ -137,7 +137,7 @@ class TestUpdateFromElites:
         for _ in range(200):
             m.update_from_elites(elite, zeta=0.3)
         assert m.is_degenerate(tol=1e-9)
-        np.testing.assert_array_equal(m.row_argmax(), [2, 0, 1])
+        np.testing.assert_array_equal(m.values.argmax(axis=1), [2, 0, 1])
 
 
 @settings(max_examples=30, deadline=None)

@@ -55,7 +55,7 @@ class TestConstruction:
 
     def test_edgeless_graph(self):
         g = WeightedGraph([1.0, 2.0])
-        assert g.n_edges == 0 and g.density() == 0.0
+        assert g.n_edges == 0
 
     def test_single_node(self):
         g = WeightedGraph([5.0])
@@ -99,10 +99,6 @@ class TestDerived:
         g = make_triangle()
         assert g.adjacency_matrix() is g.adjacency_matrix()
 
-    def test_degrees(self):
-        g = WeightedGraph([1, 1, 1, 1], [(0, 1), (0, 2)], [1, 1])
-        np.testing.assert_array_equal(g.degrees(), [2, 1, 1, 0])
-
     def test_weighted_degrees(self):
         g = make_triangle()
         np.testing.assert_allclose(g.weighted_degrees(), [40, 30, 50])
@@ -123,9 +119,6 @@ class TestDerived:
     def test_edge_weight_missing(self):
         with pytest.raises(GraphError, match="no edge"):
             WeightedGraph([1, 1, 1], [(0, 1)], [1]).edge_weight(1, 2)
-
-    def test_density_complete(self):
-        assert make_triangle().density() == 1.0
 
 
 class TestConnectivity:

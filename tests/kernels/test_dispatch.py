@@ -107,3 +107,25 @@ class TestOverrides:
         with kernels.use_backend("numpy"):
             model = CostModel(problem)
         assert model.kernel_name == "numpy"
+
+
+@pytest.mark.skipif("cext" not in AVAILABLE, reason="needs a C compiler")
+class TestBuildCache:
+    def test_flags_are_part_of_the_cache_key(self, monkeypatch, tmp_path):
+        # Same source, two flag tuples: two objects, never a stale reuse.
+        from repro.kernels import impl_cext
+
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        first = impl_cext._shared_object()
+        monkeypatch.setattr(impl_cext, "_CFLAGS", (*impl_cext._CFLAGS, "-DREPRO_FLAG_PROBE"))
+        second = impl_cext._shared_object()
+        assert first != second
+        assert first.exists() and second.exists()
+
+    def test_compiler_is_part_of_the_cache_key(self):
+        from repro.kernels import impl_cext
+
+        source, flags = b"int x;", impl_cext._CFLAGS
+        assert impl_cext._build_digest(source, flags, "/usr/bin/cc-a") != (
+            impl_cext._build_digest(source, flags, "/usr/bin/cc-b")
+        )

@@ -7,16 +7,19 @@ kernel — scoring, GenPerm sampling, and the O(deg) probes.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro import kernels
 from repro.ce.genperm import sample_permutations, sample_permutations_stacked
-from repro.kernels import build_pack, impl_numpy
+from repro.kernels import build_pack, impl_cext, impl_numpy
 from repro.mapping import CostModel
 from repro.mapping.incremental import IncrementalEvaluator
+from repro.utils.parallel import WorkerPool
 
-from tests.kernels.conftest import AVAILABLE, make_problem, random_batch
+from tests.kernels.conftest import AVAILABLE, COMPILED, make_problem, random_batch
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -165,3 +168,81 @@ def test_incremental_property_under_backend(name):
             rtol=1e-9,
             atol=1e-9,
         )
+
+
+def _task_count() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+def _kernel_thread_budget(_: int) -> int:
+    return impl_cext._thread_budget
+
+
+@pytest.mark.skipif("cext" not in COMPILED, reason="needs a C compiler")
+class TestThreadSplit:
+    """The compiled batch kernels cut a batch into row ranges, one thread
+    each; every output row depends on its own inputs only, so any split is
+    bit-identical to the numpy reference."""
+
+    @pytest.fixture
+    def cext(self):
+        with kernels.use_backend("cext") as b:
+            yield b
+
+    @pytest.fixture(params=[1, 2, 3, 7])
+    def threads(self, request, monkeypatch):
+        monkeypatch.setattr(impl_cext, "_n_threads", lambda work: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("B", [1, 2, 5, 23])
+    def test_genperm_single(self, cext, threads, B, degenerate):
+        P, orders, pos = genperm_inputs(9, 9, B, B, degenerate=degenerate)
+        got = cext.genperm(P, None, orders, pos, 9)
+        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, 9))
+
+    @pytest.mark.parametrize("B", [1, 5, 23])
+    def test_genperm_rectangular(self, cext, threads, B):
+        P, orders, pos = genperm_inputs(5, 8, B, 3)
+        got = cext.genperm(P, None, orders, pos, 8)
+        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, 8))
+
+    @pytest.mark.parametrize("B", [2, 5, 23])
+    def test_genperm_stacked(self, cext, threads, B):
+        R, n = 3, 6
+        gen = np.random.default_rng(B)
+        P_rows = gen.random((R * n, n))
+        P_rows[n:2 * n] = 0.0  # chain 1 is all dead rows
+        offsets = gen.integers(0, R, size=B) * n
+        orders = np.argsort(gen.random((B, n)), axis=1)
+        pos = gen.random((n, B))
+        got = cext.genperm(P_rows, offsets, orders, pos, n)
+        assert np.array_equal(got, impl_numpy.genperm(P_rows, offsets, orders, pos, n))
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 23])
+    def test_scoring(self, cext, threads, B):
+        problem = make_problem(12, 777)
+        pack = build_pack(problem)
+        X = random_batch(problem, B, B)
+        assert np.array_equal(cext.eval_batch(pack, X), impl_numpy.eval_batch(pack, X))
+        assert np.array_equal(cext.times_batch(pack, X), impl_numpy.times_batch(pack, X))
+
+    def test_no_thread_outlives_a_call(self, cext, monkeypatch):
+        monkeypatch.setattr(impl_cext, "_n_threads", lambda work: 7)
+        P, orders, pos = genperm_inputs(12, 12, 400, 1)
+        pack = build_pack(make_problem(12, 777))
+        before = _task_count()
+        X = cext.genperm(P, None, orders, pos, 12)
+        cext.eval_batch(pack, X)
+        assert _task_count() == before
+
+    def test_thread_count_follows_work(self):
+        assert impl_cext._n_threads(0) == 1
+        assert impl_cext._n_threads(2 * impl_cext.MIN_WORK_PER_THREAD - 1) == 1
+        assert impl_cext._n_threads(10**12) == impl_cext._thread_budget
+
+
+def test_pool_workers_run_kernels_single_threaded():
+    # The pool already spreads cells across the cores.
+    with WorkerPool(2) as pool:
+        assert pool.map(_kernel_thread_budget, range(4)) == [1, 1, 1, 1]
