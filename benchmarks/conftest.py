@@ -102,7 +102,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
             "pytest_suite",
             smoke=not _full_scale(),
             groups={"timings": dict(sorted(timings.items()))},
-        ).write(out=None)
+        ).write()
     except Exception as exc:  # pragma: no cover - defensive
         print(f"warning: bench session run-store record failed: {exc}")
 

@@ -298,38 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="run-store root (default: REPRO_RUNS_DIR or ./runs)",
         )
 
-    perf = sub.add_parser("perf", help="tracked perf history and the regression gate")
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    p_check = perf_sub.add_parser(
-        "check",
-        help=(
-            "compare fresh benchmark reports against perf/history.jsonl; "
-            "exits non-zero on any regression"
-        ),
-    )
-    p_check.add_argument(
-        "reports",
-        nargs="*",
-        help="bench report JSON files (default: ./BENCH_*.json)",
-    )
-    p_update = perf_sub.add_parser(
-        "update", help="fold benchmark reports into the tracked perf history"
-    )
-    p_update.add_argument("reports", nargs="+", help="bench report JSON files")
-    for p in (p_check, p_update):
-        p.add_argument(
-            "--history",
-            default="perf/history.jsonl",
-            metavar="FILE",
-            help="perf history file (default: perf/history.jsonl)",
-        )
-        p.add_argument(
-            "--host-class",
-            default=None,
-            metavar="CLASS",
-            help="override the host-class key (default: from each report/host)",
-        )
-
     # Sugar: every experiment id is also a first-class subcommand.
     from repro.experiments.registry import EXPERIMENTS
 
@@ -926,53 +894,6 @@ def _cmd_runs_replay(args: argparse.Namespace, store) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.exceptions import ReproError
-    from repro.runstore import (
-        append_history,
-        check_report,
-        git_revision,
-        load_history,
-        samples_from_bench,
-    )
-
-    report_paths = [Path(p) for p in (args.reports or sorted(Path(".").glob("BENCH_*.json")))]
-    if not report_paths:
-        raise ReproError(
-            "no benchmark reports given and no ./BENCH_*.json found; "
-            "run a bench first or pass report paths explicitly"
-        )
-    fresh = []
-    for path in report_paths:
-        try:
-            report = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(f"cannot read bench report {path}: {exc}") from exc
-        fresh.extend(samples_from_bench(report, host_class=args.host_class))
-
-    if args.perf_command == "update":
-        sha = git_revision().get("sha")
-        stamped = [
-            type(s)(**{**s.__dict__, "git_sha": s.git_sha or sha}) for s in fresh
-        ]
-        count = append_history(args.history, stamped)
-        print(f"appended {count} sample(s) from {len(report_paths)} report(s) to {args.history}")
-        return 0
-
-    history = load_history(args.history)
-    if not history:
-        raise ReproError(
-            f"perf history {args.history} is missing or empty; "
-            "seed it with 'repro-match perf update <reports...>'"
-        )
-    result = check_report(fresh, history)
-    print(result.summary())
-    return 0 if result.ok else 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
@@ -998,8 +919,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_island(args)
         if args.command == "runs":
             return _cmd_runs(args)
-        if args.command == "perf":
-            return _cmd_perf(args)
         if args.command == "report":
             from pathlib import Path
 

@@ -48,8 +48,9 @@ __all__ = ["MatchMapper", "match_map", "FUSED_CROSSOVER_MAX_TASKS", "prefer_fuse
 #: Measured fused/serial crossover for :meth:`MatchMapper.map_many`.
 #:
 #: The fused multi-chain engine wins below this task count and loses above
-#: it, on both the numpy and compiled backends (BENCH_ce_hotpath.json and
-#: a crossover scan at R ∈ {2, 4, 16} chains, max_iterations=500):
+#: it, on both the numpy and compiled backends (DESIGN §6, from a crossover
+#: scan at R ∈ {2, 4, 16} chains, max_iterations=500; the perf gate's
+#: ``FUSED_FLOOR`` in ``benchmarks/perf_gate.py`` holds the R=30 n=10 load):
 #:
 #: ====  =====================  =========================
 #: n     serial/fused (R=4)     notes

@@ -3,9 +3,8 @@
 One directory per run — ``manifest.json`` (provenance: git SHA, env
 surface, kernel backend, seeds, problem checksums), ``metrics.json``
 (results), ``events.jsonl`` (lifecycle log), ``artifacts/`` (checkpoints,
-report snapshots). Experiments, benchmarks, and the CLI all report through
-here; :mod:`repro.runstore.perf` folds benchmark reports into the tracked
-``perf/history.jsonl`` that ``repro perf check`` gates CI against.
+report snapshots). Experiments, the pytest benchmark session, and the CLI
+all report through here.
 
 See DESIGN.md §13.
 """
@@ -23,15 +22,6 @@ from repro.runstore.manifest import (
     kernel_backend_name,
     pinned_env,
     problem_checksum,
-)
-from repro.runstore.perf import (
-    PerfCheckEntry,
-    PerfCheckResult,
-    PerfSample,
-    append_history,
-    check_report,
-    load_history,
-    samples_from_bench,
 )
 from repro.runstore.store import (
     RunEventHook,
@@ -58,13 +48,6 @@ __all__ = [
     "kernel_backend_name",
     "pinned_env",
     "problem_checksum",
-    "PerfCheckEntry",
-    "PerfCheckResult",
-    "PerfSample",
-    "append_history",
-    "check_report",
-    "load_history",
-    "samples_from_bench",
     "RunEventHook",
     "RunHandle",
     "RunStore",

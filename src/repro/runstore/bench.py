@@ -1,23 +1,18 @@
-"""One way to write a benchmark report: :class:`BenchResult`.
+"""One way to record a benchmark session: :class:`BenchResult`.
 
-Every ``benchmarks/bench_*.py`` used to hand-roll the same dict assembly
-and ``json.dumps`` tail. This helper owns the uniform schema —
+The report has a uniform schema —
 
-    {"benchmark", "smoke", "generated", "host", <groups...>, "acceptance"}
+    {"benchmark", "smoke", "generated", "host", <groups...>}
 
-— where *groups* are the bench's measurement sections spread at the top
-level (``kernels``, ``stages``, ``sampling``, ...) so the committed
-``BENCH_*.json`` files keep their historical shape and the tests that pin
-it stay honest. :meth:`BenchResult.write` additionally records the run in
-the run-store (manifest + metrics + the report as an artifact), so a bench
-invocation is a first-class run like any experiment, and feeds
-:mod:`repro.runstore.perf` with flattened samples for history tracking.
+— where *groups* are the measurement sections spread at the top level.
+:meth:`BenchResult.write` records it in the run-store (manifest + metrics
++ the report as an artifact), so a benchmark session is a first-class run
+like any experiment. Its caller is ``benchmarks/conftest.py``, which folds
+a pytest-benchmark session's timings into one run.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -30,32 +25,17 @@ __all__ = ["BenchResult"]
 
 
 class BenchResult:
-    """Assemble and persist one benchmark report.
+    """Assemble and record one benchmark report.
 
-    ``groups`` is an ordered mapping of measurement sections; ``acceptance``
-    (optional) is the bench's self-judged gate block with its ``target*`` /
-    ``measured*`` / ``met`` convention (``met`` must be ``None`` on smoke
-    runs — smoke scale cannot judge a paper-scale bar). ``host_extra``
-    merges bench-specific host facts (e.g. the loadable kernel backend
-    list) into the standard host block.
+    ``groups`` is an ordered mapping of measurement sections.
     """
 
-    def __init__(
-        self,
-        benchmark: str,
-        *,
-        smoke: bool,
-        groups: Mapping[str, Any],
-        acceptance: Mapping[str, Any] | None = None,
-        host_extra: Mapping[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, benchmark: str, *, smoke: bool, groups: Mapping[str, Any]) -> None:
         self.benchmark = benchmark
         self.smoke = smoke
         self.groups = dict(groups)
-        self.acceptance = dict(acceptance) if acceptance is not None else None
-        self.host_extra = dict(host_extra) if host_extra is not None else {}
         for key in self.groups:
-            if key in {"benchmark", "smoke", "generated", "host", "acceptance"}:
+            if key in {"benchmark", "smoke", "generated", "host"}:
                 raise ValueError(f"group name {key!r} collides with a schema key")
 
     def build_report(self) -> dict[str, Any]:
@@ -65,49 +45,28 @@ class BenchResult:
             "benchmark": self.benchmark,
             "smoke": self.smoke,
             "generated": utc_stamp(),
-            "host": {**host_info(), **self.host_extra},
+            "host": host_info(),
         }
         report.update(self.groups)
-        if self.acceptance is not None:
-            report["acceptance"] = self.acceptance
         return to_jsonable(report)
 
-    def write(
-        self,
-        out: str | Path | None = None,
-        *,
-        runs_root: str | Path | None = None,
-        record_run: bool = True,
-    ) -> dict[str, Any]:
-        """Build the report, write it, and record the run.
+    def write(self, *, runs_root: str | Path | None = None) -> dict[str, Any]:
+        """Build the report and record it as a ``runs/{run_id}/`` entry.
 
-        ``out`` is the legacy report location (``BENCH_*.json``); ``None``
-        writes only into the run directory. With ``record_run`` the bench
-        gets a ``runs/{run_id}/`` entry: manifest (provenance), the
-        measurement groups as metrics, and the full report as an artifact.
-        Run-store failures never lose the report — the legacy file is
-        written first.
+        The run holds the manifest (provenance), the measurement groups as
+        metrics, and the full report as an artifact.
         """
         report = self.build_report()
-        if out is not None:
-            out_path = Path(out)
-            text = json.dumps(report, indent=2) + "\n"
-            tmp = out_path.with_name(out_path.name + f".tmp{os.getpid()}")
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, out_path)
-        if record_run:
-            store = RunStore(runs_root)
-            run = store.start_run(
+        store = RunStore(runs_root)
+        run = store.start_run(
+            f"bench-{self.benchmark}",
+            manifest=build_manifest(
                 f"bench-{self.benchmark}",
-                manifest=build_manifest(
-                    f"bench-{self.benchmark}",
-                    extra={"bench": {"smoke": self.smoke, "groups": sorted(self.groups)}},
-                ),
-            )
-            for group, payload in self.groups.items():
-                run.record_metrics(group, payload)
-            if self.acceptance is not None:
-                run.record_metrics("acceptance", self.acceptance)
-            run.add_artifact("report.json", payload=report)
-            run.finalize(status="complete")
+                extra={"bench": {"smoke": self.smoke, "groups": sorted(self.groups)}},
+            ),
+        )
+        for group, payload in self.groups.items():
+            run.record_metrics(group, payload)
+        run.add_artifact("report.json", payload=report)
+        run.finalize(status="complete")
         return report

@@ -97,6 +97,13 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
         task_weights = arrays.get("task_weights")
         if task_weights is not None:
             _check_task_count(task_weights.size, "problem.arrays")
+        # from_plane_arrays adopts this matrix as-is (it checks only the
+        # shape); a closed cost matrix is always finite and non-negative.
+        comm = arrays.get("comm_costs")
+        if comm is not None and not (np.isfinite(comm).all() and (comm >= 0).all()):
+            raise ValidationError(
+                "problem.arrays.comm_costs must be finite and non-negative"
+            )
         return MappingProblem.from_plane_arrays(arrays)
     if "size" in payload:
         from repro.graphs import generate_paper_pair

@@ -1,4 +1,4 @@
-"""BenchResult: the one way a benchmark writes its report."""
+"""BenchResult: the one way a benchmark session records its report."""
 
 from __future__ import annotations
 
@@ -10,12 +10,7 @@ from repro.runstore import BenchResult, RunStore
 
 
 def _result(**kwargs):
-    defaults = dict(
-        smoke=True,
-        groups={"stages": {"warm": {"seconds": 1.5}}, "flag": True},
-        acceptance={"target_speedup": 2.0, "measured_speedup": 3.0, "met": None},
-        host_extra={"kernel_backends": ["numpy"]},
-    )
+    defaults = dict(smoke=True, groups={"stages": {"warm": {"seconds": 1.5}}, "flag": True})
     defaults.update(kwargs)
     return BenchResult("toy", **defaults)
 
@@ -28,9 +23,6 @@ class TestReportShape:
         assert "generated" in report
         assert report["stages"]["warm"]["seconds"] == 1.5
         assert report["flag"] is True
-        assert report["acceptance"]["met"] is None
-        # host = standard facts + bench-specific extras, merged.
-        assert report["host"]["kernel_backends"] == ["numpy"]
         assert "platform" in report["host"] and "python" in report["host"]
 
     def test_group_name_may_not_shadow_schema_keys(self):
@@ -50,11 +42,9 @@ class TestReportShape:
 
 
 class TestWrite:
-    def test_legacy_file_and_run_record(self, tmp_path):
-        out = tmp_path / "BENCH_toy.json"
+    def test_run_record(self, tmp_path):
         runs = tmp_path / "runs"
-        report = _result().write(out, runs_root=runs)
-        assert json.loads(out.read_text()) == report
+        report = _result().write(runs_root=runs)
 
         store = RunStore(runs)
         (run_id,) = store.list_runs()
@@ -64,18 +54,5 @@ class TestWrite:
         assert manifest["bench"] == {"smoke": True, "groups": ["flag", "stages"]}
         metrics = store.load_metrics(run_id)
         assert metrics["stages"] == {"warm": {"seconds": 1.5}}
-        assert metrics["acceptance"]["measured_speedup"] == 3.0
         artifact = runs / run_id / "artifacts" / "report.json"
         assert json.loads(artifact.read_text()) == report
-
-    def test_run_record_can_be_disabled(self, tmp_path):
-        out = tmp_path / "BENCH_toy.json"
-        _result().write(out, runs_root=tmp_path / "runs", record_run=False)
-        assert out.is_file()
-        assert not (tmp_path / "runs").exists()
-
-    def test_no_legacy_file_writes_only_the_run(self, tmp_path):
-        _result().write(out=None, runs_root=tmp_path / "runs")
-        store = RunStore(tmp_path / "runs")
-        assert len(store.list_runs()) == 1
-        assert not list(tmp_path.glob("BENCH_*.json"))

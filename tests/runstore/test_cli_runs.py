@@ -1,4 +1,4 @@
-"""CLI surface of the run-store: solve/resume recording, runs, perf."""
+"""CLI surface of the run-store: solve/resume recording and runs."""
 
 from __future__ import annotations
 
@@ -107,52 +107,3 @@ class TestRunsSubcommands:
     def test_missing_run_errors_cleanly(self, runs_dir, capsys):
         assert main(["runs", "show", "ghost"]) == 1
         assert "no run" in capsys.readouterr().err
-
-
-class TestPerfSubcommands:
-    REPORT = {
-        "benchmark": "toy",
-        "smoke": False,
-        "generated": "2026-01-01T00:00:00Z",
-        "host": {"host_class": "linux-x86_64"},
-        "stages": {"warm": {"seconds": 1.0, "speedup": 3.0}},
-        "acceptance": {"target_speedup": 2.0, "measured_speedup": 3.0, "met": True},
-    }
-
-    def _write_report(self, tmp_path, **patch):
-        report = json.loads(json.dumps(self.REPORT))
-        for dotted, value in patch.items():
-            node = report
-            *parents, leaf = dotted.split(".")
-            for key in parents:
-                node = node[key]
-            node[leaf] = value
-        path = tmp_path / "BENCH_toy.json"
-        path.write_text(json.dumps(report))
-        return path
-
-    def test_update_then_check_passes(self, tmp_path, capsys):
-        report = self._write_report(tmp_path)
-        history = tmp_path / "history.jsonl"
-        assert main(["perf", "update", str(report), "--history", str(history)]) == 0
-        assert main(["perf", "check", str(report), "--history", str(history)]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_check_fails_on_floor_breach(self, tmp_path, capsys):
-        good = self._write_report(tmp_path)
-        history = tmp_path / "history.jsonl"
-        assert main(["perf", "update", str(good), "--history", str(history)]) == 0
-        bad = self._write_report(tmp_path, **{"acceptance.measured_speedup": 1.2})
-        assert main(["perf", "check", str(bad), "--history", str(history)]) == 1
-        assert "below absolute floor 2" in capsys.readouterr().out
-
-    def test_check_without_history_errors(self, tmp_path, capsys):
-        report = self._write_report(tmp_path)
-        code = main(["perf", "check", str(report), "--history", str(tmp_path / "no.jsonl")])
-        assert code == 1
-        assert "missing or empty" in capsys.readouterr().err
-
-    def test_check_without_reports_errors(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # no BENCH_*.json here
-        assert main(["perf", "check"]) == 1
-        assert "no benchmark reports" in capsys.readouterr().err

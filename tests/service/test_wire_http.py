@@ -131,6 +131,18 @@ class TestWire:
         with pytest.raises(ValidationError, match="at most"):
             problem_from_wire({"arrays": arrays})
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"]
+    )
+    def test_bad_inline_comm_costs_rejected(self, bad):
+        arrays = problem_to_wire(make_problem(4, 1))["arrays"]
+        arrays["comm_costs"][0][1] = bad
+        with pytest.raises(ValidationError, match="comm_costs must be finite"):
+            problem_from_wire({"arrays": arrays})
+        # Rejected at decode, so the HTTP layer answers 400 before admission.
+        with pytest.raises(ValidationError, match="comm_costs must be finite"):
+            request_from_wire({"problem": {"arrays": arrays}})
+
 
 class TestHttp:
     def test_solve_healthz_stats_and_errors(self):
