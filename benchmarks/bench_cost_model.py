@@ -65,7 +65,7 @@ def test_genperm_batch_sampling(benchmark):
 
 
 def test_incremental_swap_probe(benchmark, instance):
-    """The local-search hot path: one O(deg) swap probe."""
+    """The refine-sweep hot path: one O(deg) swap probe."""
     from repro.mapping import IncrementalEvaluator
 
     _, model, batch = instance

@@ -11,15 +11,7 @@ import pytest
 
 from conftest import run_once
 
-from repro.baselines import (
-    FastMapGA,
-    GAConfig,
-    GreedyConstructiveMapper,
-    LocalSearchMapper,
-    RandomSearchMapper,
-    SAConfig,
-    SimulatedAnnealingMapper,
-)
+from repro.baselines import FastMapGA, GAConfig
 from repro.core import DistributedMatchMapper, MatchConfig, MatchMapper
 from repro.graphs import generate_paper_pair
 from repro.mapping import CostModel, MappingProblem
@@ -49,10 +41,6 @@ MAPPERS = {
     "match": lambda: MatchMapper(MatchConfig()),
     "match_distributed": lambda: DistributedMatchMapper(),
     "fastmap_ga": lambda: FastMapGA(GAConfig(population_size=150, generations=200)),
-    "random_search": lambda: RandomSearchMapper(10_000),
-    "local_search": lambda: LocalSearchMapper(restarts=4),
-    "simulated_annealing": lambda: SimulatedAnnealingMapper(SAConfig(n_steps=15_000)),
-    "greedy": lambda: GreedyConstructiveMapper(),
 }
 
 

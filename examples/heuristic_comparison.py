@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Heuristic shoot-out: every mapper in the library on one instance suite.
 
-Extends the paper's two-heuristic comparison with the auxiliary baselines
-(random search, swap local search, simulated annealing, greedy) and the
-distributed MaTCH variant, reporting quality, mapping time
-and application turnaround (ATN, Fig. 9) side by side.
+Extends the paper's two-heuristic comparison (MaTCH vs. FastMap-GA) with
+the distributed MaTCH variant and the full hierarchical FastMap scheme,
+reporting quality, mapping time and application turnaround (ATN, Fig. 9)
+side by side.
 
 Run:
     python examples/heuristic_comparison.py [n] [runs] [seed]
@@ -20,11 +20,8 @@ from repro import MappingProblem, generate_paper_pair
 from repro.baselines import (
     FastMapGA,
     GAConfig,
-    GreedyConstructiveMapper,
-    LocalSearchMapper,
-    RandomSearchMapper,
-    SAConfig,
-    SimulatedAnnealingMapper,
+    HierarchicalFastMap,
+    HierarchicalFastMapConfig,
 )
 from repro.core import DistributedMatchMapper, MatchConfig, MatchMapper
 from repro.utils.rng import RngStreams
@@ -38,10 +35,7 @@ def mappers():
         "FastMap-GA": lambda: FastMapGA(
             GAConfig(population_size=200, generations=300)
         ),
-        "LocalSearch": lambda: LocalSearchMapper(restarts=5),
-        "SimAnneal": lambda: SimulatedAnnealingMapper(SAConfig(n_steps=20_000)),
-        "Random-10k": lambda: RandomSearchMapper(10_000),
-        "Greedy": lambda: GreedyConstructiveMapper(),
+        "FastMap-hier": lambda: HierarchicalFastMap(HierarchicalFastMapConfig()),
     }
 
 

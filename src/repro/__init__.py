@@ -19,7 +19,7 @@ Package map
 * :mod:`repro.ce` — the cross-entropy method library (GenPerm, elite
   updates, stopping rules, single- and multi-chain engines);
 * :mod:`repro.core` — MaTCH and its distributed variant;
-* :mod:`repro.baselines` — FastMap-GA and auxiliary heuristics;
+* :mod:`repro.baselines` — FastMap-GA and its hierarchical variant;
 * :mod:`repro.stats` — ANOVA, confidence intervals, F/t distributions;
 * :mod:`repro.experiments` — every table/figure of the paper as code.
 """
@@ -28,12 +28,8 @@ from repro._version import __version__
 from repro.baselines import (
     FastMapGA,
     GAConfig,
-    GreedyConstructiveMapper,
-    LocalSearchMapper,
     Mapper,
     MapperResult,
-    RandomSearchMapper,
-    SimulatedAnnealingMapper,
 )
 from repro.ce import CEConfig, CEResult, CrossEntropyOptimizer, StochasticMatrix
 from repro.core import (
@@ -107,10 +103,6 @@ __all__ = [
     "MapperResult",
     "FastMapGA",
     "GAConfig",
-    "RandomSearchMapper",
-    "LocalSearchMapper",
-    "SimulatedAnnealingMapper",
-    "GreedyConstructiveMapper",
     # stats
     "one_way_anova",
     "summarize_sample",

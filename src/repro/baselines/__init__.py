@@ -1,11 +1,10 @@
-"""Baseline mapping heuristics: FastMap-GA (the paper's comparator) and more."""
+"""Baseline mapping heuristics: FastMap-GA (the paper's comparator) and its hierarchical variant."""
 
 from repro.baselines.base import Mapper, MapperResult
 from repro.baselines.fastmap_hierarchical import (
     HierarchicalFastMap,
     HierarchicalFastMapConfig,
 )
-from repro.baselines.tabu import TabuConfig, TabuSearchMapper
 from repro.baselines.ga import FastMapGA, GAConfig
 from repro.baselines.ga_operators import (
     fitness,
@@ -13,27 +12,16 @@ from repro.baselines.ga_operators import (
     single_point_crossover,
     swap_mutation,
 )
-from repro.baselines.greedy import GreedyConstructiveMapper
-from repro.baselines.local_search import LocalSearchMapper
-from repro.baselines.random_search import RandomSearchMapper
-from repro.baselines.simulated_annealing import SAConfig, SimulatedAnnealingMapper
 
 __all__ = [
     "Mapper",
     "MapperResult",
     "HierarchicalFastMap",
     "HierarchicalFastMapConfig",
-    "TabuConfig",
-    "TabuSearchMapper",
     "FastMapGA",
     "GAConfig",
     "fitness",
     "roulette_select",
     "single_point_crossover",
     "swap_mutation",
-    "GreedyConstructiveMapper",
-    "LocalSearchMapper",
-    "RandomSearchMapper",
-    "SAConfig",
-    "SimulatedAnnealingMapper",
 ]

@@ -3,9 +3,7 @@
 This is the engine under MaTCH: it owns the CE iteration (sample → score
 → elite quantile → matrix update → stopping check). Samples are GenPerm
 one-to-one mappings (Fig. 4) of ``n_rows`` tasks onto ``n_cols >= n_rows``
-resources; a replacement sampler callable ``(P, n_samples, rng) ->
-AssignmentBatch`` may stand in for GenPerm (the hot-path benchmark replays
-an older GenPerm implementation this way).
+resources.
 
 The objective is a batch function mapping an ``(N, n_rows)`` integer batch
 to ``(N,)`` costs — lower is better. The engine minimizes.
@@ -14,7 +12,6 @@ to ``(N,)`` costs — lower is better. The engine minimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -33,13 +30,11 @@ from repro.ce.stopping import (
 )
 from repro.exceptions import ConfigurationError
 from repro.runtime.budget import EvaluationBudget
-from repro.types import AssignmentBatch, BatchObjectiveFn, ProbabilityMatrix, SeedLike
+from repro.types import AssignmentBatch, BatchObjectiveFn, SeedLike
 from repro.utils.rng import as_generator, generator_from_state, generator_state
 from repro.utils.validation import check_in_range
 
 __all__ = ["CEConfig", "CEResult", "CrossEntropyOptimizer"]
-
-Sampler = Callable[[ProbabilityMatrix, int, np.random.Generator], AssignmentBatch]
 
 
 @dataclass(frozen=True)
@@ -161,9 +156,6 @@ class CrossEntropyOptimizer:
         Shape of the stochastic matrix (tasks × resources for MaTCH).
     config:
         Hyper-parameters.
-    sampler:
-        Replacement for GenPerm with the same signature; ``None`` (the
-        default) samples with :func:`~repro.ce.genperm.sample_permutations`.
     rng:
         Seed or generator for the whole run.
     """
@@ -175,7 +167,6 @@ class CrossEntropyOptimizer:
         n_cols: int,
         config: CEConfig,
         *,
-        sampler: Sampler | None = None,
         rng: SeedLike = None,
         budget: "EvaluationBudget | None" = None,
     ) -> None:
@@ -186,17 +177,11 @@ class CrossEntropyOptimizer:
                 "permutation sampling requires n_rows <= n_cols "
                 f"(got {n_rows} tasks, {n_cols} resources)"
             )
-        if sampler is not None and not callable(sampler):
-            raise ConfigurationError(f"sampler must be a callable or None, got {sampler!r}")
         self.objective = objective
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.config = config
         self.rng = as_generator(rng)
-        # Resolved from the module global at construction (not bound as a
-        # default argument), so a wrapper installed on this module's
-        # ``sample_permutations`` sees every call.
-        self._sample = sample_permutations if sampler is None else sampler
 
         criteria: list[StoppingCriterion] = [MaxIterations(config.max_iterations)]
         if config.stability_window > 0:
@@ -280,7 +265,9 @@ class CrossEntropyOptimizer:
             # loop; record a clean external stop instead of spinning forever.
             self.note_external_stop("evaluation budget exhausted before sampling")
             return False
-        X = self._sample(self.matrix.view(), n_draw, self.rng)
+        # Looked up in the module globals on every call, so a wrapper
+        # installed on ``sample_permutations`` sees every GenPerm batch.
+        X = sample_permutations(self.matrix.view(), n_draw, self.rng)
         costs = self._score(X)
         result.n_evaluations += X.shape[0]
 

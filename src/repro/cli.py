@@ -7,7 +7,7 @@ Usage::
     python -m repro table3 --scale paper # paper-scale ANOVA study
     python -m repro all --seed 7         # every artifact
     python -m repro solve --size 20      # run MaTCH on a fresh instance
-    python -m repro solve --heuristic tabu --budget-evals 2000 \
+    python -m repro solve --heuristic fastmap-ga --budget-evals 2000 \
         --checkpoint run.ckpt            # budgeted, resumable run
     python -m repro resume run.ckpt      # continue an interrupted run
 

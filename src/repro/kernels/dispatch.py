@@ -53,24 +53,20 @@ class KernelBackend:
 
     name: str
     compiled: bool
-    times_batch: Callable
     eval_batch: Callable
     genperm: Callable
     move_cost: Callable
     swap_cost: Callable
-    swap_costs: Callable
 
 
 def _table(name: str, impl: object, *, compiled: bool) -> KernelBackend:
     return KernelBackend(
         name=name,
         compiled=compiled,
-        times_batch=impl.times_batch,
         eval_batch=impl.eval_batch,
         genperm=impl.genperm,
         move_cost=impl.move_cost,
         swap_cost=impl.swap_cost,
-        swap_costs=impl.swap_costs,
     )
 
 

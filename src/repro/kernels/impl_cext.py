@@ -158,15 +158,12 @@ def _n_threads(work: int) -> int:
 
 
 def _bind(lib: ctypes.CDLL) -> None:
-    batch_args = [
+    lib.repro_eval_batch.argtypes = [
         _I64, _c_i64, _c_i64, _c_i64,  # X, N, n_t, n_r
         _F64, _F64, _F64,  # W, w, ccm_flat
         _I64, _I64, _F64, _c_i64,  # eu, ev, C, n_e
         _F64, _c_i64,  # out, n_threads
     ]
-    lib.repro_times_batch.argtypes = batch_args
-    lib.repro_times_batch.restype = ctypes.c_int
-    lib.repro_eval_batch.argtypes = batch_args
     lib.repro_eval_batch.restype = ctypes.c_int
     lib.repro_genperm.argtypes = [
         _F64, _I64, _I64, _F64, _c_i64, _c_i64, _c_i64, _I64, _c_i64,
@@ -182,8 +179,6 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.repro_move_cost.restype = ctypes.c_int
     lib.repro_swap_cost.argtypes = [*probe_head, _c_i64, _c_i64, out_d]
     lib.repro_swap_cost.restype = ctypes.c_int
-    lib.repro_swap_costs.argtypes = [*probe_head, _I64, _c_i64, _F64]
-    lib.repro_swap_costs.restype = ctypes.c_int
 
 
 class _CExtKernels:
@@ -197,10 +192,12 @@ class _CExtKernels:
         if status != 0:
             raise MemoryError("C kernel scratch allocation failed")
 
-    def _batch(self, fn, pack: ProblemPack, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def eval_batch(self, pack: ProblemPack, X: np.ndarray) -> np.ndarray:
+        X = np.ascontiguousarray(X, dtype=np.int64)
         N, n_e = X.shape[0], pack.eu.shape[0]
+        out = np.empty(N, dtype=np.float64)
         self._check(
-            fn(
+            self._lib.repro_eval_batch(
                 X, N, pack.n_tasks, pack.n_resources,
                 pack.task_weights, pack.proc_weights, pack.comm_flat,
                 pack.eu, pack.ev, pack.edge_vol, n_e, out,
@@ -208,16 +205,6 @@ class _CExtKernels:
             )
         )
         return out
-
-    def times_batch(self, pack: ProblemPack, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.int64)
-        out = np.empty((X.shape[0], pack.n_resources), dtype=np.float64)
-        return self._batch(self._lib.repro_times_batch, pack, X, out)
-
-    def eval_batch(self, pack: ProblemPack, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.int64)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        return self._batch(self._lib.repro_eval_batch, pack, X, out)
 
     def genperm(
         self,
@@ -273,19 +260,6 @@ class _CExtKernels:
             )
         )
         return out.value
-
-    def swap_costs(
-        self, pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray,
-        pairs: np.ndarray,
-    ) -> np.ndarray:
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
-        out = np.empty(pairs.shape[0], dtype=np.float64)
-        self._check(
-            self._lib.repro_swap_costs(
-                *self._probe_args(pack, exec_s, x), pairs, pairs.shape[0], out
-            )
-        )
-        return out
 
 
 def load() -> _CExtKernels:

@@ -15,12 +15,10 @@ import numpy as np
 from repro.kernels.csr import ProblemPack
 
 __all__ = [
-    "times_batch",
     "eval_batch",
     "genperm",
     "move_cost",
     "swap_cost",
-    "swap_costs",
 ]
 
 
@@ -252,13 +250,3 @@ def swap_cost(
     _apply_move(pack, ex, xs, t2, s1)
     return float(ex.max())
 
-
-def swap_costs(
-    pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray, pairs: np.ndarray
-) -> np.ndarray:
-    """Batched swap probes: ``out[p]`` = swap cost of ``pairs[p]``."""
-    K = pairs.shape[0]
-    out = np.empty(K, dtype=np.float64)
-    for p in range(K):
-        out[p] = swap_cost(pack, exec_s, x, int(pairs[p, 0]), int(pairs[p, 1]))
-    return out

@@ -142,28 +142,6 @@ struct batch_args {
     double *out;
 };
 
-/* Rows [lo, hi) of repro_times_batch: the full (N, n_r) time matrix. */
-static int times_rows(void *p, i64 lo, i64 hi)
-{
-    const struct batch_args *a = p;
-    double *scratch = malloc((size_t)(3 * a->n_r) * sizeof(double));
-    double *proc, *acc_s, *acc_b;
-    i64 j, r;
-    if (scratch == NULL)
-        return -1;
-    proc = scratch;
-    acc_s = scratch + a->n_r;
-    acc_b = scratch + 2 * a->n_r;
-    for (j = lo; j < hi; j++) {
-        times_row(a->X + j * a->n_t, a->n_t, a->n_r, a->W, a->w, a->ccm,
-                  a->eu, a->ev, a->C, a->n_e, proc, acc_s, acc_b);
-        for (r = 0; r < a->n_r; r++)
-            a->out[j * a->n_r + r] = (proc[r] + acc_s[r]) + acc_b[r];
-    }
-    free(scratch);
-    return 0;
-}
-
 /* Rows [lo, hi) of repro_eval_batch: the Eq. (2) max per row. */
 static int eval_rows(void *p, i64 lo, i64 hi)
 {
@@ -190,15 +168,6 @@ static int eval_rows(void *p, i64 lo, i64 hi)
     }
     free(scratch);
     return 0;
-}
-
-int repro_times_batch(const i64 *X, i64 N, i64 n_t, i64 n_r,
-                      const double *W, const double *w, const double *ccm,
-                      const i64 *eu, const i64 *ev, const double *C, i64 n_e,
-                      double *out, i64 n_threads)
-{
-    struct batch_args a = {X, n_t, n_r, W, w, ccm, eu, ev, C, n_e, out};
-    return split_rows(times_rows, &a, N, n_threads);
 }
 
 int repro_eval_batch(const i64 *X, i64 N, i64 n_t, i64 n_r,
@@ -465,33 +434,6 @@ int repro_swap_cost(const double *exec_s, const i64 *x, i64 n_t, i64 n_r,
     apply_move(ex, xs, t1, s2, W, w, ccm, n_r, off, nbr, vol);
     apply_move(ex, xs, t2, s1, W, w, ccm, n_r, off, nbr, vol);
     *out = max_of(ex, n_r);
-    free(ex);
-    free(xs);
-    return 0;
-}
-
-int repro_swap_costs(const double *exec_s, const i64 *x, i64 n_t, i64 n_r,
-                     const double *W, const double *w, const double *ccm,
-                     const i64 *off, const i64 *nbr, const double *vol,
-                     const i64 *pairs, i64 K, double *out)
-{
-    double *ex = malloc((size_t)n_r * sizeof(double));
-    i64 *xs = malloc((size_t)n_t * sizeof(i64));
-    i64 p, s1, s2;
-    if (ex == NULL || xs == NULL) {
-        free(ex);
-        free(xs);
-        return -1;
-    }
-    for (p = 0; p < K; p++) {
-        memcpy(ex, exec_s, (size_t)n_r * sizeof(double));
-        memcpy(xs, x, (size_t)n_t * sizeof(i64));
-        s1 = xs[pairs[p * 2]];
-        s2 = xs[pairs[p * 2 + 1]];
-        apply_move(ex, xs, pairs[p * 2], s2, W, w, ccm, n_r, off, nbr, vol);
-        apply_move(ex, xs, pairs[p * 2 + 1], s1, W, w, ccm, n_r, off, nbr, vol);
-        out[p] = max_of(ex, n_r);
-    }
     free(ex);
     free(xs);
     return 0;

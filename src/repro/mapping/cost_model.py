@@ -137,20 +137,6 @@ class CostModel:
             raise ValueError("batch contains out-of-range resource indices")
         return X
 
-    def _times_block(self, X: np.ndarray) -> np.ndarray:
-        """Eq. (1) for one (pre-validated) block via the kernel backend."""
-        return self._kernel.times_batch(self.pack, X)
-
-    def per_resource_times_batch(self, assignments: AssignmentBatch) -> np.ndarray:
-        """Eq. (1) for a whole batch: returns ``(N, n_resources)`` times.
-
-        Dispatches to the resolved kernel backend; the numpy backend
-        internally processes large batches in cache-sized row blocks
-        (block boundaries cannot change any value — every term is
-        row-local), the compiled backends stream row by row.
-        """
-        return self._kernel.times_batch(self.pack, self._check_batch(assignments))
-
     def evaluate_batch(self, assignments: AssignmentBatch) -> CostVector:
         """Eq. (2) for a whole batch: one cost per row (lower is better)."""
         return self._kernel.eval_batch(self.pack, self._check_batch(assignments))

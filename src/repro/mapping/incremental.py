@@ -1,7 +1,8 @@
 """Incremental (delta) evaluation of mapping moves.
 
-Local-search style optimizers (hill climbing, simulated annealing, tabu)
-probe many single-task *moves* and pairwise *swaps* per accepted change.
+Neighborhood refinement (the refine phase of
+:class:`~repro.baselines.fastmap_hierarchical.HierarchicalFastMap`)
+probes many single-task *moves* and pairwise *swaps* per accepted change.
 Re-running the full Eq. (1) evaluation for each probe costs O(n + E);
 :class:`IncrementalEvaluator` maintains the per-resource execution times
 and updates only the terms a move touches — O(deg(t)) per probe plus an
@@ -9,9 +10,8 @@ O(n_r) max — which is the standard trick that makes neighborhood search
 competitive on TIG mapping.
 
 Probes dispatch through the compiled kernel layer
-(:mod:`repro.kernels`): the scalar :meth:`~IncrementalEvaluator.move_cost`
-/ :meth:`~IncrementalEvaluator.swap_cost` probes and the batched
-:meth:`~IncrementalEvaluator.swap_costs` sweep all run the same O(deg)
+(:mod:`repro.kernels`): the :meth:`~IncrementalEvaluator.move_cost` and
+:meth:`~IncrementalEvaluator.swap_cost` probes run the same O(deg)
 update the historical pure-Python code performed, in the same float
 order, on whichever backend ``REPRO_KERNEL`` resolved — so a compiled
 probe is bit-identical to the numpy one. *Applying* a move mutates the
@@ -120,25 +120,6 @@ class IncrementalEvaluator:
         self._check_task(t1)
         self._check_task(t2)
         return self._kernel.swap_cost(self._pack, self._exec, self._x, int(t1), int(t2))
-
-    def swap_costs(self, pairs: np.ndarray) -> np.ndarray:
-        """Batched :meth:`swap_cost`: one kernel call for ``(K, 2)`` pairs.
-
-        ``out[p]`` is bit-identical to ``swap_cost(*pairs[p])``; the
-        sweep-based searches (local search, tabu, CE elite refinement)
-        use this to amortize per-probe dispatch overhead while keeping
-        their historical sequential selection semantics (they pick from
-        ``out`` exactly as the probe-by-probe loop did).
-        """
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
-        if pairs.ndim != 2 or (pairs.size and pairs.shape[1] != 2):
-            raise MappingError(f"pairs must have shape (K, 2), got {pairs.shape}")
-        if pairs.size == 0:
-            return np.empty(0, dtype=np.float64)
-        n_t = self.model.problem.n_tasks
-        if pairs.min() < 0 or pairs.max() >= n_t:
-            raise MappingError("pairs contain out-of-range task indices")
-        return self._kernel.swap_costs(self._pack, self._exec, self._x, pairs)
 
     def apply_swap(self, t1: int, t2: int) -> float:
         """Exchange the resources of ``t1`` and ``t2``; returns the new cost."""

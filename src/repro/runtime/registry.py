@@ -4,7 +4,7 @@ The experiments layer used to hand-wire factory classes per heuristic
 (``MatchFactory``, ``GAFactory``, ...); Table 3's two GA configurations
 meant two bespoke classes. The registry replaces that with a flat
 namespace: a solver is a **name** (``"match"``, ``"fastmap-ga"``,
-``"sim-anneal"``, ...) plus a **params dict** forwarded to the mapper's
+``"fastmap-hier"``) plus a **params dict** forwarded to the mapper's
 constructor, and :class:`SolverSpec` packages the pair as a picklable
 value object so experiment cells can cross process-pool boundaries.
 
@@ -149,36 +149,6 @@ def _make_fastmap_hier(
     )
 
 
-def _make_sim_anneal(**params: Any) -> "Mapper":
-    from repro.baselines.simulated_annealing import SAConfig, SimulatedAnnealingMapper
-
-    return SimulatedAnnealingMapper(SAConfig(**params))
-
-
-def _make_tabu(**params: Any) -> "Mapper":
-    from repro.baselines.tabu import TabuConfig, TabuSearchMapper
-
-    return TabuSearchMapper(TabuConfig(**params))
-
-
-def _make_local_search(**params: Any) -> "Mapper":
-    from repro.baselines.local_search import LocalSearchMapper
-
-    return LocalSearchMapper(**params)
-
-
-def _make_random(**params: Any) -> "Mapper":
-    from repro.baselines.random_search import RandomSearchMapper
-
-    return RandomSearchMapper(**params)
-
-
-def _make_greedy(**params: Any) -> "Mapper":
-    from repro.baselines.greedy import GreedyConstructiveMapper
-
-    return GreedyConstructiveMapper(**params)
-
-
 def ensure_default_solvers() -> None:
     """Register the built-in heuristics (idempotent, lazily invoked)."""
     global _defaults_registered
@@ -189,10 +159,5 @@ def ensure_default_solvers() -> None:
         ("match", _make_match),
         ("fastmap-ga", _make_fastmap_ga),
         ("fastmap-hier", _make_fastmap_hier),
-        ("sim-anneal", _make_sim_anneal),
-        ("tabu", _make_tabu),
-        ("local-search", _make_local_search),
-        ("random", _make_random),
-        ("greedy", _make_greedy),
     ):
         register_solver(name, factory, overwrite=True)

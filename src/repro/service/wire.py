@@ -30,6 +30,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.core.config import paper_sample_size
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.mapping.problem import MappingProblem
 from repro.runtime.registry import SolverSpec
@@ -41,6 +42,11 @@ __all__ = [
     "request_from_wire",
     "request_to_wire",
     "MAX_WIRE_TASKS",
+    "MAX_WIRE_SAMPLES",
+    "MAX_WIRE_ITERATIONS",
+    "MAX_WIRE_POPULATION",
+    "MAX_WIRE_GENERATIONS",
+    "MAX_WIRE_REFINE_SWEEPS",
 ]
 
 #: plane-array names that carry vertex/edge indices (decoded as int64).
@@ -51,6 +57,32 @@ _INDEX_ARRAYS = frozenset({"tig_edges", "res_edges"})
 #: size is the one request field that scales a solve's memory and time;
 #: the paper's largest instance is n = 50.
 MAX_WIRE_TASKS = 128
+
+# Caps on the solver params that scale a solve's work (DESIGN §14). Every
+# default sits inside its cap, so a request that names no params is never
+# bound.
+
+#: MaTCH samples per iteration: the paper rule N = 2n² at the largest size.
+MAX_WIRE_SAMPLES = paper_sample_size(MAX_WIRE_TASKS)
+#: MaTCH iterations: twice the default (the paper profile's 500).
+MAX_WIRE_ITERATIONS = 1_000
+#: GA population (``population_size``, ``ga_population``): Table 3's largest.
+MAX_WIRE_POPULATION = 1_000
+#: GA generations (``generations``, ``ga_generations``): Table 3's largest.
+MAX_WIRE_GENERATIONS = 10_000
+#: Hierarchical FastMap refine sweeps of up to n² swap probes each: 5x the default.
+MAX_WIRE_REFINE_SWEEPS = 10
+
+#: param name -> (least, greatest) integer the wire accepts.
+_PARAM_BOUNDS = {
+    "n_samples": (2, MAX_WIRE_SAMPLES),
+    "max_iterations": (1, MAX_WIRE_ITERATIONS),
+    "population_size": (2, MAX_WIRE_POPULATION),
+    "ga_population": (2, MAX_WIRE_POPULATION),
+    "generations": (1, MAX_WIRE_GENERATIONS),
+    "ga_generations": (1, MAX_WIRE_GENERATIONS),
+    "refine_sweeps": (0, MAX_WIRE_REFINE_SWEEPS),
+}
 
 
 def problem_to_wire(problem: MappingProblem) -> dict[str, Any]:
@@ -65,14 +97,16 @@ def _check_task_count(n_tasks: int, what: str) -> None:
         )
 
 
-def _wire_int(value: Any, what: str, minimum: int) -> int:
-    """``value`` as a JSON integer ``>= minimum``; floats and bools are rejected.
+def _wire_int(value: Any, what: str, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as a JSON integer in ``[minimum, maximum]``; floats and bools are rejected.
 
     Checked at decode so a bad field is an HTTP 400 before quota admission,
     never a silent truncation or a failure inside a worker.
     """
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{what} is {value}; the wire accepts at most {maximum}")
     return value
 
 
@@ -119,14 +153,48 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
     )
 
 
+def _solver_from_wire(raw: Any) -> SolverSpec:
+    """Decode and build-check the solver spec before anything is allocated.
+
+    Work-scaling params must be integers within :data:`_PARAM_BOUNDS` (omit
+    ``n_samples`` for the paper rule; ``null`` is refused like any other
+    non-integer), and every param is a JSON scalar (no solver takes a
+    nested config on the wire). ``track_matrices`` is refused: the service
+    never returns matrix snapshots, so they would only cost worker memory.
+    """
+    if not isinstance(raw, Mapping) or "name" not in raw:
+        raise ValidationError("solver must be an object with a 'name' field")
+    params = raw.get("params") or {}
+    if not isinstance(params, Mapping):
+        raise ValidationError("solver.params must be an object")
+    for key, value in params.items():
+        if isinstance(value, (Mapping, list)):
+            raise ValidationError(f"solver.params.{key} must be a JSON scalar")
+        bounds = _PARAM_BOUNDS.get(key)
+        if bounds is not None:
+            _wire_int(value, f"solver.params.{key}", *bounds)
+    if params.get("track_matrices"):
+        raise ValidationError(
+            "solver.params.track_matrices is not accepted on the wire: "
+            "the service never returns matrix snapshots"
+        )
+    solver = SolverSpec.of(str(raw["name"]), dict(params))
+    try:
+        solver.build()
+    except (TypeError, ConfigurationError) as exc:
+        raise ValidationError(f"invalid solver {solver}: {exc}") from exc
+    return solver
+
+
 def request_from_wire(payload: Mapping[str, Any]) -> MappingRequest:
     """Decode one ``/solve`` body into a :class:`MappingRequest`.
 
-    The solver spec is built once here, so an unknown solver name or a
-    parameter its constructor rejects is a :class:`ValidationError` at
-    decode instead of a failed solve after quota admission. The integer
-    fields (``seed``, ``problem.seed``, ``max_evaluations``) are checked
-    the same way.
+    Everything but the problem is checked first, so a bad field is a
+    :class:`ValidationError` before the problem is built and before quota
+    admission. The solver spec is built once here, so an unknown solver
+    name, a parameter its constructor rejects or a param past its wire cap
+    never reaches a worker. The integer fields (``seed``,
+    ``problem.seed``, ``max_evaluations``) are checked the same way.
     """
     if not isinstance(payload, Mapping):
         raise ValidationError(f"request must be a JSON object, got {type(payload).__name__}")
@@ -136,17 +204,8 @@ def request_from_wire(payload: Mapping[str, Any]) -> MappingRequest:
     max_evaluations = payload.get("max_evaluations")
     if max_evaluations is not None:
         max_evaluations = _wire_int(max_evaluations, "max_evaluations", 1)
+    solver = _solver_from_wire(payload.get("solver") or {"name": "match"})
     problem = problem_from_wire(payload["problem"])
-    solver_raw = payload.get("solver") or {"name": "match"}
-    if not isinstance(solver_raw, Mapping) or "name" not in solver_raw:
-        raise ValidationError("solver must be an object with a 'name' field")
-    solver = SolverSpec.of(
-        str(solver_raw["name"]), dict(solver_raw.get("params") or {})
-    )
-    try:
-        solver.build()
-    except (TypeError, ConfigurationError) as exc:
-        raise ValidationError(f"invalid solver {solver}: {exc}") from exc
     return MappingRequest(
         problem=problem,
         solver=solver,

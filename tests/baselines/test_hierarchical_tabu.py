@@ -1,4 +1,4 @@
-"""Tests for hierarchical FastMap and tabu search."""
+"""Tests for hierarchical FastMap."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from repro.baselines import (
     GAConfig,
     HierarchicalFastMap,
     HierarchicalFastMapConfig,
-    TabuConfig,
-    TabuSearchMapper,
 )
 from repro.exceptions import ConfigurationError
 from repro.graphs import generate_resource_graph, generate_tig
@@ -91,63 +89,3 @@ class TestHierarchicalFastMap:
         b = HierarchicalFastMap(cfg).map(small_problem, 11)
         np.testing.assert_array_equal(a.assignment, b.assignment)
 
-
-class TestTabuSearch:
-    def test_valid_output(self, small_problem):
-        result = TabuSearchMapper(TabuConfig(n_iterations=100)).map(small_problem, 0)
-        assert small_problem.is_one_to_one(result.assignment)
-        assert result.extras["iterations"] >= 1
-
-    def test_escapes_local_optima_vs_plain_descent(self, small_problem):
-        """Tabu's uphill moves must not hurt the best-seen tracking."""
-        from repro.baselines import LocalSearchMapper
-
-        tabu = TabuSearchMapper(TabuConfig(n_iterations=300, tenure=8)).map(
-            small_problem, 3
-        )
-        descent = LocalSearchMapper(restarts=1, strategy="first").map(
-            small_problem, 3
-        )
-        assert tabu.execution_time <= descent.execution_time * 1.05
-
-    def test_candidate_sampling_mode(self, small_problem):
-        result = TabuSearchMapper(
-            TabuConfig(n_iterations=150, candidates=20)
-        ).map(small_problem, 4)
-        assert small_problem.is_one_to_one(result.assignment)
-
-    def test_stall_limit_stops_early(self, small_problem):
-        result = TabuSearchMapper(
-            TabuConfig(n_iterations=100_000, stall_limit=10)
-        ).map(small_problem, 5)
-        assert result.extras["iterations"] < 100_000
-
-    def test_best_tracked_not_final(self, small_problem, small_model):
-        """Reported cost is the best seen, which may beat the final state."""
-        result = TabuSearchMapper(TabuConfig(n_iterations=200)).map(small_problem, 6)
-        assert result.execution_time <= result.extras["final_cost"] + 1e-9
-        assert result.execution_time == pytest.approx(
-            small_model.evaluate(result.assignment)
-        )
-
-    def test_requires_square(self):
-        tig = generate_tig(4, 0)
-        res = generate_resource_graph(6, 0)
-        with pytest.raises(ConfigurationError):
-            TabuSearchMapper().map(MappingProblem(tig, res), 0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TabuConfig(n_iterations=0)
-        with pytest.raises(ConfigurationError):
-            TabuConfig(tenure=0)
-        with pytest.raises(ConfigurationError):
-            TabuConfig(candidates=-1)
-        with pytest.raises(ConfigurationError):
-            TabuConfig(stall_limit=0)
-
-    def test_deterministic(self, small_problem):
-        cfg = TabuConfig(n_iterations=120)
-        a = TabuSearchMapper(cfg).map(small_problem, 9)
-        b = TabuSearchMapper(cfg).map(small_problem, 9)
-        np.testing.assert_array_equal(a.assignment, b.assignment)

@@ -27,11 +27,6 @@ from repro.baselines.fastmap_hierarchical import (
     HierarchicalFastMapConfig,
 )
 from repro.baselines.ga import FastMapGA, GAConfig
-from repro.baselines.greedy import GreedyConstructiveMapper
-from repro.baselines.local_search import LocalSearchMapper
-from repro.baselines.random_search import RandomSearchMapper
-from repro.baselines.simulated_annealing import SAConfig, SimulatedAnnealingMapper
-from repro.baselines.tabu import TabuConfig, TabuSearchMapper
 from repro.core.config import MatchConfig
 from repro.core.match import MatchMapper
 from repro.experiments.suite import build_suite
@@ -44,7 +39,7 @@ SEEDS = (0, 1, 2, 3, 4)
 
 #: name -> (registry solver name, params dict, direct constructor).
 #: Small-but-structured configs: fast enough for CI, deep enough that every
-#: code path (batching, restarts, calibration, refinement) really runs.
+#: code path (the GA phase, refinement) really runs.
 GOLDEN_MAPPERS = {
     "MaTCH": (
         "match",
@@ -65,34 +60,6 @@ GOLDEN_MAPPERS = {
             )
         ),
     ),
-    "SimAnneal": (
-        "sim-anneal",
-        {"n_steps": 4000},
-        lambda: SimulatedAnnealingMapper(SAConfig(n_steps=4000)),
-    ),
-    "TabuSearch": (
-        "tabu",
-        {"n_iterations": 60, "tenure": 8, "stall_limit": 30},
-        lambda: TabuSearchMapper(
-            TabuConfig(n_iterations=60, tenure=8, stall_limit=30)
-        ),
-    ),
-    "LocalSearch": (
-        "local-search",
-        {"restarts": 3, "strategy": "first", "max_sweeps": 60},
-        lambda: LocalSearchMapper(restarts=3, strategy="first", max_sweeps=60),
-    ),
-    "LocalSearch-steepest": (
-        "local-search",
-        {"restarts": 2, "strategy": "steepest", "max_sweeps": 40},
-        lambda: LocalSearchMapper(restarts=2, strategy="steepest", max_sweeps=40),
-    ),
-    "Random": (
-        "random",
-        {"n_samples": 600, "batch_size": 256},
-        lambda: RandomSearchMapper(600, batch_size=256),
-    ),
-    "Greedy": ("greedy", {}, GreedyConstructiveMapper),
 }
 
 

@@ -39,22 +39,16 @@ def genperm_inputs(n_tasks, n_res, n_samples, seed, *, degenerate=False):
 
 
 class TestScoringParity:
-    @pytest.mark.parametrize("n,seed,rows", [(6, 0, 17), (12, 777, 64), (20, 3, 33)])
-    def test_times_batch_bit_identical(self, backend, n, seed, rows):
-        problem = make_problem(n, seed)
-        pack = build_pack(problem)
-        X = random_batch(problem, rows, seed + 1)
-        assert np.array_equal(
-            backend.times_batch(pack, X), impl_numpy.times_batch(pack, X)
-        )
-
     def test_eval_batch_bit_identical(self, backend):
-        problem = make_problem(12, 777)
-        pack = build_pack(problem)
-        X = random_batch(problem, 50, 9)
-        assert np.array_equal(
-            backend.eval_batch(pack, X), impl_numpy.eval_batch(pack, X)
-        )
+        # (n, problem seed, rows, batch seed)
+        cases = [(12, 777, 50, 9), (6, 0, 17, 1), (12, 777, 64, 778), (20, 3, 33, 4)]
+        for n, seed, rows, batch_seed in cases:
+            problem = make_problem(n, seed)
+            pack = build_pack(problem)
+            X = random_batch(problem, rows, batch_seed)
+            assert np.array_equal(
+                backend.eval_batch(pack, X), impl_numpy.eval_batch(pack, X)
+            ), (n, seed, rows)
 
     def test_cost_model_dispatches_backend(self, backend):
         problem = make_problem(12, 777)
@@ -125,17 +119,6 @@ class TestProbeParity:
                 np.testing.assert_allclose(
                     probe, float(model.per_resource_times(y).max()), rtol=1e-9
                 )
-
-    def test_swap_costs_batch_matches_scalar(self, backend):
-        problem, model, x = self._setup()
-        inc = IncrementalEvaluator(model, x)
-        n = problem.n_tasks
-        pairs = np.array(
-            [(a, b) for a in range(n) for b in range(n) if a != b], dtype=np.int64
-        )
-        batch = inc.swap_costs(pairs)
-        for p, (t1, t2) in enumerate(pairs.tolist()):
-            assert batch[p] == inc.swap_cost(t1, t2)
 
     def test_probes_bit_identical_to_numpy(self, backend):
         problem, model, x = self._setup(n=9, seed=31)
@@ -225,7 +208,6 @@ class TestThreadSplit:
         pack = build_pack(problem)
         X = random_batch(problem, B, B)
         assert np.array_equal(cext.eval_batch(pack, X), impl_numpy.eval_batch(pack, X))
-        assert np.array_equal(cext.times_batch(pack, X), impl_numpy.times_batch(pack, X))
 
     def test_no_thread_outlives_a_call(self, cext, monkeypatch):
         monkeypatch.setattr(impl_cext, "_n_threads", lambda work: 7)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.ce.genperm import sample_permutations
 from repro.graphs import generate_paper_pair, generate_resource_graph, generate_tig
 from repro.mapping import (
@@ -18,6 +19,7 @@ from repro.mapping import (
     evaluate_reference,
     per_resource_times_reference,
 )
+from repro.kernels import impl_numpy
 
 
 class TestHandChecked:
@@ -127,9 +129,10 @@ class TestBatch:
 
     def test_per_resource_batch_shape(self, small_model):
         X = np.stack([np.arange(12)] * 5)
-        out = small_model.per_resource_times_batch(X)
-        assert out.shape == (5, 12)
-        assert np.allclose(out, out[0])  # identical rows
+        out = small_model.evaluate_batch(X)
+        assert out.shape == (5,)
+        # identical rows, each the max of the single-mapping Eq. (1) times
+        assert np.all(out == small_model.per_resource_times(X[0]).max())
 
     def test_wrong_columns_rejected(self, small_model):
         with pytest.raises(ValueError, match="columns"):
@@ -220,28 +223,31 @@ class TestChunkedBatchScoring:
     def test_matches_per_row_reference(self, small_problem):
         model = CostModel(small_problem)
         batch = degenerate_batch(small_problem, 40, seed=6)
-        times = model.per_resource_times_batch(batch)
-        for row, expected in zip(batch, times):
-            assert np.array_equal(model.per_resource_times(row), expected)
+        costs = model.evaluate_batch(batch)
+        for row, expected in zip(batch, costs):
+            assert model.per_resource_times(row).max() == expected
 
     def test_block_boundaries_change_nothing(self, small_problem):
-        # A batch larger than the internal block size must score exactly
-        # as a single unchunked pass (blocking is a pure layout decision).
-        model = CostModel(small_problem)
+        # A batch larger than the numpy backend's internal block size must
+        # score exactly as a single unchunked pass (blocking is a pure
+        # layout decision).
+        with kernels.use_backend("numpy"):
+            model = CostModel(small_problem)
         widest = max(small_problem.edges.shape[0], small_problem.n_tasks, 1)
         block = max(512, 262_144 // widest)
         n_rows = block + 37
         batch = degenerate_batch(small_problem, n_rows, seed=7)
-        chunked = model.per_resource_times_batch(batch)
-        assert np.array_equal(chunked, model._times_block(batch))
+        chunked = model.evaluate_batch(batch)
+        unchunked = impl_numpy._times_block(model.pack, batch).max(axis=1)
+        assert np.array_equal(chunked, unchunked)
 
     def test_batch_shape_validation(self, small_problem):
         model = CostModel(small_problem)
         with pytest.raises(ValueError):
-            model.per_resource_times_batch(
+            model.evaluate_batch(
                 np.zeros((4, small_problem.n_tasks + 1), dtype=np.int64)
             )
         with pytest.raises(ValueError):
             bad = np.zeros((4, small_problem.n_tasks), dtype=np.int64)
             bad[0, 0] = small_problem.n_resources
-            model.per_resource_times_batch(bad)
+            model.evaluate_batch(bad)

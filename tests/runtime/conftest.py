@@ -3,8 +3,7 @@
 ``golden_problem`` is the same deterministic n=10 suite instance the
 golden fixtures were recorded on; ``SMALL_PARAMS`` gives every registry
 solver a configuration small enough for fast per-test runs but large
-enough that its real code paths (batching, restarts, calibration,
-refinement) execute.
+enough that its real code paths (the GA phase, refinement) execute.
 """
 
 from __future__ import annotations
@@ -18,11 +17,6 @@ SMALL_PARAMS = {
     "match": {"max_iterations": 30},
     "fastmap-ga": {"population_size": 12, "generations": 8},
     "fastmap-hier": {"ga_population": 10, "ga_generations": 6, "refine_sweeps": 2},
-    "sim-anneal": {"n_steps": 1500},
-    "tabu": {"n_iterations": 30, "tenure": 5, "stall_limit": 15},
-    "local-search": {"restarts": 2, "strategy": "first", "max_sweeps": 30},
-    "random": {"n_samples": 300, "batch_size": 128},
-    "greedy": {},
 }
 
 

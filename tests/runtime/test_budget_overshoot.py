@@ -25,7 +25,7 @@ def problem() -> MappingProblem:
 
 
 # Caps deliberately misaligned with every solver's natural batch size
-# (2n² = 128 CE samples, GA population 500, SA sweeps, tabu neighbourhoods)
+# (2n² = 128 CE samples, GA population 500, n² refine-sweep probes)
 # so the final batch must be cut, not merely skipped.
 CAPS = (37, 100)
 

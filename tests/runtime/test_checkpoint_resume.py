@@ -50,11 +50,6 @@ KILL_POINTS = [
     ("match", 5),
     ("fastmap-ga", 3),
     ("fastmap-hier", 1),  # after the GA phase, before refinement ends
-    ("sim-anneal", 1),  # after the first 1000-step annealing chunk
-    ("tabu", 7),
-    ("local-search", 2),
-    ("random", 1),  # after the first batch
-    ("greedy", 4),  # four of ten placements done
 ]
 
 
@@ -122,12 +117,12 @@ def test_committed_v1_checkpoint_resumes_bit_identically(golden_problem, tmp_pat
 
 
 def test_resumed_run_keeps_checkpointing(golden_problem, tmp_path):
-    path = tmp_path / "sa.ckpt"
-    mapper = create_mapper("sim-anneal", SMALL_PARAMS["sim-anneal"])
+    path = tmp_path / "ga.ckpt"
+    mapper = create_mapper("fastmap-ga", SMALL_PARAMS["fastmap-ga"])
     writer = CheckpointWriter(
         path,
-        solver_name="sim-anneal",
-        params=SMALL_PARAMS["sim-anneal"],
+        solver_name="fastmap-ga",
+        params=SMALL_PARAMS["fastmap-ga"],
         problem=golden_problem,
         seed=0,
         every=1,
@@ -142,14 +137,14 @@ def test_resumed_run_keeps_checkpointing(golden_problem, tmp_path):
 
 def test_run_instance_checkpoint_kwargs(golden_problem, tmp_path):
     instance = build_suite((10,), 1, seed=2005)[10][0]
-    mapper = create_mapper("tabu", SMALL_PARAMS["tabu"])
-    path = tmp_path / "tabu.ckpt"
+    mapper = create_mapper("match", SMALL_PARAMS["match"])
+    path = tmp_path / "match.ckpt"
     et, mt, evals = run_instance(
         mapper, instance, 1, checkpoint_path=str(path), checkpoint_every=5
     )
     assert evals > 0
     payload = load_checkpoint(path)
-    assert payload["solver"] == {"name": "tabu", "params": mapper.checkpoint_params()}
+    assert payload["solver"] == {"name": "match", "params": mapper.checkpoint_params()}
     assert payload["checkpoint_every"] == 5
 
 
@@ -191,7 +186,7 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match=">= 1"):
             CheckpointWriter(
                 tmp_path / "c.json",
-                solver_name="greedy",
+                solver_name="match",
                 params={},
                 problem=golden_problem,
                 every=0,

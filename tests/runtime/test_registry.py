@@ -10,21 +10,12 @@ from repro.exceptions import ConfigurationError
 from repro.runtime import SolverSpec, create_mapper, register_solver, solver_names
 from tests.runtime.conftest import SMALL_PARAMS
 
-EXPECTED_SOLVERS = {
-    "match",
-    "fastmap-ga",
-    "fastmap-hier",
-    "sim-anneal",
-    "tabu",
-    "local-search",
-    "random",
-    "greedy",
-}
+EXPECTED_SOLVERS = {"match", "fastmap-ga", "fastmap-hier"}
 
 
 class TestRegistry:
     def test_all_builtins_registered(self):
-        assert EXPECTED_SOLVERS <= set(solver_names())
+        assert set(solver_names()) == EXPECTED_SOLVERS
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_SOLVERS))
     def test_create_mapper_matches_registry_identity(self, name):
@@ -48,24 +39,24 @@ class TestRegistry:
 
 class TestSolverSpec:
     def test_spec_is_picklable_and_hashable(self):
-        spec = SolverSpec.of("tabu", {"n_iterations": 30, "tenure": 5})
+        spec = SolverSpec.of("fastmap-ga", {"population_size": 30, "generations": 5})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert hash(clone) == hash(spec)
         assert {spec: 1}[clone] == 1
 
     def test_of_canonicalizes_param_order(self):
-        a = SolverSpec.of("tabu", {"a": 1, "b": 2})
-        b = SolverSpec.of("tabu", {"b": 2, "a": 1})
+        a = SolverSpec.of("fastmap-ga", {"a": 1, "b": 2})
+        b = SolverSpec.of("fastmap-ga", {"b": 2, "a": 1})
         assert a == b
         assert a.params_dict() == {"a": 1, "b": 2}
 
     def test_build_creates_fresh_mappers(self):
-        spec = SolverSpec.of("greedy")
+        spec = SolverSpec.of("match")
         assert spec.build() is not spec.build()
 
     def test_str_shows_identity(self):
-        assert str(SolverSpec.of("random", {"n_samples": 5})) == "random(n_samples=5)"
+        assert str(SolverSpec.of("match", {"n_samples": 5})) == "match(n_samples=5)"
 
 
 class TestExperimentsIntegration:
@@ -88,12 +79,12 @@ class TestExperimentsIntegration:
             profile,
             seed=5,
             mappers={
-                "tabu": SolverSpec.of("tabu", {"n_iterations": 10, "stall_limit": 5}),
-                "greedy": SolverSpec.of("greedy"),
+                "ga": SolverSpec.of("fastmap-ga", {"population_size": 8, "generations": 4}),
+                "hier": SolverSpec.of("fastmap-hier", {"ga_population": 8, "ga_generations": 4}),
             },
             n_workers=1,
         )
-        assert set(data.et_series.values) == {"tabu", "greedy"}
+        assert set(data.et_series.values) == {"ga", "hier"}
         assert all(r.n_evaluations > 0 for r in data.records)
 
     def test_default_factories_resolve_through_registry(self):

@@ -21,7 +21,44 @@ from repro.service import (
     start_http_server,
     submit_over_http,
 )
-from repro.service.wire import MAX_WIRE_TASKS
+from repro.service.wire import (
+    MAX_WIRE_GENERATIONS,
+    MAX_WIRE_ITERATIONS,
+    MAX_WIRE_POPULATION,
+    MAX_WIRE_REFINE_SWEEPS,
+    MAX_WIRE_SAMPLES,
+    MAX_WIRE_TASKS,
+)
+
+#: (solver, param, greatest value the wire accepts) for every capped param.
+PARAM_CAPS = [
+    ("match", "n_samples", MAX_WIRE_SAMPLES),
+    ("match", "max_iterations", MAX_WIRE_ITERATIONS),
+    ("fastmap-ga", "population_size", MAX_WIRE_POPULATION),
+    ("fastmap-ga", "generations", MAX_WIRE_GENERATIONS),
+    ("fastmap-hier", "ga_population", MAX_WIRE_POPULATION),
+    ("fastmap-hier", "ga_generations", MAX_WIRE_GENERATIONS),
+    ("fastmap-hier", "refine_sweeps", MAX_WIRE_REFINE_SWEEPS),
+]
+_CAP_IDS = [f"{solver}-{param}" for solver, param, _ in PARAM_CAPS]
+
+#: Solvers that were once registered and must now be unknown on the wire.
+DELETED_SOLVERS = ["sim-anneal", "tabu", "local-search", "random", "greedy"]
+
+#: The unbounded body from the resource audit: 10⁹ samples and iterations
+#: with per-iteration matrix snapshots.
+UNBOUNDED_MATCH = {
+    "problem": {"size": 10},
+    "solver": {
+        "name": "match",
+        "params": {
+            "n_samples": 10**9,
+            "max_iterations": 10**9,
+            "track_matrices": True,
+            "matrix_snapshot_every": 1,
+        },
+    },
+}
 
 
 def make_problem(n: int = 10, seed: int = 7) -> MappingProblem:
@@ -144,6 +181,66 @@ class TestWire:
             request_from_wire({"problem": {"arrays": arrays}})
 
 
+class TestSolverParamCaps:
+    @pytest.mark.parametrize("solver,param,cap", PARAM_CAPS, ids=_CAP_IDS)
+    def test_past_cap_rejected(self, solver, param, cap):
+        body = {"problem": {"size": 8}, "solver": {"name": solver, "params": {param: cap + 1}}}
+        with pytest.raises(ValidationError, match=f"{param} is {cap + 1}; the wire accepts at most {cap}"):
+            request_from_wire(body)
+
+    @pytest.mark.parametrize("solver,param,cap", PARAM_CAPS, ids=_CAP_IDS)
+    def test_cap_is_inclusive(self, solver, param, cap):
+        body = {"problem": {"size": 8}, "solver": {"name": solver, "params": {param: cap}}}
+        assert request_from_wire(body).solver == SolverSpec.of(solver, {param: cap})
+
+    @pytest.mark.parametrize("value", [2.0, "10", None, True, -1])
+    def test_capped_param_must_be_an_integer_in_range(self, value):
+        body = {"problem": {"size": 8}, "solver": {"name": "match", "params": {"n_samples": value}}}
+        with pytest.raises(ValidationError, match="n_samples must be an integer"):
+            request_from_wire(body)
+
+    def test_track_matrices_rejected(self):
+        body = {"problem": {"size": 8},
+                "solver": {"name": "match", "params": {"track_matrices": True}}}
+        with pytest.raises(ValidationError, match="track_matrices"):
+            request_from_wire(body)
+
+    def test_nested_param_rejected(self):
+        # A nested object would reach the config as a dict and fail in a worker.
+        body = {"problem": {"size": 8},
+                "solver": {"name": "fastmap-hier", "params": {"ga": {"population_size": 10}}}}
+        with pytest.raises(ValidationError, match="JSON scalar"):
+            request_from_wire(body)
+
+    @pytest.mark.parametrize("name", DELETED_SOLVERS)
+    def test_deleted_solver_rejected(self, name):
+        with pytest.raises(ValidationError, match="unknown solver"):
+            request_from_wire({"problem": {"size": 8}, "solver": {"name": name}})
+
+    def test_solver_checked_before_problem_is_built(self, monkeypatch):
+        def _never(*args):
+            raise AssertionError("problem built before the solver check")
+
+        monkeypatch.setattr("repro.graphs.generate_paper_pair", _never)
+        with pytest.raises(ValidationError, match="at most"):
+            request_from_wire(UNBOUNDED_MATCH)
+
+    def test_defaults_sit_inside_every_cap(self):
+        # No cap may bind on a request that names no params (the
+        # benchmark's service workload sends ``match`` with ``{}``).
+        from repro.baselines import GAConfig
+        from repro.core import MatchConfig, paper_sample_size
+        from repro.runtime import create_mapper
+
+        assert paper_sample_size(MAX_WIRE_TASKS) <= MAX_WIRE_SAMPLES
+        assert MatchConfig().max_iterations <= MAX_WIRE_ITERATIONS
+        hier = create_mapper("fastmap-hier").config
+        for ga in (GAConfig(), hier.ga):
+            assert ga.population_size <= MAX_WIRE_POPULATION
+            assert ga.generations <= MAX_WIRE_GENERATIONS
+        assert hier.refine_sweeps <= MAX_WIRE_REFINE_SWEEPS
+
+
 class TestHttp:
     def test_solve_healthz_stats_and_errors(self):
         """One daemon lifecycle: healthz, a solve, the cached re-solve,
@@ -221,3 +318,45 @@ class TestHttp:
         assert health.startswith(b"HTTP/1.1 200") and b'{"ok": true}' in health
         assert missing.startswith(b"HTTP/1.1 404")
         assert stats["requests"] == 2 and stats["cache_hits"] == 1
+
+    def test_over_cap_bodies_get_400_before_admission(self):
+        """Each capped param just past its bound, the unbounded audit body and
+        deleted solver names: all get a structured 400, none is admitted,
+        and the daemon keeps serving."""
+        bodies = [
+            {"problem": {"size": 8}, "solver": {"name": solver, "params": {param: cap + 1}}}
+            for solver, param, cap in PARAM_CAPS
+        ]
+        bodies.append(UNBOUNDED_MATCH)
+        bodies += [{"problem": {"size": 8}, "solver": {"name": name}} for name in DELETED_SOLVERS]
+        bodies.append(
+            {"problem": {"size": 10},
+             "solver": {"name": "random", "params": {"n_samples": 10**12, "batch_size": 10**9}}}
+        )
+        valid = {"problem": {"size": 6, "seed": 1},
+                 "solver": {"name": "match", "params": {"max_iterations": 5}}}
+
+        async def main():
+            config = ServiceConfig(n_workers=1, coalesce_window=0.005)
+            async with MappingService(config) as service:
+                server = await start_http_server(service, host="127.0.0.1", port=0)
+                port = server.sockets[0].getsockname()[1]
+                url = f"http://127.0.0.1:{port}"
+                loop = asyncio.get_running_loop()
+
+                def post(body):
+                    return submit_over_http(url, body, timeout=60)
+
+                answers = [await loop.run_in_executor(None, post, body) for body in bodies]
+                status, ok = await loop.run_in_executor(None, post, valid)
+                server.close()
+                await server.wait_closed()
+                return answers, status, ok, service.stats()
+
+        answers, status, ok, stats = asyncio.run(main())
+        for body, (code, reply) in zip(bodies, answers):
+            assert code == 400, body
+            assert reply["error"]["kind"] == "bad-request", body
+        assert status == 200 and ok["status"] == "ok"
+        # Only the valid solve reached admission.
+        assert stats["requests"] == 1
