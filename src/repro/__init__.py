@@ -17,7 +17,7 @@ Package map
 * :mod:`repro.overset` — synthetic overset-grid CFD scenarios (Fig. 1);
 * :mod:`repro.mapping` — the Eq. (1)/(2) cost model (reference + batched);
 * :mod:`repro.ce` — the cross-entropy method library (GenPerm, elite
-  updates, stopping rules, single- and multi-chain engines);
+  updates, and the one CE engine, run on one chain or many);
 * :mod:`repro.core` — MaTCH and its distributed variant;
 * :mod:`repro.baselines` — FastMap-GA and its hierarchical variant;
 * :mod:`repro.stats` — ANOVA, confidence intervals, F/t distributions;

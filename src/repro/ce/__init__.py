@@ -4,14 +4,16 @@ Contents:
 
 * :class:`StochasticMatrix` and the Eq. (11)/(13) update machinery;
 * :func:`sample_permutations` — the batched GenPerm sampler (Fig. 4);
-* elite quantile selection, stopping criteria, and the single-chain
-  :class:`CrossEntropyOptimizer` (Fig. 2);
-* :class:`MultiChainCE` — R independent chains advanced as one batched
-  tensor loop, seed-for-seed equal to R sequential runs.
+* elite quantile selection and the :class:`StopKind` of a finished run;
+* :class:`MultiChainCE` — the one CE engine: R independent chains
+  advanced as one batched tensor loop, each bit-identical to a run of
+  its own, with the stop rules (iteration budget, Eq. (12) stability,
+  γ stagnation, degeneracy) kept as per-chain counters;
+* :class:`CrossEntropyOptimizer` — that engine on one chain (Fig. 2),
+  with a single-run API.
 
-Both engines run the one path MaTCH needs: GenPerm samples one-to-one
-task→resource mappings and elite updates sharpen the matrix towards a
-lower Eq. (2) execution time.
+GenPerm samples one-to-one task→resource mappings and elite updates
+sharpen the matrix towards a lower Eq. (2) execution time.
 """
 
 from repro.ce.diagnostics import (
@@ -34,16 +36,7 @@ from repro.ce.stochastic_matrix import (
     elite_counts_update,
     stacked_elite_update,
 )
-from repro.ce.stopping import (
-    AnyOf,
-    DegenerateMatrix,
-    GammaStagnation,
-    IterationState,
-    MaxIterations,
-    RowMaximaStable,
-    StopKind,
-    StoppingCriterion,
-)
+from repro.ce.stopping import StopKind
 
 __all__ = [
     "StochasticMatrix",
@@ -60,13 +53,6 @@ __all__ = [
     "elite_mask",
     "select_elites",
     "smooth",
-    "IterationState",
-    "StoppingCriterion",
-    "RowMaximaStable",
-    "GammaStagnation",
-    "MaxIterations",
-    "DegenerateMatrix",
-    "AnyOf",
     "StopKind",
     "CEConfig",
     "CEResult",

@@ -20,8 +20,9 @@ depends on the backend.
 whole *stack* of stochastic matrices at once — ``R`` independent CE chains
 advance through one flattened ``(R·N, n_res)`` view with per-chain row
 gathers. Chain ``r`` of the stacked call is bit-identical to a standalone
-:func:`sample_permutations` call fed the same uniforms, which is what lets
-the multi-chain engine reproduce sequential runs seed-for-seed.
+:func:`sample_permutations` call fed the same uniforms. The CE engine
+samples through the stacked form (one chain is ``R = 1``); the island
+runtime's agents sample through the single-matrix form.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def sample_permutations_stacked(
     rand_pos:
         ``(R, n_tasks, N)`` uniforms driving the roulette draws; chain
         ``r``'s block must come from chain ``r``'s own generator for
-        seed-for-seed equivalence with single-chain runs.
+        seed-for-seed equivalence with one-chain runs.
 
     Returns
     -------

@@ -91,9 +91,9 @@ def stacked_elite_update(
         )
     if E.min() < 0 or E.max() >= n_cols:
         raise ValidationError(f"elite values must be in [0, {n_cols - 1}]")
-    chain_ids = np.repeat(np.arange(R, dtype=np.int64), sizes)
-    rows = np.broadcast_to(np.arange(n_rows, dtype=np.int64), E.shape)
-    flat = (chain_ids[:, np.newaxis] * n_rows + rows).ravel() * n_cols + E.ravel()
+    # Flat cell index (chain, task, resource) of every elite entry.
+    chain_rows = np.repeat(np.arange(0, R * n_rows, n_rows, dtype=np.int64), sizes)
+    flat = ((chain_rows[:, np.newaxis] + np.arange(n_rows)) * n_cols + E).ravel()
     counts = np.bincount(flat, minlength=R * n_rows * n_cols).reshape(R, n_rows, n_cols)
     Q = counts.astype(np.float64) / sizes[:, np.newaxis, np.newaxis]
     P_new = zeta * Q + (1.0 - zeta) * P_stack
@@ -116,19 +116,6 @@ class StochasticMatrix:
         if n_rows < 1 or n_cols < 1:
             raise ValidationError(f"matrix dims must be >= 1, got ({n_rows}, {n_cols})")
         return cls(np.full((n_rows, n_cols), 1.0 / n_cols))
-
-    @classmethod
-    def _from_trusted(cls, values: np.ndarray) -> "StochasticMatrix":
-        """Wrap an already-stochastic array without validation or copy.
-
-        Internal hot-path constructor (the multi-chain engine publishes
-        per-iteration views to the stopping criteria through this). The
-        caller retains ownership of ``values`` and must not hand out the
-        wrapper beyond the current iteration.
-        """
-        obj = cls.__new__(cls)
-        obj._P = values
-        return obj
 
     @classmethod
     def degenerate_from_assignment(cls, assignment, n_cols: int) -> "StochasticMatrix":

@@ -575,6 +575,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
     from pathlib import Path
 
     from repro.runstore import default_runs_dir
@@ -610,13 +611,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _serve() -> None:
+        # SIGTERM and SIGINT end the serve loop, so leaving the service
+        # context closes the pool and the shm plane. A daemon started with
+        # `&` from a non-interactive shell has SIGINT ignored, and SIGTERM's
+        # default action would skip that cleanup.
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, stop.set)
         async with MappingService(config, run=run) as service:
             server = await start_http_server(service, args.host, args.port)
             host, port = server.sockets[0].getsockname()[:2]
             print(f"serving on http://{host}:{port}", file=sys.stderr)
             print(f"run recorded: {run.path}", file=sys.stderr)
             try:
-                await server.serve_forever()
+                await stop.wait()
             finally:
                 server.close()
                 await server.wait_closed()

@@ -16,11 +16,12 @@ interface (so the experiment harness treats it like any heuristic) and
 exposes the full CE diagnostics through
 :class:`~repro.core.result.MatchResult`.
 
-Both the single run (one CE iteration per
-:class:`~repro.runtime.loop.SearchLoop` step) and the fused ``map_many``
-repetitions (one *joint* multi-chain iteration per step) run inside the
-unified solver runtime, so budgets, hooks and checkpoints govern MaTCH
-exactly as they govern every baseline.
+A single run and the fused ``map_many`` repetitions run the same CE
+engine (:class:`~repro.ce.multichain.MultiChainCE`), with one chain and
+with one chain per seed, one engine iteration per
+:class:`~repro.runtime.loop.SearchLoop` step. Both run inside the unified
+solver runtime, so budgets, hooks and checkpoints govern MaTCH exactly as
+they govern every baseline.
 """
 
 from __future__ import annotations
@@ -30,17 +31,16 @@ from typing import Any, ClassVar, Sequence
 import numpy as np
 
 from repro.baselines.base import Mapper, MapperResult, MapperSolver
-from repro.ce.multichain import MultiChainCE, MultiChainResult
-from repro.ce.optimizer import CrossEntropyOptimizer
+from repro.ce.multichain import CEResult, MultiChainCE, MultiChainResult
 from repro.core.config import MatchConfig
 from repro.core.result import MatchResult
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, MappingError
 from repro.mapping.cost_model import CostModel
 from repro.mapping.problem import MappingProblem
 from repro.runtime.budget import EvaluationBudget
 from repro.runtime.hooks import SearchHooks
 from repro.runtime.loop import SearchLoop
-from repro.runtime.solver import SearchSolver, SolveOutput, StepReport
+from repro.runtime.solver import SolveOutput, StepReport
 from repro.types import SeedLike
 
 __all__ = ["MatchMapper", "match_map", "FUSED_CROSSOVER_MAX_TASKS", "prefer_fused"]
@@ -84,94 +84,43 @@ def _check_one_to_one(problem: MappingProblem) -> None:
 
 
 class _MatchSolver(MapperSolver):
-    """One CE iteration per step, via the optimizer's own step protocol."""
+    """One CE iteration of every live chain per loop step.
 
-    def __init__(self, mapper: "MatchMapper") -> None:
+    ``map`` runs one chain (``seeds=None``: the loop's seed); fused
+    ``map_many`` runs one chain per seed. Either way the engine is
+    :class:`~repro.ce.multichain.MultiChainCE`, charged against the loop's
+    budget.
+    """
+
+    def __init__(
+        self, mapper: "MatchMapper", seeds: Sequence[SeedLike] | None = None
+    ) -> None:
         super().__init__()
         self.mapper = mapper
-        self._optimizer: CrossEntropyOptimizer | None = None
+        self._seeds = seeds
+        self.engine: MultiChainCE | None = None
+        self.joint: MultiChainResult | None = None
 
-    def _build_optimizer(self, problem: MappingProblem, seed: SeedLike) -> None:
+    def _build_engine(self, problem: MappingProblem, seed: SeedLike) -> None:
         _check_one_to_one(problem)
         self._ce_cfg = self.mapper.config.ce_config(problem.n_resources)
-        self._optimizer = CrossEntropyOptimizer(
+        self.engine = MultiChainCE(
             self.model.evaluate_batch,
             problem.n_tasks,
             problem.n_resources,
             self._ce_cfg,
-            rng=seed,
-            budget=self.budget,
+            seeds=[seed] if self._seeds is None else self._seeds,
         )
+        self.engine.bind_budget(self.budget)
         self._problem = problem
 
     def start(self, problem: MappingProblem, seed: SeedLike) -> None:
-        self._build_optimizer(problem, seed)
-        self._optimizer.start()
-
-    @property
-    def finished(self) -> bool:
-        return self._optimizer is not None and self._optimizer.finished
-
-    def step(self) -> StepReport:
-        improved = self._optimizer.step()
-        it = self._iteration
-        self._iteration += 1
-        return StepReport(
-            iteration=it,
-            best_cost=self._optimizer.best_cost,
-            improved=improved,
-            info={"ce_iteration": self._optimizer.iteration},
-        )
-
-    def note_external_stop(self, kind: str, reason: str) -> None:
-        self._optimizer.note_external_stop(reason)
-
-    def finalize(self) -> SolveOutput:
-        ce_result = self._optimizer.finalize()
-        self.mapper._last_result = MatchResult(
-            problem=self._problem,
-            config=self.mapper.config,
-            ce_result=ce_result,
-        )
-        extras: dict[str, Any] = {
-            "iterations": ce_result.n_iterations,
-            "stop_reason": ce_result.stop_reason,
-            "n_samples_per_iteration": self._ce_cfg.n_samples,
-            "final_degeneracy": (
-                ce_result.degeneracy_history[-1] if ce_result.degeneracy_history else None
-            ),
-        }
-        return SolveOutput(
-            assignment=ce_result.best_assignment,
-            n_evaluations=ce_result.n_evaluations,
-            extras=extras,
-        )
-
-    # -- checkpointing -------------------------------------------------------
-    def export_state(self) -> dict[str, Any]:
-        return {"ce": self._optimizer.export_state(), "iteration": self._iteration}
-
-    def restore_state(self, problem: MappingProblem, state: dict[str, Any]) -> None:
-        self._build_optimizer(problem, None)
-        self._optimizer.restore_state(state["ce"])
-        self._iteration = int(state["iteration"])
-
-
-class _MultiChainSolver(SearchSolver):
-    """One *joint* multi-chain iteration per step (drives ``map_many``)."""
-
-    def __init__(self, engine: MultiChainCE) -> None:
-        super().__init__()
-        self.engine = engine
-        self.joint: MultiChainResult | None = None
-
-    def start(self, problem: MappingProblem, seed: SeedLike) -> None:
-        self.engine.bind_budget(self.budget)
+        self._build_engine(problem, seed)
         self.engine.start()
 
     @property
     def finished(self) -> bool:
-        return self.engine.finished
+        return self.engine is not None and self.engine.finished
 
     def step(self) -> StepReport:
         improved = self.engine.step()
@@ -181,20 +130,60 @@ class _MultiChainSolver(SearchSolver):
             iteration=it,
             best_cost=self.engine.best_cost,
             improved=improved,
-            info={"live_chains": self.engine.n_live},
+            info={"ce_iteration": self.engine.iteration, "live_chains": self.engine.n_live},
         )
 
     def note_external_stop(self, kind: str, reason: str) -> None:
         self.engine.note_external_stop(reason)
 
     def finalize(self) -> SolveOutput:
-        self.joint = self.engine.finalize()
-        best = self.joint.best
-        return SolveOutput(
-            assignment=best.best_assignment,
-            n_evaluations=self.joint.n_evaluations,
-            extras={"joint_chains": self.joint.n_chains},
+        self.joint = joint = self.engine.finalize()
+        for r, chain in enumerate(joint.chains):
+            if chain.n_evaluations == 0:
+                # Its best mapping would be the all-zeros placeholder.
+                raise MappingError(
+                    f"MaTCH chain {r} scored no mapping before it stopped "
+                    f"({chain.stop_reason})"
+                )
+        if self._seeds is not None:
+            best = joint.best
+            return SolveOutput(
+                assignment=best.best_assignment,
+                n_evaluations=joint.n_evaluations,
+                extras={"joint_chains": joint.n_chains},
+            )
+        ce_result = joint.chains[0]
+        self.mapper._last_result = MatchResult(
+            problem=self._problem,
+            config=self.mapper.config,
+            ce_result=ce_result,
         )
+        return SolveOutput(
+            assignment=ce_result.best_assignment,
+            n_evaluations=ce_result.n_evaluations,
+            extras=_chain_extras(ce_result, self._ce_cfg.n_samples),
+        )
+
+    # -- checkpointing (one chain) -------------------------------------------
+    def export_state(self) -> dict[str, Any]:
+        return {"ce": self.engine.export_state(), "iteration": self._iteration}
+
+    def restore_state(self, problem: MappingProblem, state: dict[str, Any]) -> None:
+        self._build_engine(problem, None)
+        self.engine.restore_state(state["ce"])
+        self._iteration = int(state["iteration"])
+
+
+def _chain_extras(res: CEResult, n_samples: int) -> dict[str, Any]:
+    """The per-run extras every MaTCH result reports."""
+    return {
+        "iterations": res.n_iterations,
+        "stop_reason": res.stop_reason,
+        "n_samples_per_iteration": n_samples,
+        "final_degeneracy": (
+            res.degeneracy_history[-1] if res.degeneracy_history else None
+        ),
+    }
 
 
 class MatchMapper(Mapper):
@@ -245,8 +234,8 @@ class MatchMapper(Mapper):
         ``mode="fused"`` advances every seed as one multi-chain CE run
         (:class:`~repro.ce.multichain.MultiChainCE`): one shared
         :class:`CostModel`, one batched GenPerm/score/update pass per joint
-        iteration, duplicates collapsed across chains. ``mode="serial"``
-        runs a plain per-seed :meth:`map` loop. ``mode="auto"`` (the
+        iteration, every sampled row scored. ``mode="serial"`` runs a
+        plain per-seed :meth:`map` loop. ``mode="auto"`` (the
         default) picks by the measured crossover (:func:`prefer_fused`):
         fused where fusion wins (small instances, ≥2 repetitions), serial
         where the joint batch outgrows what batching amortizes. Both paths
@@ -260,10 +249,15 @@ class MatchMapper(Mapper):
         path amortizes the joint wall-clock evenly over the runs (how a
         per-run MT should be read in Table 3 style aggregates), the serial
         path reports each run's own stopwatch. ``budget`` caps the
-        *combined* evaluations either way (the serial loop threads one
-        shared budget through every run). ``n_workers`` is accepted for
-        interface symmetry and ignored: both paths are single-process by
-        design.
+        *combined* evaluations either way: the serial loop threads one
+        shared budget through every run, and a fused step draws only the
+        rows the budget can still pay for, ``N`` per chain in chain order.
+        Each result's ``n_evaluations`` is the rows its run scored, so
+        they sum to what the budget charged. A run the budget leaves
+        without a single scored row raises
+        :class:`~repro.exceptions.MappingError` rather than return a
+        mapping it never scored. ``n_workers`` is accepted for interface
+        symmetry and ignored: both paths are single-process by design.
         """
         seeds = list(seeds)
         if not seeds:
@@ -283,17 +277,9 @@ class MatchMapper(Mapper):
                 results.append(result)
             return results
         model = CostModel(problem)
-        ce_cfg = self.config.ce_config(problem.n_resources)
-        engine = MultiChainCE(
-            model.evaluate_batch,
-            problem.n_tasks,
-            problem.n_resources,
-            ce_cfg,
-            seeds=seeds,
-        )
-        solver = _MultiChainSolver(engine)
-        loop = SearchLoop(solver, budget=budget, hooks=hooks)
-        outcome = loop.run(problem, None)
+        solver = _MatchSolver(self, seeds)
+        solver.model = model
+        outcome = SearchLoop(solver, budget=budget, hooks=hooks).run(problem, None)
         joint = solver.joint
         assert joint is not None
         per_run_time = outcome.elapsed / len(seeds)
@@ -302,6 +288,8 @@ class MatchMapper(Mapper):
             assignment = problem.check_assignment(
                 np.asarray(res.best_assignment, dtype=np.int64)
             )
+            extras = _chain_extras(res, solver._ce_cfg.n_samples)
+            extras.update(joint_chains=joint.n_chains, multichain_mode="fused")
             results.append(
                 MapperResult(
                     mapper_name=self.name,
@@ -309,18 +297,7 @@ class MatchMapper(Mapper):
                     execution_time=model.evaluate(assignment),
                     mapping_time=per_run_time,
                     n_evaluations=res.n_evaluations,
-                    extras={
-                        "iterations": res.n_iterations,
-                        "stop_reason": res.stop_reason,
-                        "n_samples_per_iteration": ce_cfg.n_samples,
-                        "final_degeneracy": (
-                            res.degeneracy_history[-1]
-                            if res.degeneracy_history
-                            else None
-                        ),
-                        "joint_chains": joint.n_chains,
-                        "multichain_mode": "fused",
-                    },
+                    extras=extras,
                 )
             )
         return results

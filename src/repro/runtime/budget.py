@@ -21,11 +21,10 @@ charging is a single integer add, so production runs pay nothing for the
 accounting.
 
 CE charges every row it samples, duplicates included, because it scores
-every one of them: after an uncapped CE run ``used`` equals the run's
-``n_evaluations``. A capped run stops exactly at ``max_evaluations``: the
-sequential engine draws only the rows the budget can still afford, and
-the fused multi-chain engine scores the affordable prefix of its joint
-batch and sets the rest to ``+inf``.
+every one of them: after a CE run ``used`` equals the run's
+``n_evaluations`` (summed over chains for a fused run). A capped run
+stops exactly at ``max_evaluations``: each engine step draws only the
+rows the budget can still afford, ``N`` per live chain in chain order.
 """
 
 from __future__ import annotations

@@ -53,8 +53,8 @@ class SolveOutput:
     assignment: np.ndarray
     #: Evaluation count in the heuristic's *legacy* accounting (what
     #: ``MapperResult.n_evaluations`` has always reported; golden fixtures
-    #: pin these numbers). The budget's ``used`` may differ, e.g. SA charges
-    #: its 64 calibration probes but has never counted them here.
+    #: pin these numbers). The budget's ``used`` may differ for solvers
+    #: that charge probes they do not count here.
     n_evaluations: int = 0
     #: Heuristic-specific extras merged into ``MapperResult.extras``.
     extras: dict[str, Any] = field(default_factory=dict)

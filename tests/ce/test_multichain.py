@@ -1,11 +1,13 @@
 """Tests for the multi-chain CE engine.
 
 The load-bearing property is seed-for-seed parity: chain ``r`` of a joint
-:class:`MultiChainCE` run must be field-for-field identical — histories
-and final matrix included — to a standalone
+:class:`MultiChainCE` run over ``R`` chains must be field-for-field
+identical — histories and final matrix included — to a one-chain
 :class:`CrossEntropyOptimizer` run seeded with ``seeds[r]``. The
 experiment layer swaps its serial repetition loops for the joint engine on
 the strength of this property, so it is pinned exactly (no tolerances).
+The one-chain runs themselves are pinned to recorded numbers by
+``test_golden_ce_engine.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.ce.stopping import StopKind
 from repro.exceptions import ConfigurationError
 from repro.graphs import generate_paper_pair
 from repro.mapping import CostModel, MappingProblem
+from repro.runtime.budget import EvaluationBudget
 
 SEEDS = [101, 202, 303]
 
@@ -105,11 +108,10 @@ class TestSeedForSeedParity:
         assert kind in {chain.stop_kind for chain in joint.chains}
 
     def test_stop_configs_cover_every_stop_kind(self, model, problem):
-        # Every rule of the optimizer's criterion set has a parity case.
-        seq = CrossEntropyOptimizer(
-            model.evaluate_batch, problem.n_tasks, problem.n_resources, config()
-        )
-        assert set(STOP_CONFIGS) == {c.kind for c in seq.stopping.criteria}
+        # Every rule the engine can fire has a parity case: all kinds but
+        # "not run" and the external (loop-driven) stop.
+        fired_by_rules = set(StopKind) - {StopKind.NOT_RUN, StopKind.EXTERNAL}
+        assert set(STOP_CONFIGS) == fired_by_rules
 
     def test_single_chain(self, model, problem):
         cfg = config()
@@ -155,6 +157,64 @@ class TestScoring:
         for seed, chain in zip(SEEDS, joint.chains):
             seq = run_sequential(fresh, problem, cfg, seed)
             assert_chain_equals_sequential(chain, seq)
+
+
+def run_capped(model, problem, cfg, seeds, cap) -> tuple[MultiChainResult, EvaluationBudget]:
+    """Drive the engine as the search loop does: check the cap between steps."""
+    budget = EvaluationBudget(max_evaluations=cap)
+    engine = MultiChainCE(
+        model.evaluate_batch, problem.n_tasks, problem.n_resources, cfg, seeds=seeds
+    )
+    engine.bind_budget(budget)
+    engine.start()
+    while not engine.finished:
+        tripped = budget.exhausted()
+        if tripped is not None:
+            engine.note_external_stop(tripped[1])
+            break
+        engine.step()
+    return engine.finalize(), budget
+
+
+class TestBudgetEdge:
+    """A joint step draws only the rows the budget can pay for, in chain order."""
+
+    N = 128
+
+    @pytest.mark.parametrize(
+        "cap", [1, 2 * N + 50, 3 * N - 1, 3 * N, 3 * N + 1, (5 * 3 * N) // 2]
+    )
+    def test_each_chain_equals_a_one_chain_run_capped_at_its_rows(self, model, problem, cap):
+        cfg = config()
+        joint, budget = run_capped(model, problem, cfg, SEEDS, cap)
+        assert budget.used == cap
+        assert sum(c.n_evaluations for c in joint.chains) == budget.used
+        assert joint.n_evaluations == budget.used
+        for seed, chain in zip(SEEDS, joint.chains):
+            if chain.n_evaluations == 0:
+                # Allotted no row: stopped before drawing, nothing to report.
+                assert chain.stop_kind == StopKind.EXTERNAL
+                assert chain.n_iterations == 0
+                continue
+            # Its rows are N per step, then what was left: exactly what a
+            # one-chain run capped at its total would draw and score.
+            alone, alone_budget = run_capped(model, problem, cfg, [seed], chain.n_evaluations)
+            seq = alone.chains[0]
+            assert alone_budget.used == chain.n_evaluations
+            assert chain.stop_kind == seq.stop_kind == StopKind.EXTERNAL
+            seq.stop_reason = chain.stop_reason
+            assert_chain_equals_sequential(chain, seq)
+            assert problem.is_one_to_one(chain.best_assignment)
+            assert chain.best_cost == model.evaluate(chain.best_assignment)
+
+    def test_rows_go_to_chains_in_order(self, model, problem):
+        # 2.5 joint batches: two full steps, then N, N/2 and 0 rows.
+        joint, _ = run_capped(model, problem, config(), SEEDS, (5 * 3 * self.N) // 2)
+        assert [c.n_evaluations for c in joint.chains] == [
+            3 * self.N, 2 * self.N + self.N // 2, 2 * self.N
+        ]
+        assert [c.n_iterations for c in joint.chains] == [3, 3, 2]
+        assert joint.chains[2].stop_reason == "evaluation budget exhausted before sampling"
 
 
 class TestResultSurface:

@@ -58,14 +58,15 @@ class TestOptimizerConstruction:
                        stability_window=0)
         calls = []
 
-        def sampler(P, n, rng):
-            calls.append(n)
-            return np.tile(np.arange(3), (n, 1))
+        def sampler(P_stack, rand_orders, rand_pos):
+            calls.append(rand_orders.shape[:2])
+            R, N = rand_orders.shape[:2]
+            return np.tile(np.arange(3), (R, N, 1))
 
-        monkeypatch.setattr("repro.ce.optimizer.sample_permutations", sampler)
+        monkeypatch.setattr("repro.ce.multichain.sample_permutations_stacked", sampler)
         opt = CrossEntropyOptimizer(lambda X: np.zeros(len(X)), 3, 3, cfg)
         opt.run()
-        assert calls and all(c == 10 for c in calls)
+        assert calls == [(1, 10), (1, 10)]
 
     def test_objective_shape_checked(self):
         cfg = CEConfig(n_samples=10, max_iterations=1)

@@ -193,3 +193,73 @@ class TestMapManyModes:
     def test_invalid_mode_rejected(self, small_problem):
         with pytest.raises(ConfigurationError):
             MatchMapper(self.config).map_many(small_problem, [1, 2], mode="typo")
+
+
+class TestBudgetEdge:
+    """Evaluation caps on MaTCH: one ledger, and no mapping it never scored.
+
+    The golden ``n = 10`` instance with ``N = 200`` samples per iteration.
+    A run or chain left without a single scored row would return the
+    all-zeros placeholder (not one-to-one, with an ET no real mapping
+    reaches), so MaTCH raises instead.
+    """
+
+    config = MatchConfig(max_iterations=80)
+    seeds = [0, 1, 2]
+
+    @pytest.fixture(scope="class")
+    def golden(self) -> MappingProblem:
+        from repro.experiments.suite import build_suite
+
+        return build_suite((10,), 1, seed=2005)[10][0].problem
+
+    def test_exhausted_budget_raises(self, golden):
+        from repro.exceptions import MappingError
+        from repro.runtime import EvaluationBudget
+
+        budget = EvaluationBudget(max_evaluations=5)
+        budget.charge(5)
+        with pytest.raises(MappingError, match="scored no mapping"):
+            MatchMapper(self.config).map(golden, 0, budget=budget)
+
+    def test_serial_repetitions_raise_once_the_shared_budget_is_spent(self, golden):
+        from repro.exceptions import MappingError
+        from repro.runtime import EvaluationBudget
+
+        budget = EvaluationBudget(max_evaluations=1250)
+        with pytest.raises(MappingError, match="scored no mapping"):
+            MatchMapper(self.config).map_many(golden, self.seeds, budget=budget, mode="serial")
+        assert budget.used == 1250
+
+    def test_fused_chain_allotted_no_rows_raises(self, golden):
+        from repro.exceptions import MappingError
+        from repro.runtime import EvaluationBudget
+
+        budget = EvaluationBudget(max_evaluations=300)
+        with pytest.raises(MappingError, match="chain 2 scored no mapping"):
+            MatchMapper(self.config).map_many(golden, self.seeds, budget=budget, mode="fused")
+        assert budget.used == 300
+
+    @pytest.mark.parametrize("cap", [401, 599, 600, 1500, None])
+    def test_fused_evaluations_sum_to_budget_used(self, golden, cap):
+        from repro.runtime import EvaluationBudget
+
+        budget = EvaluationBudget(max_evaluations=cap)
+        results = MatchMapper(self.config).map_many(
+            golden, self.seeds, budget=budget, mode="fused"
+        )
+        assert sum(r.n_evaluations for r in results) == budget.used
+        if cap is not None:
+            assert budget.used == cap
+        for r in results:
+            assert r.n_evaluations > 0
+            assert golden.is_one_to_one(r.assignment)
+
+    def test_capped_single_run_is_one_to_one(self, golden):
+        from repro.runtime import EvaluationBudget
+
+        for cap in (1, 199, 200, 500):
+            budget = EvaluationBudget(max_evaluations=cap)
+            result = MatchMapper(self.config).map(golden, 0, budget=budget)
+            assert result.n_evaluations == budget.used == cap
+            assert golden.is_one_to_one(result.assignment)

@@ -65,12 +65,12 @@ def test_sequential_runs_reproduce_golden(golden, problem, heuristic):
         # Every heuristic populates n_evaluations, and the shared budget
         # saw the charged work. CE scores and charges every sampled row,
         # so for MaTCH the two counts agree exactly; other solvers may
-        # differ (SA charges its 64 calibration probes that n_evaluations
-        # never counted).
+        # differ.
         assert result.n_evaluations > 0
         assert budget.used > 0
         if entry["solver"] == "match":
             assert budget.used == result.n_evaluations
+            assert problem.is_one_to_one(result.assignment)
 
 
 def test_multichain_fused_path_reproduces_golden(golden, problem):
@@ -83,6 +83,7 @@ def test_multichain_fused_path_reproduces_golden(golden, problem):
         assert result.execution_time == run["execution_time"]
         assert np.array_equal(result.assignment, np.asarray(run["assignment"]))
         assert result.n_evaluations == run["n_evaluations"]
+        assert problem.is_one_to_one(result.assignment)
     # The joint run charges every sampled row of every chain.
     assert budget.used == sum(r["n_evaluations"] for r in entry["runs"])
 
