@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runstore_args(resume)
 
     serve = sub.add_parser(
-        "serve", help="run the mapping gateway daemon (HTTP, batch-coalescing, cached)"
+        "serve",
+        help="run the mapping gateway daemon (HTTP, cached, misses solved on pool workers)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8753, help="bind port (default 8753)")
@@ -104,20 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker processes for the shared pool (default: REPRO_WORKERS or cpus-1)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=16,
-        metavar="N",
-        help="max requests coalesced into one dispatch batch (default 16)",
-    )
-    serve.add_argument(
-        "--coalesce-ms",
-        type=float,
-        default=10.0,
-        metavar="MS",
-        help="coalesce window in milliseconds (default 10)",
     )
     serve.add_argument(
         "--cache-size",
@@ -587,8 +574,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir = root / "service-cache"
     config = ServiceConfig(
         n_workers=args.workers,
-        max_batch=args.max_batch,
-        coalesce_window=args.coalesce_ms / 1000.0,
         cache_capacity=args.cache_size,
         cache_dir=cache_dir,
         client_quota=args.quota,
@@ -601,8 +586,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "host": args.host,
             "port": args.port,
             "n_workers": args.workers,
-            "max_batch": args.max_batch,
-            "coalesce_ms": args.coalesce_ms,
             "cache_size": args.cache_size,
             "cache_persistent": cache_dir is not None,
             "quota": args.quota,
@@ -612,9 +595,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         # SIGTERM and SIGINT end the serve loop, so leaving the service
-        # context closes the pool and the shm plane. A daemon started with
-        # `&` from a non-interactive shell has SIGINT ignored, and SIGTERM's
-        # default action would skip that cleanup.
+        # context answers the admitted requests and closes the pool. A
+        # daemon started with `&` from a non-interactive shell has SIGINT
+        # ignored, and SIGTERM's default action would skip that cleanup.
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for signum in (signal.SIGTERM, signal.SIGINT):

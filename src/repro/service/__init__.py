@@ -1,8 +1,8 @@
-"""Mapping-as-a-service: the batch-coalescing gateway over the warm fabric.
+"""Mapping-as-a-service: the cache-fronted gateway over the warm fabric.
 
 See DESIGN.md §14. :class:`MappingService` is the importable gateway
-(cache → single-flight dedup → quota admission → coalesced ``map_salvage``
-dispatch); :mod:`repro.service.http` fronts it with a stdlib HTTP daemon
+(cache → single-flight dedup → quota admission → one ``map_salvage``
+dispatch per miss, up to one per worker at once); :mod:`repro.service.http` fronts it with a stdlib HTTP daemon
 (``repro-match serve`` / ``repro-match submit``); :mod:`repro.service.wire`
 is the JSON request/response vocabulary they share.
 """

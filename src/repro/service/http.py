@@ -8,10 +8,10 @@ that speaks just enough HTTP for a curl / ``urllib`` client —
   with status 200 (ok), 429 (structured quota rejection), 500 (failed
   solve) or 400 (malformed request);
 * ``GET /healthz`` — liveness probe;
-* ``GET /stats`` — the service counters (cache, quotas, batching).
+* ``GET /stats`` — the service counters (cache, quotas, dispatches).
 
 One request per connection (``Connection: close``): the gateway's
-concurrency comes from the dispatcher's batching, not from connection
+concurrency comes from its per-worker dispatch slots, not from connection
 reuse, and the dumbest possible wire loop is the easiest one to trust.
 :func:`submit_over_http` is the matching blocking client used by the
 ``repro-match submit`` CLI and the CI trace replay.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -236,11 +237,22 @@ class WorkerPool:
     Use as a context manager (or call :meth:`close`); either way the plane's
     segments are unlinked on normal exit, on exceptions and on SIGINT, and a
     ``weakref.finalize`` guard covers pools abandoned without closing.
+
+    :meth:`map_salvage` may be called from several threads at once (the
+    service gateway runs one call per in-flight request); they share the
+    executor, and a pool death heals once for all of them.
     """
 
     def __init__(self, n_workers: int | None = None) -> None:
         self.n_workers = default_worker_count() if n_workers is None else int(n_workers)
         self._executor: ProcessPoolExecutor | None = None
+        #: Held to swap the executor, to submit (a fork pool forks its
+        #: workers in the first submit) and to create or close a heartbeat
+        #: board. A fork copies every lock in the state another thread
+        #: holds it; a board create or close holds the resource tracker's
+        #: lock, which a worker then takes on its first board attach
+        #: (Python < 3.13) and waits on forever.
+        self._lock = threading.Lock()
         self._plane = ProblemPlane()
         self._closed = False
 
@@ -365,13 +377,19 @@ class WorkerPool:
         ``policy=None`` uses :meth:`RetryPolicy.default` (environment
         overrides included). ``weight`` orders submission heaviest-first
         exactly as in :meth:`map`, and cannot influence any result value.
+
+        A parallel pool dispatches even a single item, so one cell gets
+        the same worker isolation, retries and deadline as many; only
+        ``n_workers <= 1`` runs in-process.
         """
         if self._closed:
             raise WorkerPoolError("cannot map on a closed WorkerPool")
         resolved = policy if policy is not None else RetryPolicy.default()
         item_list: Sequence[T] = list(items)
-        if not self.is_parallel or len(item_list) <= 1:
+        if not self.is_parallel:
             return self._salvage_serial(fn, item_list)
+        if not item_list:
+            return SalvageReport(results=[], final_workers=self.n_workers)
         return _ResilientDispatch(self, fn, item_list, weight, resolved).run()
 
     def _salvage_serial(
@@ -399,42 +417,48 @@ class WorkerPool:
         )
 
     # -- lifecycle ---------------------------------------------------------
-    def _discard_executor(self) -> None:
+    def _discard_executor(self, executor: ProcessPoolExecutor) -> None:
         """Drop a (typically broken) executor so the next dispatch forks fresh.
 
-        The finalizer guard is detached first — it references the old
-        executor and would otherwise block interpreter exit waiting on
-        processes that are already gone.
+        A no-op unless ``executor`` is still the current one: of several
+        concurrent dispatches that saw the same executor die, the first
+        replaces it and the others must not discard the replacement. The
+        finalizer guard is detached first — it references the old executor
+        and would otherwise block interpreter exit waiting on processes
+        that are already gone.
         """
-        if self._executor is None:
-            return
-        finalizer = getattr(self, "_exec_finalizer", None)
-        if finalizer is not None:
-            finalizer.detach()
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._executor = None
+        with self._lock:
+            if self._executor is not executor:
+                return
+            finalizer = getattr(self, "_exec_finalizer", None)
+            if finalizer is not None:
+                finalizer.detach()
+            executor.shutdown(wait=False, cancel_futures=True)
+            self._executor = None
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            # Start the parent's resource tracker *before* forking workers.
-            # Workers must inherit its fd: a worker whose first shared-memory
-            # attach finds no tracker spawns a private one that never hears
-            # the parent's unlink and cries "leaked" at shutdown. The first
-            # publish starts it implicitly, but this pool may well dispatch
-            # plane-free work (suite generation) before anything is published.
-            try:
-                from multiprocessing import resource_tracker
+        with self._lock:
+            if self._executor is None:
+                # Start the parent's resource tracker *before* forking
+                # workers. Workers must inherit its fd: a worker whose first
+                # shared-memory attach finds no tracker spawns a private one
+                # that never hears the parent's unlink and cries "leaked" at
+                # shutdown. The first publish starts it implicitly, but this
+                # pool may well dispatch plane-free work (suite generation,
+                # service solves) before anything is published.
+                try:
+                    from multiprocessing import resource_tracker
 
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - platform-specific
-                pass
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers, initializer=_init_worker
-            )
-            self._exec_finalizer = weakref.finalize(
-                self, _shutdown_executor, self._executor
-            )
-        return self._executor
+                    resource_tracker.ensure_running()
+                except Exception:  # pragma: no cover - platform-specific
+                    pass
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.n_workers, initializer=_init_worker
+                )
+                self._exec_finalizer = weakref.finalize(
+                    self, _shutdown_executor, self._executor
+                )
+            return self._executor
 
     def close(self) -> None:
         """Shut workers down, then unlink every published segment. Idempotent.
@@ -498,7 +522,9 @@ class _ResilientDispatch:
             self.order = list(range(n))
         else:
             self.order = sorted(range(n), key=lambda i: (-float(weight(items[i])), i))
-        self.board = HeartbeatBoard.create(n)
+        with pool._lock:
+            self.board = HeartbeatBoard.create(n)
+        self.executor: ProcessPoolExecutor | None = None  # the generation being driven
         self.results: list = [None] * n
         self.done = [False] * n
         self.attempts = [0] * n  # attempts that actually started, per cell
@@ -523,7 +549,8 @@ class _ResilientDispatch:
                     if not self._heal():
                         self._serial_tail()
         finally:
-            self.board.close()
+            with self.pool._lock:
+                self.board.close()
         return SalvageReport(
             results=self.results,
             failures=tuple(self.failures[i] for i in sorted(self.failures)),
@@ -543,7 +570,9 @@ class _ResilientDispatch:
     # -- one executor generation -------------------------------------------
     def _submit(self, executor: ProcessPoolExecutor, i: int) -> None:
         task = (self.fn, self.items[i], i, self.attempts[i], self.board.name, self.n)
-        self.inflight[executor.submit(_resilient_cell, task)] = i
+        with self.pool._lock:
+            future = executor.submit(_resilient_cell, task)
+        self.inflight[future] = i
 
     def _drive_generation(self) -> None:
         """Dispatch every unresolved cell on a fresh/healthy executor.
@@ -552,7 +581,7 @@ class _ResilientDispatch:
         executor dies, leaving ``self.inflight`` populated for
         classification.
         """
-        executor = self.pool._ensure_executor()
+        executor = self.executor = self.pool._ensure_executor()
         self.inflight = {}
         for i in self._unresolved():
             self._submit(executor, i)
@@ -688,7 +717,8 @@ class _ResilientDispatch:
         sustain it — e.g. the OOM killer culling the largest cohort), and
         below two workers parallelism has nothing left to offer.
         """
-        self.pool._discard_executor()
+        if self.executor is not None:
+            self.pool._discard_executor(self.executor)
         self.n_respawns += 1
         self.respawns_at_size += 1
         if self.respawns_at_size > self.policy.respawn_cap:

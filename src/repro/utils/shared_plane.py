@@ -249,7 +249,8 @@ class HeartbeatBoard:
     a result record.
 
     The parent creates and unlinks the board per dispatch; workers attach
-    by name through :func:`mark_heartbeat`'s per-process cache.
+    by name through :func:`mark_heartbeat`, which keeps one board per
+    process.
     """
 
     _SLOTS = 3  # monotonic start, worker pid, attempt index
@@ -328,22 +329,29 @@ class HeartbeatBoard:
             pass
 
 
-#: Per-process heartbeat attachment cache: segment name -> board.
-_HB_ATTACHED: dict[str, HeartbeatBoard] = {}
+#: The board this worker process last stamped. A worker keeps at most
+#: one attachment: every dispatch creates its own board, so a cache of all
+#: of them would hold one fd and one mapping per dispatch forever.
+_HB_ATTACHED: HeartbeatBoard | None = None
 
 
 def mark_heartbeat(name: str, n_cells: int, index: int, attempt: int) -> None:
     """Worker-side entry: stamp a cell attempt on the named board.
 
-    Attaches on first use and caches per process, so every later stamp is
-    one ndarray write. Best-effort by design: a board the parent already
-    tore down (or a platform without shared memory) must degrade to "no
-    heartbeat", never break the cell itself.
+    Attaches when the board differs from the one last used (closing that
+    one), so every later stamp within a dispatch is one ndarray write.
+    Best-effort by design: a board the parent already tore down (or a
+    platform without shared memory) must degrade to "no heartbeat", never
+    break the cell itself.
     """
+    global _HB_ATTACHED
     try:
-        board = _HB_ATTACHED.get(name)
-        if board is None:
-            board = _HB_ATTACHED[name] = HeartbeatBoard.attach(name, n_cells)
+        board = _HB_ATTACHED
+        if board is None or board.name != name:
+            _HB_ATTACHED = None
+            if board is not None:
+                board.close()
+            board = _HB_ATTACHED = HeartbeatBoard.attach(name, n_cells)
         board.mark(index, attempt)
     except Exception:  # pragma: no cover - platform-specific degradation
         pass

@@ -2,8 +2,9 @@
 
 A daemon started with ``&`` from a non-interactive shell inherits SIGINT
 as ignored, so SIGTERM is the signal that reaches it. The serve loop must
-treat it as a shutdown request: close the HTTP server, the worker pool
-and the shared-memory plane, stamp the run complete, and exit 0.
+treat it as a shutdown request: close the HTTP server and the worker
+pool, leave no shared-memory segment behind, stamp the run complete, and
+exit 0.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def test_sigterm_stops_the_daemon_cleanly(tmp_path: Path):
                 run_path = Path(line.removeprefix("run recorded: "))
         assert url is not None and run_path is not None, f"daemon never came up: {seen}"
 
-        # Two concurrent solves form a batch of two, which goes to the pool
-        # through the shm plane, so both are live at shutdown.
+        # Two concurrent solves each run on a pool worker, so the pool is
+        # live at shutdown.
         def solve(seed: int) -> tuple[int, dict]:
             payload = {
                 "problem": {"size": 6, "seed": seed},

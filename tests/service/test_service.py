@@ -1,9 +1,10 @@
-"""The batch-coalescing gateway (``repro.service``).
+"""The mapping gateway (``repro.service``).
 
-The contracts under test are the ISSUE 9 guarantees: responses are
-bit-identical to direct ``Mapper.map`` solves no matter how requests are
-cached, coalesced, or interleaved; cache hits cost no worker time and no
-quota; over-quota requests get a structured rejection, not a timeout.
+The contracts under test: responses are bit-identical to direct
+``Mapper.map`` solves no matter how requests are cached, deduplicated,
+interleaved or retried; cache hits cost no worker time and no quota;
+over-quota requests get a structured rejection, not a timeout; each cache
+miss is its own dispatch to a pool worker, up to one per worker at once.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import pytest
 from repro import kernels
 from repro.graphs import generate_paper_pair
 from repro.mapping import MappingProblem
+from repro.exceptions import ConfigurationError
+from repro.runstore import RunStore
 from repro.runtime.registry import SolverSpec
 from repro.service import MappingRequest, MappingService, ServiceConfig
+from repro.utils.faults import FAULTS_ENV
 
 AVAILABLE = [name for name, ok in kernels.available_backends().items() if ok]
 
@@ -30,7 +34,7 @@ def make_problem(n: int = 10, seed: int = 7) -> MappingProblem:
 
 def serve(coro_fn, **config_kwargs):
     """Run ``coro_fn(service)`` against a fresh serial-pool gateway."""
-    config = ServiceConfig(n_workers=1, coalesce_window=0.005, **config_kwargs)
+    config = ServiceConfig(n_workers=1, **config_kwargs)
 
     async def main():
         async with MappingService(config) as service:
@@ -70,7 +74,7 @@ class TestBitParity:
         async def fill(service):
             return await service.submit(request)
 
-        config = ServiceConfig(n_workers=1, coalesce_window=0.005)
+        config = ServiceConfig(n_workers=1)
 
         async def main():
             async with MappingService(config) as service:
@@ -171,6 +175,8 @@ class TestQuota:
 
 
 class TestCoalescing:
+    """``coalesced`` requests attach to an identical in-flight solve."""
+
     def test_concurrent_submits_coalesce_and_dedup(self):
         problem = make_problem()
 
@@ -185,10 +191,10 @@ class TestCoalescing:
         responses, stats = serve(go)
         assert all(r.status == "ok" for r in responses)
         # The duplicate seed-1 request single-flights onto the in-flight
-        # solve: served, but never queued or charged.
+        # solve: served, but never dispatched or charged.
         assert stats["coalesced_dedup"] == 1
-        assert stats["max_batch_width"] == 3
-        assert stats["worker_cells"] == 3
+        assert stats["batches"] == 3
+        assert responses[3].coalesced
         assert responses[0].result == responses[3].result
         assert responses[3].charged == 0
 
@@ -222,7 +228,7 @@ class TestCoalescing:
             return serve(go)
 
         serial_like = replay([0, 1, 2, 3], 0.02)  # arrives spread out
-        burst = replay([0, 1, 2, 3], 0.0)  # one coalesced burst
+        burst = replay([0, 1, 2, 3], 0.0)  # one concurrent burst
         reversed_burst = replay([3, 2, 1, 0], 0.0)
         assert burst == serial_like
         assert reversed_burst == serial_like
@@ -230,13 +236,46 @@ class TestCoalescing:
 
 class TestLifecycle:
     def test_submit_before_start_raises(self):
-        from repro.exceptions import ConfigurationError
-
         service = MappingService(ServiceConfig(n_workers=1))
         with pytest.raises(ConfigurationError):
             asyncio.run(service.submit(
                 MappingRequest(problem=make_problem(), solver=SPEC, seed=1)
             ))
+
+    def test_submit_after_close_raises_before_admission(self):
+        """A closed service has no pool left to solve on: a miss must be
+        refused at once, not admitted, charged and left waiting forever."""
+        service = MappingService(ServiceConfig(n_workers=1))
+
+        async def go():
+            await service.start()
+            await service.close()
+            await asyncio.wait_for(
+                service.submit(
+                    MappingRequest(problem=make_problem(), solver=SPEC, seed=1)
+                ),
+                timeout=5,
+            )
+
+        with pytest.raises(ConfigurationError):
+            asyncio.run(go())
+        assert service.quotas.used("anonymous") == 0
+
+    def test_close_answers_every_admitted_request(self):
+        async def main():
+            service = await MappingService(ServiceConfig(n_workers=1)).start()
+            pending = [
+                asyncio.create_task(service.submit(
+                    MappingRequest(problem=make_problem(), solver=SPEC, seed=s)
+                ))
+                for s in (1, 2)
+            ]
+            await asyncio.sleep(0)  # both are admitted and dispatched
+            await service.close()
+            return [task.result() for task in pending]
+
+        responses = asyncio.run(main())
+        assert [r.status for r in responses] == ["ok", "ok"]
 
     def test_stats_shape(self):
         async def go(service):
@@ -332,3 +371,59 @@ class TestQuotaRefund:
         assert ledger.refund("c", 500) == 100  # clamped to what was charged
         assert ledger.used("c") == 0
         assert ledger.refund("c", 10) == 0
+
+
+class TestPoolDispatch:
+    """Each cache miss is its own dispatch to a worker of a parallel pool."""
+
+    def test_concurrent_misses_are_both_in_flight(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        run = store.start_run("service")
+
+        async def main():
+            config = ServiceConfig(n_workers=2)
+            async with MappingService(config, run=run) as service:
+                responses = await asyncio.gather(*(
+                    service.submit(MappingRequest(
+                        problem=make_problem(seed=s), solver=SPEC, seed=s
+                    ))
+                    for s in (7, 8)
+                ))
+                # Cells carry their problem: the gateway publishes nothing.
+                return responses, service._pool._plane.n_published
+
+        responses, published = asyncio.run(main())
+        assert published == 0
+        assert all(r.ok and not r.cached for r in responses)
+        events = [
+            e["event"]
+            for e in store.read_events(run.run_id)
+            if e["event"] in ("batch-dispatched", "batch-completed")
+        ]
+        # Both solves were dispatched before either completed: two in flight.
+        assert events == ["batch-dispatched"] * 2 + ["batch-completed"] * 2
+
+    def test_lone_miss_survives_a_worker_kill(self, monkeypatch, tmp_path):
+        """A single miss runs on a worker, so the fabric's retry covers it."""
+        monkeypatch.setenv(FAULTS_ENV, "kill@0")
+        store = RunStore(tmp_path / "runs")
+        run = store.start_run("service")
+        problem = make_problem()
+
+        async def main():
+            async with MappingService(ServiceConfig(n_workers=2), run=run) as service:
+                return await service.submit(
+                    MappingRequest(problem=problem, solver=SPEC, seed=3)
+                )
+
+        response = asyncio.run(main())
+        monkeypatch.delenv(FAULTS_ENV)
+        direct = SPEC.build().map(problem, 3)
+        assert response.ok
+        assert response.result["assignment"] == [int(x) for x in direct.assignment]
+        assert response.result["execution_time"] == direct.execution_time
+        assert response.result["n_evaluations"] == direct.n_evaluations
+        (completed,) = [
+            e for e in store.read_events(run.run_id) if e["event"] == "batch-completed"
+        ]
+        assert completed["retries"] >= 1

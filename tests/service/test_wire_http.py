@@ -254,7 +254,7 @@ class TestHttp:
         }
 
         async def main():
-            config = ServiceConfig(n_workers=1, coalesce_window=0.005)
+            config = ServiceConfig(n_workers=1)
             async with MappingService(config) as service:
                 server = await start_http_server(service, host="127.0.0.1", port=0)
                 port = server.sockets[0].getsockname()[1]
@@ -337,7 +337,7 @@ class TestHttp:
                  "solver": {"name": "match", "params": {"max_iterations": 5}}}
 
         async def main():
-            config = ServiceConfig(n_workers=1, coalesce_window=0.005)
+            config = ServiceConfig(n_workers=1)
             async with MappingService(config) as service:
                 server = await start_http_server(service, host="127.0.0.1", port=0)
                 port = server.sockets[0].getsockname()[1]

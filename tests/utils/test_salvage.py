@@ -8,6 +8,9 @@ could not be completed is named in the salvage manifest.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from multiprocessing import shared_memory
 
 import pytest
@@ -25,6 +28,10 @@ from repro.utils.shared_plane import HeartbeatBoard
 
 def square(x: int) -> int:
     return x * x
+
+
+def worker_pid(_: int) -> int:
+    return os.getpid()
 
 
 def failing_on_7(x: int) -> int:
@@ -120,6 +127,70 @@ class TestParallelSalvage:
             report = pool.map_salvage(square, list(range(6)), policy=FAST)
         assert report.ok
         assert report.results == [x * x for x in range(6)]
+
+    def test_single_item_runs_on_a_worker(self):
+        with WorkerPool(2) as pool:
+            report = pool.map_salvage(worker_pid, [0], policy=FAST)
+        assert report.ok
+        assert report.results[0] != os.getpid()
+
+    def test_empty_items(self):
+        with WorkerPool(2) as pool:
+            report = pool.map_salvage(square, [], policy=FAST)
+            assert pool.worker_pids() == []  # nothing to dispatch, no fork
+        assert report.ok and report.results == []
+
+    @staticmethod
+    def _concurrent_calls(
+        pool: WorkerPool, n_calls: int, policy: RetryPolicy = FAST
+    ) -> list:
+        """One single-cell ``map_salvage`` per thread (the service gateway's
+        shape), with a short switch interval to provoke races."""
+        reports: list = [None] * n_calls
+
+        def call(k: int) -> None:
+            reports[k] = pool.map_salvage(square, [k], policy=policy)
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(n_calls)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return reports
+
+    def test_concurrent_calls_share_one_executor(self, monkeypatch):
+        import repro.utils.parallel as parallel
+
+        created: list = []
+
+        class CountingExecutor(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingExecutor)
+        with WorkerPool(2) as pool:
+            reports = self._concurrent_calls(pool, 8)
+        assert len(created) == 1
+        assert [r.results for r in reports] == [[k * k] for k in range(8)]
+
+    def test_concurrent_calls_heal_a_shared_pool_death(self, monkeypatch):
+        """Every first attempt kills its worker, under calls that share the
+        executor: each call still gets its exact result. A kill breaks the
+        executor under every call's running cell, so one cell can lose an
+        attempt to each of the 4 kills; 4 retries cover that."""
+        monkeypatch.setenv(FAULTS_ENV, "kill@0")
+        policy = RetryPolicy(max_retries=4, backoff_base=0.01)
+        with WorkerPool(2) as pool:
+            reports = self._concurrent_calls(pool, 4, policy)
+        assert all(r.ok for r in reports), [r.failures for r in reports]
+        assert [r.results for r in reports] == [[k * k] for k in range(4)]
 
     def test_weighted_dispatch_keeps_input_order(self):
         with WorkerPool(2) as pool:
@@ -319,3 +390,22 @@ def test_no_segment_leak_after_faulted_dispatch(monkeypatch):
     for name in created:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name) 
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_worker_fds_stay_bounded_across_dispatches():
+    """Every dispatch creates its own heartbeat board; a worker keeps only
+    the last one it stamped, so its open fds do not grow per dispatch."""
+
+    def open_fds(pool: WorkerPool) -> dict[int, int]:
+        return {pid: len(os.listdir(f"/proc/{pid}/fd")) for pid in pool.worker_pids()}
+
+    with WorkerPool(2) as pool:
+        pool.map_salvage(square, [1, 2], policy=FAST)
+        before = open_fds(pool)
+        for i in range(200):
+            pool.map_salvage(square, [i, i + 1], policy=FAST)
+        after = open_fds(pool)
+    assert before and set(after) == set(before)
+    for pid, count in before.items():
+        assert after[pid] <= count + 2, (pid, count, after[pid])
