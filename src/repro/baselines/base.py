@@ -4,7 +4,10 @@ The experiment harness (Tables 1-3, Figures 7-9) treats heuristics
 uniformly: give a :class:`~repro.mapping.problem.MappingProblem` and a
 seed, get back a :class:`MapperResult` with the produced mapping, its
 execution time (ET, Eq. (2)) and the wall-clock mapping time (MT). MaTCH,
-FastMap-GA and every auxiliary baseline implement :class:`Mapper`.
+FastMap-GA and hierarchical FastMap implement :class:`Mapper`. A mapper
+runs one seed per :meth:`Mapper.map` call; repetitions fan out as
+experiment cells through :meth:`repro.utils.parallel.WorkerPool.map_salvage`
+(MaTCH alone adds a fused :meth:`~repro.core.match.MatchMapper.map_many`).
 
 Every ``map`` call runs inside the unified
 :class:`~repro.runtime.loop.SearchLoop`: the heuristic is a
@@ -23,7 +26,7 @@ identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Sequence
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -37,24 +40,8 @@ from repro.runtime.hooks import SearchHooks
 from repro.runtime.loop import LoopOutcome, SearchLoop
 from repro.runtime.solver import SearchSolver, SolveOutput, StepReport
 from repro.types import SeedLike
-from repro.utils.parallel import WorkerPool
-from repro.utils.shared_plane import ProblemRef, resolve_problem
 
 __all__ = ["MapperResult", "Mapper", "MapperSolver"]
-
-
-def _map_one(task: "tuple[Any, ProblemRef, SeedLike]") -> "MapperResult":
-    """Top-level (picklable) worker for :meth:`Mapper.map_many`.
-
-    The solver arrives as a :class:`~repro.runtime.registry.SolverSpec`
-    when the mapper is registry-backed (rebuilt fresh per call), else as
-    the pickled mapper itself; the problem as a shared-plane reference.
-    """
-    from repro.runtime.registry import SolverSpec
-
-    solver, problem_ref, seed = task
-    mapper = solver.build() if isinstance(solver, SolverSpec) else solver
-    return mapper.map(resolve_problem(problem_ref), seed)
 
 
 @dataclass
@@ -219,41 +206,6 @@ class Mapper:
             n_evaluations=out.n_evaluations,
             extras=out.extras,
         )
-
-    def map_many(
-        self,
-        problem: MappingProblem,
-        seeds: Sequence[SeedLike],
-        *,
-        n_workers: int | None = None,
-        pool: "WorkerPool | None" = None,
-    ) -> list[MapperResult]:
-        """Independent repetitions of :meth:`map`, one per seed.
-
-        The default implementation dispatches the runs over the execution
-        fabric: a one-shot :class:`~repro.utils.parallel.WorkerPool`
-        (``n_workers <= 1`` runs serially in-process), or a caller-owned
-        warm ``pool`` that keeps its workers across many ``map_many``
-        calls. The problem is published once to the shared-memory plane
-        and registry-backed mappers travel as their
-        :class:`~repro.runtime.registry.SolverSpec`, so per-seed dispatch
-        ships only a handle and a seed. Every run carries its own seed,
-        so the returned results are identical — seed for seed, in
-        order — to calling :meth:`map` in a loop, regardless of worker
-        count. Heuristics with a fused batch implementation (MaTCH)
-        override this with something faster than run-at-a-time dispatch.
-        """
-        from repro.runtime.registry import SolverSpec
-
-        def _dispatch(active: WorkerPool) -> list[MapperResult]:
-            solver = SolverSpec.for_mapper(self) or self
-            problem_ref = active.publish_problem(problem)
-            return active.map(_map_one, [(solver, problem_ref, s) for s in seeds])
-
-        if pool is not None:
-            return _dispatch(pool)
-        with WorkerPool(n_workers) as one_shot:
-            return _dispatch(one_shot)
 
     # -- subclass hook ---------------------------------------------------------
     def _solve(

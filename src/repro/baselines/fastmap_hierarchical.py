@@ -302,8 +302,3 @@ class HierarchicalFastMap(Mapper):
 
     def _make_solver(self) -> MapperSolver:
         return _HierarchicalSolver(self.config)
-
-    @staticmethod
-    def supports_many_to_one() -> bool:
-        """This mapper accepts ``n_tasks > n_resources`` instances."""
-        return True

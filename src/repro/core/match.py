@@ -224,7 +224,6 @@ class MatchMapper(Mapper):
         problem: MappingProblem,
         seeds: Sequence[SeedLike],
         *,
-        n_workers: int | None = None,
         budget: EvaluationBudget | None = None,
         hooks: SearchHooks | None = None,
         mode: str = "auto",
@@ -256,8 +255,7 @@ class MatchMapper(Mapper):
         they sum to what the budget charged. A run the budget leaves
         without a single scored row raises
         :class:`~repro.exceptions.MappingError` rather than return a
-        mapping it never scored. ``n_workers`` is accepted for interface
-        symmetry and ignored: both paths are single-process by design.
+        mapping it never scored. Both paths run in the calling process.
         """
         seeds = list(seeds)
         if not seeds:

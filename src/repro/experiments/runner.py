@@ -11,9 +11,9 @@ artifacts does not re-run the heuristics).
 The (size × pair × heuristic × repetition) cells are mutually independent
 and each carries its own derived seed, so :func:`run_comparison` dispatches
 them over the persistent execution fabric
-(:class:`repro.utils.parallel.WorkerPool`): one warm pool serves instance
-generation and every cell, each instance's arrays are published once to the
-shared-memory problem plane (cells carry a handle plus a
+(:class:`repro.utils.parallel.WorkerPool`): one warm pool serves every
+cell, each instance's arrays are published once to the shared-memory
+problem plane (cells carry a handle plus a
 :class:`~repro.runtime.registry.SolverSpec` instead of pickled graphs), and
 cells are scheduled longest-first so big-``n`` stragglers cannot hold the
 tail. Every result field except the measured ``mapping_time`` wall-clock is
@@ -48,7 +48,7 @@ from repro.runtime.hooks import SearchHooks
 from repro.runtime.registry import SolverSpec
 from repro.runstore import current_run
 from repro.stats.comparison import SeriesBySize
-from repro.utils.parallel import RetryPolicy, WorkerPool
+from repro.utils.parallel import WorkerPool
 from repro.utils.rng import RngStreams
 from repro.utils.shared_plane import ProblemRef, resolve_problem
 
@@ -314,8 +314,6 @@ def run_comparison(
     mappers: "dict[str, SolverSpec | MapperFactory] | None" = None,
     progress: Callable[[str], None] | None = None,
     n_workers: int | None = None,
-    max_retries: int | None = None,
-    cell_timeout: float | None = None,
 ) -> ComparisonData:
     """Execute the full §5.3 measurement protocol.
 
@@ -323,7 +321,7 @@ def run_comparison(
     report the mean over (pairs × repetitions) per size. The whole
     protocol runs over one :class:`WorkerPool` lifetime
     (``n_workers=None`` picks the host default, ``<= 1`` runs serially):
-    the suite is generated on the warm pool, each instance's arrays are
+    the suite is generated in-process, each instance's arrays are
     published once to the shared-memory plane, and the cells are
     dispatched heaviest-first (longest-processing-time order) so the
     big-``n`` stragglers start early. Seeds are derived per cell up
@@ -334,18 +332,16 @@ def run_comparison(
 
     Dispatch is fault tolerant: a cell whose worker dies is retried from
     its own ``(spec, handle, seed)`` tuple (bit-identical by construction),
-    and a cell that permanently fails — ``max_retries`` exhausted, or its
-    per-attempt ``cell_timeout`` deadline tripped — is recorded in
+    and a cell that permanently fails — its retries exhausted, or its
+    per-attempt deadline tripped — is recorded in
     :attr:`ComparisonData.failures` while the rest of the sweep completes.
-    Both knobs default to :meth:`repro.utils.parallel.RetryPolicy.default`
-    (environment overrides included); per-size means over partial data are
-    ``nan`` when a (heuristic, size) selection lost every record.
+    The retry policy is :meth:`repro.utils.parallel.RetryPolicy.default`
+    (``REPRO_MAX_RETRIES`` / ``REPRO_CELL_TIMEOUT``), as for every other
+    experiment; per-size means over partial data are ``nan`` when a
+    (heuristic, size) selection lost every record.
     """
     mappers = mappers if mappers is not None else default_mappers(profile)
     streams = RngStreams(seed=seed)
-    policy = RetryPolicy.default().with_overrides(
-        max_retries=max_retries, cell_timeout=cell_timeout
-    )
 
     active = current_run()
     if active is not None:
@@ -357,9 +353,8 @@ def run_comparison(
             sizes=list(profile.sizes),
         )
 
+    suite = build_suite(profile.sizes, profile.n_pairs, seed=seed)
     with WorkerPool(n_workers) as pool:
-        suite = build_suite(profile.sizes, profile.n_pairs, seed=seed, pool=pool)
-
         cells: list[_ComparisonCell] = []
         for size in profile.sizes:
             for instance in suite[size]:
@@ -385,9 +380,7 @@ def run_comparison(
                                 ),
                             )
                         )
-        report = pool.map_salvage(
-            _run_cell, cells, weight=_cell_weight, policy=policy
-        )
+        report = pool.map_salvage(_run_cell, cells, weight=_cell_weight)
 
     records = [r for r in report.results if r is not None]
     failures = tuple(

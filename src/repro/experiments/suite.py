@@ -17,7 +17,6 @@ from repro.exceptions import ConfigurationError
 from repro.graphs.generators import GraphPair, generate_paper_pair
 from repro.mapping.problem import MappingProblem
 from repro.runstore import current_run, problem_checksum
-from repro.utils.parallel import WorkerPool
 from repro.utils.rng import RngStreams, as_generator
 
 __all__ = ["SuiteInstance", "build_suite", "ccr_multipliers"]
@@ -45,11 +44,10 @@ class SuiteInstance:
 
 
 def _build_instance(task: tuple[int, int, float, int]) -> SuiteInstance:
-    """Top-level (picklable) worker: generate one suite instance.
+    """Generate one suite instance.
 
     The instance's generator is seeded per (size, pair) from the root
-    seed, so building instances in any order — or in any process — yields
-    identical graphs.
+    seed, so building instances in any order yields identical graphs.
     """
     size, p, ccr, instance_seed = task
     gen = as_generator(instance_seed)
@@ -69,32 +67,20 @@ def _build_instance(task: tuple[int, int, float, int]) -> SuiteInstance:
     )
 
 
-def _instance_weight(task: tuple[int, int, float, int]) -> float:
-    """LPT weight for suite generation: cost grows superlinearly in size."""
-    return float(task[0]) ** 2
-
-
 def build_suite(
     sizes: tuple[int, ...],
     n_pairs: int,
     *,
     seed: int = 2005,
-    n_workers: int | None = 1,
-    pool: WorkerPool | None = None,
 ) -> dict[int, list[SuiteInstance]]:
     """Generate the full evaluation suite, deterministic in ``seed``.
 
     Returns ``{size: [SuiteInstance, ...]}`` with ``n_pairs`` instances per
     size. Instance RNG streams are derived per (size, pair) so adding sizes
-    or pairs never reshuffles existing instances; for the same reason the
-    instances can be generated by a process pool (``n_workers > 1``)
-    without changing a single edge weight. Default is serial — generation
-    is cheap below ``n ≈ 10³``.
-
-    ``pool`` reuses an already-warm :class:`WorkerPool` instead of paying a
-    second spin-up: :func:`repro.experiments.runner.run_comparison` builds
-    its instances and runs its cells through one pool lifetime (``pool``
-    takes precedence over ``n_workers``).
+    or pairs never reshuffles existing instances. Generation runs in this
+    process: the paper-profile suite (5 sizes × 5 pairs, n ≤ 50) builds in
+    tens of milliseconds, which a process pool does not improve (DESIGN
+    §2, "Removed on evidence").
     """
     streams = RngStreams(seed=seed)
     multipliers = ccr_multipliers(n_pairs)
@@ -103,11 +89,7 @@ def build_suite(
         for size in sizes
         for p, ccr in enumerate(multipliers)
     ]
-    if pool is not None:
-        instances = pool.map(_build_instance, tasks, weight=_instance_weight)
-    else:
-        with WorkerPool(n_workers) as own_pool:
-            instances = own_pool.map(_build_instance, tasks)
+    instances = [_build_instance(task) for task in tasks]
     suite: dict[int, list[SuiteInstance]] = {size: [] for size in sizes}
     for inst in instances:
         suite[inst.size].append(inst)

@@ -49,6 +49,7 @@ __all__ = [
     "chain_round",
     "chain_rounds",
     "blend_towards",
+    "apply_gossip",
     "ChainRoundCell",
     "run_chain_round",
     "SyncRecord",
@@ -198,6 +199,32 @@ class ChainState:
         #: Highest sync round whose gossip blend this chain has applied —
         #: makes a re-broadcast gossip (heal path) idempotent per agent.
         self.last_sync = 0
+
+
+def apply_gossip(
+    chains: Mapping[int, ChainState],
+    sync_round: int,
+    leader: int,
+    leader_P: np.ndarray,
+    weight: float,
+) -> None:
+    """Blend every agent but the leader towards the leader's matrix.
+
+    Idempotent per agent: a chain whose ``last_sync`` already reaches
+    ``sync_round`` is skipped, so a re-broadcast after a mid-sync node loss
+    does not blend twice (w·P + (1-w)·Q applied twice is a different
+    matrix). A blended chain re-reads its degeneracy, and every chain ends
+    stamped with the round. One loop for the island worker and the
+    coordinator's local tail, so the two cannot drift apart.
+    """
+    for g in sorted(chains):
+        state = chains[g]
+        if g == leader or state.last_sync >= sync_round:
+            state.last_sync = max(state.last_sync, sync_round)
+            continue
+        state.matrix = blend_towards(state.matrix, leader_P, weight)
+        state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
+        state.last_sync = sync_round
 
 
 def replay_chain(

@@ -46,10 +46,9 @@ import numpy as np
 from repro.exceptions import ConfigurationError, FrameError, IslandError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
-    DEGENERACY_TOL,
     ChainState,
     SyncRecord,
-    blend_towards,
+    apply_gossip,
     chain_rounds,
     replay_chain,
 )
@@ -568,15 +567,9 @@ class IslandCoordinator:
         assert chains is not None
         leader_P = chains[leader][0].matrix.values
         self._history.append(SyncRecord(round=r, leader=leader, matrix=leader_P))
-        for g in sorted(chains):
-            state = chains[g][0]
-            if g == leader or state.last_sync >= r:
-                state.last_sync = max(state.last_sync, r)
-                continue
-            state.matrix = blend_towards(state.matrix, leader_P, cfg.gossip_weight)
-            state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
-            state.last_sync = r
-        return {g: chains[g][0].degenerate for g in sorted(chains)}
+        states = {g: state for g, (state, _) in chains.items()}
+        apply_gossip(states, r, leader, leader_P, cfg.gossip_weight)
+        return {g: states[g].degenerate for g in sorted(states)}
 
     # -- plumbing -----------------------------------------------------------
     def _alive(self) -> list[_IslandConn]:

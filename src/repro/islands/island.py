@@ -30,12 +30,11 @@ from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.exceptions import IslandError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
-    DEGENERACY_TOL,
     ChainRoundCell,
     ChainState,
     SyncRecord,
     agent_streams,
-    blend_towards,
+    apply_gossip,
     replay_chain,
     run_chain_round,
 )
@@ -210,17 +209,7 @@ class IslandWorker:
         r = int(msg["round"])
         leader = int(msg["leader"])
         leader_P = island_wire.decode_matrix(msg["matrix"])
-        for g in sorted(chains):
-            state = chains[g]
-            # Idempotent per agent: a re-broadcast after a mid-sync node
-            # loss must not blend twice (w·P + (1-w)·Q applied twice is a
-            # different matrix).
-            if g == leader or state.last_sync >= r:
-                state.last_sync = max(state.last_sync, r)
-                continue
-            state.matrix = blend_towards(state.matrix, leader_P, gossip_weight)
-            state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
-            state.last_sync = r
+        apply_gossip(chains, r, leader, leader_P, gossip_weight)
         island_wire.send_frame(
             sock,
             {

@@ -53,9 +53,9 @@ __all__ = [
 _INDEX_ARRAYS = frozenset({"tig_edges", "res_edges"})
 
 #: Largest task count a wire problem may name, by generator spec or inline
-#: arrays. MaTCH scores N = 2n² samples of n tasks per iteration, so the
-#: size is the one request field that scales a solve's memory and time;
-#: the paper's largest instance is n = 50.
+#: arrays, and the largest resource count of an inline problem. MaTCH
+#: scores N = 2·n_r² samples of n_t tasks per iteration, so the two counts
+#: scale a solve's memory and time; the paper's largest instance is n = 50.
 MAX_WIRE_TASKS = 128
 
 # Caps on the solver params that scale a solve's work (DESIGN §14). Every
@@ -90,10 +90,33 @@ def problem_to_wire(problem: MappingProblem) -> dict[str, Any]:
     return {"arrays": {k: v.tolist() for k, v in problem.plane_arrays().items()}}
 
 
-def _check_task_count(n_tasks: int, what: str) -> None:
-    if n_tasks > MAX_WIRE_TASKS:
+#: solver name -> (can it map n_t tasks onto n_r resources?, the rule).
+#: ``fastmap-hier`` maps any shape; a solver not named here is not checked.
+_SHAPE_RULES = {
+    "match": (lambda n_t, n_r: n_r >= n_t, "n_resources >= n_tasks"),
+    "fastmap-ga": (lambda n_t, n_r: n_t == n_r, "n_tasks == n_resources"),
+}
+
+
+def _check_count(count: int, what: str, noun: str = "tasks") -> None:
+    if count > MAX_WIRE_TASKS:
         raise ValidationError(
-            f"{what} names {n_tasks} tasks; the wire accepts at most {MAX_WIRE_TASKS}"
+            f"{what} names {count} {noun}; the wire accepts at most {MAX_WIRE_TASKS}"
+        )
+
+
+def _check_shape(solver: SolverSpec, problem: MappingProblem) -> None:
+    """Refuse a problem shape ``solver`` cannot map, before admission.
+
+    Without this, the solver raises only inside a worker, after the quota
+    charge, and the salvage dispatcher retries a cell that cannot succeed.
+    """
+    rule = _SHAPE_RULES.get(solver.name)
+    n_t, n_r = problem.n_tasks, problem.n_resources
+    if rule is not None and not rule[0](n_t, n_r):
+        raise ValidationError(
+            f"solver {solver.name} cannot map {n_t} tasks onto {n_r} "
+            f"resources: it needs {rule[1]}"
         )
 
 
@@ -127,10 +150,16 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
         raw = payload["arrays"]
         if not isinstance(raw, Mapping):
             raise ValidationError("problem.arrays must be an object of named arrays")
-        arrays = {str(k): _decode_array(str(k), v) for k, v in raw.items()}
-        task_weights = arrays.get("task_weights")
-        if task_weights is not None:
-            _check_task_count(task_weights.size, "problem.arrays")
+        # Count tasks and resources before decoding the rest: comm_costs
+        # alone holds n_resources² floats.
+        arrays: dict[str, np.ndarray] = {}
+        for name, noun in (("task_weights", "tasks"), ("proc_weights", "resources")):
+            if name in raw:
+                arrays[name] = _decode_array(name, raw[name])
+                _check_count(arrays[name].size, "problem.arrays", noun)
+        for key, value in raw.items():
+            if str(key) not in arrays:
+                arrays[str(key)] = _decode_array(str(key), value)
         # from_plane_arrays adopts this matrix as-is (it checks only the
         # shape); a closed cost matrix is always finite and non-negative.
         comm = arrays.get("comm_costs")
@@ -143,7 +172,7 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
         from repro.graphs import generate_paper_pair
 
         size = _wire_int(payload["size"], "problem.size", 1)
-        _check_task_count(size, "problem.size")
+        _check_count(size, "problem.size")
         seed = _wire_int(payload.get("seed", 2005), "problem.seed", 0)
         pair = generate_paper_pair(size, seed)
         return MappingProblem(pair.tig, pair.resources, require_square=True)
@@ -194,7 +223,8 @@ def request_from_wire(payload: Mapping[str, Any]) -> MappingRequest:
     admission. The solver spec is built once here, so an unknown solver
     name, a parameter its constructor rejects or a param past its wire cap
     never reaches a worker. The integer fields (``seed``,
-    ``problem.seed``, ``max_evaluations``) are checked the same way.
+    ``problem.seed``, ``max_evaluations``) are checked the same way, and
+    so is the problem's shape against what the solver can map.
     """
     if not isinstance(payload, Mapping):
         raise ValidationError(f"request must be a JSON object, got {type(payload).__name__}")
@@ -206,6 +236,7 @@ def request_from_wire(payload: Mapping[str, Any]) -> MappingRequest:
         max_evaluations = _wire_int(max_evaluations, "max_evaluations", 1)
     solver = _solver_from_wire(payload.get("solver") or {"name": "match"})
     problem = problem_from_wire(payload["problem"])
+    _check_shape(solver, problem)
     return MappingRequest(
         problem=problem,
         solver=solver,

@@ -1,15 +1,14 @@
 """The persistent execution fabric for embarrassingly parallel sweeps.
 
 Suite runs (sizes × pairs × heuristics × repetitions) are independent of
-each other, so they parallelise trivially across processes. Historically
-every dispatch spun up a fresh ``ProcessPoolExecutor`` and pickled the full
-problem graphs into each task; at suite scale the fork/warm-up and
-serialization overhead dominates wall-clock long before the solvers do.
-This module replaces that with :class:`WorkerPool` — a warm, reusable pool
-that serves many map calls per lifetime, owns a shared-memory problem plane
+each other, so they parallelise trivially across processes.
+:class:`WorkerPool` is a warm, reusable pool: its workers fork once and
+serve every later dispatch, it owns a shared-memory problem plane
 (:mod:`repro.utils.shared_plane`) so instances are published once instead
-of pickled per cell, and schedules straggler-prone cells first
+of pickled per cell, and it schedules straggler-prone cells first
 (cost-weighted longest-processing-time-first with per-cell futures).
+:meth:`WorkerPool.map_salvage` is its one dispatch method: failures cost
+cells, never the sweep (DESIGN §10).
 
 Tasks must be picklable top-level callables; per-task arguments should
 carry their own seeds (see :class:`repro.utils.rng.RngStreams`) so results
@@ -28,10 +27,10 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-from repro.exceptions import ConfigurationError, ValidationError, WorkerPoolError
+from repro.exceptions import ConfigurationError, WorkerPoolError
 from repro.utils.faults import inject_fault
 from repro.utils.shared_plane import (
     HeartbeatBoard,
@@ -152,20 +151,6 @@ class RetryPolicy:
                 ) from None
         return cls(**kwargs)
 
-    def with_overrides(
-        self,
-        *,
-        max_retries: int | None = None,
-        cell_timeout: float | None = None,
-    ) -> "RetryPolicy":
-        """This policy with any non-``None`` override applied (CLI plumbing)."""
-        policy = self
-        if max_retries is not None:
-            policy = replace(policy, max_retries=max_retries)
-        if cell_timeout is not None:
-            policy = replace(policy, cell_timeout=cell_timeout)
-        return policy
-
 
 @dataclass(frozen=True)
 class CellFailure:
@@ -224,15 +209,46 @@ def _resilient_cell(task: tuple) -> Any:
     return fn(item)
 
 
+def _run_in_process(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    pending: Iterable[int],
+    attempts: list[int],
+    results: list,
+    failures: dict[int, CellFailure],
+) -> None:
+    """One attempt per ``pending`` cell, in this process, in the given order.
+
+    This is the whole dispatch of a serial pool and the last rung of the
+    degradation ladder. A raising cell becomes an ``"exception"`` failure
+    at once: retrying a pure function in the same process cannot change
+    its outcome, so retries would only hide nondeterminism. No fault
+    injection fires here (the harness is worker-only), so a chaos plan
+    cannot livelock the parent, and pure cells produce exactly the results
+    their worker attempts would have.
+    """
+    for i in pending:
+        attempts[i] += 1
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            failures[i] = CellFailure(
+                index=i,
+                kind="exception",
+                attempts=attempts[i],
+                message=f"{type(exc).__name__}: {exc}",
+            )
+
+
 class WorkerPool:
     """A warm process pool plus shared-memory problem plane.
 
-    One pool serves arbitrarily many :meth:`map` calls; workers fork once
-    and stay warm, so successive dispatches pay queue latency instead of
-    executor construction. ``n_workers <= 1`` turns every operation into
-    its in-process serial equivalent — no forks, no pickling, no shared
-    memory — which keeps single-CPU hosts and debug sessions exactly as
-    deterministic and steppable as before.
+    One pool serves arbitrarily many :meth:`map_salvage` calls; workers
+    fork once and stay warm, so successive dispatches pay queue latency
+    instead of executor construction. ``n_workers <= 1`` turns every
+    operation into its in-process serial equivalent — no forks, no
+    pickling, no shared memory — which keeps single-CPU hosts and debug
+    sessions exactly as deterministic and steppable as before.
 
     Use as a context manager (or call :meth:`close`); either way the plane's
     segments are unlinked on normal exit, on exceptions and on SIGINT, and a
@@ -259,7 +275,7 @@ class WorkerPool:
     # -- introspection -----------------------------------------------------
     @property
     def is_parallel(self) -> bool:
-        """True when map calls actually cross process boundaries."""
+        """True when dispatches actually cross process boundaries."""
         return self.n_workers > 1
 
     @property
@@ -289,71 +305,6 @@ class WorkerPool:
         return self._plane.publish(problem)
 
     # -- dispatch ----------------------------------------------------------
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        chunksize: int = 1,
-        weight: Callable[[T], float] | None = None,
-    ) -> list[R]:
-        """Map ``fn`` over ``items``; results always in input order.
-
-        With ``weight`` the pool runs straggler-aware LPT scheduling: one
-        future per item, submitted heaviest-first, so the longest cells
-        start immediately and the tail of a mixed-size sweep collapses
-        (FIFO chunking leaves workers idle behind whichever chunk drew the
-        big-``n`` cells last). Weights order execution only — results are
-        reordered to input order, so they cannot influence any value.
-
-        Without ``weight`` the call is a plain FIFO ``Executor.map`` with
-        ``chunksize``. Exceptions from ``fn`` propagate to the caller (the
-        first failing item in input order, as with ``Executor.map``); dead
-        workers surface as :class:`WorkerPoolError` rather than a hang.
-        """
-        if chunksize < 1:
-            raise ValidationError(f"chunksize must be >= 1, got {chunksize}")
-        if self._closed:
-            raise WorkerPoolError("cannot map on a closed WorkerPool")
-        item_list: Sequence[T] = list(items)
-        if not self.is_parallel or len(item_list) <= 1:
-            return [fn(item) for item in item_list]
-        executor = self._ensure_executor()
-        try:
-            if weight is None:
-                return list(executor.map(fn, item_list, chunksize=chunksize))
-            return self._map_lpt(executor, fn, item_list, weight)
-        except BrokenProcessPool as exc:
-            raise WorkerPoolError(
-                f"worker pool died mid-dispatch ({self.n_workers} workers): "
-                f"{exc}; results for this call are lost — rerun, or use "
-                "n_workers=1 to diagnose in-process"
-            ) from exc
-
-    @staticmethod
-    def _map_lpt(
-        executor: ProcessPoolExecutor,
-        fn: Callable[[T], R],
-        item_list: Sequence[T],
-        weight: Callable[[T], float],
-    ) -> list[R]:
-        """Per-item futures, heaviest submitted first, gathered in input order."""
-        order = sorted(
-            range(len(item_list)),
-            key=lambda i: (-float(weight(item_list[i])), i),
-        )
-        futures: dict[int, Future] = {i: executor.submit(fn, item_list[i]) for i in order}
-        results: list[R] = []
-        try:
-            for i in range(len(item_list)):
-                results.append(futures[i].result())
-        except BaseException:
-            for fut in futures.values():
-                fut.cancel()
-            raise
-        return results
-
-    # -- fault-tolerant dispatch -------------------------------------------
     def map_salvage(
         self,
         fn: Callable[[T], R],
@@ -362,7 +313,7 @@ class WorkerPool:
         weight: Callable[[T], float] | None = None,
         policy: RetryPolicy | None = None,
     ) -> SalvageReport:
-        """Like :meth:`map`, but failures cost cells, not the sweep.
+        """Map ``fn`` over ``items``; failures cost cells, not the sweep.
 
         Every cell gets bounded retries with exponential backoff (cells are
         pure functions of their task tuple, so a replay is bit-identical to
@@ -375,46 +326,33 @@ class WorkerPool:
         a manifest of the cells that permanently failed.
 
         ``policy=None`` uses :meth:`RetryPolicy.default` (environment
-        overrides included). ``weight`` orders submission heaviest-first
-        exactly as in :meth:`map`, and cannot influence any result value.
+        overrides included). With ``weight`` the cells are submitted
+        heaviest-first (longest-processing-time order, input index as the
+        tie-break), so the stragglers of a mixed-size sweep start at once;
+        results stay in input order, so a weight cannot influence any value.
 
         A parallel pool dispatches even a single item, so one cell gets
-        the same worker isolation, retries and deadline as many; only
-        ``n_workers <= 1`` runs in-process.
+        the same worker isolation, retries and deadline as many. A serial
+        pool (``n_workers <= 1``) runs the cells in this process, in input
+        order, one attempt each, with no heartbeat board and no dispatcher.
         """
         if self._closed:
             raise WorkerPoolError("cannot map on a closed WorkerPool")
         resolved = policy if policy is not None else RetryPolicy.default()
         item_list: Sequence[T] = list(items)
+        n = len(item_list)
         if not self.is_parallel:
-            return self._salvage_serial(fn, item_list)
+            results: list = [None] * n
+            failures: dict[int, CellFailure] = {}
+            _run_in_process(fn, item_list, range(n), [0] * n, results, failures)
+            return SalvageReport(
+                results=results,
+                failures=tuple(failures.values()),
+                final_workers=self.n_workers,
+            )
         if not item_list:
             return SalvageReport(results=[], final_workers=self.n_workers)
         return _ResilientDispatch(self, fn, item_list, weight, resolved).run()
-
-    def _salvage_serial(
-        self, fn: Callable[[T], R], item_list: Sequence[T]
-    ) -> SalvageReport:
-        """In-process salvage: one attempt per cell, exceptions become manifest
-        entries. Retrying a pure function in the same process cannot change
-        its outcome, so retries would only hide nondeterminism."""
-        results: list = [None] * len(item_list)
-        failures: list[CellFailure] = []
-        for i, item in enumerate(item_list):
-            try:
-                results[i] = fn(item)
-            except Exception as exc:
-                failures.append(
-                    CellFailure(
-                        index=i,
-                        kind="exception",
-                        attempts=1,
-                        message=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-        return SalvageReport(
-            results=results, failures=tuple(failures), final_workers=self.n_workers
-        )
 
     # -- lifecycle ---------------------------------------------------------
     def _discard_executor(self, executor: ProcessPoolExecutor) -> None:
@@ -444,8 +382,8 @@ class WorkerPool:
                 # shared-memory attach finds no tracker spawns a private one
                 # that never hears the parent's unlink and cries "leaked" at
                 # shutdown. The first publish starts it implicitly, but this
-                # pool may well dispatch plane-free work (suite generation,
-                # service solves) before anything is published.
+                # pool may well dispatch plane-free work (the service's
+                # solves) before anything is published.
                 try:
                     from multiprocessing import resource_tracker
 
@@ -730,27 +668,11 @@ class _ResilientDispatch:
         return True
 
     def _serial_tail(self) -> None:
-        """Finish unresolved cells in-process: the final degradation rung.
-
-        No fault injection fires here (the harness is worker-only), so a
-        chaos plan cannot livelock the parent; pure cells still produce the
-        exact results their worker attempts would have.
-        """
+        """Finish unresolved cells in-process: the final degradation rung."""
         self.degraded_to_serial = True
-        for i in range(self.n):
-            if self.done[i] or i in self.failures:
-                continue
-            self.attempts[i] += 1
-            try:
-                result = self.fn(self.items[i])
-            except Exception as exc:
-                self.failures[i] = CellFailure(
-                    index=i,
-                    kind="exception",
-                    attempts=self.attempts[i],
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            else:
-                self.results[i] = result
-                self.done[i] = True
-
+        pending = sorted(self._unresolved())
+        _run_in_process(
+            self.fn, self.items, pending, self.attempts, self.results, self.failures
+        )
+        for i in pending:
+            self.done[i] = i not in self.failures

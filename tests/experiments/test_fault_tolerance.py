@@ -69,14 +69,10 @@ class TestHangChaos:
     def test_hung_cell_trips_deadline_not_the_sweep(self, monkeypatch):
         """A hang is bounded by cell_timeout; the rest of the suite lands."""
         monkeypatch.setenv(FAULTS_ENV, "hang@3*99")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "1")
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.0")
         with pytest.warns(RuntimeWarning, match="salvaged with 1 failed cell"):
-            data = run_comparison(
-                MINI_PROFILE,
-                seed=7,
-                n_workers=2,
-                max_retries=1,
-                cell_timeout=2.0,
-            )
+            data = run_comparison(MINI_PROFILE, seed=7, n_workers=2)
         assert not data.complete
         (failure,) = data.failures
         assert failure.kind == "timeout"
@@ -90,9 +86,8 @@ class TestHangChaos:
     def test_hung_cell_recovers_when_retries_allow(self, monkeypatch):
         baseline = run_comparison(MINI_PROFILE, seed=7, n_workers=1)
         monkeypatch.setenv(FAULTS_ENV, "hang@2*1")
-        salvaged = run_comparison(
-            MINI_PROFILE, seed=7, n_workers=2, cell_timeout=2.0
-        )
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.0")
+        salvaged = run_comparison(MINI_PROFILE, seed=7, n_workers=2)
         assert salvaged.complete, salvaged.failures
         assert _comparable(salvaged) == _comparable(baseline)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.ga import FastMapGA, GAConfig
 from repro.core.config import MatchConfig
 from repro.core.match import MatchMapper
 from repro.experiments.runner import GAFactory, MatchFactory, run_comparison
@@ -30,36 +29,6 @@ TINY_PROFILE = ScaleProfile(
     anova_ga_configs=((8, 6), (10, 4)),
     match_max_iterations=40,
 )
-
-
-def _assert_same_suites(a_suite, b_suite, sizes):
-    for size in sizes:
-        for a, b in zip(a_suite[size], b_suite[size]):
-            assert a.pair_index == b.pair_index
-            assert a.ccr_scale == b.ccr_scale
-            assert np.array_equal(a.problem.task_weights, b.problem.task_weights)
-            assert np.array_equal(a.problem.edge_weights, b.problem.edge_weights)
-            assert np.array_equal(a.problem.comm_costs, b.problem.comm_costs)
-            assert np.array_equal(a.problem.edges, b.problem.edges)
-
-
-class TestSuiteParallel:
-    def test_parallel_equals_serial(self):
-        serial = build_suite((6, 8), 2, seed=42, n_workers=1)
-        pooled = build_suite((6, 8), 2, seed=42, n_workers=2)
-        _assert_same_suites(serial, pooled, (6, 8))
-
-    def test_shared_pool_equals_serial(self):
-        # build_suite riding a caller-owned warm pool (the run_comparison
-        # wiring: one pool for generation AND cells) changes nothing.
-        from repro.utils.parallel import WorkerPool
-
-        serial = build_suite((6, 8), 2, seed=42, n_workers=1)
-        with WorkerPool(2) as pool:
-            shared = build_suite((6, 8), 2, seed=42, pool=pool)
-            again = build_suite((6, 8), 2, seed=42, pool=pool)
-        _assert_same_suites(serial, shared, (6, 8))
-        _assert_same_suites(serial, again, (6, 8))
 
 
 def _comparable_records(data):
@@ -147,13 +116,3 @@ class TestMapMany:
 
     def test_match_map_many_empty(self, instance):
         assert MatchMapper().map_many(instance.problem, []) == []
-
-    def test_base_map_many_parallel_equals_loop(self, instance):
-        seeds = [1, 2, 3]
-        mapper = FastMapGA(GAConfig(population_size=10, generations=5))
-        looped = [mapper.map(instance.problem, s) for s in seeds]
-        for n_workers in (1, 2):
-            batch = mapper.map_many(instance.problem, seeds, n_workers=n_workers)
-            for a, b in zip(batch, looped):
-                assert a.execution_time == b.execution_time
-                assert np.array_equal(a.assignment, b.assignment)

@@ -227,4 +227,4 @@ class TestThreadSplit:
 def test_pool_workers_run_kernels_single_threaded():
     # The pool already spreads cells across the cores.
     with WorkerPool(2) as pool:
-        assert pool.map(_kernel_thread_budget, range(4)) == [1, 1, 1, 1]
+        assert pool.map_salvage(_kernel_thread_budget, range(4)).results == [1, 1, 1, 1]

@@ -7,7 +7,7 @@ import socket
 
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.graphs import generate_paper_pair
 from repro.mapping import MappingProblem, problem_key
 from repro.runtime.registry import SolverSpec
@@ -64,6 +64,33 @@ UNBOUNDED_MATCH = {
 def make_problem(n: int = 10, seed: int = 7) -> MappingProblem:
     pair = generate_paper_pair(n, seed)
     return MappingProblem(pair.tig, pair.resources, require_square=True)
+
+
+def shaped_problem(n_tasks: int, n_resources: int) -> MappingProblem:
+    """An ``n_tasks`` TIG on an ``n_resources`` platform (any shape)."""
+    return MappingProblem(
+        generate_paper_pair(n_tasks, 1).tig, generate_paper_pair(n_resources, 2).resources
+    )
+
+
+def wide_platform_arrays(n_resources: int = 1_500) -> dict:
+    """Inline arrays for 4 tasks on ``n_resources`` resources (about 10.7 MiB
+    of JSON at 1,500): under ``MAX_BODY_BYTES``, far past ``MAX_WIRE_TASKS``."""
+    arrays = problem_to_wire(make_problem(4, 1))["arrays"]
+    arrays["proc_weights"] = [1.0] * n_resources
+    arrays["res_edges"] = [[0, 1]]
+    arrays["res_edge_weights"] = [1.0]
+    row = [0.0] * n_resources
+    arrays["comm_costs"] = [row] * n_resources
+    return arrays
+
+
+#: Small params per solver, so a shape check can afford a real solve.
+QUICK_PARAMS = {
+    "match": {"max_iterations": 2},
+    "fastmap-ga": {"population_size": 4, "generations": 1},
+    "fastmap-hier": {"ga_population": 4, "ga_generations": 1},
+}
 
 
 class TestWire:
@@ -168,6 +195,57 @@ class TestWire:
         with pytest.raises(ValidationError, match="at most"):
             problem_from_wire({"arrays": arrays})
 
+    def test_inline_resource_count_capped_before_comm_costs(self):
+        arrays = wide_platform_arrays()
+        with pytest.raises(ValidationError, match="1500 resources; the wire accepts at most"):
+            request_from_wire({"problem": {"arrays": arrays}})
+        # Counted before comm_costs is decoded: a body whose matrix cannot
+        # even be converted still gets the count error.
+        arrays["comm_costs"] = "never decoded"
+        with pytest.raises(ValidationError, match="1500 resources"):
+            problem_from_wire({"arrays": arrays})
+
+    def test_inline_resource_cap_is_inclusive(self):
+        arrays = problem_to_wire(shaped_problem(4, MAX_WIRE_TASKS))["arrays"]
+        problem = request_from_wire({"problem": {"arrays": arrays}}).problem
+        assert problem.n_resources == MAX_WIRE_TASKS
+        arrays["proc_weights"] = arrays["proc_weights"] + [1.0]
+        with pytest.raises(ValidationError, match="129 resources"):
+            problem_from_wire({"arrays": arrays})
+
+    @pytest.mark.parametrize("solver", ["match", "fastmap-ga"])
+    def test_shape_the_solver_cannot_map_rejected(self, solver):
+        body = {"problem": problem_to_wire(shaped_problem(4, 2)), "solver": {"name": solver}}
+        with pytest.raises(ValidationError, match=f"{solver} cannot map 4 tasks onto 2"):
+            request_from_wire(body)
+
+    def test_many_to_one_hier_accepted(self):
+        narrow = problem_to_wire(shaped_problem(4, 2))
+        body = {"problem": narrow, "solver": {"name": "fastmap-hier"}}
+        request = request_from_wire(body)
+        assert (request.problem.n_tasks, request.problem.n_resources) == (4, 2)
+
+    @pytest.mark.parametrize("solver", sorted(QUICK_PARAMS))
+    def test_shape_rules_agree_with_the_solvers(self, solver):
+        """The wire accepts exactly the shapes the solver itself maps."""
+        for n_tasks, n_resources in [(4, 2), (4, 4), (2, 4)]:
+            problem = shaped_problem(n_tasks, n_resources)
+            body = {
+                "problem": problem_to_wire(problem),
+                "solver": {"name": solver, "params": QUICK_PARAMS[solver]},
+            }
+            try:
+                request_from_wire(body)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            try:
+                SolverSpec.of(solver, QUICK_PARAMS[solver]).build().map(problem, 0)
+                maps = True
+            except ConfigurationError:
+                maps = False
+            assert accepted == maps, (solver, n_tasks, n_resources)
+
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"]
     )
@@ -242,6 +320,47 @@ class TestSolverParamCaps:
 
 
 class TestHttp:
+    def test_unmappable_or_wide_inline_bodies_get_400_without_charge(self):
+        """4 tasks on 1,500 resources, and 4 tasks on 2 resources for the two
+        one-to-one solvers: structured 400s, nothing admitted or charged.
+        The many-to-one body for ``fastmap-hier`` is still solved."""
+        narrow = problem_to_wire(shaped_problem(4, 2))
+        bodies = [
+            {"problem": {"arrays": wide_platform_arrays()}, "client": "mallory"},
+            {"problem": narrow, "solver": {"name": "match"}, "client": "mallory"},
+            {"problem": narrow, "solver": {"name": "fastmap-ga"}, "client": "mallory"},
+        ]
+        hier = {"problem": narrow, "client": "carol",
+                "solver": {"name": "fastmap-hier", "params": QUICK_PARAMS["fastmap-hier"]}}
+
+        async def main():
+            config = ServiceConfig(n_workers=1, client_quota=100_000)
+            async with MappingService(config) as service:
+                server = await start_http_server(service, host="127.0.0.1", port=0)
+                port = server.sockets[0].getsockname()[1]
+                url = f"http://127.0.0.1:{port}"
+                loop = asyncio.get_running_loop()
+
+                def post(body):
+                    return submit_over_http(url, body, timeout=60)
+
+                answers = [await loop.run_in_executor(None, post, body) for body in bodies]
+                status, ok = await loop.run_in_executor(None, post, hier)
+                server.close()
+                await server.wait_closed()
+                return answers, status, ok, service.stats()
+
+        answers, status, ok, stats = asyncio.run(main())
+        for body, (code, reply) in zip(bodies, answers):
+            assert code == 400, body["problem"].keys()
+            assert reply["error"]["kind"] == "bad-request"
+        assert "1500 resources" in answers[0][1]["error"]["message"]
+        assert "cannot map 4 tasks onto 2 resources" in answers[1][1]["error"]["message"]
+        assert status == 200 and ok["status"] == "ok"
+        assert stats["requests"] == 1
+        assert "mallory" not in stats["quotas"]["clients"]
+        assert stats["quotas"]["clients"]["carol"] > 0
+
     def test_solve_healthz_stats_and_errors(self):
         """One daemon lifecycle: healthz, a solve, the cached re-solve,
         /stats, and the 400/404 paths — blocking clients always run in the

@@ -1,13 +1,11 @@
-"""Map semantics of :meth:`WorkerPool.map`: ordering, serial fallback, errors."""
+"""Map semantics of :meth:`WorkerPool.map_salvage`: ordering, serial path,
+and a raising cell's exception reaching the caller through the report."""
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
-from repro.exceptions import ValidationError
-from repro.utils.parallel import WorkerPool, default_worker_count
+from repro.utils.parallel import RetryPolicy, WorkerPool, default_worker_count
 
 
 def square(x: int) -> int:
@@ -22,7 +20,9 @@ def failing(x: int) -> int:
 
 def pool_map(fn, items, n_workers=None, **kwargs):
     with WorkerPool(n_workers) as pool:
-        return pool.map(fn, items, **kwargs)
+        report = pool.map_salvage(fn, items, **kwargs)
+    assert report.ok, report.failures
+    return report.results
 
 
 class TestParallelMap:
@@ -32,7 +32,8 @@ class TestParallelMap:
     def test_serial_accepts_lambdas(self):
         # the serial path has no pickling requirement
         with WorkerPool(1) as pool:
-            assert pool.map(lambda x: x + 1, [1, 2]) == [2, 3]  # repro: noqa[parallel-safety] -- n_workers=1 never forks, so no pickling
+            report = pool.map_salvage(lambda x: x + 1, [1, 2])  # repro: noqa[parallel-safety] -- n_workers=1 never forks, so no pickling
+        assert report.results == [2, 3]
 
     def test_parallel_path_ordered(self):
         result = pool_map(square, range(8), n_workers=2)
@@ -47,20 +48,23 @@ class TestParallelMap:
     def test_empty_items(self):
         assert pool_map(square, [], n_workers=2) == []
 
-    def test_single_item_stays_serial(self):
-        assert pool_map(square, [5], n_workers=4) == [25]
-
     def test_exception_propagates_serial(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            pool_map(failing, [1, 2, 3], n_workers=1)
+        # In-process, one attempt: retrying a pure cell cannot change it.
+        with WorkerPool(1) as pool:
+            report = pool.map_salvage(failing, [1, 2, 3])
+        (failure,) = report.failures
+        assert (failure.index, failure.kind, failure.attempts) == (2, "exception", 1)
+        assert failure.message == "RuntimeError: boom"
+        assert report.results == [1, 2, None]
 
     def test_exception_propagates_parallel(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            pool_map(failing, [1, 2, 3, 4], n_workers=2)
-
-    def test_chunksize_validation(self):
-        with pytest.raises(ValidationError):
-            pool_map(square, [1], chunksize=0)
+        policy = RetryPolicy(max_retries=1, backoff_base=0.01)
+        with WorkerPool(2) as pool:
+            report = pool.map_salvage(failing, [1, 2, 3, 4], policy=policy)
+        (failure,) = report.failures
+        assert (failure.index, failure.kind, failure.attempts) == (2, "exception", 2)
+        assert failure.message == "RuntimeError: boom"
+        assert report.results == [1, 2, None, 4]
 
     def test_default_worker_count_positive(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

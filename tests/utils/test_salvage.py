@@ -8,6 +8,7 @@ could not be completed is named in the salvage manifest.
 
 from __future__ import annotations
 
+import glob
 import os
 import sys
 import threading
@@ -38,6 +39,15 @@ def failing_on_7(x: int) -> int:
     if x == 7:
         raise ValueError("cell 7 always fails")
     return x * x
+
+
+def shm_segments() -> frozenset[str]:
+    """The shared-memory segments on this host that the fabric could own."""
+    return frozenset(glob.glob("/dev/shm/repro_*") + glob.glob("/dev/shm/psm_*"))
+
+
+def pid_and_segments(_: int) -> tuple[int, frozenset[str]]:
+    return os.getpid(), shm_segments()
 
 
 #: Fast-retry policy for tests: no multi-second backoff waits.
@@ -79,13 +89,6 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy.default()
 
-    def test_with_overrides(self):
-        policy = RetryPolicy().with_overrides(max_retries=0, cell_timeout=3.0)
-        assert policy.max_retries == 0
-        assert policy.cell_timeout == 3.0
-        # None leaves the field untouched
-        assert RetryPolicy().with_overrides().max_retries == 2
-
 
 class TestSerialSalvage:
     def test_all_complete(self):
@@ -119,6 +122,24 @@ class TestSerialSalvage:
         pool.close()
         with pytest.raises(Exception, match="closed"):
             pool.map_salvage(square, [1])
+
+    def test_runs_in_caller_without_board_or_segment(self, monkeypatch):
+        """The serial pool is a plain loop in the caller: no heartbeat
+        board, no dispatcher and no shared-memory segment."""
+        import repro.utils.parallel as parallel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serial dispatch built a board or a dispatcher")
+
+        monkeypatch.setattr(parallel.HeartbeatBoard, "create", refuse)
+        monkeypatch.setattr(parallel, "_ResilientDispatch", refuse)
+        before = shm_segments()
+        with WorkerPool(1) as pool:
+            report = pool.map_salvage(pid_and_segments, [0, 1, 2], weight=float)
+        assert report.ok, report.failures
+        assert [pid for pid, _ in report.results] == [os.getpid()] * 3
+        assert all(seen == before for _, seen in report.results)
+        assert shm_segments() == before
 
 
 class TestParallelSalvage:
@@ -210,12 +231,6 @@ class TestParallelSalvage:
         assert failure.attempts == FAST.max_retries + 1
         assert report.n_retries == FAST.max_retries
         assert report.results == [25, 36, None, 64]
-
-    def test_map_unchanged_by_salvage_additions(self):
-        """The strict path still exists, still raises on the first failure."""
-        with WorkerPool(2) as pool:
-            with pytest.raises(ValueError, match="cell 7"):
-                pool.map(failing_on_7, [6, 7, 8])
 
 
 class TestInjectedFaults:

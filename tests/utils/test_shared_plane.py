@@ -9,7 +9,6 @@ process's exit.
 from __future__ import annotations
 
 import os
-import signal
 import subprocess
 import sys
 from multiprocessing import shared_memory
@@ -20,7 +19,8 @@ import pytest
 from repro.exceptions import ValidationError, WorkerPoolError
 from repro.experiments.suite import build_suite
 from repro.mapping.cost_model import CostModel
-from repro.utils.parallel import WorkerPool
+from repro.utils.faults import FAULTS_ENV
+from repro.utils.parallel import RetryPolicy, WorkerPool
 from repro.utils.shared_plane import (
     ProblemPlane,
     SharedProblemHandle,
@@ -40,11 +40,6 @@ def segment_exists(shm_name: str) -> bool:
         return False
     shm.close()
     return True
-
-
-def kill_self(x: int) -> int:
-    os.kill(os.getpid(), signal.SIGKILL)
-    return x
 
 
 def check_costs(task: "tuple[object, int]") -> float:
@@ -129,33 +124,41 @@ class TestLifecycle:
                 raise RuntimeError("mid-suite failure")
         assert handle is not None and not segment_exists(handle.shm_name)
 
-    def test_worker_pool_exit_unlinks_after_raising_cell(self):
+    def test_worker_pool_exit_unlinks_after_raising_cell(self, monkeypatch):
+        """A worker dies on a published problem's cell and the caller's
+        ``with`` block raises over the partial report: the plane unlinks."""
+        monkeypatch.setenv(FAULTS_ENV, "kill@2*99")
         problem = make_problem()
         handle = None
-        with pytest.raises(WorkerPoolError):
+        with pytest.raises(WorkerPoolError, match="worker-death"):
             with WorkerPool(2) as pool:
                 handle = pool.publish_problem(problem)
                 assert isinstance(handle, SharedProblemHandle)
-                pool.map(kill_self, range(8))
+                report = pool.map_salvage(
+                    check_costs,
+                    [(handle, problem.n_tasks)] * 4,
+                    policy=RetryPolicy(max_retries=0, backoff_base=0.01),
+                )
+                failure = next(f for f in report.failures if f.index == 2)
+                raise WorkerPoolError(f"cell 2 lost: {failure.kind}")
         assert handle is not None and not segment_exists(handle.shm_name)
 
     def test_worker_pool_normal_exit_unlinks(self):
         problem = make_problem()
         with WorkerPool(2) as pool:
             handle = pool.publish_problem(problem)
-            costs = pool.map(
-                check_costs, [(handle, problem.n_tasks)] * 4
-            )
-        assert len(set(costs)) == 1
+            report = pool.map_salvage(check_costs, [(handle, problem.n_tasks)] * 4)
+        assert report.ok, report.failures
+        assert len(set(report.results)) == 1
         assert not segment_exists(handle.shm_name)
 
     def test_no_tracker_noise_when_pool_warms_before_publish(self):
         """Workers forked before the first publish share the parent tracker.
 
-        run_comparison warms its pool on suite generation (no shared
-        memory yet) before any problem is published. A worker forked
-        without an inherited tracker fd would start a private tracker on
-        first attach, never hear the parent's unlink, and spray "leaked
+        A pool may dispatch plane-free work (the service gateway's solves)
+        before any problem is published. A worker forked without an
+        inherited tracker fd would start a private tracker on first
+        attach, never hear the parent's unlink, and spray "leaked
         shared_memory" warnings at shutdown — so the whole run's stderr
         must stay silent.
         """
@@ -166,9 +169,10 @@ class TestLifecycle:
             "from tests.utils.test_shared_plane import check_costs\n"
             "problem = build_suite((6,), 1, seed=3)[6][0].problem\n"
             "with WorkerPool(2) as pool:\n"
-            "    pool.map(abs, range(4))\n"  # warm the workers plane-free
+            "    assert pool.map_salvage(abs, range(4)).ok\n"  # warm the workers plane-free
             "    handle = pool.publish_problem(problem)\n"
-            "    pool.map(check_costs, [(handle, problem.n_tasks)] * 4)\n"
+            "    report = pool.map_salvage(check_costs, [(handle, problem.n_tasks)] * 4)\n"
+            "    assert report.ok, report.failures\n"
         )
         env = dict(os.environ)
         repo_root = os.path.abspath(os.path.join(src_root, ".."))

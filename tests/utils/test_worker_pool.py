@@ -1,10 +1,9 @@
 """Tests for the persistent execution fabric (:class:`WorkerPool`).
 
-Covers the tentpole guarantees: the ``REPRO_WORKERS`` override, warm-pool
-reuse across many map calls, LPT scheduling returning input-order results,
-closed-pool discipline, and the kill-the-pool failure mode — a dead worker
-must surface as a clean :class:`WorkerPoolError`, never a hang, and the
-shared-memory plane must still be unlinked afterwards.
+Covers the pool's guarantees: the ``REPRO_WORKERS`` override, warm-pool
+reuse across many ``map_salvage`` calls, LPT scheduling returning
+input-order results, closed-pool discipline, and a pool that stays usable
+and closeable after a raising cell or a dead worker.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ import signal
 
 import pytest
 
-from repro.exceptions import ConfigurationError, ValidationError, WorkerPoolError
-from repro.utils.parallel import WorkerPool, default_worker_count
+from repro.exceptions import ConfigurationError, WorkerPoolError
+from repro.utils.parallel import RetryPolicy, WorkerPool, default_worker_count
 
 
 def square(x: int) -> int:
@@ -36,6 +35,17 @@ def kill_self(x: int) -> int:
     if x == 2:
         os.kill(os.getpid(), signal.SIGKILL)
     return x
+
+
+#: Fast-retry policy for tests: no multi-second backoff waits.
+FAST = RetryPolicy(max_retries=2, backoff_base=0.01)
+
+
+def results(pool: WorkerPool, fn, items, **kwargs) -> list:
+    """``map_salvage`` results, asserting every cell completed."""
+    report = pool.map_salvage(fn, items, policy=FAST, **kwargs)
+    assert report.ok, report.failures
+    return report.results
 
 
 class TestDefaultWorkerCount:
@@ -70,7 +80,8 @@ class TestWorkerPoolSerial:
     def test_serial_map_in_process(self):
         with WorkerPool(1) as pool:
             assert not pool.is_parallel
-            assert pool.map(square, range(5)) == [0, 1, 4, 9, 16]
+            assert results(pool, square, range(5)) == [0, 1, 4, 9, 16]
+            assert results(pool, get_pid, [0, 1]) == [os.getpid()] * 2
             assert pool.worker_pids() == []
 
     def test_serial_publish_is_passthrough(self):
@@ -80,12 +91,8 @@ class TestWorkerPoolSerial:
 
     def test_serial_weight_does_not_reorder_results(self):
         with WorkerPool(1) as pool:
-            out = pool.map(square, range(6), weight=lambda x: -x)  # repro: noqa[parallel-safety] -- serial pool never forks
+            out = results(pool, square, range(6), weight=lambda x: -x)  # repro: noqa[parallel-safety] -- serial pool never forks
         assert out == [x * x for x in range(6)]
-
-    def test_single_item_stays_in_process(self):
-        with WorkerPool(4) as pool:
-            assert pool.map(get_pid, [0]) == [os.getpid()]
 
 
 class TestWorkerPoolWarm:
@@ -97,9 +104,9 @@ class TestWorkerPoolWarm:
         seen: set[int] = set()
         with WorkerPool(2) as pool:
             for _ in range(4):
-                seen |= set(pool.map(get_pid, range(4)))
+                seen |= set(results(pool, get_pid, range(4)))
             pids = set(pool.worker_pids())
-            third = set(pool.map(square, range(4)))
+            third = set(results(pool, square, range(4)))
         assert seen and len(seen) <= 2
         assert seen <= pids
         assert os.getpid() not in seen
@@ -108,29 +115,29 @@ class TestWorkerPoolWarm:
     def test_lpt_results_in_input_order(self):
         items = list(range(16))
         with WorkerPool(2) as pool:
-            fifo = pool.map(square, items)
-            lpt = pool.map(square, items, weight=float)
-            lpt_rev = pool.map(square, items, weight=lambda x: -float(x))  # repro: noqa[parallel-safety] -- weight runs in the parent, never pickled
+            fifo = results(pool, square, items)
+            lpt = results(pool, square, items, weight=float)
+            lpt_rev = results(pool, square, items, weight=lambda x: -float(x))  # repro: noqa[parallel-safety] -- weight runs in the parent, never pickled
         assert fifo == lpt == lpt_rev == [x * x for x in items]
 
     def test_exception_propagates_and_pool_survives(self):
+        """A raising cell's exception reaches the caller as a manifest entry,
+        and the pool stays usable for the next dispatch."""
         with WorkerPool(2) as pool:
-            with pytest.raises(RuntimeError, match="boom"):
-                pool.map(failing, [1, 2, 3, 4])
-            with pytest.raises(RuntimeError, match="boom"):
-                pool.map(failing, [1, 2, 3, 4], weight=float)
-            # the pool is still usable after a task-level failure
-            assert pool.map(square, range(4)) == [0, 1, 4, 9]
-
-    def test_chunksize_validation(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(ValidationError):
-                pool.map(square, [1, 2], chunksize=0)
+            for weight in (None, float):
+                report = pool.map_salvage(
+                    failing, [1, 2, 3, 4], weight=weight, policy=FAST
+                )
+                (failure,) = report.failures
+                assert failure.index == 2 and failure.kind == "exception"
+                assert "RuntimeError: boom" in failure.message
+                assert report.results == [1, 2, None, 4]
+            assert results(pool, square, range(4)) == [0, 1, 4, 9]
 
     def test_repr_states(self):
         pool = WorkerPool(2)
         assert "cold" in repr(pool)
-        pool.map(square, range(3))
+        results(pool, square, range(3))
         assert "warm" in repr(pool)
         pool.close()
         assert "closed" in repr(pool)
@@ -141,7 +148,7 @@ class TestWorkerPoolClosed:
         pool = WorkerPool(2)
         pool.close()
         with pytest.raises(WorkerPoolError, match="closed"):
-            pool.map(square, [1, 2])
+            pool.map_salvage(square, [1, 2])
 
     def test_publish_on_closed_pool(self):
         pool = WorkerPool(2)
@@ -151,27 +158,18 @@ class TestWorkerPoolClosed:
 
     def test_close_is_idempotent(self):
         pool = WorkerPool(2)
-        pool.map(square, range(3))
+        results(pool, square, range(3))
         pool.close()
         pool.close()
         assert pool.closed
 
 
 class TestKillThePool:
-    def test_dead_worker_raises_worker_pool_error(self):
-        """SIGKILLing a worker mid-dispatch is a clean error, not a hang."""
-        with WorkerPool(2) as pool:
-            with pytest.raises(WorkerPoolError, match="worker pool died"):
-                pool.map(kill_self, range(8))
-
-    def test_dead_worker_under_lpt_raises_worker_pool_error(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(WorkerPoolError, match="worker pool died"):
-                pool.map(kill_self, range(8), weight=float)
-
     def test_pool_closes_cleanly_after_worker_death(self):
+        """A cell that kills its worker every attempt is a ``worker-death``
+        failure, never a hang, and the pool still closes."""
         pool = WorkerPool(2)
-        with pytest.raises(WorkerPoolError):
-            pool.map(kill_self, range(8))
+        report = pool.map_salvage(kill_self, range(8), policy=FAST)
+        assert any(f.index == 2 and f.kind == "worker-death" for f in report.failures)
         pool.close()
         assert pool.closed
