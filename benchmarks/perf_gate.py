@@ -4,17 +4,24 @@ Usage (from anywhere inside the checkout)::
 
     python benchmarks/perf_gate.py <base-revision>
 
-The base revision is checked out with ``git worktree add --detach`` into a
-temporary directory (removed on exit). For every workload in
-``BENCHMARK.json`` the gate runs :data:`PAIRS` pairs of
+Both sides run from sibling directories of one temporary directory
+(removed on exit): the base revision is checked out there with ``git
+worktree add --detach`` as ``base/``, and the working tree is copied there
+as ``head/`` (every file ``git ls-files -co --exclude-standard`` lists, so
+uncommitted changes count and ignored build output does not). Running
+head from the checkout itself instead moved table3-n10 ``runs_per_s`` by
++19% against the base worktree on unchanged code, where two side-by-side
+copies differed by 2%. For every workload in ``BENCHMARK.json`` the gate
+runs :data:`PAIRS` pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
 
-once in the base tree and once in the working tree ("head"), alternating
-which side goes first, and reads each run's result from the last line of
-its standard output. It then times two floors on head alone: the compiled
-kernels against the numpy reference (:data:`KERNEL_FLOOR`) and the fused
-multi-chain ``map_many`` against the serial loop (:data:`FUSED_FLOOR`).
+once in ``base/`` and once in ``head/``, alternating which side goes first,
+and reads each run's result from the last line of its standard output. It
+then times two floors on head alone: the compiled kernels against the
+numpy reference (:data:`KERNEL_FLOOR`) and the fused multi-chain
+``map_many`` against the serial loop (:data:`FUSED_FLOOR`). Head's
+perfbench records are copied back to ``perfbench/out/`` of the checkout.
 
 The gate fails, and exits 1, on any of:
 
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -194,17 +202,17 @@ def floor_probe() -> None:
     print(json.dumps(record))  # repro: noqa[run-discipline] -- to the parent gate's pipe
 
 
-def measure_floors() -> tuple[float, dict[str, float]]:
+def measure_floors(head_tree: Path) -> tuple[float, dict[str, float]]:
     """(numpy/cext kernel ratio, serial/fused ratio per backend) on head."""
     probes = {}
     for backend in BACKENDS:
         env = {
             **os.environ,
             "REPRO_KERNEL": backend,
-            "REPRO_KERNEL_CACHE": str(ROOT / "perfbench" / ".build" / "kernels"),
-            "PYTHONPATH": str(ROOT / "src"),
+            "REPRO_KERNEL_CACHE": str(head_tree / "perfbench" / ".build" / "kernels"),
+            "PYTHONPATH": str(head_tree / "src"),
         }
-        code = f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); " + (
+        code = f"import sys; sys.path.insert(0, {str(head_tree / 'benchmarks')!r}); " + (
             "import perf_gate; perf_gate.floor_probe()"
         )
         out = subprocess.run(
@@ -244,14 +252,32 @@ def perfbench_run(
     return {**result, "returncode": proc.returncode}
 
 
+def snapshot_tree(source: Path, dest: Path) -> None:
+    """Copy the working tree of the checkout at ``source`` into ``dest``.
+
+    The files are what ``git ls-files -co --exclude-standard`` lists:
+    tracked and untracked, minus ignored ones. A tracked file deleted in
+    the working tree is left out, as it is absent from the working tree.
+    """
+    listed = subprocess.run(
+        ["git", "ls-files", "-co", "--exclude-standard", "-z"],
+        cwd=source, check=True, stdout=subprocess.PIPE,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        path = source / name
+        if path.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(path, dest / name)
+
+
 def run_pairs(
-    config: Mapping[str, Any], base_tree: Path, workload: str
+    config: Mapping[str, Any], trees: Mapping[str, Path], workload: str
 ) -> dict[str, list[dict[str, Any]]]:
     """:data:`PAIRS` alternating-order pairs of one workload: base and head runs."""
     runs: dict[str, list[dict[str, Any]]] = {"base": [], "head": []}
     for i in range(PAIRS):
         for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-            run = perfbench_run(config, base_tree if side == "base" else ROOT, workload, i + 1)
+            run = perfbench_run(config, trees[side], workload, i + 1)
             runs[side].append(run)
             value = run.get("metrics", {}).get("runs_per_s", {}).get("value")
             print(
@@ -270,20 +296,25 @@ def main(argv: Sequence[str]) -> int:
     end_to_end = config["end_to_end"]
     problems: list[str] = []
     with tempfile.TemporaryDirectory(prefix="perf-gate-") as tmp:
-        base_tree = Path(tmp) / "base"
+        trees = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
+        snapshot_tree(ROOT, trees["head"])
         subprocess.run(
-            ["git", "worktree", "add", "--detach", str(base_tree), argv[0]], cwd=ROOT, check=True
+            ["git", "worktree", "add", "--detach", str(trees["base"]), argv[0]],
+            cwd=ROOT, check=True,
         )
         try:
             for entry in config["workloads"]:
-                runs = run_pairs(config, base_tree, entry["name"])
+                runs = run_pairs(config, trees, entry["name"])
                 print_table(entry["name"], runs["base"], runs["head"], end_to_end)
                 problems += workload_problems(entry["name"], runs["base"], runs["head"], end_to_end)
         finally:
             subprocess.run(
-                ["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT, check=False
+                ["git", "worktree", "remove", "--force", str(trees["base"])], cwd=ROOT, check=False
             )
-    kernel_ratio, fused = measure_floors()
+        kernel_ratio, fused = measure_floors(trees["head"])
+        head_out = trees["head"] / "perfbench" / "out"
+        if head_out.is_dir():
+            shutil.copytree(head_out, ROOT / "perfbench" / "out", dirs_exist_ok=True)
     print(f"kernel floor: numpy/cext {kernel_ratio:.2f}x (floor {KERNEL_FLOOR}x)")
     for backend, ratio in fused.items():
         print(f"fused floor ({backend}): serial/fused {ratio:.2f}x (floor {FUSED_FLOOR}x)")

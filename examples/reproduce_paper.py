@@ -2,13 +2,13 @@
 """Regenerate every table and figure of the paper in one run.
 
 Equivalent to ``python -m repro all`` but shown as a scripted pipeline:
-the experiment registry is the public API the benchmarks and CLI share.
+the experiment registry is the public API the CLI and the tests share.
 
 Run (smoke scale, a few minutes):
     python examples/reproduce_paper.py
 
 Run at the paper's §5.2 parameters (much longer):
-    REPRO_FULL_SCALE=1 python examples/reproduce_paper.py
+    REPRO_SCALE=paper python examples/reproduce_paper.py
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """run-discipline: result files in run-producing layers go through the run-store.
 
 Applies only inside ``repro/experiments/``, ``repro/service/`` and
-``benchmarks/`` — the layers whose output *is* the reproduction's evidence. There, a bare ``json.dump``,
-a ``open(path, "w")``, or a ``Path.write_text`` is a result file with no
-manifest attached: no git SHA, no env surface, no seeds, nothing a later
-cross-run comparison can hold on to. Those layers must route persistent
-output through :mod:`repro.runstore` (``RunStore``/``RunHandle``/
-``BenchResult``), where provenance is written alongside the numbers.
+``benchmarks/`` — the layers whose output *is* the reproduction's
+evidence. There, a bare ``json.dump``, a ``open(path, "w")``, or a
+``Path.write_text`` is a result file with no manifest attached: no git
+SHA, no env surface, no seeds, nothing a later cross-run comparison can
+hold on to. Those layers must route persistent output through
+:mod:`repro.runstore` (``RunStore``/``RunHandle``), where provenance is
+written alongside the numbers.
 
 Reading is fine; only write paths are flagged. Sites with a sanctioned
 reason (e.g. a scratch file handed to an external tool) carry
@@ -61,7 +62,7 @@ class RunDisciplineChecker(Checker):
                 node,
                 f"{dotted}() in a run-producing layer writes results without a "
                 "manifest; route output through repro.runstore "
-                "(RunHandle.record_metrics / BenchResult.write)",
+                "(RunHandle.record_metrics)",
             )
             return
         if dotted == "open" or (dotted is not None and dotted.endswith(".open")):
@@ -76,7 +77,7 @@ class RunDisciplineChecker(Checker):
                     node,
                     "open(..., 'w') in a run-producing layer writes a result "
                     "file with no provenance; use the run-store "
-                    "(RunHandle.add_artifact / BenchResult.write)",
+                    "(RunHandle.add_artifact)",
                 )
             return
         if isinstance(node.func, ast.Attribute) and node.func.attr in {
@@ -87,5 +88,5 @@ class RunDisciplineChecker(Checker):
                 node,
                 f".{node.func.attr}() in a run-producing layer writes a result "
                 "file with no provenance; use the run-store "
-                "(RunHandle.add_artifact / BenchResult.write)",
+                "(RunHandle.add_artifact)",
             )

@@ -168,8 +168,8 @@ RULES: dict[str, Rule] = {
                 "surface, kernel backend, or seeds — so the numbers it holds "
                 "cannot be attributed or replayed; run-producing layers "
                 "(repro/experiments, repro/service, benchmarks) must route "
-                "output through repro.runstore (RunStore/RunHandle/"
-                "BenchResult), which is where provenance is attached"
+                "output through repro.runstore (RunStore/RunHandle), which "
+                "is where provenance is attached"
             ),
             # The rule only *applies* inside the run-producing layers; the
             # positive scoping (experiments/ + service/ + benchmarks/) lives

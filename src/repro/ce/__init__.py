@@ -30,7 +30,6 @@ from repro.ce.genperm import (
 from repro.ce.multichain import MultiChainCE, MultiChainResult
 from repro.ce.optimizer import CEConfig, CEResult, CrossEntropyOptimizer
 from repro.ce.quantile import elite_mask, elite_threshold, select_elites
-from repro.ce.smoothing import smooth
 from repro.ce.stochastic_matrix import (
     StochasticMatrix,
     elite_counts_update,
@@ -52,7 +51,6 @@ __all__ = [
     "elite_threshold",
     "elite_mask",
     "select_elites",
-    "smooth",
     "StopKind",
     "CEConfig",
     "CEResult",

@@ -5,8 +5,8 @@
 * Figures 7/8: the ET and MT series of Tables 1-2 as ASCII bar charts;
 * Figure 9: the application turnaround time ``ATN = ET + MT`` series.
 
-Each ``compute_*`` returns the underlying data (so benches and tests can
-assert on shape properties); ``render_*`` produces the printable artifact.
+Each ``compute_*`` returns the underlying data (so tests can assert on
+shape properties); ``render_*`` produces the printable artifact.
 """
 
 from __future__ import annotations

@@ -20,13 +20,11 @@ tail. Every result field except the measured ``mapping_time`` wall-clock is
 identical — record for record — to the serial loop for any worker count.
 
 Heuristics are addressed through the solver registry
-(:mod:`repro.runtime.registry`): a cell's mapper is rebuilt in the worker
-from a picklable :class:`~repro.runtime.registry.SolverSpec` (name +
-constructor params), so any registered solver — built-in or third-party —
-plugs into the §5.3 protocol by name. ``mappers`` values may be specs
-directly or ``size -> spec``/``size -> Mapper`` callables; the historical
-:class:`MatchFactory` / :class:`GAFactory` classes remain as thin
-spec-backed wrappers.
+(:mod:`repro.runtime.registry`): ``mappers`` maps each heuristic's label to
+a picklable :class:`~repro.runtime.registry.SolverSpec` (name + constructor
+params), and a cell's mapper is rebuilt from it in the worker, so any
+registered solver — built-in or third-party — plugs into the §5.3
+protocol by name.
 """
 
 from __future__ import annotations
@@ -38,13 +36,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.baselines.base import Mapper
 from repro.exceptions import ConfigurationError
 from repro.experiments.spec import ScaleProfile
-from repro.experiments.suite import SuiteInstance, build_suite
-from repro.runtime.budget import EvaluationBudget
-from repro.runtime.checkpoint import CheckpointWriter
-from repro.runtime.hooks import SearchHooks
+from repro.experiments.suite import build_suite
 from repro.runtime.registry import SolverSpec
 from repro.runstore import current_run
 from repro.stats.comparison import SeriesBySize
@@ -59,17 +53,7 @@ __all__ = [
     "run_comparison",
     "get_comparison",
     "default_mappers",
-    "MatchFactory",
-    "GAFactory",
-    "SpecFactory",
-    "run_instance",
 ]
-
-#: A heuristic entry in ``run_comparison``: either a fixed spec, or a
-#: callable from instance size to a spec (or to a ready mapper, for
-#: heuristics that bypass the registry).
-MapperFactory = Callable[[int], "Mapper | SolverSpec"]
-MapperLike = "SolverSpec | MapperFactory"
 
 
 @dataclass(frozen=True)
@@ -134,129 +118,18 @@ class ComparisonData:
         return scaled_et.combined_with(self.mt_series, metric="ATN (s)")
 
 
-@dataclass(frozen=True)
-class SpecFactory:
-    """Picklable factory returning the same registry spec at every size."""
-
-    spec: SolverSpec
-
-    def __call__(self, size: int) -> SolverSpec:
-        return self.spec
-
-
-@dataclass(frozen=True)
-class MatchFactory:
-    """Picklable factory for the ``"match"`` registry solver at fixed params."""
-
-    max_iterations: int
-
-    def __call__(self, size: int) -> SolverSpec:
-        return SolverSpec.of("match", {"max_iterations": self.max_iterations})
-
-
-@dataclass(frozen=True)
-class GAFactory:
-    """Picklable factory for the ``"fastmap-ga"`` registry solver at fixed params."""
-
-    population_size: int
-    generations: int
-
-    def __call__(self, size: int) -> SolverSpec:
-        return SolverSpec.of(
-            "fastmap-ga",
-            {
-                "population_size": self.population_size,
-                "generations": self.generations,
-            },
-        )
-
-
-def default_mappers(profile: ScaleProfile) -> dict[str, MapperFactory]:
+def default_mappers(profile: ScaleProfile) -> dict[str, SolverSpec]:
     """The paper's two heuristics at the profile's parameters."""
     return {
-        "MaTCH": MatchFactory(max_iterations=profile.match_max_iterations),
-        "FastMap-GA": GAFactory(
-            population_size=profile.ga_population,
-            generations=profile.ga_generations,
+        "MaTCH": SolverSpec.of("match", {"max_iterations": profile.match_max_iterations}),
+        "FastMap-GA": SolverSpec.of(
+            "fastmap-ga",
+            {
+                "population_size": profile.ga_population,
+                "generations": profile.ga_generations,
+            },
         ),
     }
-
-
-def _build_mapper(entry: "Mapper | SolverSpec | MapperLike", size: int) -> Mapper:
-    """Resolve a heuristic entry to a fresh mapper for a given size."""
-    if isinstance(entry, SolverSpec):
-        return entry.build()
-    made = entry(size) if callable(entry) else entry
-    if isinstance(made, SolverSpec):
-        return made.build()
-    if isinstance(made, Mapper):
-        return made
-    raise ConfigurationError(
-        f"mapper entry must yield a Mapper or SolverSpec, got {type(made).__name__}"
-    )
-
-
-def run_instance(
-    mapper: Mapper,
-    instance: SuiteInstance,
-    rng_seed: int,
-    *,
-    budget: EvaluationBudget | None = None,
-    hooks: SearchHooks | None = None,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 1,
-) -> tuple[float, float, int]:
-    """Run one heuristic once; returns (ET, MT, evaluations).
-
-    ``checkpoint_path`` attaches a :class:`CheckpointWriter` (writing
-    every ``checkpoint_every`` iterations) so the run can be picked up by
-    :func:`repro.runtime.resume_run` after a kill; it requires the mapper
-    to carry a registry identity (``registry_name``), since that identity
-    is what the checkpoint stores to rebuild the mapper on resume.
-    """
-    checkpointer = None
-    if checkpoint_path is not None:
-        if mapper.registry_name is None:
-            raise ConfigurationError(
-                f"{mapper.name} has no solver-registry identity; "
-                "checkpointing needs a registered solver"
-            )
-        checkpointer = CheckpointWriter(
-            checkpoint_path,
-            solver_name=mapper.registry_name,
-            params=mapper.checkpoint_params(),
-            problem=instance.problem,
-            seed=rng_seed,
-            every=checkpoint_every,
-        )
-    result = mapper.map(
-        instance.problem,
-        rng_seed,
-        budget=budget,
-        hooks=hooks,
-        checkpointer=checkpointer,
-    )
-    return result.execution_time, result.mapping_time, result.n_evaluations
-
-
-def _resolve_solver(entry: "Mapper | SolverSpec | MapperLike", size: int) -> Any:
-    """Resolve a heuristic entry to its cheapest picklable form for a cell.
-
-    Registry-backed mappers travel as their :class:`SolverSpec` (name +
-    params, a few hundred bytes); unregistered mappers fall back to pickling
-    the object itself. Factories are evaluated here, in the parent, so the
-    cell carries a concrete solver rather than a closure.
-    """
-    if isinstance(entry, SolverSpec):
-        return entry
-    made = entry(size) if callable(entry) and not isinstance(entry, Mapper) else entry
-    if isinstance(made, SolverSpec):
-        return made
-    if isinstance(made, Mapper):
-        return SolverSpec.for_mapper(made) or made
-    raise ConfigurationError(
-        f"mapper entry must yield a Mapper or SolverSpec, got {type(made).__name__}"
-    )
 
 
 @dataclass(frozen=True)
@@ -264,10 +137,9 @@ class _ComparisonCell:
     """One self-contained (heuristic, instance, repetition) unit of work.
 
     Carries everything a worker process needs — and nothing heavy: the
-    solver travels as a :class:`SolverSpec` (or, for unregistered
-    heuristics, the pickled mapper), the problem as a shared-memory handle
-    (:class:`~repro.utils.shared_plane.SharedProblemHandle`) when a plane
-    is active, and the cell's own pre-derived seed. Execution order and
+    solver travels as a :class:`SolverSpec`, the problem as a shared-memory
+    handle (:class:`~repro.utils.shared_plane.SharedProblemHandle`) when a
+    plane is active, and the cell's own pre-derived seed. Execution order and
     process placement therefore cannot influence any result.
     """
 
@@ -275,7 +147,7 @@ class _ComparisonCell:
     size: int
     pair_index: int
     run_index: int
-    solver: Any  # SolverSpec or picklable Mapper
+    solver: SolverSpec
     problem_ref: ProblemRef
     run_seed: int
 
@@ -294,8 +166,7 @@ def _run_cell(cell: _ComparisonCell) -> RunRecord:
     handle, and the seed.
     """
     problem = resolve_problem(cell.problem_ref)
-    mapper = cell.solver.build() if isinstance(cell.solver, SolverSpec) else cell.solver
-    result = mapper.map(problem, cell.run_seed)
+    result = cell.solver.build().map(problem, cell.run_seed)
     return RunRecord(
         heuristic=cell.heuristic,
         size=cell.size,
@@ -311,14 +182,17 @@ def run_comparison(
     profile: ScaleProfile,
     *,
     seed: int = 2005,
-    mappers: "dict[str, SolverSpec | MapperFactory] | None" = None,
+    mappers: dict[str, SolverSpec] | None = None,
     progress: Callable[[str], None] | None = None,
     n_workers: int | None = None,
 ) -> ComparisonData:
     """Execute the full §5.3 measurement protocol.
 
     For every size, pair, heuristic and repetition: run, record ET/MT;
-    report the mean over (pairs × repetitions) per size. The whole
+    report the mean over (pairs × repetitions) per size. ``mappers`` maps
+    each heuristic's label to its :class:`SolverSpec` (default:
+    :func:`default_mappers`); any other value is a
+    :class:`ConfigurationError` before anything is dispatched. The whole
     protocol runs over one :class:`WorkerPool` lifetime
     (``n_workers=None`` picks the host default, ``<= 1`` runs serially):
     the suite is generated in-process, each instance's arrays are
@@ -341,6 +215,11 @@ def run_comparison(
     (heuristic, size) selection lost every record.
     """
     mappers = mappers if mappers is not None else default_mappers(profile)
+    for name, spec in mappers.items():
+        if not isinstance(spec, SolverSpec):
+            raise ConfigurationError(
+                f"mapper {name!r} must be a SolverSpec, got {type(spec).__name__}"
+            )
     streams = RngStreams(seed=seed)
 
     active = current_run()
@@ -359,8 +238,7 @@ def run_comparison(
         for size in profile.sizes:
             for instance in suite[size]:
                 problem_ref = pool.publish_problem(instance.problem)
-                for name, factory in mappers.items():
-                    solver = _resolve_solver(factory, size)
+                for name, spec in mappers.items():
                     for run in range(profile.runs_per_pair):
                         if progress is not None:
                             progress(
@@ -372,7 +250,7 @@ def run_comparison(
                                 size=size,
                                 pair_index=instance.pair_index,
                                 run_index=run,
-                                solver=solver,
+                                solver=spec,
                                 problem_ref=problem_ref,
                                 run_seed=streams.seed_for(
                                     "run", heuristic=name, size=size,

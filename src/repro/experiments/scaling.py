@@ -12,7 +12,8 @@ MaTCH's advantage over the GA is largest:
   not just load balance).
 
 Each returns per-point mean ET for MaTCH and FastMap-GA plus the
-improvement factor — the series behind `bench_scaling.py`.
+improvement factor — the series behind ``python -m repro
+scaling-heterogeneity`` and ``scaling-ccr``.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 
 Paper-scale runs (GA with population 500 × 1000 generations at every size
 up to 50, thirty ANOVA repetitions, five graph pairs × five runs) take tens
-of minutes; the default profile shrinks every axis so the whole benchmark
-suite finishes in a few minutes while preserving the comparison's *shape*
-(same heuristics, same size sweep direction, same statistics).
+of minutes; the default profile shrinks every axis so every artifact
+regenerates in minutes while preserving the comparison's *shape* (same
+heuristics, same size sweep direction, same statistics).
 
 Select the profile with the ``REPRO_SCALE`` environment variable
-(``smoke`` | ``paper``) or ``REPRO_FULL_SCALE=1`` (alias for ``paper``);
-programmatic callers pass a :class:`ScaleProfile` explicitly.
+(``smoke`` | ``paper``); programmatic callers pass a :class:`ScaleProfile`
+explicitly.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ PAPER_PROFILE = ScaleProfile(
 
 def active_profile() -> ScaleProfile:
     """The profile selected by the environment (default: smoke)."""
-    if os.environ.get("REPRO_FULL_SCALE", "") == "1":
-        return PAPER_PROFILE
     name = os.environ.get("REPRO_SCALE", "smoke").strip().lower()
     if name in ("smoke", ""):
         return SMOKE_PROFILE

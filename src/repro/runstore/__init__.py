@@ -3,13 +3,12 @@
 One directory per run — ``manifest.json`` (provenance: git SHA, env
 surface, kernel backend, seeds, problem checksums), ``metrics.json``
 (results), ``events.jsonl`` (lifecycle log), ``artifacts/`` (checkpoints,
-report snapshots). Experiments, the pytest benchmark session, and the CLI
-all report through here.
+report snapshots). Experiments, the service and the CLI all report
+through here.
 
 See DESIGN.md §13.
 """
 
-from repro.runstore.bench import BenchResult
 from repro.runstore.cache import ResultCache, cache_key
 from repro.runstore.manifest import (
     MANIFEST_SCHEMA,
@@ -35,7 +34,6 @@ from repro.runstore.store import (
 )
 
 __all__ = [
-    "BenchResult",
     "ResultCache",
     "cache_key",
     "MANIFEST_SCHEMA",

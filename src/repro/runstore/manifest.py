@@ -19,7 +19,6 @@ marker rather than failing the run being recorded.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import platform
 import subprocess
@@ -53,7 +52,6 @@ REPRO_ENV_KEYS = (
     "REPRO_CELL_TIMEOUT",
     "REPRO_FAULTS",
     "REPRO_SCALE",
-    "REPRO_FULL_SCALE",
 )
 
 

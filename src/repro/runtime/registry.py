@@ -1,12 +1,10 @@
 """The solver registry: heuristics as named, parameterized entries.
 
-The experiments layer used to hand-wire factory classes per heuristic
-(``MatchFactory``, ``GAFactory``, ...); Table 3's two GA configurations
-meant two bespoke classes. The registry replaces that with a flat
-namespace: a solver is a **name** (``"match"``, ``"fastmap-ga"``,
-``"fastmap-hier"``) plus a **params dict** forwarded to the mapper's
-constructor, and :class:`SolverSpec` packages the pair as a picklable
-value object so experiment cells can cross process-pool boundaries.
+A solver is a **name** (``"match"``, ``"fastmap-ga"``, ``"fastmap-hier"``)
+plus a **params dict** forwarded to the mapper's constructor, in one flat
+namespace. :class:`SolverSpec` packages the pair as a picklable value
+object: it is how the experiments runner and the service name a
+heuristic, and how their cells cross process-pool boundaries.
 
 Built-in solvers register lazily on first lookup
 (:func:`ensure_default_solvers`) — the registry must not import
@@ -83,21 +81,6 @@ class SolverSpec:
     def of(cls, name: str, params: dict[str, Any] | None = None) -> "SolverSpec":
         """Build a spec from a params dict (canonicalized by key order)."""
         return cls(name, tuple(sorted((params or {}).items())))
-
-    @classmethod
-    def for_mapper(cls, mapper: "Mapper") -> "SolverSpec | None":
-        """The spec that rebuilds ``mapper``, or None for unregistered ones.
-
-        This is the execution fabric's wire format: a registry-backed
-        mapper crossing a process boundary travels as its
-        ``(registry_name, checkpoint_params)`` pair — a few hundred bytes —
-        instead of a pickled object graph. The golden-fixture suite pins
-        that ``checkpoint_params`` rebuilds every built-in solver
-        bit-for-bit, so the conversion cannot change a result.
-        """
-        if mapper.registry_name is None:
-            return None
-        return cls.of(mapper.registry_name, mapper.checkpoint_params())
 
     def params_dict(self) -> dict[str, Any]:
         """The params as a plain dict (constructor keyword arguments)."""

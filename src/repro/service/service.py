@@ -483,7 +483,7 @@ class MappingService:
 
     # -- observability -----------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Counters for ``/stats``, the bench report and the run metrics."""
+        """Counters for ``/stats`` and the run metrics."""
         return {
             **self._counters,
             "cache": self.cache.stats(),

@@ -22,11 +22,10 @@ def utc_stamp() -> str:
     """The one sanctioned wall-clock *timestamp* in the library.
 
     Every ``generated`` field and run timestamp (run-store manifests,
-    benchmark reports, perf-history samples) routes through this helper so
-    provenance stamps are uniform (UTC, second precision, ISO 8601 with a
-    ``Z`` suffix) and the wallclock lint debt stays at exactly one call
-    site. Timestamps are provenance only — they must never feed back into
-    a reported result.
+    events and run ids) routes through this helper so provenance stamps
+    are uniform (UTC, second precision, ISO 8601 with a ``Z`` suffix) and
+    the wallclock lint debt stays at exactly one call site. Timestamps are
+    provenance only — they must never feed back into a reported result.
     """
     now = datetime.now(timezone.utc)  # repro: noqa[wallclock] sole provenance stamp; results only carry Stopwatch durations
     return now.strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -1,4 +1,10 @@
-"""Tests for elite selection (quantile) and smoothing."""
+"""Tests for elite selection (quantile) and smoothing.
+
+Eq. (13) smoothing is tested here through ``stacked_elite_update``, the
+multi-chain engine's update; the single-matrix
+``StochasticMatrix.update_from_elites`` is covered in
+``test_stochastic_matrix.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ce.quantile import elite_mask, elite_threshold, select_elites, select_top_k
-from repro.ce.smoothing import smooth
+from repro.ce.stochastic_matrix import elite_counts_update, stacked_elite_update
 from repro.exceptions import ValidationError
 
 
@@ -102,27 +108,31 @@ class TestSelectTopK:
 
 class TestSmoothing:
     def test_convex_combination(self):
-        P = np.array([[0.5, 0.5]])
-        Q = np.array([[1.0, 0.0]])
-        np.testing.assert_allclose(smooth(P, Q, 0.3), [[0.65, 0.35]])
+        P = np.array([[[0.5, 0.5]]])
+        out = stacked_elite_update(P, np.array([[0]]), np.array([1]), zeta=0.3)
+        # 0.3 * [1, 0] + 0.7 * [0.5, 0.5]
+        np.testing.assert_allclose(out, [[[0.65, 0.35]]])
 
     def test_zeta_one_returns_update(self):
-        P = np.array([[0.5, 0.5]])
-        Q = np.array([[1.0, 0.0]])
-        np.testing.assert_allclose(smooth(P, Q, 1.0), Q)
+        P = np.array([[[0.5, 0.5]]])
+        elites = np.array([[0], [0], [1], [0]])
+        out = stacked_elite_update(P, elites, np.array([4]), zeta=1.0)
+        np.testing.assert_allclose(out[0], elite_counts_update(elites, 1, 2))
 
     def test_shape_mismatch(self):
+        P = np.ones((1, 2, 2)) / 2
         with pytest.raises(ValidationError):
-            smooth(np.ones((2, 2)) / 2, np.ones((3, 3)) / 3, 0.5)
+            stacked_elite_update(P, np.zeros((1, 3), dtype=np.int64), np.array([1]), zeta=0.5)
 
     def test_invalid_zeta(self):
-        P = np.array([[1.0]])
+        P = np.array([[[1.0]]])
         with pytest.raises(ValidationError):
-            smooth(P, P, 0.0)
+            stacked_elite_update(P, np.array([[0]]), np.array([1]), zeta=0.0)
 
     def test_stochasticity_preserved(self):
         rng = np.random.default_rng(0)
-        P = rng.dirichlet(np.ones(5), size=4)
-        Q = rng.dirichlet(np.ones(5), size=4)
-        out = smooth(P, Q, 0.4)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0)
+        P = rng.dirichlet(np.ones(5), size=(3, 4))
+        sizes = np.array([2, 3, 1])
+        elites = rng.integers(0, 5, size=(int(sizes.sum()), 4))
+        out = stacked_elite_update(P, elites, sizes, zeta=0.4)
+        np.testing.assert_allclose(out.sum(axis=2), 1.0)

@@ -17,6 +17,7 @@ from repro.experiments.figures import (
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.spec import ScaleProfile
 from repro.stats.comparison import SeriesBySize
+from tests.experiments.conftest import BENCH_SCALE, BENCH_SEED
 
 TINY = ScaleProfile(
     name="tiny-test-fig",
@@ -33,14 +34,19 @@ TINY = ScaleProfile(
 
 class TestFig3:
     def test_frames_show_degeneration(self):
-        result = compute_fig3(size=8, seed=3, n_frames=4)
-        assert result.size == 8
-        # snapshots are taken post-update, so the first frame is already a
-        # step away from uniform (1/n) but still far from degenerate
-        assert 1 / 8 <= result.frames[0]["degeneracy"] < 0.6
-        assert result.final_degeneracy > result.frames[0]["degeneracy"]
-        assert result.n_iterations >= 1
-        assert result.best_cost > 0
+        for size, seed in ((8, 3), (10, BENCH_SEED)):
+            result = compute_fig3(size=size, seed=seed, n_frames=4)
+            assert result.size == size
+            first, last = result.frames[0], result.frames[-1]
+            # snapshots are taken post-update, so the first frame is already
+            # a step away from uniform (1/n) but still far from degenerate
+            assert 1 / size <= first["degeneracy"] < 0.6
+            # the figure's claim: the matrix starts spread out and commits
+            assert result.final_degeneracy > first["degeneracy"]
+            assert last["entropy"] < first["entropy"]
+            assert last["committed_rows"] >= first["committed_rows"]
+            assert result.n_iterations >= 1
+            assert result.best_cost > 0
 
     def test_render(self):
         out = render_fig3(compute_fig3(size=8, seed=3))
@@ -63,12 +69,27 @@ class TestSeriesFigures:
         assert mt.metric.startswith("MT")
         assert all(v > 0 for v in mt.values["MaTCH"])
 
+    def test_fig7_et_grows_with_n(self, bench_comparison):
+        et = compute_fig7(BENCH_SCALE, seed=BENCH_SEED)
+        assert et == bench_comparison.et_series
+        assert set(et.values) == {"MaTCH", "FastMap-GA"}
+        for vals in et.values.values():
+            assert vals[-1] > vals[0]
+
     def test_fig9_combines(self):
         et = compute_fig7(TINY, seed=5)
         mt = compute_fig8(TINY, seed=5)
         atn = compute_fig9(TINY, seed=5)
         expected = et.values["MaTCH"][0] + mt.values["MaTCH"][0]
         assert atn.values["MaTCH"][0] == pytest.approx(expected)
+
+    def test_fig9_atn_claim(self, bench_comparison):
+        atn = compute_fig9(BENCH_SCALE, seed=BENCH_SEED)
+        match, ga = atn.values["MaTCH"], atn.values["FastMap-GA"]
+        # Figure 9's claim: MaTCH's quality advantage outweighs its mapping
+        # time at the top size, because ET dominates MT; ATN grows with n.
+        assert match[-1] <= ga[-1] * 1.05
+        assert match[-1] > match[0] and ga[-1] > ga[0]
 
 
 class TestRenderSeriesChart:
@@ -114,6 +135,38 @@ class TestAblations:
         result = samples_sweep(multipliers=(0.5, 2.0), size=6, runs=1, seed=1)
         # larger sample rule -> more evaluations per run
         assert result.points[1].mean_evaluations > result.points[0].mean_evaluations
+
+    def test_rho_paper_band_is_near_best(self):
+        result = rho_sweep(
+            values=(0.01, 0.02, 0.05, 0.1, 0.2, 0.3), size=15, runs=3, seed=BENCH_SEED
+        )
+        assert len(result.points) == 6
+        # The paper's band 0.01 <= rho <= 0.1 is not far off the sweep's best.
+        best = result.best_point().mean_et
+        in_band = [p for p in result.points if 0.01 <= p.knob_value <= 0.1]
+        assert min(p.mean_et for p in in_band) <= best * 1.1
+
+    def test_zeta_trades_iterations_for_quality(self):
+        result = zeta_sweep(
+            values=(0.1, 0.2, 0.3, 0.5, 0.8, 1.0), size=15, runs=3, seed=BENCH_SEED
+        )
+        assert len(result.points) == 6
+        by_zeta = {p.knob_value: p for p in result.points}
+        # Heavier smoothing (smaller zeta) takes more iterations to commit...
+        assert by_zeta[0.1].mean_iterations >= by_zeta[1.0].mean_iterations
+        # ...and the paper's zeta = 0.3 is competitive with the best quality.
+        assert by_zeta[0.3].mean_et <= result.best_point().mean_et * 1.15
+
+    def test_samples_rule_m2_is_near_largest_budget(self):
+        result = samples_sweep(
+            multipliers=(0.5, 1.0, 2.0, 4.0), size=15, runs=3, seed=BENCH_SEED
+        )
+        assert len(result.points) == 4
+        evals = [p.mean_evaluations for p in result.points]
+        assert evals[-1] > evals[0]
+        # The paper's N = 2n^2 is within 10% of the quality of N = 4n^2.
+        by_m = {p.knob_value: p for p in result.points}
+        assert by_m[2.0].mean_et <= by_m[4.0].mean_et * 1.10
 
     def test_best_point(self):
         result = rho_sweep(values=(0.05, 0.2), size=6, runs=1, seed=1)

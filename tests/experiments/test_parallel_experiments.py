@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.config import MatchConfig
 from repro.core.match import MatchMapper
-from repro.experiments.runner import GAFactory, MatchFactory, run_comparison
+from repro.experiments.runner import run_comparison
 from repro.experiments.spec import ScaleProfile
 from repro.experiments.suite import build_suite
 from repro.experiments.table3 import compute_table3
@@ -63,14 +63,6 @@ class TestRunComparisonParallel:
             assert _comparable_records(runs[n]) == _comparable_records(baseline), n
             assert runs[n].et_series == baseline.et_series, n
             assert runs[n].mt_series.sizes == baseline.mt_series.sizes, n
-
-    def test_factories_are_picklable_and_equivalent(self):
-        import pickle
-
-        for factory in (MatchFactory(max_iterations=30), GAFactory(10, 5)):
-            clone = pickle.loads(pickle.dumps(factory))
-            assert clone == factory
-            assert type(clone(6)) is type(factory(6))
 
 
 class TestTable3Parallel:

@@ -15,6 +15,7 @@ from repro.experiments.spec import ScaleProfile
 from repro.experiments.table1 import compute_table1, render_table1
 from repro.experiments.table2 import compute_table2, render_table2
 from repro.experiments.table3 import compute_table3, render_table3
+from tests.experiments.conftest import BENCH_SCALE, BENCH_SEED
 
 TINY = ScaleProfile(
     name="tiny-test",
@@ -95,12 +96,19 @@ class TestRunComparison:
 
 
 class TestTable1:
-    def test_rows(self, comparison, monkeypatch):
-        result = compute_table1(TINY, seed=4)
-        assert result.sizes == (6, 9)
-        assert len(result.et_ga) == 2 and len(result.ratio) == 2
-        for ga, match, ratio in zip(result.et_ga, result.et_match, result.ratio):
-            assert ratio == pytest.approx(ga / match)
+    def test_rows(self, comparison, bench_comparison):
+        for profile, data in ((TINY, comparison), (BENCH_SCALE, bench_comparison)):
+            result = compute_table1(profile, seed=data.seed)
+            assert result.sizes == profile.sizes
+            assert result.et_match == data.et_series.values["MaTCH"]
+            assert len(result.et_ga) == len(result.ratio) == len(profile.sizes)
+            assert all(v > 0 for v in result.et_ga + result.et_match)
+            for ga, match, ratio in zip(result.et_ga, result.et_match, result.ratio):
+                assert ratio == pytest.approx(ga / match)
+            # DESIGN.md §5: the GA never beats MaTCH by much anywhere, and
+            # the improvement factor grows with problem size.
+            assert all(r > 0.9 for r in result.ratio)
+            assert result.ratio_grows_with_size
 
     def test_render_contains_measured_and_paper(self):
         result = compute_table1(TINY, seed=4)
@@ -149,15 +157,22 @@ class TestTable2:
 
 class TestTable3:
     def test_structure(self):
-        result = compute_table3(TINY, seed=4)
-        assert result.size == 10
-        assert result.runs == 4
-        assert len(result.summaries) == 3
-        labels = [s.label for s in result.summaries]
-        assert labels[0] == "MaTCH"
-        assert "FastMap-GA 16/40" in labels
-        assert result.anova.df_between == 2
-        assert result.anova.df_within == 3 * 4 - 3
+        for profile, seed in ((TINY, 4), (BENCH_SCALE, BENCH_SEED)):
+            result = compute_table3(profile, seed=seed)
+            runs = profile.anova_runs
+            assert result.size == 10
+            assert result.runs == runs
+            assert [s.label for s in result.summaries] == ["MaTCH"] + [
+                f"FastMap-GA {pop}/{gen}" for pop, gen in profile.anova_ga_configs
+            ]
+            for s in result.summaries:
+                assert s.n == runs
+                assert s.ci_low <= s.mean <= s.ci_high
+                assert s.std >= 0
+            assert result.anova.df_between == 2
+            assert result.anova.df_within == 3 * runs - 3
+            assert result.anova.f_value >= 0.0
+            assert 0.0 <= result.anova.p_value <= 1.0
 
     def test_samples_recorded(self):
         result = compute_table3(TINY, seed=4)

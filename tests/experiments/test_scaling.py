@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.baselines import GAConfig
 from repro.core import MatchConfig
 from repro.experiments.scaling import ccr_sweep, heterogeneity_sweep
+from tests.experiments.conftest import BENCH_SEED
 
 FAST_GA = GAConfig(population_size=20, generations=15)
 FAST_MATCH = MatchConfig(n_samples=50, max_iterations=40)
@@ -12,15 +13,16 @@ FAST_MATCH = MatchConfig(n_samples=50, max_iterations=40)
 
 class TestHeterogeneitySweep:
     def test_structure(self):
-        result = heterogeneity_sweep(
-            spreads=(1, 10), size=8, runs=1, seed=3,
-            ga_config=FAST_GA, match_config=FAST_MATCH,
-        )
-        assert result.knob == "proc weight spread"
-        assert [p.knob_value for p in result.points] == [1.0, 10.0]
-        for p in result.points:
-            assert p.match_et > 0 and p.ga_et > 0
-            assert p.improvement > 0
+        for spreads, kwargs in (
+            ((1, 10), dict(size=8, runs=1, seed=3, ga_config=FAST_GA, match_config=FAST_MATCH)),
+            ((1, 3, 5, 10, 20), dict(size=15, runs=2, seed=BENCH_SEED)),
+        ):
+            result = heterogeneity_sweep(spreads=spreads, **kwargs)
+            assert result.knob == "proc weight spread"
+            assert [p.knob_value for p in result.points] == [float(s) for s in spreads]
+            for p in result.points:
+                assert p.match_et > 0 and p.ga_et > 0
+                assert p.improvement > 0
 
     def test_render(self):
         result = heterogeneity_sweep(
@@ -40,12 +42,15 @@ class TestHeterogeneitySweep:
 
 class TestCcrSweep:
     def test_structure(self):
-        result = ccr_sweep(
-            multipliers=(0.5, 8.0), size=8, runs=1, seed=3,
-            ga_config=FAST_GA, match_config=FAST_MATCH,
-        )
-        assert result.knob == "CCR multiplier"
-        assert len(result.points) == 2
+        for multipliers, kwargs in (
+            ((0.5, 8.0), dict(size=8, runs=1, seed=3, ga_config=FAST_GA, match_config=FAST_MATCH)),
+            ((0.25, 1.0, 4.0, 16.0), dict(size=15, runs=2, seed=BENCH_SEED)),
+        ):
+            result = ccr_sweep(multipliers=multipliers, **kwargs)
+            assert result.knob == "CCR multiplier"
+            assert len(result.points) == len(multipliers)
+            for p in result.points:
+                assert p.improvement > 0.5  # the GA never crushes MaTCH
 
     def test_compute_bound_regime_raises_cost(self):
         """With computation scaled far past the communication volume, the

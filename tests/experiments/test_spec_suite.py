@@ -44,18 +44,14 @@ class TestProfiles:
             )
 
     def test_active_profile_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         assert active_profile() is SMOKE_PROFILE
         monkeypatch.setenv("REPRO_SCALE", "paper")
         assert active_profile() is PAPER_PROFILE
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         assert active_profile() is SMOKE_PROFILE
-        monkeypatch.setenv("REPRO_FULL_SCALE", "1")
-        assert active_profile() is PAPER_PROFILE
 
     def test_active_profile_unknown(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
         monkeypatch.setenv("REPRO_SCALE", "gigantic")
         with pytest.raises(ConfigurationError):
             active_profile()

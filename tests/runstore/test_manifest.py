@@ -41,11 +41,10 @@ class TestEnvSurface:
         monkeypatch.setenv("PATHY_THING", "x")
         assert "PATHY_THING" not in env_surface()
 
-    def test_known_knobs_are_the_documented_seven(self):
+    def test_known_knobs_are_the_documented_six(self):
         assert set(REPRO_ENV_KEYS) == {
             "REPRO_KERNEL", "REPRO_WORKERS", "REPRO_MAX_RETRIES",
             "REPRO_CELL_TIMEOUT", "REPRO_FAULTS", "REPRO_SCALE",
-            "REPRO_FULL_SCALE",
         }
 
 

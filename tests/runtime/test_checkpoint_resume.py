@@ -18,8 +18,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError
-from repro.experiments.runner import run_instance
-from repro.experiments.suite import build_suite
 from repro.runtime import (
     CHECKPOINT_FORMAT,
     CheckpointWriter,
@@ -133,34 +131,6 @@ def test_resumed_run_keeps_checkpointing(golden_problem, tmp_path):
     resume_run(path)
     # keep_checkpointing=True (default) kept overwriting the same file.
     assert load_checkpoint(path)["iteration"] > before
-
-
-def test_run_instance_checkpoint_kwargs(golden_problem, tmp_path):
-    instance = build_suite((10,), 1, seed=2005)[10][0]
-    mapper = create_mapper("match", SMALL_PARAMS["match"])
-    path = tmp_path / "match.ckpt"
-    et, mt, evals = run_instance(
-        mapper, instance, 1, checkpoint_path=str(path), checkpoint_every=5
-    )
-    assert evals > 0
-    payload = load_checkpoint(path)
-    assert payload["solver"] == {"name": "match", "params": mapper.checkpoint_params()}
-    assert payload["checkpoint_every"] == 5
-
-
-def test_run_instance_rejects_checkpoint_for_unregistered_mapper(tmp_path):
-    from repro.baselines.base import Mapper
-    from repro.exceptions import ConfigurationError
-
-    instance = build_suite((6,), 1, seed=1)[6][0]
-
-    class Anonymous(Mapper):
-        name = "anon"
-
-    with pytest.raises(ConfigurationError, match="registry identity"):
-        run_instance(
-            Anonymous(), instance, 0, checkpoint_path=str(tmp_path / "x.ckpt")
-        )
 
 
 class TestCheckpointFormat:

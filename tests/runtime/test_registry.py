@@ -88,11 +88,28 @@ class TestExperimentsIntegration:
         assert all(r.n_evaluations > 0 for r in data.records)
 
     def test_default_factories_resolve_through_registry(self):
-        from repro.experiments.runner import GAFactory, MatchFactory, _build_mapper
+        from repro.experiments.runner import default_mappers
+        from repro.experiments.spec import SMOKE_PROFILE
 
-        match = _build_mapper(MatchFactory(max_iterations=7), 6)
+        specs = default_mappers(SMOKE_PROFILE)
+        assert list(specs) == ["MaTCH", "FastMap-GA"]
+        match = specs["MaTCH"].build()
         assert match.registry_name == "match"
-        assert match.config.max_iterations == 7
-        ga = _build_mapper(GAFactory(population_size=8, generations=3), 6)
+        assert match.config.max_iterations == SMOKE_PROFILE.match_max_iterations
+        ga = specs["FastMap-GA"].build()
         assert ga.registry_name == "fastmap-ga"
-        assert ga.config.population_size == 8
+        assert ga.config.population_size == SMOKE_PROFILE.ga_population
+        assert ga.config.generations == SMOKE_PROFILE.ga_generations
+
+    def test_non_spec_mapper_rejected_before_dispatch(self, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.spec import SMOKE_PROFILE
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("suite built for an invalid mappers dict")
+
+        monkeypatch.setattr(runner, "build_suite", no_suite)
+        with pytest.raises(ConfigurationError, match="'ga' must be a SolverSpec"):
+            runner.run_comparison(
+                SMOKE_PROFILE, mappers={"ga": create_mapper("fastmap-ga")}, n_workers=1
+            )

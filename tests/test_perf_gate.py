@@ -2,13 +2,15 @@
 
 ``benchmarks/perf_gate.py`` runs perfbench on a base revision and on the
 working tree; these tests feed its pure verdict functions hand-made run
-records, so no perfbench run is needed.
+records, so no perfbench run is needed, and check the working-tree
+snapshot head runs from on a throwaway git repository.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -123,3 +125,24 @@ def test_floors():
     assert kernel.startswith("kernel floor")
     (fused,) = gate.floor_problems(7.0, {"cext": 2.0, "numpy": gate.FUSED_FLOOR - 0.01})
     assert fused.startswith("fused floor (numpy)")
+
+
+def test_snapshot_copies_the_working_tree_without_ignored_files(tmp_path):
+    src, dest = tmp_path / "src", tmp_path / "dest"
+    (src / "pkg").mkdir(parents=True)
+    (src / ".gitignore").write_text("out/\n")
+    (src / "pkg" / "tracked.py").write_text("committed = 1\n")
+    (src / "gone.py").write_text("deleted later\n")
+    subprocess.run(["git", "init", "-q"], cwd=src, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=src, check=True)
+    (src / "pkg" / "tracked.py").write_text("edited = 2\n")
+    (src / "gone.py").unlink()
+    (src / "new.py").write_text("untracked = 3\n")
+    (src / "out").mkdir()
+    (src / "out" / "record.json").write_text("{}")
+
+    gate.snapshot_tree(src, dest)
+
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "new.py", "pkg/tracked.py"]
+    assert (dest / "pkg" / "tracked.py").read_text() == "edited = 2\n"
