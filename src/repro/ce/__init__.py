@@ -3,11 +3,13 @@
 Contents:
 
 * :class:`StochasticMatrix` and the Eq. (11)/(13) update machinery;
-* :func:`sample_permutations` — the batched GenPerm sampler (Fig. 4);
+* :func:`sample_permutations_stacked` — the batched GenPerm sampler
+  (Fig. 4) over a chain stack; :func:`sample_permutations` is its reference;
 * elite quantile selection and the :class:`StopKind` of a finished run;
 * :class:`MultiChainCE` — the one CE engine: R independent chains
-  advanced as one batched tensor loop, each bit-identical to a run of
-  its own, with the stop rules (iteration budget, Eq. (12) stability,
+  advanced as one batched tensor loop through ``ce_round`` (the round the
+  agent simulation and the islands run too), each bit-identical to a run
+  of its own, with the stop rules (iteration budget, Eq. (12) stability,
   γ stagnation, degeneracy) kept as per-chain counters;
 * :class:`CrossEntropyOptimizer` — that engine on one chain (Fig. 2),
   with a single-run API.

@@ -20,9 +20,10 @@ depends on the backend.
 whole *stack* of stochastic matrices at once — ``R`` independent CE chains
 advance through one flattened ``(R·N, n_res)`` view with per-chain row
 gathers. Chain ``r`` of the stacked call is bit-identical to a standalone
-:func:`sample_permutations` call fed the same uniforms. The CE engine
-samples through the stacked form (one chain is ``R = 1``); the island
-runtime's agents sample through the single-matrix form.
+:func:`sample_permutations` call fed the same uniforms. Every CE round
+samples through the stacked form (:func:`repro.ce.multichain.ce_round`;
+one chain is ``R = 1``); the single-matrix form remains the reference
+the tests hold it to.
 """
 
 from __future__ import annotations

@@ -23,6 +23,12 @@ case with a single-run API); Table 3 style repetitions are ``R > 1``:
   Eq. (12) row-maxima stability, elite-threshold ``γ`` stagnation (Fig. 2
   step 4) and full degeneracy, firing in that priority order.
 
+:func:`ce_round` is the iteration up to the stop check (sample, score,
+select, update) over a chain stack, and every CE caller runs it:
+:class:`MultiChainCE` (every ``MatchMapper`` solve), the agent simulation
+(:class:`~repro.core.distributed.DistributedMatchMapper`) and the island
+runtime (:mod:`repro.islands.chains`).
+
 Each chain owns its generator and draws from it exactly what a run of its
 own would, so chain ``r`` of a joint run is bit-identical to a one-chain
 run seeded with ``seeds[r]``. Chains that stop are frozen and dropped from
@@ -55,7 +61,7 @@ from repro.types import BatchObjectiveFn, SeedLike
 from repro.utils.rng import as_generator, generator_from_state, generator_state
 from repro.utils.validation import check_in_range
 
-__all__ = ["CEConfig", "CEResult", "MultiChainResult", "MultiChainCE"]
+__all__ = ["CEConfig", "CEResult", "MultiChainResult", "MultiChainCE", "ce_round"]
 
 #: ``γ`` counts as unchanged within this absolute tolerance.
 GAMMA_TOL = 1e-9
@@ -198,6 +204,71 @@ class MultiChainResult:
     def best(self) -> CEResult:
         """The chain result with the lowest best cost."""
         return self.chains[self.best_index]
+
+
+def ce_round(
+    P: np.ndarray,
+    gens: Sequence[np.random.Generator],
+    objective: BatchObjectiveFn,
+    n: int,
+    rho: float,
+    zeta: float,
+    elite_mode: str = "exact_k",
+    *,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One CE iteration of a chain stack: sample, score, select, update.
+
+    Chain ``j`` of the ``(L, n_rows, n_cols)`` stack ``P`` (not modified)
+    draws from ``gens[j]`` — into ``buffers``, ``(L, n, n_rows)`` and
+    ``(L, n_rows, n)`` arrays, when given — samples ``n`` rows and is
+    updated from its own elites. Returns the updated stack, the
+    ``(L, n, n_rows)`` samples, their ``(L, n)`` costs and each chain's
+    elite threshold ``γ``.
+    """
+    L, n_t, _ = P.shape
+    # 1. Sample. Each chain draws its task-order uniforms, then its
+    #    roulette uniforms, from its own generator: the same stream a
+    #    one-chain run consumes.
+    if buffers is None:
+        rand_orders, rand_pos = np.empty((L, n, n_t)), np.empty((L, n_t, n))
+    else:
+        rand_orders, rand_pos = buffers
+    for j, gen in enumerate(gens):
+        gen.random(out=rand_orders[j])
+        gen.random(out=rand_pos[j])
+    Xs = sample_permutations_stacked(P, rand_orders, rand_pos)
+
+    # 2. One scoring call over every chain's candidates.
+    M = L * n
+    costs = np.asarray(objective(Xs.reshape(M, n_t)), dtype=np.float64)
+    if costs.shape != (M,):
+        raise ConfigurationError(f"objective returned shape {costs.shape}, expected ({M},)")
+    costs = costs.reshape(L, n)
+
+    # 3. Elite selection. Exact-k is batched: one row-wise argpartition
+    #    (the partition kernel quantile.select_top_k runs per row, so
+    #    elite sets and gammas match it).
+    if elite_mode == "exact_k":
+        k_elite = max(1, math.ceil(rho * n))
+        elite_idx = np.argpartition(costs, k_elite - 1, axis=1)[:, :k_elite]
+        rows = np.arange(L)[:, np.newaxis]
+        gammas = costs[rows, elite_idx].max(axis=1)
+        elites = Xs[rows, elite_idx].reshape(L * k_elite, n_t)
+        elite_sizes = np.full(L, k_elite, dtype=np.int64)
+    else:
+        gammas = np.empty(L)
+        chunks: list[np.ndarray] = []
+        elite_sizes = np.empty(L, dtype=np.int64)
+        for j in range(L):
+            gammas[j], idx = select_elites(costs[j], rho)
+            chunks.append(Xs[j][idx])
+            elite_sizes[j] = idx.shape[0]
+        elites = np.concatenate(chunks)
+
+    # 4. Stacked Eq. (11)+(13) update: one bincount for all chains.
+    P_new = stacked_elite_update(P, elites, elite_sizes, zeta=zeta)
+    return P_new, Xs, costs, gammas
 
 
 class MultiChainCE:
@@ -388,52 +459,16 @@ class MultiChainCE:
             else np.asarray(chains, dtype=np.int64)
         )
 
-        # 1. Sample. Each chain draws its task-order uniforms, then its
-        #    roulette uniforms, from its own generator: the same stream
-        #    a one-chain run consumes.
-        if n == cfg.n_samples:
-            rand_orders = self._u_orders[:L]
-            rand_pos = self._u_pos[:L]
-        else:
-            rand_orders = np.empty((L, n, n_t))
-            rand_pos = np.empty((L, n_t, n))
-        for j, r in enumerate(chains):
-            gen = self._gens[r]
-            gen.random(out=rand_orders[j])
-            gen.random(out=rand_pos[j])
-        Xs = sample_permutations_stacked(P[la], rand_orders, rand_pos)
-
-        # 2. One scoring call over every chain's candidates.
+        buffers = (self._u_orders[:L], self._u_pos[:L]) if n == cfg.n_samples else None
+        gens = [self._gens[r] for r in chains]
+        P_live, Xs, costs, gammas = ce_round(
+            P[la], gens, self.objective, n, cfg.rho, cfg.zeta, cfg.elite_mode, buffers=buffers
+        )
+        P[la] = P_live
         M = L * n
-        costs = np.asarray(self.objective(Xs.reshape(M, n_t)), dtype=np.float64)
-        if costs.shape != (M,):
-            raise ConfigurationError(
-                f"objective returned shape {costs.shape}, expected ({M},)"
-            )
         self.budget.charge(M)
         self._evals[la] += n
         self._joint.n_evaluations += M
-        costs = costs.reshape(L, n)
-
-        # 3. Elite selection and best tracking. Exact-k is batched: one
-        #    row-wise argpartition (the same partition kernel per row as
-        #    quantile.select_top_k, so elite sets and gammas match it).
-        if cfg.elite_mode == "exact_k":
-            k_elite = max(1, math.ceil(cfg.rho * n))
-            elite_idx = np.argpartition(costs, k_elite - 1, axis=1)[:, :k_elite]
-            rows = np.arange(L)[:, np.newaxis]
-            gammas = costs[rows, elite_idx].max(axis=1)
-            elites = Xs[rows, elite_idx].reshape(L * k_elite, n_t)
-            elite_sizes = np.full(L, k_elite, dtype=np.int64)
-        else:
-            gammas = np.empty(L)
-            chunks: list[np.ndarray] = []
-            elite_sizes = np.empty(L, dtype=np.int64)
-            for j in range(L):
-                gammas[j], idx = select_elites(costs[j], cfg.rho)
-                chunks.append(Xs[j][idx])
-                elite_sizes[j] = idx.shape[0]
-            elites = np.concatenate(chunks)
         best_costs = self._best_costs
         iter_best = costs.argmin(axis=1)
         iter_best_costs = costs.min(axis=1)
@@ -442,11 +477,7 @@ class MultiChainCE:
             best_costs[chains[j]] = iter_best_costs[j]
             self._best_xs[chains[j]] = Xs[j, iter_best[j]].copy()
 
-        # 4. Stacked Eq. (11)+(13) update: one bincount for all chains.
-        P_live = stacked_elite_update(P[la], elites, elite_sizes, zeta=cfg.zeta)
-        P[la] = P_live
-
-        # 5. Diagnostics on the updated tensor.
+        # Diagnostics on the updated tensor.
         mu = P_live.max(axis=2)  # (L, n_rows) row maxima, Eq. (12)
         with np.errstate(divide="ignore", invalid="ignore"):
             ent_terms = np.where(P_live > 0, -P_live * np.log(P_live), 0.0)
@@ -459,9 +490,9 @@ class MultiChainCE:
             for r in chains:
                 self._results[r].matrix_history.append(P[r].copy())
 
-        # 6. Stop rules. Every counter advances every step; when several
-        #    rules fire at once the first of budget, Eq. (12) stability,
-        #    γ stagnation and degeneracy names the stop.
+        # Stop rules. Every counter advances every step; when several
+        # rules fire at once the first of budget, Eq. (12) stability,
+        # γ stagnation and degeneracy names the stop.
         rm_close = (np.abs(mu - self._rm_prev[la]) <= cfg.stability_tol).all(axis=1)
         rm_stable = (self._rm_stable[la] + 1) * rm_close
         self._rm_stable[la] = rm_stable

@@ -62,9 +62,11 @@ def select_top_k(costs: CostVector, rho: float) -> tuple[float, np.ndarray]:
 
     Returns ``(γ, elite_index_array)`` with exactly ``⌈ρN⌉`` indices.
     Cutting ties keeps the elite set from being flooded by cost-plateau
-    duplicates late in a run (which stalls matrix degeneration); this is
-    the variant MaTCH uses by default, while :func:`select_elites` offers
-    the tie-inclusive textbook rule.
+    duplicates late in a run (which stalls matrix degeneration). This is
+    the reference for the exact-k selection the CE engine runs inline, one
+    row-wise ``argpartition`` over every chain in
+    :func:`repro.ce.multichain.ce_round`; no production path calls it.
+    :func:`select_elites` offers the tie-inclusive textbook rule.
     """
     c = np.asarray(costs, dtype=np.float64)
     if c.ndim != 1 or c.size == 0:

@@ -144,18 +144,14 @@ class StochasticMatrix:
     def n_cols(self) -> int:
         return self._P.shape[1]
 
-    def view(self) -> np.ndarray:
-        """Read-only *view* (no copy) for hot sampling loops."""
-        v = self._P.view()
-        v.setflags(write=False)
-        return v
-
     # -- CE updates -----------------------------------------------------------------
     def update_from_elites(self, elites: AssignmentBatch, *, zeta: float = 1.0) -> None:
         """Apply Eq. (11) with smoothing Eq. (13).
 
         ``zeta = 1`` is the unsmoothed (coarse) update; the paper runs with
-        ``zeta = 0.3`` to avoid premature convergence.
+        ``zeta = 0.3`` to avoid premature convergence. Every CE round
+        updates through :func:`stacked_elite_update`; this one-matrix form
+        is the reference the tests hold it to.
         """
         if not 0.0 < zeta <= 1.0:
             raise ValidationError(f"zeta must be in (0, 1], got {zeta}")

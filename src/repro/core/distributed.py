@@ -17,11 +17,13 @@ design as a deterministic simulation of the agent system:
 The simulation is sequential (single process): the point reproduced is the
 *algorithmic* behaviour of the distributed scheme — sample-budget split,
 delayed information sharing, heterogeneous exploration — not wall-clock
-parallel speedup. For actual multi-node execution see :mod:`repro.islands`,
-which runs the **same agent round** (:func:`repro.islands.chains.chain_round`
-— this module calls it too, so the two cannot diverge) over a socket
-transport and is pinned bit-identical to this simulation by the loopback
-parity tests.
+parallel speedup. Each round advances every agent at once as one
+``(n_agents, n_tasks, n_resources)`` stack through the CE engine's round
+(:func:`repro.ce.multichain.ce_round`, via
+:func:`repro.islands.chains.chain_rounds`). For actual multi-node
+execution see :mod:`repro.islands`, which runs the same agent rounds over
+a socket transport and is pinned bit-identical to this simulation by the
+loopback parity tests.
 """
 
 from __future__ import annotations
@@ -34,13 +36,7 @@ import numpy as np
 from repro.baselines.base import Mapper
 from repro.core.config import paper_sample_size
 from repro.exceptions import ConfigurationError
-from repro.islands.chains import (
-    DEGENERACY_TOL,
-    agent_streams,
-    blend_towards,
-    chain_round,
-)
-from repro.ce.stochastic_matrix import StochasticMatrix
+from repro.islands.chains import agent_streams, blend_towards, chain_rounds, is_degenerate
 from repro.mapping.cost_model import CostModel
 from repro.mapping.problem import MappingProblem
 from repro.types import SeedLike
@@ -76,19 +72,6 @@ class DistributedMatchConfig:
             raise ConfigurationError(f"gamma_window must be >= 1, got {self.gamma_window}")
 
 
-class _Agent:
-    """One CE agent: private matrix, RNG stream and best-so-far."""
-
-    __slots__ = ("matrix", "rng", "best_cost", "best_x", "last_gamma")
-
-    def __init__(self, n_t: int, n_r: int, rng: np.random.Generator) -> None:
-        self.matrix = StochasticMatrix.uniform(n_t, n_r)
-        self.rng = rng
-        self.best_cost = np.inf
-        self.best_x = np.zeros(n_t, dtype=np.int64)
-        self.last_gamma = np.inf
-
-
 class DistributedMatchMapper(Mapper):
     """Island-model MaTCH with periodic elite-attraction gossip."""
 
@@ -107,8 +90,11 @@ class DistributedMatchMapper(Mapper):
         total = cfg.total_samples if cfg.total_samples is not None else paper_sample_size(n_r)
         per_agent = max(2, total // cfg.n_agents)
 
-        streams = agent_streams(rng, cfg.n_agents)
-        agents = [_Agent(n_t, n_r, s) for s in streams]
+        A = cfg.n_agents
+        gens = agent_streams(rng, A)
+        P = np.full((A, n_t, n_r), 1.0 / n_r)
+        agent_best = np.full(A, np.inf)
+        agent_x = [np.zeros(n_t, dtype=np.int64) for _ in range(A)]
 
         global_best = np.inf
         global_x = np.zeros(n_t, dtype=np.int64)
@@ -120,29 +106,23 @@ class DistributedMatchMapper(Mapper):
 
         for r in range(1, cfg.max_rounds + 1):
             rounds = r
-            for agent in agents:
-                cost, x, gamma = chain_round(
-                    agent.matrix, agent.rng, model, per_agent, cfg.rho, cfg.zeta
-                )
-                n_evals += per_agent
-                agent.last_gamma = gamma
-                if cost < agent.best_cost:
-                    agent.best_cost = cost
-                    agent.best_x = x.copy()
-                if agent.best_cost < global_best:
-                    global_best = agent.best_cost
-                    global_x = agent.best_x.copy()
+            P, (entries,) = chain_rounds(P, gens, model, per_agent, cfg.rho, cfg.zeta, 1)
+            n_evals += A * per_agent
+            # Fold in agent order: the global incumbent moves on strict
+            # improvement, so the order is part of the result.
+            for a, entry in enumerate(entries):
+                if entry["cost"] < agent_best[a]:
+                    agent_best[a] = entry["cost"]
+                    agent_x[a] = entry["x"]
+                if agent_best[a] < global_best:
+                    global_best = agent_best[a]
+                    global_x = agent_x[a].copy()
 
-            if cfg.n_agents > 1 and r % cfg.sync_every == 0:
+            if A > 1 and r % cfg.sync_every == 0:
                 # Gossip: everyone drifts towards the best agent's matrix.
-                leader = min(agents, key=lambda a: a.best_cost)
-                leader_P = leader.matrix.values
-                for agent in agents:
-                    if agent is leader:
-                        continue
-                    agent.matrix = blend_towards(
-                        agent.matrix, leader_P, cfg.gossip_weight
-                    )
+                leader = int(np.argmin(agent_best))
+                others = np.arange(A) != leader
+                P[others] = blend_towards(P[others], P[leader], cfg.gossip_weight)
                 n_syncs += 1
 
             if abs(global_best - prev_global) <= 1e-9:
@@ -152,7 +132,7 @@ class DistributedMatchMapper(Mapper):
             prev_global = global_best
             if stagnant >= cfg.gamma_window:
                 break
-            if all(a.matrix.is_degenerate(tol=DEGENERACY_TOL) for a in agents):
+            if is_degenerate(P).all():
                 break
 
         return global_x, n_evals, {

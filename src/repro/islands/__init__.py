@@ -3,7 +3,8 @@
 The paper's §6 future work — distributed agent-based MaTCH — as a real
 runtime rather than a simulation. A coordinator (:mod:`.coordinator`)
 shards the per-round sample budget across agents, islands (:mod:`.island`)
-run their agents' CE chains through local
+run their agents' CE chains as stacks through the CE engine's round
+(:func:`repro.ce.multichain.ce_round`) on local
 :class:`~repro.utils.parallel.WorkerPool`\\ s, and every ``sync_every``
 rounds the islands gossip: each blends its stochastic matrices towards the
 global leader's (elite attraction), exactly as the sequential
@@ -29,7 +30,6 @@ from repro.islands.chains import (
     SyncRecord,
     agent_streams,
     blend_towards,
-    chain_round,
     replay_chain,
     run_chain_round,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "run_island",
     "shard_agents",
     "agent_streams",
-    "chain_round",
     "blend_towards",
     "replay_chain",
     "run_chain_round",

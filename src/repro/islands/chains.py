@@ -1,19 +1,21 @@
-"""The CE chain step shared by the simulation and the island runtime.
+"""The agent rounds shared by the simulation and the island runtime.
 
 Bit-reproducibility between :class:`repro.core.distributed.DistributedMatchMapper`
 (the sequential simulation) and the socket-distributed island runtime rests
-on one invariant: **both run the same agent round**. This module is that
-round — :func:`chain_round` is called by the simulation's in-process loop,
-by the island worker's pool cells, and by the deterministic replay that
-heals a lost node — so there is exactly one implementation to diverge from,
-i.e. none.
+on one invariant: **every agent advances through the CE engine's round**,
+:func:`repro.ce.multichain.ce_round`. :func:`chain_rounds` runs a stack of
+agents through it; the simulation calls it once per round with every
+agent, an island's pool cells call it for a contiguous block of agents
+through a whole sync interval, and :func:`replay_chain` calls it to heal a
+lost node. An agent's arithmetic does not depend on which other agents
+share its stack, so any grouping gives the same bits.
 
 Islands run a whole sync interval per cell: :func:`run_chain_round` runs
-an agent's rounds up to the next gossip back to back
-(:func:`chain_rounds`) and returns every round's entry, so the coordinator
-can fold them round by round exactly as the simulation's loop would. No
-gossip falls inside an interval, so the chain's arithmetic is the same
-whether its rounds run one per call or many.
+its agents' rounds up to the next gossip back to back and returns every
+round's entries, so the coordinator can fold them round by round exactly
+as the simulation's loop would. No gossip falls inside an interval, so the
+chains' arithmetic is the same whether their rounds run one per call or
+many.
 
 Placement independence falls out of the RNG discipline: agent ``k``'s
 stream is the ``k``-th ``SeedSequence`` spawn of the root seed
@@ -30,9 +32,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.ce.genperm import sample_permutations
-from repro.ce.quantile import select_top_k
-from repro.ce.stochastic_matrix import StochasticMatrix
+from repro.ce.multichain import DEGENERATE_TOL, ce_round
 from repro.mapping.cost_model import CostModel
 from repro.types import SeedLike
 from repro.utils.rng import (
@@ -44,9 +44,8 @@ from repro.utils.rng import (
 from repro.utils.shared_plane import ProblemRef, resolve_problem
 
 __all__ = [
-    "DEGENERACY_TOL",
     "agent_streams",
-    "chain_round",
+    "is_degenerate",
     "chain_rounds",
     "blend_towards",
     "apply_gossip",
@@ -56,10 +55,6 @@ __all__ = [
     "replay_chain",
     "ChainState",
 ]
-
-#: Degeneracy tolerance for the all-chains-converged stop, shared with the
-#: sequential simulation (it must stop on the same round).
-DEGENERACY_TOL = 1e-6
 
 
 def agent_streams(seed: SeedLike, n_agents: int) -> list[np.random.Generator]:
@@ -72,84 +67,64 @@ def agent_streams(seed: SeedLike, n_agents: int) -> list[np.random.Generator]:
     return spawn_generators(as_generator(seed), n_agents)
 
 
-def chain_round(
-    matrix: StochasticMatrix,
-    rng: np.random.Generator,
-    model: CostModel,
-    per_agent: int,
-    rho: float,
-    zeta: float,
-) -> tuple[float, np.ndarray, float]:
-    """One CE round for one agent: sample, score, elite-update.
+def is_degenerate(P: np.ndarray) -> np.bool_ | np.ndarray:
+    """Whether every row of a matrix (or of each matrix of a stack) holds
+    all its mass, within the engine's tolerance, on one column."""
+    return (P.max(axis=-1) >= 1.0 - DEGENERATE_TOL).all(axis=-1)
 
-    Mutates ``matrix`` in place and advances ``rng``; returns the round's
-    ``(best cost, best assignment, gamma)``. This is the exact statement
-    sequence of the pre-islands simulation loop body, so a run composed of
-    these calls is bit-identical to it.
+
+def blend_towards(P: np.ndarray, leader_P: np.ndarray, weight: float) -> np.ndarray:
+    """Elite-attraction gossip blend: drift ``P`` towards the leader.
+
+    The convex combination is written in exactly one operand order — float
+    addition is not associative, so reordering it would break the loopback
+    parity pin. ``P`` may be a stack of matrices.
     """
-    X = sample_permutations(matrix.view(), per_agent, rng)
-    costs = model.evaluate_batch(X)
-    gamma, elite_idx = select_top_k(costs, rho)
-    matrix.update_from_elites(X[elite_idx], zeta=zeta)
-    it_best = int(np.argmin(costs))
-    return float(costs[it_best]), X[it_best].copy(), float(gamma)
-
-
-def blend_towards(
-    matrix: StochasticMatrix, leader_P: np.ndarray, weight: float
-) -> StochasticMatrix:
-    """Elite-attraction gossip blend: drift ``matrix`` towards the leader.
-
-    The convex combination is written in exactly the simulation's operand
-    order — float addition is not associative, so reordering it would break
-    the loopback parity pin.
-    """
-    blended = weight * leader_P + (1.0 - weight) * matrix.values
-    return StochasticMatrix(blended)
+    return weight * leader_P + (1.0 - weight) * P
 
 
 def chain_rounds(
-    matrix: StochasticMatrix,
-    rng: np.random.Generator,
+    P: np.ndarray,
+    gens: Sequence[np.random.Generator],
     model: CostModel,
     per_agent: int,
     rho: float,
     zeta: float,
     n_rounds: int,
-) -> list[dict[str, Any]]:
-    """``n_rounds`` consecutive :func:`chain_round` calls with no gossip.
+) -> tuple[np.ndarray, list[list[dict[str, Any]]]]:
+    """``n_rounds`` engine rounds of the agent stack ``P`` with no gossip.
 
-    Returns one entry per round: ``cost``, ``x``, ``gamma`` and whether the
-    matrix is ``degenerate`` after that round's update.
+    Agent ``j`` draws from ``gens[j]`` (advanced in place). Returns the
+    updated stack and, per round, one entry per agent: ``cost`` and ``x``
+    of its best sample, and whether its matrix is ``degenerate`` after the
+    update.
     """
-    entries: list[dict[str, Any]] = []
+    rounds = []
     for _ in range(n_rounds):
-        cost, x, gamma = chain_round(matrix, rng, model, per_agent, rho, zeta)
-        entries.append(
-            {
-                "cost": cost,
-                "x": x,
-                "gamma": gamma,
-                "degenerate": bool(matrix.is_degenerate(tol=DEGENERACY_TOL)),
-            }
+        P, Xs, costs, _ = ce_round(P, gens, model.evaluate_batch, per_agent, rho, zeta)
+        rounds.append(
+            [
+                {"cost": float(costs[j, b]), "x": Xs[j, b].copy(), "degenerate": bool(flag)}
+                for j, (b, flag) in enumerate(zip(costs.argmin(axis=1), is_degenerate(P)))
+            ]
         )
-    return entries
+    return P, rounds
 
 
 @dataclass(frozen=True)
 class ChainRoundCell:
-    """Picklable work unit: one agent's rounds up to the next sync.
+    """Picklable work unit: a block of agents' rounds up to the next sync.
 
     Pure in the cell — the problem comes off the shared plane (or rides
-    along on the serial path), the matrix and the RNG position are explicit
-    state, so a retry or a replay on any worker is bit-identical. No gossip
-    falls inside the cell: the coordinator only asks for intervals that
-    end on a sync round (or the run's last round).
+    along on the serial path), the matrices and the RNG positions are
+    explicit state, so a retry or a replay on any worker is bit-identical.
+    No gossip falls inside the cell: the coordinator only asks for
+    intervals that end on a sync round (or the run's last round).
     """
 
     problem_ref: ProblemRef
-    matrix: np.ndarray
-    rng_state: Mapping[str, Any]
+    matrices: np.ndarray
+    rng_states: tuple[Mapping[str, Any], ...]
     per_agent: int
     rho: float
     zeta: float
@@ -159,17 +134,15 @@ class ChainRoundCell:
 def run_chain_round(cell: ChainRoundCell) -> dict[str, Any]:
     """Top-level (picklable) pool entry: run one :class:`ChainRoundCell`.
 
-    Returns the final ``matrix`` and ``rng_state`` plus ``rounds``, one
-    :func:`chain_rounds` entry per round.
+    Returns the final ``matrices`` and ``rng_states`` plus ``rounds``, the
+    :func:`chain_rounds` entries of every round.
     """
     problem = resolve_problem(cell.problem_ref)
-    model = CostModel(problem)
-    matrix = StochasticMatrix(np.asarray(cell.matrix, dtype=np.float64))
-    rng = generator_from_state(dict(cell.rng_state))
-    rounds = chain_rounds(
-        matrix, rng, model, cell.per_agent, cell.rho, cell.zeta, cell.n_rounds
+    gens = [generator_from_state(dict(state)) for state in cell.rng_states]
+    P, rounds = chain_rounds(
+        cell.matrices, gens, CostModel(problem), cell.per_agent, cell.rho, cell.zeta, cell.n_rounds
     )
-    return {"matrix": matrix.values, "rng_state": generator_state(rng), "rounds": rounds}
+    return {"matrices": P, "rng_states": [generator_state(g) for g in gens], "rounds": rounds}
 
 
 @dataclass(frozen=True)
@@ -187,14 +160,13 @@ class SyncRecord:
 
 
 class ChainState:
-    """One live agent chain: matrix, RNG position, degeneracy flag."""
+    """One live agent chain: matrix, generator, degeneracy flag."""
 
-    __slots__ = ("index", "matrix", "rng_state", "degenerate", "last_sync")
+    __slots__ = ("matrix", "rng", "degenerate", "last_sync")
 
-    def __init__(self, index: int, n_t: int, n_r: int, rng: np.random.Generator) -> None:
-        self.index = index
-        self.matrix = StochasticMatrix.uniform(n_t, n_r)
-        self.rng_state = generator_state(rng)
+    def __init__(self, n_t: int, n_r: int, rng: np.random.Generator) -> None:
+        self.matrix = np.full((n_t, n_r), 1.0 / n_r)
+        self.rng = rng
         self.degenerate = False
         #: Highest sync round whose gossip blend this chain has applied —
         #: makes a re-broadcast gossip (heal path) idempotent per agent.
@@ -223,12 +195,11 @@ def apply_gossip(
             state.last_sync = max(state.last_sync, sync_round)
             continue
         state.matrix = blend_towards(state.matrix, leader_P, weight)
-        state.degenerate = bool(state.matrix.is_degenerate(tol=DEGENERACY_TOL))
+        state.degenerate = bool(is_degenerate(state.matrix))
         state.last_sync = sync_round
 
 
 def replay_chain(
-    problem: Any,
     model: CostModel,
     root_seed: int,
     n_agents: int,
@@ -246,30 +217,26 @@ def replay_chain(
     recorded gossip blend at its original round (skipped when this agent
     *was* the leader, exactly as live chains skip it). Returns the rebuilt
     :class:`ChainState` plus every round's report entry
-    (``cost``/``x``/``gamma``/``degenerate``, keyed by round; a sync
-    round's ``degenerate`` is read after its blend) — the coordinator folds
-    the lost interval's entries as if the dead node had answered. The
-    reports are empty when ``through_round`` is 0 (death before any round
+    (``cost``/``x``/``degenerate``, keyed by round; a sync round's
+    ``degenerate`` is read after its blend) — the coordinator folds the
+    lost interval's entries as if the dead node had answered. The reports
+    are empty when ``through_round`` is 0 (death before any round
     completed).
     """
-    n_t, n_r = problem.n_tasks, problem.n_resources
     rng = agent_streams(root_seed, n_agents)[agent_index]
-    state = ChainState(agent_index, n_t, n_r, rng)
+    state = ChainState(model.problem.n_tasks, model.problem.n_resources, rng)
     by_round = {record.round: record for record in history}
     reports: dict[int, dict[str, Any]] = {}
+    P = state.matrix[np.newaxis]
     for r in range(1, through_round + 1):
-        (entry,) = chain_rounds(state.matrix, rng, model, per_agent, rho, zeta, 1)
+        P, ((entry,),) = chain_rounds(P, [rng], model, per_agent, rho, zeta, 1)
         record = by_round.get(r)
         if record is not None:
             if record.leader != agent_index:
-                state.matrix = blend_towards(
-                    state.matrix, record.matrix, gossip_weight
-                )
-                entry["degenerate"] = bool(
-                    state.matrix.is_degenerate(tol=DEGENERACY_TOL)
-                )
+                P = blend_towards(P, record.matrix, gossip_weight)
+                entry["degenerate"] = bool(is_degenerate(P[0]))
             state.last_sync = r
         state.degenerate = entry["degenerate"]
         reports[r] = entry
-    state.rng_state = generator_state(rng)
+    state.matrix = P[0]
     return state, reports

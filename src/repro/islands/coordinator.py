@@ -55,13 +55,12 @@ from repro.islands.chains import (
 from repro.mapping.cost_model import CostModel
 from repro.mapping.problem import MappingProblem
 from repro.runstore.store import RunHandle
-from repro.utils.rng import generator_from_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.distributed import DistributedMatchConfig
 
 # NOTE: ``repro.core.distributed`` imports this package's ``chains`` module
-# (the simulation and the islands share one round-step implementation), so
+# (the simulation and the islands share one agent-round implementation), so
 # everything under ``repro.core`` / ``repro.service`` is imported lazily
 # here to keep the package import acyclic.
 
@@ -191,7 +190,7 @@ class IslandCoordinator:
         self._history: list[SyncRecord] = []
         self._history_wire: list[dict[str, Any]] = []
         self._failures: list[dict[str, Any]] = []
-        self._local_chains: dict[int, tuple[ChainState, np.random.Generator]] | None = None
+        self._local_chains: dict[int, ChainState] | None = None
         self._replayed_rounds = 0
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -523,15 +522,13 @@ class IslandCoordinator:
         """
         cfg = self.config
         history = list(self._history)
-        chains: dict[int, tuple[ChainState, np.random.Generator]] = {}
+        chains: dict[int, ChainState] = {}
         rounds: _Rounds = {r: {} for r in range(first, through + 1)}
         for g in range(cfg.n_agents):
-            state, reports = replay_chain(
-                self.problem, self._model, self.seed, cfg.n_agents, g,
-                self.per_agent, cfg.rho, cfg.zeta, cfg.gossip_weight,
-                history, through,
+            chains[g], reports = replay_chain(
+                self._model, self.seed, cfg.n_agents, g, self.per_agent,
+                cfg.rho, cfg.zeta, cfg.gossip_weight, history, through,
             )
-            chains[g] = (state, generator_from_state(state.rng_state))
             for r in rounds:
                 rounds[r][g] = reports[r]
             self._replayed_rounds += through
@@ -546,30 +543,31 @@ class IslandCoordinator:
         return rounds
 
     def _local_interval(self, first: int, through: int) -> _Rounds:
+        """One interval of every chain, in-process, as one agent stack."""
         cfg = self.config
         chains = self._local_chains
         assert chains is not None
-        rounds: _Rounds = {r: {} for r in range(first, through + 1)}
-        for g in sorted(chains):
-            state, rng = chains[g]
-            entries = chain_rounds(
-                state.matrix, rng, self._model, self.per_agent,
-                cfg.rho, cfg.zeta, through - first + 1,
-            )
-            state.degenerate = entries[-1]["degenerate"]
-            for r, entry in enumerate(entries, start=first):
-                rounds[r][g] = entry
-        return rounds
+        order = sorted(chains)
+        P, entries = chain_rounds(
+            np.stack([chains[g].matrix for g in order]),
+            [chains[g].rng for g in order],
+            self._model, self.per_agent, cfg.rho, cfg.zeta, through - first + 1,
+        )
+        for j, g in enumerate(order):
+            chains[g].matrix = P[j]
+            chains[g].degenerate = entries[-1][j]["degenerate"]
+        return {
+            r: dict(zip(order, by_agent)) for r, by_agent in enumerate(entries, start=first)
+        }
 
     def _local_gossip(self, r: int, leader: int) -> dict[int, bool]:
         cfg = self.config
         chains = self._local_chains
         assert chains is not None
-        leader_P = chains[leader][0].matrix.values
+        leader_P = chains[leader].matrix
         self._history.append(SyncRecord(round=r, leader=leader, matrix=leader_P))
-        states = {g: state for g, (state, _) in chains.items()}
-        apply_gossip(states, r, leader, leader_P, cfg.gossip_weight)
-        return {g: states[g].degenerate for g in sorted(states)}
+        apply_gossip(chains, r, leader, leader_P, cfg.gossip_weight)
+        return {g: chains[g].degenerate for g in sorted(chains)}
 
     # -- plumbing -----------------------------------------------------------
     def _alive(self) -> list[_IslandConn]:

@@ -5,13 +5,14 @@ frame — the problem (service wire format), the distributed config, the
 root seed and its slice of the agent indices. From then on it follows the
 coordinator's interval protocol: each ``round`` frame names an interval
 (``round`` … ``through``) that ends on a sync round or the run's last
-round, and the island runs every local agent through all of it in one
-cell per agent on its own :class:`~repro.utils.parallel.WorkerPool`
-(``map_salvage``, so a dead pool worker heals *inside* the island before
-the coordinator ever notices). One ``report`` then carries every round's
-entries. ``gossip`` frames blend local matrices towards the leader, and
-``adopt`` frames re-home a dead node's chains by deterministic replay,
-answering with the lost interval's entries.
+round, and the island runs its local agents through all of it as
+``min(n_workers, agents)`` contiguous stacks, one cell each, on its own
+:class:`~repro.utils.parallel.WorkerPool` (``map_salvage``, so a dead
+pool worker heals *inside* the island before the coordinator ever
+notices). One ``report`` then carries every round's entries. ``gossip``
+frames blend local matrices towards the leader, and ``adopt`` frames
+re-home a dead node's chains by deterministic replay, answering with the
+lost interval's entries.
 
 The island is deliberately stateless about the global run: best-so-far
 tracking, leader election, stopping and budget sharding all live in the
@@ -26,7 +27,8 @@ import os
 import socket
 from typing import Any, Callable
 
-from repro.ce.stochastic_matrix import StochasticMatrix
+import numpy as np
+
 from repro.exceptions import IslandError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
@@ -41,18 +43,19 @@ from repro.islands.chains import (
 from repro.mapping.cost_model import CostModel
 from repro.service.wire import problem_from_wire
 from repro.utils.parallel import WorkerPool
+from repro.utils.rng import generator_from_state, generator_state
 
 __all__ = ["IslandWorker", "run_island"]
 
 
 def _chain_weight(cell: ChainRoundCell) -> float:
-    """LPT weight for a chain cell: scoring cost ~ rounds x samples x n²."""
-    n_t = int(cell.matrix.shape[0])
-    return float(cell.n_rounds) * float(cell.per_agent) * float(n_t) * float(n_t)
+    """LPT weight for a chain cell: scoring cost ~ agents x rounds x samples x n²."""
+    n_agents, n_t = int(cell.matrices.shape[0]), int(cell.matrices.shape[1])
+    return float(n_agents * cell.n_rounds) * float(cell.per_agent) * float(n_t) * float(n_t)
 
 
 def _wire_entry(entry: dict[str, Any]) -> dict[str, Any]:
-    """One agent-round as the coordinator folds it (``gamma`` stays home)."""
+    """One agent-round as the coordinator folds it."""
     return {
         "cost": float(entry["cost"]),
         "x": [int(v) for v in entry["x"]],
@@ -112,7 +115,7 @@ class IslandWorker:
         streams = agent_streams(seed, n_agents)
         chains: dict[int, ChainState] = {}
         for g in (int(a) for a in job["agents"]):
-            chains[g] = ChainState(g, n_t, n_r, streams[g])
+            chains[g] = ChainState(n_t, n_r, streams[g])
 
         with WorkerPool(self.n_workers) as pool:
             ref = pool.publish_problem(problem)
@@ -130,14 +133,14 @@ class IslandWorker:
                         {
                             "type": "matrix",
                             "agent": g,
-                            "matrix": island_wire.encode_matrix(chains[g].matrix.values),
+                            "matrix": island_wire.encode_matrix(chains[g].matrix),
                         },
                     )
                 elif kind == "gossip":
                     self._apply_gossip(sock, msg, chains, gossip_weight)
                 elif kind == "adopt":
                     self._adopt(
-                        sock, msg, chains, problem, model, seed, n_agents,
+                        sock, msg, chains, model, seed, n_agents,
                         per_agent, rho, zeta, gossip_weight,
                     )
                 elif kind == "stop":
@@ -161,18 +164,20 @@ class IslandWorker:
         if self.on_round is not None:
             for r in range(first, through + 1):
                 self.on_round(r)
-        order = sorted(chains)
+        # Contiguous agent blocks, one stacked cell per pool worker.
+        n_cells = min(self.n_workers, len(chains))
+        blocks = [block.tolist() for block in np.array_split(sorted(chains), n_cells)]
         cells = [
             ChainRoundCell(
                 problem_ref=ref,
-                matrix=chains[g].matrix.values,
-                rng_state=chains[g].rng_state,
+                matrices=np.stack([chains[g].matrix for g in block]),
+                rng_states=tuple(generator_state(chains[g].rng) for g in block),
                 per_agent=per_agent,
                 rho=rho,
                 zeta=zeta,
                 n_rounds=through - first + 1,
             )
-            for g in order
+            for block in blocks
         ]
         report = pool.map_salvage(run_chain_round, cells, weight=_chain_weight)
         if report.failures:
@@ -180,20 +185,22 @@ class IslandWorker:
             # already exhausted; escalate to the node tier by dying loudly —
             # the coordinator replays these chains on a survivor.
             detail = "; ".join(
-                f"agent {order[f.index]}: {f.kind} after {f.attempts} attempts"
+                f"agents {blocks[f.index]}: {f.kind} after {f.attempts} attempts"
                 for f in report.failures
             )
             raise IslandError(
-                f"rounds {first}..{through} lost {len(report.failures)} chain(s): {detail}"
+                f"rounds {first}..{through} lost {len(report.failures)} cell(s): {detail}"
             )
         rounds: dict[str, dict[str, Any]] = {str(r): {} for r in range(first, through + 1)}
-        for g, outcome in zip(order, report.results):
-            state = chains[g]
-            state.matrix = StochasticMatrix(outcome["matrix"])
-            state.rng_state = outcome["rng_state"]
-            state.degenerate = bool(outcome["rounds"][-1]["degenerate"])
-            for r, entry in enumerate(outcome["rounds"], start=first):
-                rounds[str(r)][str(g)] = _wire_entry(entry)
+        for block, outcome in zip(blocks, report.results):
+            for j, g in enumerate(block):
+                state = chains[g]
+                state.matrix = outcome["matrices"][j]
+                state.rng = generator_from_state(outcome["rng_states"][j])
+                state.degenerate = outcome["rounds"][-1][j]["degenerate"]
+            for r, entries in enumerate(outcome["rounds"], start=first):
+                for g, entry in zip(block, entries):
+                    rounds[str(r)][str(g)] = _wire_entry(entry)
         island_wire.send_frame(
             sock,
             {"type": "report", "round": first, "through": through, "rounds": rounds},
@@ -224,7 +231,6 @@ class IslandWorker:
         sock: socket.socket,
         msg: dict[str, Any],
         chains: dict[int, ChainState],
-        problem: Any,
         model: CostModel,
         seed: int,
         n_agents: int,
@@ -245,12 +251,9 @@ class IslandWorker:
         ]
         rounds: dict[str, dict[str, Any]] = {str(r): {} for r in range(first, through + 1)}
         for g in (int(a) for a in msg["agents"]):
-            state, reports = replay_chain(
-                problem, model, seed, n_agents, g,
-                per_agent, rho, zeta, gossip_weight,
-                history, through,
+            chains[g], reports = replay_chain(
+                model, seed, n_agents, g, per_agent, rho, zeta, gossip_weight, history, through
             )
-            chains[g] = state
             for r in range(first, through + 1):
                 rounds[str(r)][str(g)] = _wire_entry(reports[r])
         island_wire.send_frame(

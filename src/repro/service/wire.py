@@ -49,7 +49,12 @@ __all__ = [
     "MAX_WIRE_REFINE_SWEEPS",
 ]
 
-#: plane-array names that carry vertex/edge indices (decoded as int64).
+#: The inline arrays, exactly the names :func:`problem_to_wire` sends.
+_WIRE_ARRAYS = frozenset(
+    "task_weights tig_edges tig_edge_weights proc_weights "
+    "res_edges res_edge_weights comm_costs".split()
+)
+#: The arrays that carry vertex/edge indices (integers, decoded as int64).
 _INDEX_ARRAYS = frozenset({"tig_edges", "res_edges"})
 
 #: Largest task count a wire problem may name, by generator spec or inline
@@ -134,12 +139,21 @@ def _wire_int(value: Any, what: str, minimum: int, maximum: int | None = None) -
 
 
 def _decode_array(name: str, value: Any) -> np.ndarray:
+    """One named array as int64 (edge lists, which must hold integers) or
+    float64; a ragged or non-numeric array is refused by name."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"problem.arrays.{name} is not a rectangular array") from exc
     if name in _INDEX_ARRAYS:
-        arr = np.asarray(value, dtype=np.int64)
         if arr.size == 0:
-            return arr.reshape(0, 2)
-        return arr
-    return np.asarray(value, dtype=np.float64)
+            return np.empty((0, 2), dtype=np.int64)
+        if arr.dtype.kind not in "iu":
+            raise ValidationError(f"problem.arrays.{name} must hold integers")
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"problem.arrays.{name} must hold numbers")
+    return arr.astype(np.float64)
 
 
 def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
@@ -150,20 +164,24 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
         raw = payload["arrays"]
         if not isinstance(raw, Mapping):
             raise ValidationError("problem.arrays must be an object of named arrays")
+        names = set(map(str, raw))
+        if names != _WIRE_ARRAYS:
+            raise ValidationError(
+                f"problem.arrays must name exactly {sorted(_WIRE_ARRAYS)}; missing "
+                f"{sorted(_WIRE_ARRAYS - names)}, unknown {sorted(names - _WIRE_ARRAYS)}"
+            )
         # Count tasks and resources before decoding the rest: comm_costs
         # alone holds n_resources² floats.
         arrays: dict[str, np.ndarray] = {}
         for name, noun in (("task_weights", "tasks"), ("proc_weights", "resources")):
-            if name in raw:
-                arrays[name] = _decode_array(name, raw[name])
-                _check_count(arrays[name].size, "problem.arrays", noun)
-        for key, value in raw.items():
-            if str(key) not in arrays:
-                arrays[str(key)] = _decode_array(str(key), value)
+            arrays[name] = _decode_array(name, raw[name])
+            _check_count(arrays[name].size, "problem.arrays", noun)
+        for name in sorted(_WIRE_ARRAYS.difference(arrays)):
+            arrays[name] = _decode_array(name, raw[name])
         # from_plane_arrays adopts this matrix as-is (it checks only the
         # shape); a closed cost matrix is always finite and non-negative.
-        comm = arrays.get("comm_costs")
-        if comm is not None and not (np.isfinite(comm).all() and (comm >= 0).all()):
+        comm = arrays["comm_costs"]
+        if not (np.isfinite(comm).all() and (comm >= 0).all()):
             raise ValidationError(
                 "problem.arrays.comm_costs must be finite and non-negative"
             )

@@ -68,11 +68,6 @@ class TestStochasticMatrix:
         v[0, 0] = 99
         assert m.values[0, 0] == 0.5
 
-    def test_view_read_only(self):
-        m = StochasticMatrix.uniform(2, 2)
-        with pytest.raises(ValueError):
-            m.view()[0, 0] = 1
-
     def test_row_maxima_uniform(self):
         m = StochasticMatrix.uniform(3, 4)
         np.testing.assert_allclose(m.row_maxima(), 0.25)

@@ -113,6 +113,15 @@ class TestLoopbackParity:
         result = run_loopback(problem, CONFIG, seed=7, n_islands=n_islands)
         assert_parity(result, reference)
 
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_worker_count_invariance(self, n_workers):
+        """An island runs its agents as one stacked cell per worker (here
+        blocks of 2+2 and 2+1+1 agents); any split gives the same bytes."""
+        problem = make_problem()
+        reference = sequential(problem, 7)
+        result = run_loopback(problem, CONFIG, seed=7, n_islands=1, n_workers=n_workers)
+        assert_parity(result, reference)
+
     def test_golden_fixture_pins_both_sides(self):
         """Sequential and 2-island runs both reproduce the recorded
         fixture — a joint drift of the shared round step cannot hide

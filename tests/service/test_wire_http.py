@@ -259,6 +259,59 @@ class TestWire:
             request_from_wire({"problem": {"arrays": arrays}})
 
 
+def _drop_tig_edges(arrays: dict) -> None:
+    del arrays["tig_edges"]
+
+
+def _add_junk(arrays: dict) -> None:
+    arrays["junk"] = [1.0, 2.0]
+
+
+def _fractional_edges(arrays: dict) -> None:
+    arrays["tig_edges"] = [[0.5, 1.5]]
+
+
+def _ragged_weights(arrays: dict) -> None:
+    arrays["tig_edge_weights"] = [[1.0, 2.0], [3.0]]
+
+
+def _string_edges(arrays: dict) -> None:
+    arrays["res_edges"] = [["0", "1"]]
+
+
+def _string_weights(arrays: dict) -> None:
+    arrays["task_weights"] = ["1.5"] * len(arrays["task_weights"])
+
+
+class TestInlineArrays:
+    """The inline arrays are exactly the seven names ``problem_to_wire``
+    sends, each a rectangular numeric array (integers for edge lists)."""
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_drop_tig_edges, r"missing \['tig_edges'\]"),
+            (_add_junk, r"unknown \['junk'\]"),
+            (_fractional_edges, "tig_edges must hold integers"),
+            (_ragged_weights, "tig_edge_weights is not a rectangular array"),
+            (_string_edges, "res_edges must hold integers"),
+            (_string_weights, "task_weights must hold numbers"),
+        ],
+        ids=["missing", "unknown", "fractional-edges", "ragged", "string-edges", "string-weights"],
+    )
+    def test_malformed_arrays_rejected_by_name(self, tamper, message):
+        arrays = problem_to_wire(make_problem(4, 1))["arrays"]
+        tamper(arrays)
+        with pytest.raises(ValidationError, match=message):
+            problem_from_wire({"arrays": arrays})
+
+    @pytest.mark.parametrize("n_tasks, n_resources", [(4, 4), (10, 10), (3, 6)])
+    def test_well_formed_bodies_keep_their_problem_key(self, n_tasks, n_resources):
+        problem = shaped_problem(n_tasks, n_resources)
+        rebuilt = problem_from_wire(problem_to_wire(problem))
+        assert problem_key(rebuilt) == problem_key(problem)
+
+
 class TestSolverParamCaps:
     @pytest.mark.parametrize("solver,param,cap", PARAM_CAPS, ids=_CAP_IDS)
     def test_past_cap_rejected(self, solver, param, cap):
