@@ -4,7 +4,8 @@ Contents:
 
 * :class:`StochasticMatrix` and the Eq. (11)/(13) update machinery;
 * :func:`sample_permutations_stacked` — the batched GenPerm sampler
-  (Fig. 4) over a chain stack; :func:`sample_permutations` is its reference;
+  (Fig. 4) over a chain stack; :func:`sample_permutations` is its
+  one-chain form that draws its own uniforms;
 * elite quantile selection and the :class:`StopKind` of a finished run;
 * :class:`MultiChainCE` — the one CE engine: R independent chains
   advanced as one batched tensor loop through ``ce_round`` (the round the

@@ -14,16 +14,15 @@ draws — executes as compiled C when available and as the vectorized
 numpy reference otherwise, both backends bit-identical. The
 uniforms are pre-drawn *outside* the kernel (one block for the task
 orders, one for the roulette draws), so the RNG stream position never
-depends on the backend.
+depends on the backend. The kernel takes them raw: a sample's visit
+order is the stable argsort of its order uniforms, ties in index order.
 
 :func:`sample_permutations_stacked` lifts the same position loop to a
 whole *stack* of stochastic matrices at once — ``R`` independent CE chains
 advance through one flattened ``(R·N, n_res)`` view with per-chain row
-gathers. Chain ``r`` of the stacked call is bit-identical to a standalone
-:func:`sample_permutations` call fed the same uniforms. Every CE round
-samples through the stacked form (:func:`repro.ce.multichain.ce_round`;
-one chain is ``R = 1``); the single-matrix form remains the reference
-the tests hold it to.
+gathers. Every CE round samples through the stacked form
+(:func:`repro.ce.multichain.ce_round`); :func:`sample_permutations` is
+its one-chain call (``R = 1``) that draws its own uniforms.
 """
 
 from __future__ import annotations
@@ -56,11 +55,7 @@ def _check_matrix(P: ProbabilityMatrix) -> np.ndarray:
 
 
 def sample_permutations(
-    P: ProbabilityMatrix,
-    n_samples: int,
-    rng: SeedLike = None,
-    *,
-    task_orders: np.ndarray | None = None,
+    P: ProbabilityMatrix, n_samples: int, rng: SeedLike = None
 ) -> AssignmentBatch:
     """Batched GenPerm (Fig. 4): ``n_samples`` valid one-to-one mappings.
 
@@ -72,11 +67,9 @@ def sample_permutations(
     n_samples:
         Batch size ``N``.
     rng:
-        Seed or generator.
-    task_orders:
-        Optional ``(n_samples, n_tasks)`` permutation rows fixing the task
-        visit order per sample (used by tests); default fresh random
-        orders, one per sample, as in Fig. 4 step 1.
+        Seed or generator. It draws ``(N, n_tasks)`` order uniforms, then
+        ``(n_tasks, N)`` roulette uniforms: one chain of
+        :func:`sample_permutations_stacked`.
 
     Returns
     -------
@@ -93,26 +86,11 @@ def sample_permutations(
     arr = _check_matrix(P)
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-    n_tasks, n_res = arr.shape
+    n_tasks = arr.shape[0]
     gen = as_generator(rng)
-
-    if task_orders is None:
-        # argsort of uniforms = independent uniform random permutations.
-        task_orders = np.argsort(gen.random((n_samples, n_tasks)), axis=1)
-    else:
-        task_orders = np.asarray(task_orders, dtype=np.int64)
-        if task_orders.shape != (n_samples, n_tasks):
-            raise ValidationError(
-                f"task_orders must have shape ({n_samples}, {n_tasks}), "
-                f"got {task_orders.shape}"
-            )
-
-    # Drawing all position uniforms up front is stream-equivalent to the
-    # per-position draws of the original loop (numpy fills C-contiguous
-    # output row by row from the same bit stream).
-    rand_pos = gen.random((n_tasks, n_samples))
-    backend = kernels.get_backend()
-    return backend.genperm(arr, None, task_orders, rand_pos, n_res)
+    rand_orders = gen.random((1, n_samples, n_tasks))
+    rand_pos = gen.random((1, n_tasks, n_samples))
+    return sample_permutations_stacked(arr[np.newaxis], rand_orders, rand_pos)[0]
 
 
 def sample_permutations_stacked(
@@ -128,8 +106,9 @@ def sample_permutations_stacked(
         ``(R, n_tasks, n_res)`` stack of non-negative matrices, one per
         chain.
     rand_orders:
-        ``(R, N, n_tasks)`` uniforms; per chain, ``argsort`` of each row
-        fixes that sample's task visit order (Fig. 4 step 1).
+        ``(R, N, n_tasks)`` uniforms; the stable argsort of each row (ties
+        in index order) fixes that sample's task visit order (Fig. 4
+        step 1).
     rand_pos:
         ``(R, n_tasks, N)`` uniforms driving the roulette draws; chain
         ``r``'s block must come from chain ``r``'s own generator for
@@ -141,6 +120,9 @@ def sample_permutations_stacked(
     ``sample_permutations(P_stack[r], N, gen_r)`` when ``rand_orders[r]``
     and ``rand_pos[r]`` are ``gen_r.random((N, n_tasks))`` followed by
     ``gen_r.random((n_tasks, N))``.
+
+    The three arrays go to the backend as drawn: each kernel sorts the
+    visit orders and finds every sample's chain itself.
     """
     P_stack = np.asarray(P_stack, dtype=np.float64)
     if P_stack.ndim != 3:
@@ -150,7 +132,7 @@ def sample_permutations_stacked(
         raise ValidationError(
             f"one-to-one sampling needs n_tasks <= n_resources, got {P_stack.shape}"
         )
-    if rand_orders.shape[0] != R or rand_orders.shape[2] != n_tasks:
+    if rand_orders.ndim != 3 or rand_orders.shape[0] != R or rand_orders.shape[2] != n_tasks:
         raise ValidationError(
             f"rand_orders must have shape ({R}, N, {n_tasks}), got {rand_orders.shape}"
         )
@@ -159,13 +141,7 @@ def sample_permutations_stacked(
         raise ValidationError(
             f"rand_pos must have shape ({R}, {n_tasks}, {N}), got {rand_pos.shape}"
         )
-    task_orders = np.argsort(rand_orders, axis=2).reshape(R * N, n_tasks)
-    dist_offsets = np.repeat(np.arange(R, dtype=np.int64) * n_tasks, N)
-    pos_u = rand_pos.transpose(1, 0, 2).reshape(n_tasks, R * N)
-    P_rows = np.ascontiguousarray(P_stack.reshape(R * n_tasks, n_res))
-    backend = kernels.get_backend()
-    X = backend.genperm(P_rows, dist_offsets, task_orders, pos_u, n_res)
-    return X.reshape(R, N, n_tasks)
+    return kernels.get_backend().genperm(P_stack, rand_orders, rand_pos)
 
 
 def genperm_exact_probabilities(

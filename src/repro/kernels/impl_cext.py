@@ -166,7 +166,9 @@ def _bind(lib: ctypes.CDLL) -> None:
     ]
     lib.repro_eval_batch.restype = ctypes.c_int
     lib.repro_genperm.argtypes = [
-        _F64, _I64, _I64, _F64, _c_i64, _c_i64, _c_i64, _I64, _c_i64,
+        _F64, _F64, _F64,  # P, rand_orders, rand_pos
+        _c_i64, _c_i64, _c_i64, _c_i64,  # R, N, n_t, n_res
+        _I64, _c_i64,  # X, n_threads
     ]
     lib.repro_genperm.restype = ctypes.c_int
     probe_head = [
@@ -207,25 +209,18 @@ class _CExtKernels:
         return out
 
     def genperm(
-        self,
-        P_rows: np.ndarray,
-        row_offsets: np.ndarray | None,
-        task_orders: np.ndarray,
-        rand_pos: np.ndarray,
-        n_res: int,
+        self, P: np.ndarray, rand_orders: np.ndarray, rand_pos: np.ndarray
     ) -> np.ndarray:
-        B, n_t = task_orders.shape
-        if row_offsets is None:
-            row_offsets = np.zeros(B, dtype=np.int64)
-        P_rows = np.ascontiguousarray(P_rows, dtype=np.float64)
-        task_orders = np.ascontiguousarray(task_orders, dtype=np.int64)
-        rand_pos = np.ascontiguousarray(rand_pos, dtype=np.float64)
-        row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        X = np.empty((B, n_t), dtype=np.int64)
+        R, N, n_t = rand_orders.shape
+        n_res = P.shape[2]
+        X = np.empty((R, N, n_t), dtype=np.int64)
         self._check(
             self._lib.repro_genperm(
-                P_rows, row_offsets, task_orders, rand_pos, B, n_t, n_res, X,
-                _n_threads(B * n_t * n_res),
+                np.ascontiguousarray(P, dtype=np.float64),
+                np.ascontiguousarray(rand_orders, dtype=np.float64),
+                np.ascontiguousarray(rand_pos, dtype=np.float64),
+                R, N, n_t, n_res, X,
+                _n_threads(R * N * n_t * n_res),
             )
         )
         return X

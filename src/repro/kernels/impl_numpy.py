@@ -87,41 +87,24 @@ def eval_batch(pack: ProblemPack, X: np.ndarray) -> np.ndarray:
 # -- GenPerm position loop ---------------------------------------------------
 
 def genperm(
-    P_rows: np.ndarray,
-    row_offsets: np.ndarray | None,
-    task_orders: np.ndarray,
-    rand_pos: np.ndarray,
-    n_res: int,
+    P: np.ndarray, rand_orders: np.ndarray, rand_pos: np.ndarray
 ) -> np.ndarray:
-    """Backend entry point: transpose to columns-first and run the loop."""
-    P_cols = np.ascontiguousarray(P_rows.T)
-    return _genperm_position_loop(P_cols, row_offsets, task_orders, rand_pos, n_res)
-
-
-def _genperm_position_loop(
-    P_cols: np.ndarray,
-    dist_offsets: np.ndarray | None,
-    task_orders: np.ndarray,
-    rand_pos: np.ndarray,
-    n_res: int,
-) -> np.ndarray:
-    """The shared GenPerm position loop over a flattened sample batch.
+    """GenPerm over a stack of ``R`` chains, ``N`` samples each.
 
     Parameters
     ----------
-    P_cols:
-        ``(n_res, n_dists · n_tasks)`` column-major (transposed) stack of
-        stochastic matrices; column ``d·n_tasks + t`` is task ``t``'s row
-        of matrix ``d``. A single matrix when ``dist_offsets`` is None.
-    dist_offsets:
-        ``(B,)`` column offset of each sample's matrix block
-        (``chain · n_tasks``), or None when every sample draws from the
-        same matrix.
-    task_orders:
-        ``(B, n_tasks)`` task visit orders.
+    P:
+        ``(R, n_tasks, n_res)`` stack of non-negative matrices.
+    rand_orders:
+        ``(R, N, n_tasks)`` uniforms; the stable argsort of each row
+        (ties in index order) is that sample's task visit order.
     rand_pos:
-        ``(n_tasks, B)`` pre-drawn uniforms; row ``pos`` is consumed at
-        visit position ``pos``.
+        ``(R, n_tasks, N)`` uniforms; ``rand_pos[r, pos]`` drives chain
+        ``r``'s roulette draws at visit position ``pos``.
+
+    Returns the ``(R, N, n_tasks)`` samples. The loop runs on one
+    flattened batch of ``B = R·N`` samples: sample ``b`` gathers its rows
+    from block ``(b // N)·n_tasks`` of the transposed stack.
 
     The resources-first layout keeps every per-position reduction
     (masking, mass, CDF, inverse-CDF count) running along the long
@@ -132,7 +115,13 @@ def _genperm_position_loop(
     comparison mask) is allocated once and reused across the ``n_tasks``
     positions.
     """
-    B, n_tasks = task_orders.shape
+    R, N, n_tasks = rand_orders.shape
+    n_res = P.shape[2]
+    B = R * N
+    task_orders = np.argsort(rand_orders, axis=2, kind="stable").reshape(B, n_tasks)
+    dist_offsets = np.repeat(np.arange(R, dtype=np.int64) * n_tasks, N)
+    rand_pos = rand_pos.transpose(1, 0, 2).reshape(n_tasks, B)
+    P_cols = np.ascontiguousarray(P.reshape(R * n_tasks, n_res).T)
     X = np.full((B, n_tasks), -1, dtype=np.int64)
     # Float 0/1 availability mask: float·float multiplies and row copies
     # stay pure SIMD (a bool mask would force a casting buffer per pass).
@@ -156,10 +145,9 @@ def _genperm_position_loop(
         if square and pos == n_tasks - 1:
             X[rows, tasks] = rem
             break
-        gather_idx = tasks if dist_offsets is None else dist_offsets + tasks
         # mode="clip" skips per-element bounds checks (indices are valid
         # by construction) — measurably faster than the default mode.
-        np.take(P_cols, gather_idx, axis=1, out=probs, mode="clip")
+        np.take(P_cols, dist_offsets + tasks, axis=1, out=probs, mode="clip")
         np.multiply(probs, unused, out=probs)  # zero the taken resources
         # Running CDF down the resource axis via row-wise contiguous adds
         # (np.cumsum over axis 0 falls back to a strided loop); the last
@@ -198,7 +186,7 @@ def _genperm_position_loop(
         unused[choice, rows] = 0.0
         if square:
             rem -= choice
-    return X
+    return X.reshape(R, N, n_tasks)
 
 
 # -- O(deg) delta probes -----------------------------------------------------

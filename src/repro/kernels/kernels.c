@@ -19,11 +19,14 @@
  *    against numpy.
  *  - GenPerm consumes pre-drawn uniforms only. The RNG never enters a
  *    kernel, so the stream position is backend-invariant by construction.
+ *    A sample's visit order is the stable argsort of its order uniforms
+ *    (ties in index order), which the reference spells
+ *    argsort(kind="stable").
  *  - The batch kernels (scoring and GenPerm) may split a call's rows
  *    into contiguous ranges on several POSIX threads (split_rows). Each
- *    output row depends only on its own task order, uniforms and unused
- *    list, and each thread has its own scratch and writes only its own
- *    rows, so the result is bit-identical for every thread count. The
+ *    output row depends only on its own uniforms and unused list, and
+ *    each thread has its own scratch and writes only its own rows, so
+ *    the result is bit-identical for every thread count. The
  *    caller (impl_cext.py) picks the count from the call's work; no
  *    thread outlives the call.
  *
@@ -248,44 +251,84 @@ static i64 genperm_pick(double *cdf, int32_t *idx, i64 K, i64 n_res,
     return choice;
 }
 
+/* Bucket of one order uniform for the counting pass: floor(u * n)
+ * clamped to [0, n). The comparisons send NaN to bucket 0 instead of
+ * into a float-to-int cast (undefined in C); ±inf and out-of-range
+ * finite values clamp to the end buckets. The bucket never decreases
+ * as u grows, so bucket order never contradicts value order. */
+static int32_t order_bucket(double u, i64 n)
+{
+    double s = u * (double)n;
+    if (!(s >= 0.0))
+        return 0;
+    if (s >= (double)n)
+        return (int32_t)(n - 1);
+    return (int32_t)s;
+}
+
+/* Task visit order of one sample (Fig. 4 step 1): the stable argsort of
+ * its n order uniforms, ties in index order, as numpy's
+ * argsort(kind="stable") gives it. A stable counting pass scatters the
+ * indices into bucket order, then an insertion pass with a strict
+ * comparison sorts inside the buckets without reordering equal keys.
+ * Uniforms put about one index in each bucket, so the sort is linear.
+ * Scratch: key holds n entries, count n + 1. A NaN compares false both
+ * ways, so it only stops the insertion pass early: the order is still a
+ * permutation. */
+static void sort_order(const double *u, i64 n, int32_t *order,
+                       double *key, i64 *count)
+{
+    i64 i, j;
+    for (i = 0; i <= n; i++)
+        count[i] = 0;
+    for (i = 0; i < n; i++)
+        count[order_bucket(u[i], n) + 1]++;
+    for (i = 1; i < n; i++)
+        count[i] += count[i - 1];
+    for (i = 0; i < n; i++) {
+        i64 p = count[order_bucket(u[i], n)]++;
+        order[p] = (int32_t)i;
+        key[p] = u[i];
+    }
+    for (i = 1; i < n; i++) {
+        double k = key[i];
+        int32_t o = order[i];
+        for (j = i; j > 0 && key[j - 1] > k; j--) {
+            key[j] = key[j - 1];
+            order[j] = order[j - 1];
+        }
+        key[j] = k;
+        order[j] = o;
+    }
+}
+
 struct genperm_args {
-    const double *P_rows;
-    const i64 *row_offsets, *task_orders;
-    const double *rand_pos;
-    i64 B, n_t, n_res;
+    const double *P, *rand_orders, *rand_pos;
+    i64 N, n_t, n_res;
     i64 *X;
 };
 
-/* Samples [lo, hi) of repro_genperm. Position `pos` keeps its uniforms
- * for the whole batch at rand_pos[pos * B], so the uniform stride B is
- * separate from the range's row count. */
-static int genperm_rows(void *p, i64 lo, i64 hi)
+/* The position loop over `rows` consecutive samples of one chain. P is
+ * the chain's (n_t, n_res) block, orders its samples' visit orders,
+ * u0 the chain's roulette uniforms shifted to the first of these
+ * samples: position `pos` reads u0[pos * N + j]. avail holds rows·n_res
+ * and cdf 4·n_res entries. */
+static void genperm_chain(const double *P, const int32_t *orders,
+                          const double *u0, i64 rows, i64 N, i64 n_t,
+                          i64 n_res, i64 *X, int32_t *avail, double *cdf)
 {
-    const struct genperm_args *a = p;
-    const i64 rows = hi - lo, n_t = a->n_t, n_res = a->n_res;
-    const double *P_rows = a->P_rows;
-    const i64 *row_offsets = a->row_offsets + lo;
-    const i64 *task_orders = a->task_orders + lo * n_t;
-    i64 *X = a->X + lo * n_t;
-    int32_t *avail = malloc((size_t)(rows * n_res) * sizeof(int32_t));
-    double *cdf = malloc((size_t)(4 * n_res) * sizeof(double));
     i64 j, pos, i;
-    if (avail == NULL || cdf == NULL) {
-        free(avail);
-        free(cdf);
-        return -1;
-    }
     for (j = 0; j < rows; j++)
         for (i = 0; i < n_res; i++)
             avail[j * n_res + i] = (int32_t)i;
     for (pos = 0; pos < n_t; pos++) {
         const i64 K = n_res - pos;
-        const double *u_pos = a->rand_pos + pos * a->B + lo;
+        const double *u_pos = u0 + pos * N;
         if (K == 1) {
             /* Square case, last position: the one unused resource is
              * forced (the reference's rem-sum shortcut). */
             for (j = 0; j < rows; j++)
-                X[j * n_t + task_orders[j * n_t + pos]] = avail[j * n_res];
+                X[j * n_t + orders[j * n_t + pos]] = avail[j * n_res];
             break;
         }
         /* The compressed cumulative sum is a loop-carried float
@@ -295,14 +338,14 @@ static int genperm_rows(void *p, i64 lo, i64 hi)
          * each sample's own adds stay in reference order. */
         j = 0;
         for (; j + 4 <= rows; j += 4) {
-            i64 t0 = task_orders[(j + 0) * n_t + pos];
-            i64 t1 = task_orders[(j + 1) * n_t + pos];
-            i64 t2 = task_orders[(j + 2) * n_t + pos];
-            i64 t3 = task_orders[(j + 3) * n_t + pos];
-            const double *r0 = P_rows + (row_offsets[j + 0] + t0) * n_res;
-            const double *r1 = P_rows + (row_offsets[j + 1] + t1) * n_res;
-            const double *r2 = P_rows + (row_offsets[j + 2] + t2) * n_res;
-            const double *r3 = P_rows + (row_offsets[j + 3] + t3) * n_res;
+            i64 t0 = orders[(j + 0) * n_t + pos];
+            i64 t1 = orders[(j + 1) * n_t + pos];
+            i64 t2 = orders[(j + 2) * n_t + pos];
+            i64 t3 = orders[(j + 3) * n_t + pos];
+            const double *r0 = P + t0 * n_res;
+            const double *r1 = P + t1 * n_res;
+            const double *r2 = P + t2 * n_res;
+            const double *r3 = P + t3 * n_res;
             int32_t *i0 = avail + (j + 0) * n_res;
             int32_t *i1 = avail + (j + 1) * n_res;
             int32_t *i2 = avail + (j + 2) * n_res;
@@ -329,8 +372,8 @@ static int genperm_rows(void *p, i64 lo, i64 hi)
             X[(j + 3) * n_t + t3] = genperm_pick(c3, i3, K, n_res, u_pos[j + 3]);
         }
         for (; j < rows; j++) {
-            i64 task = task_orders[j * n_t + pos];
-            const double *row = P_rows + (row_offsets[j] + task) * n_res;
+            i64 task = orders[j * n_t + pos];
+            const double *row = P + task * n_res;
             int32_t *idx = avail + j * n_res;
             double acc = 0.0;
             i64 k;
@@ -341,18 +384,60 @@ static int genperm_rows(void *p, i64 lo, i64 hi)
             X[j * n_t + task] = genperm_pick(cdf, idx, K, n_res, u_pos[j]);
         }
     }
-    free(avail);
-    free(cdf);
-    return 0;
 }
 
-int repro_genperm(const double *P_rows, const i64 *row_offsets,
-                  const i64 *task_orders, const double *rand_pos,
-                  i64 B, i64 n_t, i64 n_res, i64 *X, i64 n_threads)
+/* Rows [lo, hi) of repro_genperm. Row `row` is sample row - c·N of chain
+ * c = row / N, so the range is walked one chain segment at a time: sort
+ * the segment's visit orders, then run its position loop. Per-thread
+ * scratch is sized for the longest segment, min(hi - lo, N) rows. */
+static int genperm_rows(void *p, i64 lo, i64 hi)
 {
-    struct genperm_args a = {P_rows, row_offsets, task_orders, rand_pos,
-                             B, n_t, n_res, X};
-    return split_rows(genperm_rows, &a, B, n_threads);
+    const struct genperm_args *a = p;
+    const i64 N = a->N, n_t = a->n_t, n_res = a->n_res;
+    const i64 seg = (hi - lo < N) ? hi - lo : N;
+    int32_t *orders = malloc((size_t)(seg * n_t) * sizeof(int32_t));
+    int32_t *avail = malloc((size_t)(seg * n_res) * sizeof(int32_t));
+    double *cdf = malloc((size_t)(4 * n_res) * sizeof(double));
+    double *key = malloc((size_t)n_t * sizeof(double));
+    i64 *count = malloc((size_t)(n_t + 1) * sizeof(i64));
+    i64 row = lo, j;
+    int status = 0;
+    if (orders == NULL || avail == NULL || cdf == NULL || key == NULL
+        || count == NULL) {
+        status = -1;
+        goto out;
+    }
+    while (row < hi) {
+        const i64 c = row / N;
+        const i64 end = ((c + 1) * N < hi) ? (c + 1) * N : hi;
+        const i64 rows = end - row;
+        for (j = 0; j < rows; j++)
+            sort_order(a->rand_orders + (row + j) * n_t, n_t,
+                       orders + j * n_t, key, count);
+        genperm_chain(a->P + c * n_t * n_res, orders,
+                      a->rand_pos + c * n_t * N + (row - c * N),
+                      rows, N, n_t, n_res, a->X + row * n_t, avail, cdf);
+        row = end;
+    }
+out:
+    free(orders);
+    free(avail);
+    free(cdf);
+    free(key);
+    free(count);
+    return status;
+}
+
+/* GenPerm over a stack of R chains, N samples each. P is (R, n_t, n_res),
+ * rand_orders (R, N, n_t) and rand_pos (R, n_t, N), all as the engine
+ * draws them; X is (R, N, n_t). Rows (chain-major samples) split across
+ * threads at any point, a chain's middle included. */
+int repro_genperm(const double *P, const double *rand_orders,
+                  const double *rand_pos, i64 R, i64 N, i64 n_t, i64 n_res,
+                  i64 *X, i64 n_threads)
+{
+    struct genperm_args a = {P, rand_orders, rand_pos, N, n_t, n_res, X};
+    return split_rows(genperm_rows, &a, R * N, n_threads);
 }
 
 /* ---------------- O(deg) delta probes ---------------- */

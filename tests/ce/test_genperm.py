@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ce.genperm import sample_permutations
+from repro.ce.genperm import sample_permutations, sample_permutations_stacked
 from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.exceptions import ValidationError
 from repro.utils.validation import is_permutation
@@ -114,14 +114,18 @@ class TestSamplePermutationsDistribution:
                 [1.0 / 3, 1.0 / 3, 1.0 / 3],
             ]
         )
-        orders = np.tile(np.array([1, 0, 2]), (50, 1))
-        X = sample_permutations(P, 50, 9, task_orders=orders)
+        # Order uniforms whose argsort is the visit order [1, 0, 2].
+        rand_orders = np.tile([0.5, 0.1, 0.9], (1, 50, 1))
+        rand_pos = np.random.default_rng(9).random((1, 3, 50))
+        X = sample_permutations_stacked(P[np.newaxis], rand_orders, rand_pos)[0]
         assert np.all(X[:, 1] == 0)  # task 1 visited first, always gets r0
 
     def test_bad_task_orders_shape(self):
-        P = StochasticMatrix.uniform(3, 3).values
-        with pytest.raises(ValidationError, match="task_orders"):
-            sample_permutations(P, 5, 0, task_orders=np.zeros((4, 3), dtype=np.int64))
+        P = StochasticMatrix.uniform(3, 3).values[np.newaxis]
+        with pytest.raises(ValidationError, match="rand_orders"):
+            sample_permutations_stacked(P, np.zeros((1, 4)), np.zeros((1, 3, 4)))
+        with pytest.raises(ValidationError, match="rand_pos"):
+            sample_permutations_stacked(P, np.zeros((1, 4, 3)), np.zeros((1, 4, 3)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ so a joint drift cannot hide.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import distributed
 from repro.core.distributed import DistributedMatchConfig, DistributedMatchMapper
 from repro.exceptions import ConfigurationError
 from repro.graphs import generate_paper_pair
@@ -28,6 +30,12 @@ from repro.mapping import MappingProblem
 from repro.runstore import RunStore
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "golden_islands.json"
+
+#: SHA-256 of the agent simulation's final ``(4, 8, 8)`` float64 stack
+#: (little-endian bytes) at the golden fixture's config and seed.
+SIMULATION_MATRICES_SHA256 = (
+    "dd99268645dd46a0615e624bdd5f594e3fa77f3a66881d716b137a83df6adf44"
+)
 
 CONFIG = DistributedMatchConfig(
     n_agents=4, sync_every=5, total_samples=64, max_rounds=30
@@ -144,6 +152,27 @@ class TestLoopbackParity:
         assert result["n_evaluations"] == expect["n_evaluations"]
         assert result["extras"]["rounds"] == expect["rounds"]
         assert result["extras"]["n_syncs"] == expect["n_syncs"]
+
+    def test_golden_simulation_matrices(self, monkeypatch):
+        """The simulation's final matrix stack at the golden config, pinned
+        by hash. End results alone miss a drift in the gossip arithmetic
+        (rewriting the blend as ``leader_P + (1 - w) * (P - leader_P)``
+        keeps them but changes these bits)."""
+        fx = json.loads(FIXTURE.read_text())
+        stacks = []
+        rounds = distributed.chain_rounds
+
+        def recording(*args, **kwargs):
+            P, entries = rounds(*args, **kwargs)
+            stacks.append(P)  # the gossip blend then writes into P in place
+            return P, entries
+
+        monkeypatch.setattr(distributed, "chain_rounds", recording)
+        sequential(make_problem(fx["size"], fx["seed"]), fx["seed"],
+                   DistributedMatchConfig(**fx["config"]))
+        final = np.ascontiguousarray(stacks[-1], dtype="<f8")
+        assert final.shape == (4, 8, 8)
+        assert hashlib.sha256(final.tobytes()).hexdigest() == SIMULATION_MATRICES_SHA256
 
 
 class _TamperedSocket:

@@ -24,18 +24,34 @@ from tests.kernels.conftest import AVAILABLE, COMPILED, make_problem, random_bat
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
-def genperm_inputs(n_tasks, n_res, n_samples, seed, *, degenerate=False):
+def genperm_inputs(n_tasks, n_res, n_samples, seed, *, degenerate=False, R=1):
+    """A ``(R, n_tasks, n_res)`` stack and its order and roulette uniforms."""
     gen = np.random.default_rng(seed)
     if degenerate:
         # One-hot rows all preferring resource 0: exercises the dead-mass
         # uniform-over-unused fallback on nearly every draw.
-        P = np.zeros((n_tasks, n_res))
-        P[:, 0] = 1.0
+        P = np.zeros((R, n_tasks, n_res))
+        P[:, :, 0] = 1.0
     else:
-        P = gen.random((n_tasks, n_res))
-    task_orders = np.argsort(gen.random((n_samples, n_tasks)), axis=1)
-    rand_pos = gen.random((n_tasks, n_samples))
-    return np.ascontiguousarray(P), task_orders, rand_pos
+        P = gen.random((R, n_tasks, n_res))
+    rand_orders = gen.random((R, n_samples, n_tasks))
+    rand_pos = gen.random((R, n_tasks, n_samples))
+    return P, rand_orders, rand_pos
+
+
+def stable_ranks(rand_orders):
+    """Tie-free uniforms whose argsort is ``argsort(kind="stable")`` of
+    ``rand_orders``: each entry's rank in the stable order, scaled into
+    [0, 1)."""
+    order = np.argsort(rand_orders, axis=-1, kind="stable")
+    ranks = np.argsort(order, axis=-1, kind="stable")
+    return (ranks + 0.5) / rand_orders.shape[-1]
+
+
+def assert_one_to_one(X, n_res):
+    rows = X.reshape(-1, X.shape[-1])
+    assert rows.min() >= 0 and rows.max() < n_res
+    assert all(len(set(row)) == len(row) for row in rows.tolist())
 
 
 class TestScoringParity:
@@ -65,16 +81,15 @@ class TestGenPermParity:
     @pytest.mark.parametrize("n,seed", [(3, 0), (6, 5), (12, 11)])
     def test_single_matrix(self, backend, n, seed, degenerate):
         P, orders, pos = genperm_inputs(n, n, 25, seed, degenerate=degenerate)
-        got = backend.genperm(P, None, orders, pos, n)
-        ref = impl_numpy.genperm(P, None, orders, pos, n)
+        got = backend.genperm(P, orders, pos)
+        ref = impl_numpy.genperm(P, orders, pos)
         assert np.array_equal(got, ref)
-        # valid one-to-one mappings
-        assert all(len(set(row)) == n for row in got.tolist())
+        assert_one_to_one(got, n)
 
     def test_rectangular(self, backend):
         P, orders, pos = genperm_inputs(5, 8, 20, 2)
-        got = backend.genperm(P, None, orders, pos, 8)
-        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, 8))
+        got = backend.genperm(P, orders, pos)
+        assert np.array_equal(got, impl_numpy.genperm(P, orders, pos))
 
     def test_stacked_offsets(self, backend):
         R, n, N = 3, 6, 15
@@ -95,6 +110,40 @@ class TestGenPermParity:
         with kernels.use_backend("numpy"):
             ref = sample_permutations(P, 40, rng=123)
         assert np.array_equal(got, ref)
+
+
+class TestGenPermTieRule:
+    """A sample's visit order is the stable argsort of its order uniforms:
+    equal uniforms keep index order on every backend. numpy's default
+    (unstable) argsort may order ties by the host's SIMD path, so the
+    rule is pinned here, not left to the generator's luck."""
+
+    @staticmethod
+    def tied_orders(R, N, n, seed):
+        gen = np.random.default_rng(seed)
+        u = np.floor(gen.random((R, N, n)) * 3) / 3  # three values per row
+        u[:, 0] = 0.25  # a whole row of equal values
+        specials = np.array([np.inf, -np.inf, 2.0, -1.0, 1e300, -0.0, 0.0, 1.0])
+        hit = gen.random((R, N, n)) < 0.2
+        u[hit] = gen.choice(specials, size=int(hit.sum()))
+        return u
+
+    @pytest.mark.parametrize("R,N,n,n_res", [(1, 40, 9, 9), (3, 7, 6, 8), (2, 60, 50, 50)])
+    def test_ties_follow_stable_argsort(self, backend, R, N, n, n_res):
+        P, _, pos = genperm_inputs(n, n_res, N, n, R=R)
+        orders = self.tied_orders(R, N, n, n)
+        got = backend.genperm(P, orders, pos)
+        assert np.array_equal(got, impl_numpy.genperm(P, orders, pos))
+        # ... and the order both used is argsort(kind="stable").
+        assert np.array_equal(got, impl_numpy.genperm(P, stable_ranks(orders), pos))
+        assert_one_to_one(got, n_res)
+
+    def test_nan_orders_still_one_to_one(self, backend):
+        # NaN carries no parity claim: only a valid mapping per row.
+        P, orders, pos = genperm_inputs(12, 12, 50, 4, R=2)
+        orders[:, ::3, ::2] = np.nan
+        orders[1, 1] = np.nan
+        assert_one_to_one(backend.genperm(P, orders, pos), 12)
 
 
 class TestProbeParity:
@@ -181,26 +230,24 @@ class TestThreadSplit:
     @pytest.mark.parametrize("B", [1, 2, 5, 23])
     def test_genperm_single(self, cext, threads, B, degenerate):
         P, orders, pos = genperm_inputs(9, 9, B, B, degenerate=degenerate)
-        got = cext.genperm(P, None, orders, pos, 9)
-        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, 9))
+        got = cext.genperm(P, orders, pos)
+        assert np.array_equal(got, impl_numpy.genperm(P, orders, pos))
 
     @pytest.mark.parametrize("B", [1, 5, 23])
     def test_genperm_rectangular(self, cext, threads, B):
         P, orders, pos = genperm_inputs(5, 8, B, 3)
-        got = cext.genperm(P, None, orders, pos, 8)
-        assert np.array_equal(got, impl_numpy.genperm(P, None, orders, pos, 8))
+        got = cext.genperm(P, orders, pos)
+        assert np.array_equal(got, impl_numpy.genperm(P, orders, pos))
 
-    @pytest.mark.parametrize("B", [2, 5, 23])
+    @pytest.mark.parametrize("B", [1, 2, 5, 23])
     def test_genperm_stacked(self, cext, threads, B):
-        R, n = 3, 6
-        gen = np.random.default_rng(B)
-        P_rows = gen.random((R * n, n))
-        P_rows[n:2 * n] = 0.0  # chain 1 is all dead rows
-        offsets = gen.integers(0, R, size=B) * n
-        orders = np.argsort(gen.random((B, n)), axis=1)
-        pos = gen.random((n, B))
-        got = cext.genperm(P_rows, offsets, orders, pos, n)
-        assert np.array_equal(got, impl_numpy.genperm(P_rows, offsets, orders, pos, n))
+        # R·B rows over 3 chains of B samples: at 2, 3 and 7 threads the
+        # ranges cut chains in the middle (B = 5 at 2 threads: rows
+        # [0, 7) and [7, 15)), and B = 1 gives one row per chain.
+        P, orders, pos = genperm_inputs(6, 6, B, B, R=3)
+        P[1] = 0.0  # chain 1 is all dead rows
+        got = cext.genperm(P, orders, pos)
+        assert np.array_equal(got, impl_numpy.genperm(P, orders, pos))
 
     @pytest.mark.parametrize("B", [1, 2, 5, 23])
     def test_scoring(self, cext, threads, B):
@@ -214,8 +261,8 @@ class TestThreadSplit:
         P, orders, pos = genperm_inputs(12, 12, 400, 1)
         pack = build_pack(make_problem(12, 777))
         before = _task_count()
-        X = cext.genperm(P, None, orders, pos, 12)
-        cext.eval_batch(pack, X)
+        X = cext.genperm(P, orders, pos)
+        cext.eval_batch(pack, X[0])
         assert _task_count() == before
 
     def test_thread_count_follows_work(self):
