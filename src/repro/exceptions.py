@@ -22,7 +22,18 @@ class ValidationError(ReproError, ValueError):
 
 
 class GraphError(ReproError):
-    """A graph is malformed or an operation received an incompatible graph."""
+    """A graph is malformed or an operation received an incompatible graph.
+
+    When one input array is at fault, ``field`` names its constructor
+    argument (``node_weights``, ``edges`` or ``edge_weights``), the message
+    reads ``"<field> <reason>"`` and ``reason`` holds the rest, so a caller
+    that took the array under another name (the service wire) can name it.
+    """
+
+    def __init__(self, message: str, *, field: str | None = None) -> None:
+        super().__init__(f"{field} {message}" if field else message)
+        self.field = field
+        self.reason = message
 
 
 class MappingError(ReproError):

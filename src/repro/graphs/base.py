@@ -27,6 +27,26 @@ from repro.exceptions import GraphError, ValidationError
 __all__ = ["WeightedGraph", "canonicalize_edges"]
 
 
+#: numpy dtype kinds each :func:`_array` rule accepts (bools are neither).
+_KINDS = {"integers": "iu", "numbers": "iuf"}
+
+
+def _array(values: Any, field: str, holds: str) -> np.ndarray:
+    """``values`` as an array holding ``holds`` (``"integers"`` or ``"numbers"``).
+
+    The kind is checked before any cast, so edges ``[[0.5, 1.5]]`` or
+    weights ``["1.5"]`` are refused rather than truncated or parsed. A
+    ragged or wrongly-typed input is a :class:`GraphError` on ``field``.
+    """
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise GraphError("is not a rectangular array", field=field) from exc
+    if arr.size and arr.dtype.kind not in _KINDS[holds]:
+        raise GraphError(f"must hold {holds}, got dtype {arr.dtype}", field=field)
+    return arr
+
+
 def canonicalize_edges(edges: Any, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate and canonicalize an undirected edge list.
 
@@ -34,22 +54,25 @@ def canonicalize_edges(edges: Any, n_nodes: int) -> tuple[np.ndarray, np.ndarray
     sorted so ``u < v`` and rows lexicographically sorted, plus the
     permutation ``order`` mapping input edge positions to canonical rows
     (``canon[k]`` came from input row ``order[k]``). Raises
-    :class:`GraphError` on self-loops, out-of-range endpoints or duplicate
-    edges. An empty input yields ``(0, 2)`` / ``(0,)`` arrays.
+    :class:`GraphError` (``field="edges"``) on non-integer endpoints,
+    self-loops, out-of-range endpoints or duplicate edges. An empty input
+    yields ``(0, 2)`` / ``(0,)`` arrays.
     """
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = _array(edges, "edges", "integers")
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64)
+    arr = arr.astype(np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError(f"edges must have shape (E, 2), got {arr.shape}")
+        raise GraphError(f"must have shape (E, 2), got {arr.shape}", field="edges")
     if arr.min() < 0 or arr.max() >= n_nodes:
         raise GraphError(
-            f"edge endpoints must be in [0, {n_nodes - 1}], "
-            f"got range [{arr.min()}, {arr.max()}]"
+            f"must have endpoints in [0, {n_nodes - 1}], "
+            f"got range [{arr.min()}, {arr.max()}]",
+            field="edges",
         )
     if np.any(arr[:, 0] == arr[:, 1]):
         bad = arr[arr[:, 0] == arr[:, 1]][0]
-        raise GraphError(f"self-loop at node {bad[0]} is not allowed")
+        raise GraphError(f"must not hold self-loops, got one at node {bad[0]}", field="edges")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     canon = np.stack([lo, hi], axis=1)
@@ -58,7 +81,9 @@ def canonicalize_edges(edges: Any, n_nodes: int) -> tuple[np.ndarray, np.ndarray
     dup = np.all(canon[1:] == canon[:-1], axis=1)
     if dup.any():
         first = canon[1:][dup][0]
-        raise GraphError(f"duplicate edge ({first[0]}, {first[1]})")
+        raise GraphError(
+            f"must not hold duplicates, got edge ({first[0]}, {first[1]}) twice", field="edges"
+        )
     return canon, order
 
 
@@ -89,27 +114,23 @@ class WeightedGraph:
         *,
         name: str = "",
     ) -> None:
-        nw = np.asarray(node_weights, dtype=np.float64)
+        nw = _array(node_weights, "node_weights", "numbers").astype(np.float64, copy=False)
         if nw.ndim != 1 or nw.size == 0:
-            raise GraphError(f"node_weights must be a non-empty 1-D array, got shape {nw.shape}")
+            raise GraphError(
+                f"must be a non-empty 1-D array, got shape {nw.shape}", field="node_weights"
+            )
         if not np.all(np.isfinite(nw)) or np.any(nw < 0):
-            raise GraphError("node weights must be finite and non-negative")
-        n = nw.shape[0]
+            raise GraphError("must be finite and non-negative", field="node_weights")
 
-        raw_edges = np.asarray(edges, dtype=np.int64)
-        ew = np.asarray(edge_weights, dtype=np.float64)
-        if raw_edges.size == 0:
-            canon = np.empty((0, 2), dtype=np.int64)
-            ew = np.empty(0, dtype=np.float64)
-        else:
-            canon, order = canonicalize_edges(raw_edges, n)
-            if ew.shape != (canon.shape[0],):
-                raise GraphError(
-                    f"edge_weights must have shape ({canon.shape[0]},), got {ew.shape}"
-                )
-            ew = ew[order]
-        if ew.size and (not np.all(np.isfinite(ew)) or np.any(ew < 0)):
-            raise GraphError("edge weights must be finite and non-negative")
+        canon, order = canonicalize_edges(edges, nw.shape[0])
+        ew = _array(edge_weights, "edge_weights", "numbers").astype(np.float64, copy=False)
+        if ew.shape != (canon.shape[0],):
+            raise GraphError(
+                f"must have shape ({canon.shape[0]},), got {ew.shape}", field="edge_weights"
+            )
+        ew = ew[order]
+        if not np.all(np.isfinite(ew)) or np.any(ew < 0):
+            raise GraphError("must be finite and non-negative", field="edge_weights")
 
         self._node_weights = nw
         self._node_weights.setflags(write=False)

@@ -97,7 +97,8 @@ class ResourceGraph(WeightedGraph):
         off_diag = ~np.eye(self.n_nodes, dtype=bool)
         if np.any(~np.isfinite(closed[off_diag])):
             raise GraphError(
-                "resource graph is disconnected: some resource pairs cannot communicate"
+                "must connect every resource pair: the resource graph is disconnected",
+                field="edges",
             )
         return closed
 

@@ -124,11 +124,13 @@ class MappingProblem:
     def plane_arrays(self) -> dict[str, np.ndarray]:
         """Every numeric array a worker needs, keyed for the problem plane.
 
-        This is the instance's complete wire format for
-        :mod:`repro.utils.shared_plane`: the TIG arrays, the resource-graph
-        arrays, and the already-closed communication-cost matrix (published
-        so workers skip re-running the Floyd–Warshall closure).
-        :meth:`from_plane_arrays` inverts it bit-for-bit.
+        The TIG arrays, the resource-graph arrays and the already-closed
+        communication-cost matrix: the format of
+        :mod:`repro.utils.shared_plane` (which publishes ``comm_costs`` so
+        workers skip the Floyd–Warshall closure) and the input of
+        :func:`~repro.mapping.problem_key.problem_key`. The service wire
+        sends only the six graph arrays. :meth:`from_plane_arrays` inverts
+        this bit-for-bit.
         """
         return {
             "task_weights": self.task_weights,
@@ -150,13 +152,18 @@ class MappingProblem:
     ) -> "MappingProblem":
         """Rebuild a problem from :meth:`plane_arrays` output (zero-copy).
 
-        The graphs are reconstructed through their normal validating
-        constructors (the arrays are tiny and already canonical), but the
-        dense ``comm_costs`` matrix — the one O(n²) payload — is adopted
-        as-is instead of being recomputed, so a worker attaching to a
-        shared-memory segment reads the parent's pages directly. The result
-        is numerically identical to the published problem: same weights,
-        same canonical edge order, same closed cost matrix.
+        Only the shared-memory plane uses this
+        (:func:`~repro.utils.shared_plane.resolve_problem`): its
+        ``comm_costs`` was closed by ``__init__`` in the publishing process.
+        Every other path, the service wire included, builds through
+        ``__init__``. The graphs are reconstructed through their normal
+        validating constructors (the arrays are tiny and already
+        canonical), but the dense ``comm_costs`` matrix — the one O(n²)
+        payload — is adopted as-is instead of being recomputed, so a worker
+        attaching to a shared-memory segment reads the parent's pages
+        directly. The result is numerically identical to the published
+        problem: same weights, same canonical edge order, same closed cost
+        matrix.
         """
         tig = TaskInteractionGraph(
             arrays["task_weights"],

@@ -9,9 +9,10 @@ stable across
 
 * **processes and hosts** — only array *values* are hashed, never object
   ids, memory layout or dict ordering;
-* **construction paths** — a problem built from graph objects, rebuilt
-  from :meth:`~repro.mapping.problem.MappingProblem.plane_arrays`, or
-  attached zero-copy from a shared-memory segment hashes identically;
+* **construction paths** — a problem built from graph objects, decoded
+  from the service wire (which sends the six graph arrays and rebuilds
+  ``comm_costs`` through the constructor), or attached zero-copy from a
+  shared-memory segment hashes identically;
 * **dtype accidents** — an edge list that arrived as ``int32`` (a common
   default on Windows / from ``np.array`` literals) or weights passed as
   ``float32`` hash the same as their 64-bit twins, because every array is

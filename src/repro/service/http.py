@@ -6,7 +6,8 @@ that speaks just enough HTTP for a curl / ``urllib`` client —
 * ``POST /solve`` — body is the :mod:`repro.service.wire` request JSON;
   answers the :class:`~repro.service.service.MappingResponse` wire form
   with status 200 (ok), 429 (structured quota rejection), 500 (failed
-  solve) or 400 (malformed request);
+  solve), 400 (malformed request) or 413 (a ``Content-Length`` past
+  :data:`MAX_BODY_BYTES`, answered without reading the body);
 * ``GET /healthz`` — liveness probe;
 * ``GET /stats`` — the service counters (cache, quotas, dispatches).
 
@@ -31,11 +32,16 @@ from repro.service.wire import request_from_wire
 
 __all__ = ["start_http_server", "submit_over_http"]
 
-#: Refuse bodies past this size (a square n=1000 inline problem is ~24 MB;
-#: serving-scale requests use the compact generator spec instead).
-MAX_BODY_BYTES = 32 * 1024 * 1024
+#: Refuse bodies past this size with a 413 (DESIGN §14). The largest
+#: well-formed body at the wire caps (n = 128, complete TIG and complete
+#: platform) is 0.46 MiB compact and 1.18 MiB with ``indent=2`` for
+#: full-precision floats, 1.26 MiB with the longest float reprs.
+MAX_BODY_BYTES = 2 * 1024 * 1024
 
-_STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 429: "Too Many Requests", 500: "Internal Server Error"}
+_STATUS_TEXT = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Payload Too Large",
+    429: "Too Many Requests", 500: "Internal Server Error",
+}
 
 
 def _response_bytes(status: int, payload: dict[str, Any]) -> bytes:
@@ -49,10 +55,11 @@ def _response_bytes(status: int, payload: dict[str, Any]) -> bytes:
     return head.encode("ascii") + body
 
 
-async def _read_request(
+async def _read_head(
     reader: asyncio.StreamReader,
-) -> tuple[str, str, bytes] | None:
-    """``(method, path, body)`` for one request, or None on EOF/overflow."""
+) -> tuple[str, str, int] | None:
+    """``(method, path, content_length)`` of one request, or None on EOF or
+    a bad header; the body is left unread."""
     try:
         request_line = await reader.readline()
     except (ConnectionError, asyncio.LimitOverrunError):
@@ -72,10 +79,9 @@ async def _read_request(
                 content_length = int(value.strip())
             except ValueError:
                 return None
-    if content_length < 0 or content_length > MAX_BODY_BYTES:
+    if content_length < 0:
         return None
-    body = await reader.readexactly(content_length) if content_length else b""
-    return method, path, body
+    return method, path, content_length
 
 
 async def _handle_connection(
@@ -84,15 +90,21 @@ async def _handle_connection(
     service: MappingService,
 ) -> None:
     try:
-        parsed = await _read_request(reader)
-        if parsed is None:
+        head = await _read_head(reader)
+        if head is None:
             return
-        method, path, body = parsed
-        if method == "GET" and path == "/healthz":
+        method, path, length = head
+        if length > MAX_BODY_BYTES:
+            out = _response_bytes(413, {"error": {
+                "kind": "too-large", "max_body_bytes": MAX_BODY_BYTES,
+                "message": f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap",
+            }})
+        elif method == "GET" and path == "/healthz":
             out = _response_bytes(200, {"ok": True})
         elif method == "GET" and path == "/stats":
             out = _response_bytes(200, service.stats())
         elif method == "POST" and path == "/solve":
+            body = await reader.readexactly(length) if length else b""
             out = await _handle_solve(service, body)
         else:
             out = _response_bytes(404, {"error": f"no route for {method} {path}"})

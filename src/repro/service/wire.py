@@ -2,8 +2,8 @@
 
 One request/response vocabulary shared by the HTTP server, the ``repro
 submit`` client and the service benchmark, so every entry point speaks the
-same JSON. A request names its problem either **inline** (the
-``plane_arrays`` wire format as nested lists) or by **generator spec**
+same JSON. A request names its problem either **inline** (the six graph
+arrays of :func:`problem_to_wire` as nested lists) or by **generator spec**
 (``{"size": n, "seed": s}`` — the deterministic paper-pair generator, so
 server-side construction is bit-identical to what an offline
 ``repro-match solve --size n --seed s`` builds):
@@ -18,20 +18,20 @@ server-side construction is bit-identical to what an offline
       "max_evaluations": 20000
     }
 
-Array dtypes are canonicalized on decode (floats to ``float64``, index
-arrays to ``int64``), so an inline problem hashes to the same
-:func:`~repro.mapping.problem_key.problem_key` no matter which JSON
-encoder produced it.
+An inline problem is built by the graph constructors and ``MappingProblem``,
+as any library caller builds it: ``comm_costs`` is derived there, never
+sent; a refused graph is a :class:`ValidationError` naming the array; and
+the problem hashes to the sender's :func:`~repro.mapping.problem_key.problem_key`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro.core.config import paper_sample_size
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ConfigurationError, GraphError, ValidationError
+from repro.graphs.resource_graph import ResourceGraph
+from repro.graphs.task_graph import TaskInteractionGraph
 from repro.mapping.problem import MappingProblem
 from repro.runtime.registry import SolverSpec
 from repro.service.service import MappingRequest
@@ -49,13 +49,12 @@ __all__ = [
     "MAX_WIRE_REFINE_SWEEPS",
 ]
 
+#: Each graph's inline arrays, in the order of its constructor's
+#: ``node_weights, edges, edge_weights``.
+_TIG_ARRAYS = ("task_weights", "tig_edges", "tig_edge_weights")
+_RES_ARRAYS = ("proc_weights", "res_edges", "res_edge_weights")
 #: The inline arrays, exactly the names :func:`problem_to_wire` sends.
-_WIRE_ARRAYS = frozenset(
-    "task_weights tig_edges tig_edge_weights proc_weights "
-    "res_edges res_edge_weights comm_costs".split()
-)
-#: The arrays that carry vertex/edge indices (integers, decoded as int64).
-_INDEX_ARRAYS = frozenset({"tig_edges", "res_edges"})
+_WIRE_ARRAYS = frozenset(_TIG_ARRAYS + _RES_ARRAYS)
 
 #: Largest task count a wire problem may name, by generator spec or inline
 #: arrays, and the largest resource count of an inline problem. MaTCH
@@ -91,8 +90,13 @@ _PARAM_BOUNDS = {
 
 
 def problem_to_wire(problem: MappingProblem) -> dict[str, Any]:
-    """Inline wire form: the plane arrays as nested lists."""
-    return {"arrays": {k: v.tolist() for k, v in problem.plane_arrays().items()}}
+    """Inline wire form: the six graph arrays as nested lists.
+
+    ``comm_costs`` is not sent; the receiver derives it from the resource
+    graph, as every :class:`MappingProblem` does.
+    """
+    arrays = problem.plane_arrays()
+    return {"arrays": {name: arrays[name].tolist() for name in _TIG_ARRAYS + _RES_ARRAYS}}
 
 
 #: solver name -> (can it map n_t tasks onto n_r resources?, the rule).
@@ -138,22 +142,18 @@ def _wire_int(value: Any, what: str, minimum: int, maximum: int | None = None) -
     return value
 
 
-def _decode_array(name: str, value: Any) -> np.ndarray:
-    """One named array as int64 (edge lists, which must hold integers) or
-    float64; a ragged or non-numeric array is refused by name."""
+def _named(exc: GraphError, names: tuple[str, str, str]) -> ValidationError:
+    """A graph constructor's rejection, naming the wire array at fault."""
+    name = dict(zip(("node_weights", "edges", "edge_weights"), names))[exc.field]
+    return ValidationError(f"problem.arrays.{name} {exc.reason}")
+
+
+def _graph(cls: type, raw: Mapping[str, Any], names: tuple[str, str, str]) -> Any:
+    """Build one graph from its three wire arrays; a rejection names the array."""
     try:
-        arr = np.asarray(value)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValidationError(f"problem.arrays.{name} is not a rectangular array") from exc
-    if name in _INDEX_ARRAYS:
-        if arr.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        if arr.dtype.kind not in "iu":
-            raise ValidationError(f"problem.arrays.{name} must hold integers")
-        return arr.astype(np.int64)
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"problem.arrays.{name} must hold numbers")
-    return arr.astype(np.float64)
+        return cls(*(raw[name] for name in names))
+    except GraphError as exc:
+        raise _named(exc, names) from exc
 
 
 def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
@@ -170,22 +170,19 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
                 f"problem.arrays must name exactly {sorted(_WIRE_ARRAYS)}; missing "
                 f"{sorted(_WIRE_ARRAYS - names)}, unknown {sorted(names - _WIRE_ARRAYS)}"
             )
-        # Count tasks and resources before decoding the rest: comm_costs
-        # alone holds n_resources² floats.
-        arrays: dict[str, np.ndarray] = {}
+        # Count tasks and resources before anything is converted, so an
+        # over-cap body is refused before its edge lists (up to n²/2 pairs
+        # per graph) are canonicalized and before the O(n_r³) cost closure.
+        # A weight array that is not a JSON list is refused by its graph.
         for name, noun in (("task_weights", "tasks"), ("proc_weights", "resources")):
-            arrays[name] = _decode_array(name, raw[name])
-            _check_count(arrays[name].size, "problem.arrays", noun)
-        for name in sorted(_WIRE_ARRAYS.difference(arrays)):
-            arrays[name] = _decode_array(name, raw[name])
-        # from_plane_arrays adopts this matrix as-is (it checks only the
-        # shape); a closed cost matrix is always finite and non-negative.
-        comm = arrays["comm_costs"]
-        if not (np.isfinite(comm).all() and (comm >= 0).all()):
-            raise ValidationError(
-                "problem.arrays.comm_costs must be finite and non-negative"
-            )
-        return MappingProblem.from_plane_arrays(arrays)
+            if isinstance(raw[name], list):
+                _check_count(len(raw[name]), "problem.arrays", noun)
+        tig = _graph(TaskInteractionGraph, raw, _TIG_ARRAYS)
+        resources = _graph(ResourceGraph, raw, _RES_ARRAYS)
+        try:
+            return MappingProblem(tig, resources)
+        except GraphError as exc:  # a disconnected platform
+            raise _named(exc, _RES_ARRAYS) from exc
     if "size" in payload:
         from repro.graphs import generate_paper_pair
 
@@ -195,7 +192,7 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
         pair = generate_paper_pair(size, seed)
         return MappingProblem(pair.tig, pair.resources, require_square=True)
     raise ValidationError(
-        "problem must carry either 'arrays' (inline plane arrays) or "
+        "problem must carry either 'arrays' (inline graph arrays) or "
         "'size'/'seed' (generator spec)"
     )
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError, ValidationError
+from repro.graphs import TaskInteractionGraph
 from repro.graphs.base import WeightedGraph, canonicalize_edges
 
 
@@ -66,7 +67,7 @@ class TestConstruction:
             WeightedGraph([])
 
     def test_negative_node_weight_rejected(self):
-        with pytest.raises(GraphError, match="node weights"):
+        with pytest.raises(GraphError, match="node_weights must be finite"):
             WeightedGraph([1.0, -2.0])
 
     def test_nan_node_weight_rejected(self):
@@ -74,12 +75,39 @@ class TestConstruction:
             WeightedGraph([1.0, float("nan")])
 
     def test_negative_edge_weight_rejected(self):
-        with pytest.raises(GraphError, match="edge weights"):
+        with pytest.raises(GraphError, match="edge_weights must be finite"):
             WeightedGraph([1, 1], [(0, 1)], [-1.0])
 
     def test_edge_weight_length_mismatch(self):
         with pytest.raises(GraphError, match="edge_weights"):
             WeightedGraph([1, 1], [(0, 1)], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "edges", [[[0.7, 2.9]], [[0.0, 2.0]], [["0", "2"]], [[True, False]]],
+        ids=["fractional", "integral-floats", "strings", "bools"],
+    )
+    def test_non_integer_edges_rejected_not_truncated(self, edges):
+        # np.asarray(edges, dtype=int64) would read [[0.7, 2.9]] as [[0, 2]].
+        with pytest.raises(GraphError, match="edges must hold integers") as info:
+            TaskInteractionGraph([1, 1, 1], edges, [1.0])
+        assert info.value.field == "edges"
+
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("node_weights", (["1.5", "2"],)),
+            ("node_weights", ([True, False],)),
+            ("edge_weights", ([1, 1], [(0, 1)], ["3"])),
+            ("edge_weights", ([1, 1], [], [1.0])),
+            ("edges", ([1, 1], [[0, 1], [1]], [1.0, 1.0])),
+        ],
+        ids=["string-node-weights", "bool-node-weights", "string-edge-weights",
+             "weights-without-edges", "ragged-edges"],
+    )
+    def test_bad_input_array_names_its_field(self, field, args):
+        with pytest.raises(GraphError, match=f"^{field} ") as info:
+            WeightedGraph(*args)
+        assert info.value.field == field
 
     def test_arrays_read_only(self):
         g = make_triangle()

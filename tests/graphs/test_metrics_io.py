@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import SerializationError
+from repro.exceptions import GraphError, SerializationError
 from repro.graphs import (
     ResourceGraph,
     TaskInteractionGraph,
@@ -59,6 +59,12 @@ class TestGraphJson:
     def test_missing_field(self):
         with pytest.raises(SerializationError):
             graph_from_dict({"schema": "repro.graph/1", "kind": "generic"})
+
+    def test_fractional_edges_refused_not_truncated(self):
+        payload = graph_to_dict(WeightedGraph([1, 1, 1], [(0, 1)], [2.0]))
+        payload["edges"] = [[0.5, 1.5]]
+        with pytest.raises(GraphError, match="edges must hold integers"):
+            graph_from_dict(payload)
 
     def test_non_dict(self):
         with pytest.raises(SerializationError):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.graphs import generate_paper_pair
+from repro.graphs import ResourceGraph, TaskInteractionGraph, generate_paper_pair
 from repro.mapping import MappingProblem, problem_key
 from repro.runtime.registry import SolverSpec
 from repro.service import (
@@ -21,6 +23,7 @@ from repro.service import (
     start_http_server,
     submit_over_http,
 )
+from repro.service.http import MAX_BODY_BYTES
 from repro.service.wire import (
     MAX_WIRE_GENERATIONS,
     MAX_WIRE_ITERATIONS,
@@ -74,14 +77,12 @@ def shaped_problem(n_tasks: int, n_resources: int) -> MappingProblem:
 
 
 def wide_platform_arrays(n_resources: int = 1_500) -> dict:
-    """Inline arrays for 4 tasks on ``n_resources`` resources (about 10.7 MiB
-    of JSON at 1,500): under ``MAX_BODY_BYTES``, far past ``MAX_WIRE_TASKS``."""
+    """Inline arrays for 4 tasks on ``n_resources`` resources, far past
+    ``MAX_WIRE_TASKS``."""
     arrays = problem_to_wire(make_problem(4, 1))["arrays"]
     arrays["proc_weights"] = [1.0] * n_resources
     arrays["res_edges"] = [[0, 1]]
     arrays["res_edge_weights"] = [1.0]
-    row = [0.0] * n_resources
-    arrays["comm_costs"] = [row] * n_resources
     return arrays
 
 
@@ -195,13 +196,13 @@ class TestWire:
         with pytest.raises(ValidationError, match="at most"):
             problem_from_wire({"arrays": arrays})
 
-    def test_inline_resource_count_capped_before_comm_costs(self):
+    def test_inline_resource_count_capped_before_graphs_are_built(self):
         arrays = wide_platform_arrays()
         with pytest.raises(ValidationError, match="1500 resources; the wire accepts at most"):
             request_from_wire({"problem": {"arrays": arrays}})
-        # Counted before comm_costs is decoded: a body whose matrix cannot
+        # Counted before any graph is built: a body whose edge list cannot
         # even be converted still gets the count error.
-        arrays["comm_costs"] = "never decoded"
+        arrays["res_edges"] = "never decoded"
         with pytest.raises(ValidationError, match="1500 resources"):
             problem_from_wire({"arrays": arrays})
 
@@ -247,15 +248,21 @@ class TestWire:
             assert accepted == maps, (solver, n_tasks, n_resources)
 
     @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"]
+        "bad", [float("nan"), float("inf"), -1.0, None], ids=["nan", "inf", "negative", "closed"]
     )
     def test_bad_inline_comm_costs_rejected(self, bad):
-        arrays = problem_to_wire(make_problem(4, 1))["arrays"]
-        arrays["comm_costs"][0][1] = bad
-        with pytest.raises(ValidationError, match="comm_costs must be finite"):
+        # The wire no longer carries comm_costs: a body that names it is
+        # refused by name, whatever the matrix holds (``None``: the closure).
+        problem = make_problem(4, 1)
+        arrays = problem_to_wire(problem)["arrays"]
+        assert "comm_costs" not in arrays
+        arrays["comm_costs"] = problem.comm_costs.tolist()
+        if bad is not None:
+            arrays["comm_costs"][0][1] = bad
+        with pytest.raises(ValidationError, match=r"unknown \['comm_costs'\]"):
             problem_from_wire({"arrays": arrays})
         # Rejected at decode, so the HTTP layer answers 400 before admission.
-        with pytest.raises(ValidationError, match="comm_costs must be finite"):
+        with pytest.raises(ValidationError, match=r"unknown \['comm_costs'\]"):
             request_from_wire({"problem": {"arrays": arrays}})
 
 
@@ -283,9 +290,45 @@ def _string_weights(arrays: dict) -> None:
     arrays["task_weights"] = ["1.5"] * len(arrays["task_weights"])
 
 
+def _two_d_task_weights(arrays: dict) -> None:
+    arrays["task_weights"] = [[1.0, 2.0], [3.0, 4.0]]
+
+
+def _set_item(name, index, value):
+    def tamper(arrays: dict) -> None:
+        arrays[name][index] = value
+    return tamper
+
+
+def _disconnect(arrays: dict) -> None:
+    arrays["res_edges"] = []
+    arrays["res_edge_weights"] = []
+
+
+def _drop_edge_weight(arrays: dict) -> None:
+    arrays["tig_edge_weights"].pop()
+
+
+#: (tamper, message) per graph defect: the graph constructors refuse each,
+#: and the wire names the array.
+GRAPH_DEFECTS = {
+    "nan-task-weight": (_set_item("task_weights", 0, float("nan")), "task_weights must be finite"),
+    "negative-task-weight": (_set_item("task_weights", 1, -1.0), "task_weights must be finite"),
+    "nan-proc-weight": (_set_item("proc_weights", 0, float("nan")), "proc_weights must be finite"),
+    "negative-proc-weight": (_set_item("proc_weights", 2, -0.5), "proc_weights must be finite"),
+    "tig-edge-out-of-range": (_set_item("tig_edges", 0, [0, 4]), "tig_edges must have endpoints"),
+    "res-edge-out-of-range": (_set_item("res_edges", 0, [-1, 2]), "res_edges must have endpoints"),
+    "self-loop": (_set_item("tig_edges", 0, [2, 2]), "tig_edges must not hold self-loops"),
+    "edge-weight-count": (_drop_edge_weight, r"tig_edge_weights must have shape \(\d+,\)"),
+    "2d-task-weights": (_two_d_task_weights, "task_weights must be a non-empty 1-D"),
+    "empty-res-edges": (_disconnect, "res_edges must connect .* disconnected"),
+}
+
+
 class TestInlineArrays:
-    """The inline arrays are exactly the seven names ``problem_to_wire``
-    sends, each a rectangular numeric array (integers for edge lists)."""
+    """The inline arrays are exactly the six graph arrays ``problem_to_wire``
+    sends; the graph constructors judge them, and the wire names the array
+    of every rejection."""
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -296,14 +339,26 @@ class TestInlineArrays:
             (_ragged_weights, "tig_edge_weights is not a rectangular array"),
             (_string_edges, "res_edges must hold integers"),
             (_string_weights, "task_weights must hold numbers"),
-        ],
-        ids=["missing", "unknown", "fractional-edges", "ragged", "string-edges", "string-weights"],
+        ]
+        + [(tamper, rf"^problem\.arrays\.{message}") for tamper, message in GRAPH_DEFECTS.values()],
+        ids=["missing", "unknown", "fractional-edges", "ragged", "string-edges", "string-weights",
+             *GRAPH_DEFECTS],
     )
     def test_malformed_arrays_rejected_by_name(self, tamper, message):
         arrays = problem_to_wire(make_problem(4, 1))["arrays"]
         tamper(arrays)
         with pytest.raises(ValidationError, match=message):
             problem_from_wire({"arrays": arrays})
+
+    def test_inline_problem_is_built_by_the_constructor(self, monkeypatch):
+        # Never adopted through the plane's path, which trusts comm_costs.
+        def _never(*args, **kwargs):
+            raise AssertionError("inline problem adopted through from_plane_arrays")
+
+        monkeypatch.setattr(MappingProblem, "from_plane_arrays", _never)
+        problem = shaped_problem(3, 6)
+        rebuilt = problem_from_wire(problem_to_wire(problem))
+        assert np.array_equal(rebuilt.comm_costs, problem.comm_costs)
 
     @pytest.mark.parametrize("n_tasks, n_resources", [(4, 4), (10, 10), (3, 6)])
     def test_well_formed_bodies_keep_their_problem_key(self, n_tasks, n_resources):
@@ -490,6 +545,60 @@ class TestHttp:
         assert health.startswith(b"HTTP/1.1 200") and b'{"ok": true}' in health
         assert missing.startswith(b"HTTP/1.1 404")
         assert stats["requests"] == 2 and stats["cache_hits"] == 1
+
+    def test_pretty_printed_body_at_the_caps_fits(self):
+        """The largest well-formed body (complete TIG and complete platform
+        at ``MAX_WIRE_TASKS``, full-precision floats, ``indent=2``) is
+        accepted by the decoder and fits under ``MAX_BODY_BYTES``."""
+        n = MAX_WIRE_TASKS
+        edges = np.stack(np.triu_indices(n, k=1), axis=1)
+        rng = np.random.default_rng(0)
+        problem = MappingProblem(
+            TaskInteractionGraph(rng.random(n) * 1e3, edges, rng.random(len(edges)) * 1e3),
+            ResourceGraph(rng.random(n) * 1e3, edges, rng.random(len(edges)) * 1e3),
+        )
+        request = request_from_wire({"problem": problem_to_wire(problem)})
+        body = json.dumps(request_to_wire(request), indent=2).encode("utf-8")
+        assert len(body) < MAX_BODY_BYTES
+        assert problem_key(request_from_wire(json.loads(body)).problem) == problem_key(problem)
+
+    def test_oversize_body_gets_413_without_being_read(self):
+        """A ``Content-Length`` past the cap is answered at once with a
+        structured 413 naming the cap; the body is never awaited, and the
+        daemon keeps serving."""
+
+        async def main():
+            config = ServiceConfig(n_workers=1)
+            async with MappingService(config) as service:
+                server = await start_http_server(service, host="127.0.0.1", port=0)
+                port = server.sockets[0].getsockname()[1]
+                loop = asyncio.get_running_loop()
+
+                def raw(request_bytes):
+                    with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+                        s.sendall(request_bytes)
+                        chunks = b""
+                        while data := s.recv(65536):
+                            chunks += data
+                        return chunks
+
+                head = f"POST /solve HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+                too_large = await loop.run_in_executor(None, raw, head.encode("ascii"))
+                health = await loop.run_in_executor(
+                    None, raw, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                )
+                server.close()
+                await server.wait_closed()
+                return too_large, health, service.stats()
+
+        too_large, health, stats = asyncio.run(main())
+        assert too_large.startswith(b"HTTP/1.1 413 Payload Too Large")
+        error = json.loads(too_large.partition(b"\r\n\r\n")[2])["error"]
+        assert error["kind"] == "too-large"
+        assert error["max_body_bytes"] == MAX_BODY_BYTES
+        assert str(MAX_BODY_BYTES) in error["message"]
+        assert health.startswith(b"HTTP/1.1 200")
+        assert stats["requests"] == 0
 
     def test_over_cap_bodies_get_400_before_admission(self):
         """Each capped param just past its bound, the unbounded audit body and
