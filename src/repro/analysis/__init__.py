@@ -11,17 +11,11 @@ and a whole-program flow analysis (``repro-lint --flow``, see
 :mod:`repro.analysis.flow`) that builds a call graph, per-function CFGs
 and interprocedural summaries to verify RNG seed provenance, shared-memory
 lifecycles, budget charging and worker purity across module boundaries.
-Both honor inline ``# repro: noqa[rule]`` suppressions and the checked-in
-baseline for accepted debt. ``DESIGN.md`` § "Determinism contract" and
+Both honor inline ``# repro: noqa[rule]`` suppressions, each naming its
+rule and carrying a justification. ``DESIGN.md § "Determinism contract" and
 §12 "Flow analysis" document the rationale rule by rule.
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     ALL_CHECKERS,
     LintResult,
@@ -35,18 +29,14 @@ from repro.analysis.rules import FLOW_RULE_IDS, RULE_IDS, RULES, Rule
 
 __all__ = [
     "ALL_CHECKERS",
-    "DEFAULT_BASELINE_NAME",
     "FLOW_RULE_IDS",
     "Finding",
     "LintResult",
     "RULES",
     "RULE_IDS",
     "Rule",
-    "apply_baseline",
     "flow_paths",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -2,9 +2,9 @@
 
 Each checker is an :class:`ast.NodeVisitor` over one module with access to
 a :class:`CheckContext` (path, source lines, pre-computed module facts).
-Checkers only *collect* findings; suppression (``# repro: noqa[...]``),
-rule-level path exemptions and baselines are applied by the engine, so a
-checker never needs to know about them.
+Checkers only *collect* findings; suppression (``# repro: noqa[...]``)
+and rule-level path exemptions are applied by the engine, so a checker
+never needs to know about them.
 """
 
 from __future__ import annotations

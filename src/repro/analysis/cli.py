@@ -8,10 +8,9 @@ Usage::
     repro-lint --format json         # machine-readable findings
     repro-lint --format sarif        # GitHub code-scanning upload format
     repro-lint --select seed-discipline,wallclock
-    repro-lint --write-baseline      # accept current findings as debt
     repro-lint --list-rules          # what is enforced, and why
 
-Exit codes: 0 clean (after noqa + baseline), 1 findings, 2 usage error.
+Exit codes: 0 clean (after noqa), 1 findings, 2 usage error.
 ``python -m repro.analysis`` is the same entry point.
 """
 
@@ -23,7 +22,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, write_baseline
 from repro.analysis.engine import LintResult, flow_paths, lint_paths
 from repro.analysis.rules import RULE_IDS, RULES
 from repro.utils.tables import format_table
@@ -64,17 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RULES",
         default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=DEFAULT_BASELINE_NAME,
-        help=f"baseline file of accepted findings (default: {DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings into the baseline file and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -120,13 +107,8 @@ def _render_table(result: LintResult) -> str:
         f"repro-lint: {len(result.findings)} finding(s) in "
         f"{result.files_scanned} file(s)"
     )
-    extras = []
     if result.suppressed:
-        extras.append(f"{result.suppressed} noqa-suppressed")
-    if result.baselined:
-        extras.append(f"{result.baselined} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({result.suppressed} noqa-suppressed)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -146,26 +128,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     paths = args.paths or _default_paths(args.flow)
     runner = flow_paths if args.flow else lint_paths
     try:
-        result = runner(
-            paths,
-            select=select,
-            baseline_path=None if args.write_baseline else args.baseline,
-        )
+        result = runner(paths, select=select)
     except ValueError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        out = write_baseline(result.findings, args.baseline)
-        print(f"repro-lint: wrote {len(result.findings)} finding(s) to {out}")
-        return 0
 
     if args.format == "json":
         payload = {
             "findings": [f.to_dict() for f in result.findings],
             "files_scanned": result.files_scanned,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
             "ok": result.ok,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))

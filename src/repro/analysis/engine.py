@@ -1,10 +1,10 @@
-"""Linter engine: file discovery, checker dispatch, suppression, baseline.
+"""Linter engine: file discovery, checker dispatch, suppression.
 
 The engine is deliberately boring: parse each file once, hand the tree to
 every selected checker, then peel off findings that are (a) on a
-``# repro: noqa[...]`` line, (b) in a rule's default path exemptions, or
-(c) recorded in the baseline. Everything downstream (CLI, tests, CI) works
-with the returned :class:`LintResult`.
+``# repro: noqa[...]`` line or (b) in a rule's default path exemptions.
+Everything downstream (CLI, tests, CI) works with the returned
+:class:`LintResult`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, Type
 
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.checkers.base import Checker, CheckContext
 from repro.analysis.checkers.float_equality import FloatEqualityChecker
 from repro.analysis.checkers.kernel_discipline import KernelDisciplineChecker
@@ -57,7 +56,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -135,13 +133,12 @@ def lint_paths(
     paths: Sequence[str | Path],
     *,
     select: Sequence[str] | None = None,
-    baseline_path: str | Path | None = None,
     root: str | Path | None = ".",
 ) -> LintResult:
     """Lint every ``.py`` file under ``paths``.
 
     ``root`` anchors the paths reported in findings (and matched against
-    the baseline / rule exemptions); it defaults to the working directory
+    the rule exemptions); it defaults to the working directory
     at call time so reports are repo-relative regardless of how paths were
     spelled. Pass ``None`` to keep paths exactly as given.
     """
@@ -156,10 +153,6 @@ def lint_paths(
         result.suppressed += suppressed
         result.files_scanned += 1
     result.findings.sort()
-    if baseline_path is not None and Path(baseline_path).exists():
-        result.findings, result.baselined = apply_baseline(
-            result.findings, load_baseline(baseline_path)
-        )
     return result
 
 
@@ -167,13 +160,12 @@ def flow_paths(
     paths: Sequence[str | Path],
     *,
     select: Sequence[str] | None = None,
-    baseline_path: str | Path | None = None,
     root: str | Path | None = ".",
 ) -> LintResult:
     """Run the whole-program flow rules over every ``.py`` file under ``paths``.
 
     Same contract as :func:`lint_paths` — repo-relative display paths,
-    ``# repro: noqa[...]`` suppression, optional baseline — but the
+    ``# repro: noqa[...]`` suppression — but the
     analysis is interprocedural: findings may carry a call-chain
     :attr:`~repro.analysis.findings.Finding.trace`. ``select`` restricts
     to a subset of :data:`repro.analysis.rules.FLOW_RULE_IDS`.
@@ -203,13 +195,8 @@ def flow_paths(
             continue
         kept.append(finding)
 
-    result = LintResult(
+    return LintResult(
         findings=sorted(kept),
         files_scanned=len(index.modules),
         suppressed=len(raw) - len(kept),
     )
-    if baseline_path is not None and Path(baseline_path).exists():
-        result.findings, result.baselined = apply_baseline(
-            result.findings, load_baseline(baseline_path)
-        )
-    return result

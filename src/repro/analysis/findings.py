@@ -35,14 +35,6 @@ class Finding:
         """``path:line:col`` string for reports."""
         return f"{self.path}:{self.line}:{self.col}"
 
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Identity used by the baseline file.
-
-        Deliberately excludes line/column so unrelated edits that shift a
-        baselined finding up or down the file do not resurrect it.
-        """
-        return (self.rule, self.path, self.message)
-
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation (used by ``--format json``)."""
         payload: dict[str, object] = {

@@ -109,7 +109,6 @@ def to_sarif(result: LintResult, *, tool_version: str | None = None) -> dict[str
                 "properties": {
                     "filesScanned": result.files_scanned,
                     "suppressed": result.suppressed,
-                    "baselined": result.baselined,
                 },
             }
         ],

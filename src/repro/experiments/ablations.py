@@ -9,30 +9,33 @@ sentence of justification each; these sweeps supply the missing evidence:
 * ABL-N — quality/time vs. the sample-size rule (``n²``, ``2n²``, ``4n²``).
 
 Each sweep runs MaTCH with one knob varied on a fixed instance set and
-reports mean ET, MT and iteration counts per knob value. The
-(value × repetition) cells are independent and carry pre-derived seeds,
-so :func:`sweep` can dispatch them over a warm
+reports mean ET, MT and iteration counts per knob value. Each knob value's
+:class:`~repro.core.config.MatchConfig` becomes a ``"match"``
+:class:`~repro.runtime.registry.SolverSpec`, and the (value × repetition)
+cells are independent :class:`~repro.runtime.cell.SolveCell` solves with
+pre-derived seeds, so :func:`sweep` can dispatch them over a warm
 :class:`~repro.utils.parallel.WorkerPool` (``n_workers > 1``) with the
 instance published once to the shared-memory plane — bit-identical to
-the default serial loop.
+the default serial loop. The parent reads each cell's (ET, MT, iterations,
+evaluations) from the returned result.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.config import MatchConfig
-from repro.core.match import MatchMapper
 from repro.experiments.suite import build_suite
 from repro.runstore import current_run
+from repro.runtime.cell import SolveCell, solve_cell
+from repro.runtime.registry import SolverSpec
 from repro.utils.parallel import CellFailure, WorkerPool
 from repro.utils.rng import RngStreams
-from repro.utils.shared_plane import ProblemRef, resolve_problem
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -89,25 +92,6 @@ class AblationResult:
         )
 
 
-def _run_ablation_cell(
-    task: "tuple[MatchConfig, ProblemRef, int]",
-) -> tuple[float, float, float, int]:
-    """Top-level (picklable) worker: one (knob value, repetition) cell.
-
-    The config is built in the parent (``config_for`` may be a lambda,
-    which cannot cross the pipe); only the picklable config, the shared
-    problem reference and the seed travel.
-    """
-    config, problem_ref, run_seed = task
-    result = MatchMapper(config).map(resolve_problem(problem_ref), run_seed)
-    return (
-        result.execution_time,
-        result.mapping_time,
-        float(result.extras["iterations"]),
-        result.n_evaluations,
-    )
-
-
 def sweep(
     knob: str,
     values: Sequence[float],
@@ -128,18 +112,21 @@ def sweep(
     """
     instance = build_suite((size,), 1, seed=seed)[size][0]
     streams = RngStreams(seed=seed)
+    # ``config_for`` may be a lambda, which cannot cross the pipe: each
+    # config travels as its "match" spec instead.
+    specs = [SolverSpec.of("match", asdict(config_for(value))) for value in values]
     with WorkerPool(n_workers) as pool:
         problem_ref = pool.publish_problem(instance.problem)
         cells = [
-            (
-                config_for(value),
+            SolveCell(
                 problem_ref,
+                spec,
                 streams.seed_for("ablation", knob=knob, value=value, rep=rep),
             )
-            for value in values
+            for value, spec in zip(values, specs)
             for rep in range(runs)
         ]
-        report = pool.map_salvage(_run_ablation_cell, cells)
+        report = pool.map_salvage(solve_cell, cells)
     failed = {f.index for f in report.failures}
     if failed:
         named = ", ".join(
@@ -161,8 +148,12 @@ def sweep(
             if j not in failed
         ]
         if group:
-            ets, mts, its, evs = zip(*group)
-            means = tuple(float(np.mean(m)) for m in (ets, mts, its, evs))
+            means = (
+                float(np.mean([r.execution_time for r in group])),
+                float(np.mean([r.mapping_time for r in group])),
+                float(np.mean([r.extras["iterations"] for r in group])),
+                float(np.mean([r.n_evaluations for r in group])),
+            )
         else:
             means = (math.nan, math.nan, math.nan, math.nan)
         points.append(

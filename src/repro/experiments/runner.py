@@ -11,13 +11,18 @@ artifacts does not re-run the heuristics).
 The (size × pair × heuristic × repetition) cells are mutually independent
 and each carries its own derived seed, so :func:`run_comparison` dispatches
 them over the persistent execution fabric
-(:class:`repro.utils.parallel.WorkerPool`): one warm pool serves every
-cell, each instance's arrays are published once to the shared-memory
-problem plane (cells carry a handle plus a
-:class:`~repro.runtime.registry.SolverSpec` instead of pickled graphs), and
-cells are scheduled longest-first so big-``n`` stragglers cannot hold the
-tail. Every result field except the measured ``mapping_time`` wall-clock is
-identical — record for record — to the serial loop for any worker count.
+(:class:`repro.utils.parallel.WorkerPool`) as the library's one solve cell,
+:class:`~repro.runtime.cell.SolveCell`: one warm pool serves every cell,
+each instance's arrays are published once to the shared-memory problem
+plane (a cell carries a handle, a
+:class:`~repro.runtime.registry.SolverSpec` and a seed instead of pickled
+graphs), and cells are scheduled longest-first so big-``n`` stragglers
+cannot hold the tail. The runner keeps each cell's (heuristic, size, pair,
+repetition) identity beside the dispatch and turns every returned
+:class:`~repro.baselines.base.MapperResult` into a :class:`RunRecord` in
+the parent. Every result field except the measured ``mapping_time``
+wall-clock is identical — record for record — to the serial loop for any
+worker count.
 
 Heuristics are addressed through the solver registry
 (:mod:`repro.runtime.registry`): ``mappers`` maps each heuristic's label to
@@ -39,12 +44,13 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.experiments.spec import ScaleProfile
 from repro.experiments.suite import build_suite
+from repro.runtime.cell import SolveCell, solve_cell
 from repro.runtime.registry import SolverSpec
 from repro.runstore import current_run
 from repro.stats.comparison import SeriesBySize
 from repro.utils.parallel import WorkerPool
 from repro.utils.rng import RngStreams
-from repro.utils.shared_plane import ProblemRef, resolve_problem
+from repro.utils.shared_plane import ProblemRef
 
 __all__ = [
     "RunRecord",
@@ -132,52 +138,6 @@ def default_mappers(profile: ScaleProfile) -> dict[str, SolverSpec]:
     }
 
 
-@dataclass(frozen=True)
-class _ComparisonCell:
-    """One self-contained (heuristic, instance, repetition) unit of work.
-
-    Carries everything a worker process needs — and nothing heavy: the
-    solver travels as a :class:`SolverSpec`, the problem as a shared-memory
-    handle (:class:`~repro.utils.shared_plane.SharedProblemHandle`) when a
-    plane is active, and the cell's own pre-derived seed. Execution order and
-    process placement therefore cannot influence any result.
-    """
-
-    heuristic: str
-    size: int
-    pair_index: int
-    run_index: int
-    solver: SolverSpec
-    problem_ref: ProblemRef
-    run_seed: int
-
-
-def _cell_weight(cell: _ComparisonCell) -> float:
-    """LPT weight: heuristic cost grows roughly cubically in instance size."""
-    return float(cell.size) ** 3
-
-
-def _run_cell(cell: _ComparisonCell) -> RunRecord:
-    """Top-level (picklable) worker: execute one comparison cell.
-
-    The problem is resolved through the shared plane (zero-copy attach in
-    a pool worker, passthrough in-process) and the mapper rebuilt from its
-    spec, so the only bytes crossing the pipe per cell are the spec, the
-    handle, and the seed.
-    """
-    problem = resolve_problem(cell.problem_ref)
-    result = cell.solver.build().map(problem, cell.run_seed)
-    return RunRecord(
-        heuristic=cell.heuristic,
-        size=cell.size,
-        pair_index=cell.pair_index,
-        run_index=cell.run_index,
-        execution_time=result.execution_time,
-        mapping_time=result.mapping_time,
-        n_evaluations=result.n_evaluations,
-    )
-
-
 def run_comparison(
     profile: ScaleProfile,
     *,
@@ -205,7 +165,7 @@ def run_comparison(
     of them execute.
 
     Dispatch is fault tolerant: a cell whose worker dies is retried from
-    its own ``(spec, handle, seed)`` tuple (bit-identical by construction),
+    its own ``(handle, spec, seed)`` cell (bit-identical by construction),
     and a cell that permanently fails — its retries exhausted, or its
     per-attempt deadline tripped — is recorded in
     :attr:`ComparisonData.failures` while the rest of the sweep completes.
@@ -234,42 +194,49 @@ def run_comparison(
 
     suite = build_suite(profile.sizes, profile.n_pairs, seed=seed)
     with WorkerPool(n_workers) as pool:
-        cells: list[_ComparisonCell] = []
+        # The cells carry only what a solve needs; ``runs`` names each one
+        # as (heuristic, size, pair, repetition), position for position.
+        runs: list[tuple[str, int, int, int]] = []
+        cells: list[SolveCell] = []
+        size_of: dict[ProblemRef, int] = {}
         for size in profile.sizes:
             for instance in suite[size]:
                 problem_ref = pool.publish_problem(instance.problem)
+                size_of[problem_ref] = size
                 for name, spec in mappers.items():
                     for run in range(profile.runs_per_pair):
                         if progress is not None:
                             progress(
                                 f"{name} size={size} pair={instance.pair_index} run={run}"
                             )
+                        runs.append((name, size, instance.pair_index, run))
                         cells.append(
-                            _ComparisonCell(
-                                heuristic=name,
-                                size=size,
-                                pair_index=instance.pair_index,
-                                run_index=run,
-                                solver=spec,
-                                problem_ref=problem_ref,
-                                run_seed=streams.seed_for(
+                            SolveCell(
+                                problem_ref,
+                                spec,
+                                streams.seed_for(
                                     "run", heuristic=name, size=size,
                                     pair=instance.pair_index, rep=run,
                                 ),
                             )
                         )
-        report = pool.map_salvage(_run_cell, cells, weight=_cell_weight)
+        # LPT weight: heuristic cost grows roughly cubically in instance size.
+        report = pool.map_salvage(
+            solve_cell, cells, weight=lambda cell: float(size_of[cell.problem]) ** 3
+        )
 
-    records = [r for r in report.results if r is not None]
+    records = [
+        RunRecord(
+            *runs[i],
+            execution_time=result.execution_time,
+            mapping_time=result.mapping_time,
+            n_evaluations=result.n_evaluations,
+        )
+        for i, result in report.completed()
+    ]
     failures = tuple(
         CellFailureRecord(
-            heuristic=cells[f.index].heuristic,
-            size=cells[f.index].size,
-            pair_index=cells[f.index].pair_index,
-            run_index=cells[f.index].run_index,
-            kind=f.kind,
-            attempts=f.attempts,
-            message=f.message,
+            *runs[f.index], kind=f.kind, attempts=f.attempts, message=f.message
         )
         for f in report.failures
     )

@@ -9,12 +9,15 @@ the reproduced claim is the verdict (F ≫ 1, p ≪ 0.05), not the F value.
 
 Execution: the thirty MaTCH repetitions run as ONE fused multi-chain CE
 call (:meth:`MatchMapper.map_many` — seed-for-seed identical to a serial
-repetition loop, several times faster); the GA repetitions are independent
-cells dispatched over one warm :class:`repro.utils.parallel.WorkerPool`
-shared by both GA configurations, with the n = 10 instance published once
-to the shared-memory problem plane. Every repetition's seed is derived
-statelessly from the root seed, so the reported samples are bit-identical
-for any ``n_workers``.
+repetition loop, several times faster); each GA group is a
+``"fastmap-ga"`` :class:`~repro.runtime.registry.SolverSpec`, and its
+repetitions are :class:`~repro.runtime.cell.SolveCell` solves dispatched
+over one warm :class:`repro.utils.parallel.WorkerPool` shared by both GA
+configurations, with the n = 10 instance published once to the
+shared-memory problem plane. The parent reads each repetition's ET from the
+returned result. Every repetition's seed is derived statelessly from the
+root seed, so the reported samples are bit-identical for any
+``n_workers``.
 """
 
 from __future__ import annotations
@@ -22,33 +25,21 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from repro.baselines.ga import FastMapGA, GAConfig
 from repro.core.config import MatchConfig
 from repro.core.match import MatchMapper
 from repro.experiments import paper_data
 from repro.experiments.spec import ScaleProfile, active_profile
 from repro.experiments.suite import build_suite
 from repro.runstore import current_run
+from repro.runtime.cell import SolveCell, solve_cell
+from repro.runtime.registry import SolverSpec
 from repro.stats.anova import AnovaResult, one_way_anova
 from repro.stats.descriptive import SampleSummary, summarize_sample
 from repro.utils.parallel import CellFailure, WorkerPool
 from repro.utils.rng import RngStreams
-from repro.utils.shared_plane import ProblemRef, resolve_problem
 from repro.utils.tables import format_table, render_kv_block
 
 __all__ = ["Table3Result", "compute_table3", "render_table3"]
-
-
-def _run_ga_rep(task: "tuple[int, int, ProblemRef, int]") -> float:
-    """Top-level (picklable) worker: one FastMap-GA repetition's ET.
-
-    The problem arrives as a shared-plane reference (a zero-copy handle
-    in pool workers, the live problem in-process).
-    """
-    pop, gen, problem_ref, run_seed = task
-    problem = resolve_problem(problem_ref)
-    mapper = FastMapGA(GAConfig(population_size=pop, generations=gen))
-    return mapper.map(problem, run_seed).execution_time
 
 
 @dataclass(frozen=True)
@@ -106,13 +97,17 @@ def compute_table3(
         problem_ref = pool.publish_problem(instance.problem)
         for pop, gen in ((pop_a, gen_a), (pop_b, gen_b)):
             name = f"FastMap-GA {pop}/{gen}"
-            tasks = [
-                (pop, gen, problem_ref,
-                 streams.seed_for("anova", heuristic=name, rep=rep))
+            spec = SolverSpec.of(
+                "fastmap-ga", {"population_size": pop, "generations": gen}
+            )
+            cells = [
+                SolveCell(
+                    problem_ref, spec, streams.seed_for("anova", heuristic=name, rep=rep)
+                )
                 for rep in range(profile.anova_runs)
             ]
-            report = pool.map_salvage(_run_ga_rep, tasks)
-            samples[name] = tuple(et for _, et in report.completed())
+            report = pool.map_salvage(solve_cell, cells)
+            samples[name] = tuple(r.execution_time for _, r in report.completed())
             failures.extend((name, f) for f in report.failures)
 
     if failures:

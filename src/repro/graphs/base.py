@@ -132,6 +132,10 @@ class WeightedGraph:
         if not np.all(np.isfinite(ew)) or np.any(ew < 0):
             raise GraphError("must be finite and non-negative", field="edge_weights")
 
+        # A read-only input (the shared plane's views) is adopted as-is; a
+        # writeable one may still be the caller's buffer, so freeze a copy.
+        if nw.flags.writeable and (nw is node_weights or nw.base is not None):
+            nw = nw.copy()
         self._node_weights = nw
         self._node_weights.setflags(write=False)
         self._edges = canon

@@ -30,17 +30,20 @@ def shortest_path_closure(cost: np.ndarray) -> np.ndarray:
     ``cost`` uses ``np.inf`` for missing links and zeros on the diagonal.
     Implemented as a vectorized Floyd–Warshall: ``n`` passes of an
     ``(n, n)`` broadcast minimum, O(n³) total work with numpy inner loops —
-    ample for platform graphs (n ≤ a few hundred).
+    ample for platform graphs (n ≤ a few hundred). A route whose summed
+    cost exceeds the float64 range reads ``inf``, silently, exactly like a
+    missing one; :meth:`ResourceGraph.comm_cost_matrix` tells them apart.
     """
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise GraphError(f"cost matrix must be square, got {cost.shape}")
     dist = cost.astype(np.float64, copy=True)
     np.fill_diagonal(dist, 0.0)
-    for k in range(n):
-        # dist = min(dist, dist[:, k, None] + dist[None, k, :])
-        via_k = dist[:, k, np.newaxis] + dist[np.newaxis, k, :]
-        np.minimum(dist, via_k, out=dist)
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            # dist = min(dist, dist[:, k, None] + dist[None, k, :])
+            via_k = dist[:, k, np.newaxis] + dist[np.newaxis, k, :]
+            np.minimum(dist, via_k, out=dist)
     return dist
 
 
@@ -85,7 +88,9 @@ class ResourceGraph(WeightedGraph):
         With ``closure=True`` (default) missing links are filled with
         cheapest multi-hop routes; a disconnected platform then still has
         ``inf`` entries between components and :class:`GraphError` is
-        raised, because Eq. (1) would be undefined. With ``closure=False``
+        raised on ``edges``, because Eq. (1) would be undefined; a connected
+        platform whose cheapest route between some pair overflows float64
+        is a :class:`GraphError` on ``edge_weights``. With ``closure=False``
         the direct matrix is returned and may contain ``inf``.
         """
         cost = self.direct_cost_matrix()
@@ -94,11 +99,18 @@ class ResourceGraph(WeightedGraph):
         if self.is_complete():
             return cost
         closed = shortest_path_closure(cost)
-        off_diag = ~np.eye(self.n_nodes, dtype=bool)
-        if np.any(~np.isfinite(closed[off_diag])):
+        if np.any(np.isinf(closed)):
+            # Close the links at zero cost: a pair still at inf has no route.
+            routes = shortest_path_closure(np.where(np.isinf(cost), np.inf, 0.0))
+            if np.any(np.isinf(routes)):
+                raise GraphError(
+                    "must connect every resource pair: the resource graph is disconnected",
+                    field="edges",
+                )
             raise GraphError(
-                "must connect every resource pair: the resource graph is disconnected",
-                field="edges",
+                "must keep every route's summed cost finite: a multi-hop route "
+                "overflows float64",
+                field="edge_weights",
             )
         return closed
 

@@ -19,7 +19,9 @@ The request path:
    quotas are charged *before* work is dispatched; an over-quota request
    gets a structured rejection immediately, never a timeout.
 4. **dispatch** — the miss waits for a free worker slot, then ships to a
-   pool worker as one cell that carries the problem itself.
+   pool worker as one :class:`~repro.runtime.cell.SolveCell` carrying the
+   problem itself; the gateway turns the returned result into the cached
+   payload.
 
 Every accepted request, hit, rejection and dispatch streams into the run
 store's ``events.jsonl`` when the service is given a run handle, so a
@@ -40,6 +42,7 @@ from repro.mapping.problem_key import problem_key
 from repro.runstore.cache import ResultCache, cache_key
 from repro.runstore.store import RunHandle
 from repro.runtime.budget import EvaluationBudget
+from repro.runtime.cell import SolveCell, solve_cell
 from repro.runtime.registry import SolverSpec
 from repro.utils.parallel import SalvageReport, WorkerPool
 from repro.utils.timing import Stopwatch
@@ -187,44 +190,6 @@ class QuotaLedger:
             "quota": self.quota,
             "clients": {name: b.used for name, b in sorted(self._budgets.items())},
         }
-
-
-@dataclass(frozen=True)
-class _ServiceCell:
-    """The picklable work unit one dispatch ships to a pool worker."""
-
-    problem: MappingProblem
-    solver: SolverSpec
-    seed: int
-    max_evaluations: int | None
-
-
-def _solve_cell(cell: _ServiceCell) -> dict[str, Any]:
-    """Top-level (picklable, pure) worker: one cached-format solve result.
-
-    Pure in the cell: the problem travels in it, the mapper is rebuilt
-    from the spec, and the seed drives all randomness — the same contract
-    as the experiment runner's cells, so a replay (retry, other worker
-    count, other kernel backend) is bit-identical.
-    """
-    budget = (
-        EvaluationBudget(max_evaluations=cell.max_evaluations)
-        if cell.max_evaluations is not None
-        else None
-    )
-    result = cell.solver.build().map(cell.problem, cell.seed, budget=budget)
-    return {
-        "mapper_name": result.mapper_name,
-        "assignment": [int(x) for x in result.assignment],
-        "execution_time": float(result.execution_time),
-        "mapping_time": float(result.mapping_time),
-        "n_evaluations": int(result.n_evaluations),
-    }
-
-
-def _cell_weight(cell: _ServiceCell) -> float:
-    """LPT weight: solve cost grows ~cubically with instance size."""
-    return float(cell.problem.n_tasks) ** 3
 
 
 @dataclass
@@ -416,7 +381,7 @@ class MappingService:
         pool = self._pool
         self._counters["batches"] += 1
         request = work.request
-        cell = _ServiceCell(
+        cell = SolveCell(
             request.problem, request.solver, request.seed, request.max_evaluations
         )
         self._event("batch-dispatched", key=work.key, queue_wait_s=work.waited.stop())
@@ -427,7 +392,7 @@ class MappingService:
             # A parallel pool always dispatches, so the solve runs on a
             # worker; this thread only waits for it.
             report = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: pool.map_salvage(_solve_cell, [cell], weight=_cell_weight)
+                None, lambda: pool.map_salvage(solve_cell, [cell])
             )
         except Exception as exc:
             # The dispatch itself died (pool closed under us, executor
@@ -449,7 +414,14 @@ class MappingService:
 
         if error is None:
             assert report is not None
-            payload: dict[str, Any] = report.results[0]
+            result = report.results[0]
+            payload: dict[str, Any] = {
+                "mapper_name": result.mapper_name,
+                "assignment": [int(x) for x in result.assignment],
+                "execution_time": float(result.execution_time),
+                "mapping_time": float(result.mapping_time),
+                "n_evaluations": int(result.n_evaluations),
+            }
             self.cache.put(work.key, payload)
         else:
             # The request never produced a result: return its admission

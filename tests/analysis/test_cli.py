@@ -125,17 +125,6 @@ class TestFlowMode:
         assert main(["--flow", "--select", "seed-discipline", "src"]) == 0
 
 
-class TestBaselineFlow:
-    def test_write_then_pass(self, bad_tree, capsys):
-        assert main(["--write-baseline", "src"]) == 0
-        assert "wrote 1 finding(s)" in capsys.readouterr().out
-        # Second run: the recorded finding no longer fails the build...
-        assert main(["src"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # ...but a second, new violation still does.
-        extra = bad_tree / "src" / "repro" / "other.py"
-        extra.write_text("from random import choice\n", encoding="utf-8")
-        assert main(["src"]) == 1
 
 
 def test_module_entry_point_matches_console_script():

@@ -159,7 +159,6 @@ def sample_result() -> LintResult:
         ],
         files_scanned=3,
         suppressed=1,
-        baselined=0,
     )
 
 
@@ -198,7 +197,7 @@ class TestStructure:
 
     def test_run_properties_carry_scan_counters(self):
         props = to_sarif(sample_result())["runs"][0]["properties"]
-        assert props == {"filesScanned": 3, "suppressed": 1, "baselined": 0}
+        assert props == {"filesScanned": 3, "suppressed": 1}
 
     def test_tool_version_defaults_to_package_version(self):
         import repro

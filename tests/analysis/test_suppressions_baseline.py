@@ -1,17 +1,10 @@
-"""Suppression comments and the baseline file: round-trips and edge cases."""
+"""Suppression comments: round-trips and edge cases."""
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.analysis import (
-    Finding,
-    apply_baseline,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis import lint_source
 from repro.analysis.suppressions import parse_suppressions
 
 LIB = "src/repro/somewhere/module.py"
@@ -94,89 +87,3 @@ class TestNoqa:
 
     def test_plain_comment_is_not_a_marker(self):
         assert parse_suppressions("x = 1  # no suppression here\n") == {}
-
-
-class TestBaseline:
-    def make_findings(self):
-        return [
-            Finding(path="src/a.py", line=3, col=1, rule="wallclock", message="m1"),
-            Finding(path="src/a.py", line=9, col=1, rule="wallclock", message="m1"),
-            Finding(path="src/b.py", line=2, col=1, rule="float-equality", message="m2"),
-        ]
-
-    def test_round_trip(self, tmp_path):
-        findings = self.make_findings()
-        path = tmp_path / "baseline.json"
-        write_baseline(findings, path)
-        baseline = load_baseline(path)
-        new, matched = apply_baseline(findings, baseline)
-        assert new == []
-        assert matched == 3
-
-    def test_line_moves_do_not_resurrect_baselined_findings(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(self.make_findings(), path)
-        moved = [
-            Finding(path="src/a.py", line=33, col=1, rule="wallclock", message="m1"),
-            Finding(path="src/a.py", line=99, col=7, rule="wallclock", message="m1"),
-        ]
-        new, matched = apply_baseline(moved, load_baseline(path))
-        assert new == []
-        assert matched == 2
-
-    def test_extra_duplicate_beyond_baseline_count_surfaces(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(self.make_findings()[:1], path)  # one copy of (wallclock, a, m1)
-        two = self.make_findings()[:2]
-        new, matched = apply_baseline(two, load_baseline(path))
-        assert matched == 1
-        assert len(new) == 1
-
-    def test_lint_paths_applies_baseline(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "mod.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\n", encoding="utf-8")
-        baseline_path = tmp_path / ".repro-lint-baseline.json"
-
-        first = lint_paths([bad], root=tmp_path)
-        assert len(first.findings) == 1
-        write_baseline(first.findings, baseline_path)
-
-        second = lint_paths([bad], baseline_path=baseline_path, root=tmp_path)
-        assert second.ok
-        assert second.baselined == 1
-
-    def test_round_trip_with_parse_error_findings(self, tmp_path):
-        # A vendored or generated file that never parses can be baselined
-        # like any other debt: the parse-error finding's fingerprint is
-        # stable, so the round trip keeps the build green until it is
-        # fixed — while a parse error in a *second* file still fails.
-        bad = tmp_path / "src" / "repro" / "generated.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def broken(:\n", encoding="utf-8")
-        baseline_path = tmp_path / ".repro-lint-baseline.json"
-
-        first = lint_paths([bad], root=tmp_path)
-        assert [f.rule for f in first.findings] == ["parse-error"]
-        write_baseline(first.findings, baseline_path)
-
-        second = lint_paths([bad], baseline_path=baseline_path, root=tmp_path)
-        assert second.ok
-        assert second.baselined == 1
-
-        other = tmp_path / "src" / "repro" / "other.py"
-        other.write_text("def also_broken(:\n", encoding="utf-8")
-        third = lint_paths([bad, other], baseline_path=baseline_path, root=tmp_path)
-        assert not third.ok
-        assert [f.rule for f in third.findings] == ["parse-error"]
-        assert third.findings[0].path == "src/repro/other.py"
-
-    def test_unsupported_format_rejected(self, tmp_path):
-        import json
-
-        import pytest
-
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99}), encoding="utf-8")
-        with pytest.raises(ValueError, match="unsupported baseline format"):
-            load_baseline(path)

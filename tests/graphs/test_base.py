@@ -116,6 +116,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.edges[0, 0] = 99
 
+    def test_callers_writeable_array_is_copied_not_frozen(self):
+        w = np.array([1.0, 2.0, 3.0])
+        g = TaskInteractionGraph(w, [[0, 1]], [1.0])
+        assert w.flags.writeable
+        assert not g.node_weights.flags.writeable
+        w[0] = 99.0  # the caller's own array stays theirs
+        assert g.node_weights[0] == 1.0
+
+    def test_read_only_input_is_adopted_without_a_copy(self):
+        # The shared plane hands the constructor read-only views.
+        w = np.array([1.0, 2.0, 3.0])
+        w.setflags(write=False)
+        g = TaskInteractionGraph(w, [[0, 1]], [1.0])
+        assert np.shares_memory(g.node_weights, w)
+
 
 class TestDerived:
     def test_adjacency_symmetric(self):

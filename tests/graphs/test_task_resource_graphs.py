@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,15 @@ class TestResourceGraph:
         rg = ResourceGraph([1, 1, 1, 1], [(0, 1), (2, 3)], [1, 1])
         with pytest.raises(GraphError, match="disconnected"):
             rg.comm_cost_matrix()
+
+    def test_overflowing_route_is_not_called_disconnected(self):
+        # Connected, but the two-hop route 0-1-2 sums past float64's range.
+        rg = ResourceGraph([1.0, 1.0, 1.0], [[0, 1], [1, 2]], [1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match="overflows float64") as info:
+                rg.comm_cost_matrix()
+        assert info.value.field == "edge_weights"
 
     def test_heterogeneity_zero_for_uniform(self):
         rg = ResourceGraph([2, 2, 2], [(0, 1), (0, 2), (1, 2)], [1, 1, 1])

@@ -10,6 +10,7 @@ miss is its own dispatch to a pool worker, up to one per worker at once.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -25,6 +26,15 @@ from repro.utils.faults import FAULTS_ENV
 AVAILABLE = [name for name, ok in kernels.available_backends().items() if ok]
 
 SPEC = SolverSpec.of("match", {"max_iterations": 40})
+
+#: A disk-tier entry exactly as an earlier gateway, which built its payloads
+#: in the worker, wrote it for ``make_problem()``, ``SPEC`` and seed 3: the
+#: file name is the cache key and the body the payload.
+PERSISTED_KEY = "596752ea60ba6d6fb176b557aadd30395401465ba8bd36c15e14f789311df354"
+PERSISTED_ENTRY = (
+    '{"assignment":[1,9,3,4,6,7,8,2,0,5],"execution_time":4998.0,'
+    '"mapper_name":"MaTCH","mapping_time":0.011440910006058402,"n_evaluations":5000}'
+)
 
 
 def make_problem(n: int = 10, seed: int = 7) -> MappingProblem:
@@ -60,9 +70,29 @@ class TestBitParity:
 
         assert first.status == "ok" and not first.cached
         assert again.status == "ok" and again.cached
+        assert first.key == PERSISTED_KEY
+        persisted = json.loads(PERSISTED_ENTRY)
         for response in (first, again):
+            # The earlier gateway's payload format: same keys, and the same
+            # values apart from the measured wall-clock.
+            assert response.result.keys() == persisted.keys()
+            assert response.result["mapper_name"] == direct.mapper_name
             assert response.result["assignment"] == [int(x) for x in direct.assignment]
             assert response.result["execution_time"] == direct.execution_time
+            assert response.result["n_evaluations"] == direct.n_evaluations
+            for field in ("mapper_name", "assignment", "execution_time", "n_evaluations"):
+                assert response.result[field] == persisted[field]
+
+    def test_entry_persisted_by_an_earlier_gateway_is_a_hit(self, tmp_path):
+        (tmp_path / f"{PERSISTED_KEY}.json").write_text(PERSISTED_ENTRY, encoding="utf-8")
+
+        async def go(service):
+            return await service.submit(MappingRequest(problem=make_problem(), solver=SPEC, seed=3))
+
+        response = serve(go, cache_dir=tmp_path)
+        assert response.status == "ok" and response.cached
+        assert response.key == PERSISTED_KEY
+        assert response.result == json.loads(PERSISTED_ENTRY)
 
     @pytest.mark.skipif(len(AVAILABLE) < 2, reason="needs a compiled backend")
     def test_cache_key_is_backend_invariant(self):

@@ -309,6 +309,13 @@ def _drop_edge_weight(arrays: dict) -> None:
     arrays["tig_edge_weights"].pop()
 
 
+def _overflowing_route(arrays: dict) -> None:
+    # A connected path whose multi-hop route sums past float64's range.
+    n = len(arrays["proc_weights"])
+    arrays["res_edges"] = [[i, i + 1] for i in range(n - 1)]
+    arrays["res_edge_weights"] = [1e308] * (n - 1)
+
+
 #: (tamper, message) per graph defect: the graph constructors refuse each,
 #: and the wire names the array.
 GRAPH_DEFECTS = {
@@ -322,6 +329,7 @@ GRAPH_DEFECTS = {
     "edge-weight-count": (_drop_edge_weight, r"tig_edge_weights must have shape \(\d+,\)"),
     "2d-task-weights": (_two_d_task_weights, "task_weights must be a non-empty 1-D"),
     "empty-res-edges": (_disconnect, "res_edges must connect .* disconnected"),
+    "overflowing-route": (_overflowing_route, "res_edge_weights must keep .* overflows float64"),
 }
 
 
@@ -429,14 +437,19 @@ class TestSolverParamCaps:
 
 class TestHttp:
     def test_unmappable_or_wide_inline_bodies_get_400_without_charge(self):
-        """4 tasks on 1,500 resources, and 4 tasks on 2 resources for the two
-        one-to-one solvers: structured 400s, nothing admitted or charged.
+        """4 tasks on 1,500 resources, 4 tasks on 2 resources for the two
+        one-to-one solvers, and a platform whose cheapest route overflows
+        float64: structured 400s naming the defect, nothing admitted or
+        charged.
         The many-to-one body for ``fastmap-hier`` is still solved."""
         narrow = problem_to_wire(shaped_problem(4, 2))
+        overflowing = problem_to_wire(make_problem(4, 1))
+        _overflowing_route(overflowing["arrays"])
         bodies = [
             {"problem": {"arrays": wide_platform_arrays()}, "client": "mallory"},
             {"problem": narrow, "solver": {"name": "match"}, "client": "mallory"},
             {"problem": narrow, "solver": {"name": "fastmap-ga"}, "client": "mallory"},
+            {"problem": overflowing, "client": "mallory"},
         ]
         hier = {"problem": narrow, "client": "carol",
                 "solver": {"name": "fastmap-hier", "params": QUICK_PARAMS["fastmap-hier"]}}
@@ -464,6 +477,9 @@ class TestHttp:
             assert reply["error"]["kind"] == "bad-request"
         assert "1500 resources" in answers[0][1]["error"]["message"]
         assert "cannot map 4 tasks onto 2 resources" in answers[1][1]["error"]["message"]
+        assert answers[3][1]["error"]["message"].startswith(
+            "problem.arrays.res_edge_weights must keep every route's summed cost finite"
+        )
         assert status == 200 and ok["status"] == "ok"
         assert stats["requests"] == 1
         assert "mallory" not in stats["quotas"]["clients"]
