@@ -22,11 +22,11 @@ pool/executor-named receivers (the execution fabric's
 It additionally guards the execution fabric's monopoly on pool
 construction: outside ``repro/utils/parallel.py``, instantiating
 ``ProcessPoolExecutor`` or ``multiprocessing.Pool`` directly is flagged —
-raw pools bypass the warm-worker reuse, the shared-memory plane's
+raw pools bypass the warm-worker reuse, the heartbeat board's
 guaranteed cleanup, and the ``REPRO_WORKERS`` override that
 :class:`repro.utils.parallel.WorkerPool` provides. The same monopoly
 covers shared-memory allocation: ``SharedMemory(create=True)`` outside
-``repro/utils/shared_plane.py`` is flagged, because only the plane's
+``repro/utils/shared_plane.py`` is flagged, because only that module's
 owner-tracked segments are guaranteed to be unlinked on close, SIGINT and
 abandoned pools — an ad-hoc segment is a leak the fabric cannot see.
 """
@@ -171,21 +171,21 @@ class ParallelSafetyChecker(Checker):
             )
 
     def _check_shm_allocation(self, node: ast.Call) -> None:
-        """Creating shared-memory segments is the problem plane's business.
+        """Creating shared-memory segments is ``shared_plane.py``'s business.
 
         Only ``SharedMemory(create=True)`` is flagged — attaching to an
-        existing segment by name is how workers are *supposed* to reach the
-        plane. Allocation outside the plane module escapes its owner
-        tracking, so nothing unlinks the segment on close/SIGINT and the
+        existing segment by name is how workers are *supposed* to reach a
+        heartbeat board. Allocation outside ``shared_plane.py`` escapes its
+        owner tracking, so nothing unlinks the segment on close/SIGINT and the
         resource tracker reports a leak at interpreter exit.
         """
         if not self._in_plane and is_shm_create(node):
             self.report(
                 node,
                 "SharedMemory(create=True) outside repro/utils/shared_plane.py "
-                "allocates a segment the fabric's cleanup cannot see; go "
-                "through the problem plane (publish/attach helpers) so the "
-                "segment is owner-tracked and unlinked on close",
+                "allocates a segment the fabric's cleanup cannot see; allocate "
+                "it in that module so the segment is owner-tracked and "
+                "unlinked on close",
             )
 
     def _check_no_generator_capture(self, arg: ast.AST) -> None:

@@ -14,7 +14,7 @@ the indexed modules, then runs four interprocedural rules on top:
 * ``budget-flow`` — cost-model probes reachable from a solver lifecycle
   method must be dominated or post-dominated by a ``charge()``;
 * ``worker-purity`` — functions the fabric dispatches must be pure in
-  ``(handle, spec, seed)``: no mutable-global state, wall-clock, or
+  ``(problem, spec, seed)``: no mutable-global state, wall-clock, or
   ambient RNG.
 
 Findings carry call-chain traces (:attr:`repro.analysis.findings.Finding.trace`)

@@ -370,7 +370,7 @@ def check_worker_purity(index: ProjectIndex, graph: CallGraph) -> list[Finding]:
                 _finding(
                     fn, node, WORKER_PURITY,
                     f"worker-reachable wall-clock read {what}(){suffix}; "
-                    "workers must be pure in (handle, spec, seed)",
+                    "workers must be pure in (problem, spec, seed)",
                     chain, lines,
                 )
             )

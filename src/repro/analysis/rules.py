@@ -229,7 +229,7 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             id=WORKER_PURITY,
-            summary="fabric-dispatched functions must be pure in (handle, spec, seed)",
+            summary="fabric-dispatched functions must be pure in (problem, spec, seed)",
             rationale=(
                 "worker-count invariance and deterministic salvage replay "
                 "hold only if a cell's result is a function of its task "

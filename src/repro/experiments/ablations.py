@@ -14,9 +14,8 @@ reports mean ET, MT and iteration counts per knob value. Each knob value's
 :class:`~repro.runtime.registry.SolverSpec`, and the (value × repetition)
 cells are independent :class:`~repro.runtime.cell.SolveCell` solves with
 pre-derived seeds, so :func:`sweep` can dispatch them over a warm
-:class:`~repro.utils.parallel.WorkerPool` (``n_workers > 1``) with the
-instance published once to the shared-memory plane — bit-identical to
-the default serial loop. The parent reads each cell's (ET, MT, iterations,
+:class:`~repro.utils.parallel.WorkerPool` (``n_workers > 1``), each cell
+carrying the instance — bit-identical to the default serial loop. The parent reads each cell's (ET, MT, iterations,
 evaluations) from the returned result.
 """
 
@@ -104,8 +103,8 @@ def sweep(
 ) -> AblationResult:
     """Generic MaTCH knob sweep on one suite instance.
 
-    All (value × repetition) cells share one :class:`WorkerPool` and one
-    shared-memory copy of the instance; ``n_workers=1`` (the default)
+    All (value × repetition) cells share one :class:`WorkerPool` and each
+    carries the instance; ``n_workers=1`` (the default)
     keeps the historical serial behaviour, and any other worker count
     produces the same points because every cell's seed is derived up
     front.
@@ -116,10 +115,9 @@ def sweep(
     # config travels as its "match" spec instead.
     specs = [SolverSpec.of("match", asdict(config_for(value))) for value in values]
     with WorkerPool(n_workers) as pool:
-        problem_ref = pool.publish_problem(instance.problem)
         cells = [
             SolveCell(
-                problem_ref,
+                instance.problem,
                 spec,
                 streams.seed_for("ablation", knob=knob, value=value, rep=rep),
             )

@@ -50,7 +50,6 @@ from repro.runstore import current_run
 from repro.stats.comparison import SeriesBySize
 from repro.utils.parallel import WorkerPool
 from repro.utils.rng import RngStreams
-from repro.utils.shared_plane import ProblemRef
 
 __all__ = [
     "RunRecord",
@@ -155,9 +154,8 @@ def run_comparison(
     :class:`ConfigurationError` before anything is dispatched. The whole
     protocol runs over one :class:`WorkerPool` lifetime
     (``n_workers=None`` picks the host default, ``<= 1`` runs serially):
-    the suite is generated in-process, each instance's arrays are
-    published once to the shared-memory plane, and the cells are
-    dispatched heaviest-first (longest-processing-time order) so the
+    the suite is generated in-process, each cell carries its instance,
+    and the cells are dispatched heaviest-first (longest-processing-time order) so the
     big-``n`` stragglers start early. Seeds are derived per cell up
     front, so the records — order included — are identical for every
     worker count, apart from the measured ``mapping_time`` wall-clock.
@@ -165,7 +163,7 @@ def run_comparison(
     of them execute.
 
     Dispatch is fault tolerant: a cell whose worker dies is retried from
-    its own ``(handle, spec, seed)`` cell (bit-identical by construction),
+    its own ``(problem, spec, seed)`` cell (bit-identical by construction),
     and a cell that permanently fails — its retries exhausted, or its
     per-attempt deadline tripped — is recorded in
     :attr:`ComparisonData.failures` while the rest of the sweep completes.
@@ -198,11 +196,8 @@ def run_comparison(
         # as (heuristic, size, pair, repetition), position for position.
         runs: list[tuple[str, int, int, int]] = []
         cells: list[SolveCell] = []
-        size_of: dict[ProblemRef, int] = {}
         for size in profile.sizes:
             for instance in suite[size]:
-                problem_ref = pool.publish_problem(instance.problem)
-                size_of[problem_ref] = size
                 for name, spec in mappers.items():
                     for run in range(profile.runs_per_pair):
                         if progress is not None:
@@ -212,7 +207,7 @@ def run_comparison(
                         runs.append((name, size, instance.pair_index, run))
                         cells.append(
                             SolveCell(
-                                problem_ref,
+                                instance.problem,
                                 spec,
                                 streams.seed_for(
                                     "run", heuristic=name, size=size,
@@ -222,7 +217,7 @@ def run_comparison(
                         )
         # LPT weight: heuristic cost grows roughly cubically in instance size.
         report = pool.map_salvage(
-            solve_cell, cells, weight=lambda cell: float(size_of[cell.problem]) ** 3
+            solve_cell, cells, weight=lambda cell: float(cell.problem.n_tasks) ** 3
         )
 
     records = [

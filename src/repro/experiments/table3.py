@@ -13,8 +13,7 @@ repetition loop, several times faster); each GA group is a
 ``"fastmap-ga"`` :class:`~repro.runtime.registry.SolverSpec`, and its
 repetitions are :class:`~repro.runtime.cell.SolveCell` solves dispatched
 over one warm :class:`repro.utils.parallel.WorkerPool` shared by both GA
-configurations, with the n = 10 instance published once to the
-shared-memory problem plane. The parent reads each repetition's ET from the
+configurations, each cell carrying the n = 10 instance. The parent reads each repetition's ET from the
 returned result. Every repetition's seed is derived statelessly from the
 root seed, so the reported samples are bit-identical for any
 ``n_workers``.
@@ -70,8 +69,8 @@ def compute_table3(
     The MaTCH group runs as one fused multi-chain call; both GA groups
     dispatch their per-repetition cells over one warm
     :class:`WorkerPool` (``n_workers=1`` — the default — runs serially),
-    attaching to a single shared-memory copy of the instance. Seeds are
-    per repetition, so the samples do not depend on the worker count.
+    each cell carrying the instance. Seeds are per repetition, so the
+    samples do not depend on the worker count.
     """
     profile = profile if profile is not None else active_profile()
     size = 10
@@ -94,7 +93,6 @@ def compute_table3(
 
     failures: list[tuple[str, CellFailure]] = []
     with WorkerPool(n_workers) as pool:
-        problem_ref = pool.publish_problem(instance.problem)
         for pop, gen in ((pop_a, gen_a), (pop_b, gen_b)):
             name = f"FastMap-GA {pop}/{gen}"
             spec = SolverSpec.of(
@@ -102,7 +100,7 @@ def compute_table3(
             )
             cells = [
                 SolveCell(
-                    problem_ref, spec, streams.seed_for("anova", heuristic=name, rep=rep)
+                    instance.problem, spec, streams.seed_for("anova", heuristic=name, rep=rep)
                 )
                 for rep in range(profile.anova_runs)
             ]

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.ce.multichain import DEGENERATE_TOL, ce_round
 from repro.mapping.cost_model import CostModel
+from repro.mapping.problem import MappingProblem
 from repro.types import SeedLike
 from repro.utils.rng import (
     as_generator,
@@ -41,7 +42,6 @@ from repro.utils.rng import (
     generator_state,
     spawn_generators,
 )
-from repro.utils.shared_plane import ProblemRef, resolve_problem
 
 __all__ = [
     "agent_streams",
@@ -115,14 +115,14 @@ def chain_rounds(
 class ChainRoundCell:
     """Picklable work unit: a block of agents' rounds up to the next sync.
 
-    Pure in the cell — the problem comes off the shared plane (or rides
-    along on the serial path), the matrices and the RNG positions are
-    explicit state, so a retry or a replay on any worker is bit-identical.
+    Pure in the cell — the problem rides along by value, the matrices and
+    the RNG positions are explicit state, so a retry or a replay on any
+    worker is bit-identical.
     No gossip falls inside the cell: the coordinator only asks for
     intervals that end on a sync round (or the run's last round).
     """
 
-    problem_ref: ProblemRef
+    problem: MappingProblem
     matrices: np.ndarray
     rng_states: tuple[Mapping[str, Any], ...]
     per_agent: int
@@ -137,10 +137,10 @@ def run_chain_round(cell: ChainRoundCell) -> dict[str, Any]:
     Returns the final ``matrices`` and ``rng_states`` plus ``rounds``, the
     :func:`chain_rounds` entries of every round.
     """
-    problem = resolve_problem(cell.problem_ref)
     gens = [generator_from_state(dict(state)) for state in cell.rng_states]
+    model = CostModel(cell.problem)
     P, rounds = chain_rounds(
-        cell.matrices, gens, CostModel(problem), cell.per_agent, cell.rho, cell.zeta, cell.n_rounds
+        cell.matrices, gens, model, cell.per_agent, cell.rho, cell.zeta, cell.n_rounds
     )
     return {"matrices": P, "rng_states": [generator_state(g) for g in gens], "rounds": rounds}
 

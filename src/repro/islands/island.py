@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import os
 import socket
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.exceptions import IslandError
+from repro.exceptions import IslandError, ValidationError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
     ChainRoundCell,
@@ -41,11 +42,62 @@ from repro.islands.chains import (
     run_chain_round,
 )
 from repro.mapping.cost_model import CostModel
-from repro.service.wire import problem_from_wire
+from repro.mapping.problem import MappingProblem
+from repro.service.wire import MAX_WIRE_SAMPLES, _wire_int, problem_from_wire
 from repro.utils.parallel import WorkerPool
 from repro.utils.rng import generator_from_state, generator_state
 
-__all__ = ["IslandWorker", "run_island"]
+__all__ = ["IslandJob", "decode_job", "IslandWorker", "run_island"]
+
+
+@dataclass(frozen=True)
+class IslandJob:
+    """A checked ``job`` frame: the run and the agents one island serves."""
+
+    problem: MappingProblem
+    seed: int
+    n_agents: int
+    per_agent: int
+    rho: float
+    zeta: float
+    gossip_weight: float
+    agents: tuple[int, ...]
+
+
+def decode_job(frame: Mapping[str, Any]) -> IslandJob:
+    """Check a coordinator's ``job`` frame before any stream or pool exists.
+
+    A bad or missing field is a :class:`ValidationError` naming
+    ``job.<field>``. ``per_agent`` is capped like a service request's
+    samples, ``agents`` must be distinct indices below ``n_agents``, and
+    ``rho``, ``zeta`` and ``gossip_weight`` pass
+    :class:`~repro.core.distributed.DistributedMatchConfig`'s own checks.
+    """
+    # Imported here: repro.core.distributed imports repro.islands.
+    from repro.core.distributed import DistributedMatchConfig
+
+    seed = _wire_int(frame.get("seed"), "job.seed", 0)
+    n_agents = _wire_int(frame.get("n_agents"), "job.n_agents", 1)
+    per_agent = _wire_int(frame.get("per_agent"), "job.per_agent", 2, MAX_WIRE_SAMPLES)
+    rates: dict[str, float] = {}
+    for name in ("rho", "zeta", "gossip_weight"):
+        value = frame.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"job.{name} must be a number, got {value!r}")
+        rates[name] = float(value)
+    try:
+        DistributedMatchConfig(n_agents=n_agents, **rates)
+    except ValidationError as exc:  # its message starts with the field name
+        raise ValidationError(f"job.{exc}") from exc
+    agents = frame.get("agents")
+    if not isinstance(agents, list) or not agents:
+        raise ValidationError(f"job.agents must be a non-empty list, got {agents!r}")
+    for i, g in enumerate(agents):
+        _wire_int(g, f"job.agents[{i}]", 0, n_agents - 1)
+    if len(set(agents)) != len(agents):
+        raise ValidationError(f"job.agents must be distinct, got {agents}")
+    problem = problem_from_wire(frame.get("problem"))
+    return IslandJob(problem, seed, n_agents, per_agent, agents=tuple(agents), **rates)
 
 
 def _chain_weight(cell: ChainRoundCell) -> float:
@@ -86,7 +138,8 @@ class IslandWorker:
         """Join the coordinator and follow the protocol until ``stop``.
 
         Raises :class:`IslandError`/:class:`FrameError` if the coordinator
-        breaks protocol or vanishes — a crash here is *meant* to be loud:
+        breaks protocol or vanishes, and :class:`ValidationError` for a
+        malformed ``job`` frame — a crash here is *meant* to be loud:
         the process exit is what a supervisor (or the chaos test) observes.
         """
         with socket.create_connection(self.address) as sock:
@@ -98,32 +151,20 @@ class IslandWorker:
                 raise IslandError(
                     f"expected a job frame from the coordinator, got {job.get('type')!r}"
                 )
-            self._serve_job(sock, job)
+            self._serve_job(sock, decode_job(job))
 
     # -- the protocol ------------------------------------------------------
-    def _serve_job(self, sock: socket.socket, job: dict[str, Any]) -> None:
-        problem = problem_from_wire(job["problem"])
-        model = CostModel(problem)
-        seed = int(job["seed"])
-        n_agents = int(job["n_agents"])
-        per_agent = int(job["per_agent"])
-        rho = float(job["rho"])
-        zeta = float(job["zeta"])
-        gossip_weight = float(job["gossip_weight"])
-        n_t, n_r = problem.n_tasks, problem.n_resources
-
-        streams = agent_streams(seed, n_agents)
-        chains: dict[int, ChainState] = {}
-        for g in (int(a) for a in job["agents"]):
-            chains[g] = ChainState(n_t, n_r, streams[g])
+    def _serve_job(self, sock: socket.socket, job: IslandJob) -> None:
+        n_t, n_r = job.problem.n_tasks, job.problem.n_resources
+        streams = agent_streams(job.seed, job.n_agents)
+        chains = {g: ChainState(n_t, n_r, streams[g]) for g in job.agents}
 
         with WorkerPool(self.n_workers) as pool:
-            ref = pool.publish_problem(problem)
             while True:
                 msg = island_wire.recv_frame(sock)
                 kind = msg.get("type")
                 if kind == "round":
-                    self._run_interval(sock, pool, ref, msg, chains, per_agent, rho, zeta)
+                    self._run_interval(sock, pool, job, msg, chains)
                 elif kind == "matrix-request":
                     g = int(msg["agent"])
                     if g not in chains:
@@ -137,12 +178,9 @@ class IslandWorker:
                         },
                     )
                 elif kind == "gossip":
-                    self._apply_gossip(sock, msg, chains, gossip_weight)
+                    self._apply_gossip(sock, msg, chains, job.gossip_weight)
                 elif kind == "adopt":
-                    self._adopt(
-                        sock, msg, chains, model, seed, n_agents,
-                        per_agent, rho, zeta, gossip_weight,
-                    )
+                    self._adopt(sock, msg, chains, job)
                 elif kind == "stop":
                     island_wire.send_frame(sock, {"type": "stopped"})
                     return
@@ -153,12 +191,9 @@ class IslandWorker:
         self,
         sock: socket.socket,
         pool: WorkerPool,
-        ref: Any,
+        job: IslandJob,
         msg: dict[str, Any],
         chains: dict[int, ChainState],
-        per_agent: int,
-        rho: float,
-        zeta: float,
     ) -> None:
         first, through = int(msg["round"]), int(msg["through"])
         if self.on_round is not None:
@@ -169,12 +204,12 @@ class IslandWorker:
         blocks = [block.tolist() for block in np.array_split(sorted(chains), n_cells)]
         cells = [
             ChainRoundCell(
-                problem_ref=ref,
+                problem=job.problem,
                 matrices=np.stack([chains[g].matrix for g in block]),
                 rng_states=tuple(generator_state(chains[g].rng) for g in block),
-                per_agent=per_agent,
-                rho=rho,
-                zeta=zeta,
+                per_agent=job.per_agent,
+                rho=job.rho,
+                zeta=job.zeta,
                 n_rounds=through - first + 1,
             )
             for block in blocks
@@ -231,13 +266,7 @@ class IslandWorker:
         sock: socket.socket,
         msg: dict[str, Any],
         chains: dict[int, ChainState],
-        model: CostModel,
-        seed: int,
-        n_agents: int,
-        per_agent: int,
-        rho: float,
-        zeta: float,
-        gossip_weight: float,
+        job: IslandJob,
     ) -> None:
         first = int(msg["from_round"])
         through = int(msg["through_round"])
@@ -250,9 +279,11 @@ class IslandWorker:
             for h in msg.get("history", [])
         ]
         rounds: dict[str, dict[str, Any]] = {str(r): {} for r in range(first, through + 1)}
+        model = CostModel(job.problem)
         for g in (int(a) for a in msg["agents"]):
             chains[g], reports = replay_chain(
-                model, seed, n_agents, g, per_agent, rho, zeta, gossip_weight, history, through
+                model, job.seed, job.n_agents, g, job.per_agent, job.rho, job.zeta,
+                job.gossip_weight, history, through,
             )
             for r in range(first, through + 1):
                 rounds[str(r)][str(g)] = _wire_entry(reports[r])

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import socket
 import struct
 from typing import Any
@@ -51,9 +52,13 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 _LEN = struct.Struct("!I")
 
 
+#: The one dtype the matrix codec speaks.
+_DTYPE = np.dtype(np.float64)
+
+
 def encode_matrix(arr: np.ndarray) -> dict[str, Any]:
     """JSON-able, bit-exact encoding of a float64 array."""
-    contiguous = np.ascontiguousarray(arr, dtype=np.float64)
+    contiguous = np.ascontiguousarray(arr, dtype=_DTYPE)
     return {
         "dtype": contiguous.dtype.str,
         "shape": list(contiguous.shape),
@@ -62,23 +67,38 @@ def encode_matrix(arr: np.ndarray) -> dict[str, Any]:
 
 
 def decode_matrix(payload: Any) -> np.ndarray:
-    """Inverse of :func:`encode_matrix`; validates shape/size coherence."""
+    """Inverse of :func:`encode_matrix`; validates dtype, shape and size.
+
+    Only the float64 :func:`encode_matrix` writes is accepted, and only a
+    list of non-negative integer extents; anything else is ``malformed``.
+    """
     if not isinstance(payload, dict):
         raise FrameError("malformed", f"matrix payload must be an object, got {type(payload).__name__}")
     try:
         dtype = np.dtype(payload["dtype"])
-        shape = tuple(int(s) for s in payload["shape"])
+        shape = payload["shape"]
         raw = base64.b64decode(payload["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameError("malformed", f"undecodable matrix payload: {exc}") from exc
-    expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
+    if dtype != _DTYPE:
+        raise FrameError("malformed", f"matrix dtype must be {_DTYPE.str}, got {dtype.str}")
+    if not isinstance(shape, list) or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
+    ):
+        raise FrameError(
+            "malformed", f"matrix shape must be a list of non-negative integers, got {shape!r}"
+        )
+    expected = dtype.itemsize * math.prod(shape)
     if len(raw) != expected:
         raise FrameError(
             "malformed",
-            f"matrix payload carries {len(raw)} bytes but shape {shape} "
+            f"matrix payload carries {len(raw)} bytes but shape {tuple(shape)} "
             f"({dtype}) needs {expected}",
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    try:  # an empty matrix can still name extents numpy cannot index
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    except ValueError as exc:
+        raise FrameError("malformed", f"matrix shape {tuple(shape)} is unusable: {exc}") from exc
 
 
 def send_frame(

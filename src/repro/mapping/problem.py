@@ -120,14 +120,12 @@ class MappingProblem:
         arr = self.check_assignment(assignment)
         return np.unique(arr).size == arr.size
 
-    # -- shared-memory plane export/attach ----------------------------------
+    # -- array export ----------------------------------------------------------
     def plane_arrays(self) -> dict[str, np.ndarray]:
-        """Every numeric array a worker needs, keyed for the problem plane.
+        """Every numeric array of the problem, keyed by name.
 
         The TIG arrays, the resource-graph arrays and the already-closed
-        communication-cost matrix: the format of
-        :mod:`repro.utils.shared_plane` (which publishes ``comm_costs`` so
-        workers skip the Floyd–Warshall closure) and the input of
+        communication-cost matrix: the input of
         :func:`~repro.mapping.problem_key.problem_key`. The service wire
         sends only the six graph arrays. :meth:`from_plane_arrays` inverts
         this bit-for-bit.
@@ -152,18 +150,14 @@ class MappingProblem:
     ) -> "MappingProblem":
         """Rebuild a problem from :meth:`plane_arrays` output (zero-copy).
 
-        Only the shared-memory plane uses this
-        (:func:`~repro.utils.shared_plane.resolve_problem`): its
-        ``comm_costs`` was closed by ``__init__`` in the publishing process.
-        Every other path, the service wire included, builds through
+        No library code calls this; it stays for the benchmark's
+        ``mapping.problem_build`` patch, and ROADMAP item 4 step 1 frees it.
+        Every library path, the service wire included, builds through
         ``__init__``. The graphs are reconstructed through their normal
-        validating constructors (the arrays are tiny and already
-        canonical), but the dense ``comm_costs`` matrix — the one O(n²)
-        payload — is adopted as-is instead of being recomputed, so a worker
-        attaching to a shared-memory segment reads the parent's pages
-        directly. The result is numerically identical to the published
-        problem: same weights, same canonical edge order, same closed cost
-        matrix.
+        validating constructors, but the dense ``comm_costs`` matrix is
+        adopted as-is instead of being recomputed. The result is
+        numerically identical to the source problem: same weights, same
+        canonical edge order, same closed cost matrix.
         """
         tig = TaskInteractionGraph(
             arrays["task_weights"],

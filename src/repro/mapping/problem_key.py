@@ -44,7 +44,7 @@ def canonical_array(arr: Any) -> np.ndarray:
     """The canonical 64-bit C-contiguous representation of ``arr``.
 
     Float kinds map to ``float64``, integer/bool kinds to ``int64`` —
-    exact casts for every dtype the problem planes carry, so values (not
+    exact casts for every dtype the problem's arrays carry, so values (not
     storage accidents) determine the hash.
     """
     a = np.asarray(arr)

@@ -11,11 +11,6 @@ from repro.utils.rng import (
     spawn_generators,
 )
 from repro.utils.parallel import WorkerPool, default_worker_count
-from repro.utils.shared_plane import (
-    ProblemPlane,
-    SharedProblemHandle,
-    resolve_problem,
-)
 from repro.utils.timing import Stopwatch, TimingRecord, time_call
 from repro.utils.tables import format_table, render_kv_block
 from repro.utils.validation import (
@@ -33,9 +28,6 @@ __all__ = [
     "spawn_generators",
     "default_worker_count",
     "WorkerPool",
-    "ProblemPlane",
-    "SharedProblemHandle",
-    "resolve_problem",
     "Stopwatch",
     "TimingRecord",
     "time_call",

@@ -27,7 +27,7 @@ Semantics, chosen so retry bit-parity is provable rather than probabilistic:
   input order, not the LPT submission order);
 * a fault fires only while ``attempt < times`` (default ``times = 1``), so
   the default retry of a killed cell deterministically succeeds — and
-  because cells are pure ``(handle, spec, seed)`` functions, the retried
+  because cells are pure ``(problem, spec, seed)`` functions, the retried
   result is bit-identical to the fault-free one;
 * faults fire **only inside pool workers** (``multiprocessing``'s parent
   check): the serial path and the dispatcher's in-process degradation tail

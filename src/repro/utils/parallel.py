@@ -3,10 +3,10 @@
 Suite runs (sizes × pairs × heuristics × repetitions) are independent of
 each other, so they parallelise trivially across processes.
 :class:`WorkerPool` is a warm, reusable pool: its workers fork once and
-serve every later dispatch, it owns a shared-memory problem plane
-(:mod:`repro.utils.shared_plane`) so instances are published once instead
-of pickled per cell, and it schedules straggler-prone cells first
+serve every later dispatch, and it schedules straggler-prone cells first
 (cost-weighted longest-processing-time-first with per-cell futures).
+Cells cross the pipe by pickle, problem included: pickling a paper
+instance costs about 0.1 ms against a solve of 20 ms or more (DESIGN §9).
 :meth:`WorkerPool.map_salvage` is its one dispatch method: failures cost
 cells, never the sweep (DESIGN §10).
 
@@ -32,12 +32,7 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.exceptions import ConfigurationError, WorkerPoolError
 from repro.utils.faults import inject_fault
-from repro.utils.shared_plane import (
-    HeartbeatBoard,
-    ProblemPlane,
-    ProblemRef,
-    mark_heartbeat,
-)
+from repro.utils.shared_plane import HeartbeatBoard, mark_heartbeat
 
 __all__ = [
     "WorkerPool",
@@ -94,7 +89,7 @@ class RetryPolicy:
     """How :meth:`WorkerPool.map_salvage` survives failing cells and workers.
 
     ``max_retries`` bounds the re-dispatches of any one cell beyond its
-    first attempt — cells are pure ``(handle, spec, seed)`` functions, so a
+    first attempt — cells are pure ``(problem, spec, seed)`` functions, so a
     replay after a worker death is bit-identical to the lost attempt.
     ``cell_timeout`` is a per-attempt deadline in seconds (``None`` means no
     deadline): a cell whose heartbeat says it started more than this long
@@ -241,7 +236,7 @@ def _run_in_process(
 
 
 class WorkerPool:
-    """A warm process pool plus shared-memory problem plane.
+    """A warm, reusable process pool with fault-tolerant dispatch.
 
     One pool serves arbitrarily many :meth:`map_salvage` calls; workers
     fork once and stay warm, so successive dispatches pay queue latency
@@ -250,9 +245,9 @@ class WorkerPool:
     pickling, no shared memory — which keeps single-CPU hosts and debug
     sessions exactly as deterministic and steppable as before.
 
-    Use as a context manager (or call :meth:`close`); either way the plane's
-    segments are unlinked on normal exit, on exceptions and on SIGINT, and a
-    ``weakref.finalize`` guard covers pools abandoned without closing.
+    Use as a context manager (or call :meth:`close`); either way the
+    workers are shut down on normal exit, on exceptions and on SIGINT, and
+    a ``weakref.finalize`` guard covers pools abandoned without closing.
 
     :meth:`map_salvage` may be called from several threads at once (the
     service gateway runs one call per in-flight request); they share the
@@ -269,7 +264,6 @@ class WorkerPool:
         #: lock, which a worker then takes on its first board attach
         #: (Python < 3.13) and waits on forever.
         self._lock = threading.Lock()
-        self._plane = ProblemPlane()
         self._closed = False
 
     # -- introspection -----------------------------------------------------
@@ -287,22 +281,6 @@ class WorkerPool:
         if self._executor is None:
             return []
         return list(self._executor._processes)
-
-    # -- the problem plane -------------------------------------------------
-    def publish_problem(self, problem) -> ProblemRef:
-        """Publish a problem for zero-copy worker access; returns the cell ref.
-
-        On the serial path the problem itself is returned — the "workers"
-        are this process, so sharing memory with them is a no-op. Parallel
-        pools return a :class:`~repro.utils.shared_plane.SharedProblemHandle`
-        (idempotent per problem object: the arrays are written once no
-        matter how many cells reference them).
-        """
-        if self._closed:
-            raise WorkerPoolError("cannot publish on a closed WorkerPool")
-        if not self.is_parallel:
-            return problem
-        return self._plane.publish(problem)
 
     # -- dispatch ----------------------------------------------------------
     def map_salvage(
@@ -379,11 +357,9 @@ class WorkerPool:
             if self._executor is None:
                 # Start the parent's resource tracker *before* forking
                 # workers. Workers must inherit its fd: a worker whose first
-                # shared-memory attach finds no tracker spawns a private one
-                # that never hears the parent's unlink and cries "leaked" at
-                # shutdown. The first publish starts it implicitly, but this
-                # pool may well dispatch plane-free work (the service's
-                # solves) before anything is published.
+                # heartbeat-board attach finds no tracker spawns a private
+                # one that never hears the parent's unlink and cries
+                # "leaked" at shutdown.
                 try:
                     from multiprocessing import resource_tracker
 
@@ -399,10 +375,7 @@ class WorkerPool:
             return self._executor
 
     def close(self) -> None:
-        """Shut workers down, then unlink every published segment. Idempotent.
-
-        Ordered so no worker can outlive the segments it may be reading.
-        """
+        """Shut the workers down. Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -410,7 +383,6 @@ class WorkerPool:
             _shutdown_executor(self._executor)
         finally:
             self._executor = None
-            self._plane.close()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -420,10 +392,7 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "warm" if self._executor else "cold"
-        return (
-            f"WorkerPool(n_workers={self.n_workers}, {state}, "
-            f"published={self._plane.n_published})"
-        )
+        return f"WorkerPool(n_workers={self.n_workers}, {state})"
 
 
 class _ResilientDispatch:

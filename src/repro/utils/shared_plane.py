@@ -1,29 +1,23 @@
-"""The shared-memory problem plane: publish instances once, attach zero-copy.
+"""Shared-memory segments of the execution fabric.
 
-Suite-scale dispatch used to pickle every :class:`MappingProblem` — graphs,
-edge lists and the dense O(n²) communication-cost matrix — into **every**
-cell task shipped to a worker. The plane inverts that: the parent publishes
-each instance's numeric arrays into one ``multiprocessing.shared_memory``
-segment, workers attach by name and rebuild the problem as read-only views
-over the same physical pages, and a cell task shrinks to a
-``(problem handle, solver spec, seed)`` tuple a few hundred bytes long.
+The one segment the fabric uses is the :class:`HeartbeatBoard`: the parent
+creates one per parallel dispatch, every pool worker stamps the row of the
+cell it starts, and the parent reads the board to tell started-and-died
+cells from still-queued ones and to enforce deadlines. Cells themselves
+carry their problem by value (pickling a paper instance costs about
+0.1 ms, DESIGN §9), so no problem crosses shared memory.
 
-Lifecycle guarantees (the leak tests in ``tests/utils`` pin all three):
+Lifecycle guarantees (the leak tests in ``tests/utils`` pin them):
 
-* segments are unlinked when the owning :class:`ProblemPlane` (usually via
-  :class:`repro.utils.parallel.WorkerPool`) is closed — on normal exit,
-  on exceptions, and on SIGINT (``KeyboardInterrupt`` unwinds the ``with``
-  block like any exception);
-* a plane that is garbage-collected or still alive at interpreter exit is
-  cleaned up by its ``weakref.finalize`` guard, so no segment survives the
-  owning process;
+* the parent unlinks each board when its dispatch ends, on normal exit,
+  on exceptions and on SIGINT;
 * worker-side attachments are unregistered from the ``resource_tracker``
   (see :func:`_attach_segment`), so a worker's exit neither unlinks a
-  segment the parent still serves nor warns about "leaked" memory.
+  segment the parent still owns nor warns about "leaked" memory.
 
-Workers cache attachments per segment name: the first cell touching an
-instance pays one ``shm_open`` + array-header rebuild, every later cell on
-the same instance is a dict lookup.
+:class:`ProblemPlane` and its :class:`SharedProblemHandle` have no caller
+in the library; they stay only because the benchmark patches
+``ProblemPlane.publish`` by name.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ import time
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -45,8 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "SharedProblemHandle",
     "ProblemPlane",
-    "ProblemRef",
-    "resolve_problem",
     "HeartbeatBoard",
     "mark_heartbeat",
 ]
@@ -58,9 +50,10 @@ _ALIGN = 16
 
 @dataclass(frozen=True)
 class SharedProblemHandle:
-    """Picklable zero-copy reference to one published problem.
+    """Picklable reference to one problem :meth:`ProblemPlane.publish` wrote.
 
-    ``fields`` is the segment's wire manifest: one
+    No library code reads it; ROADMAP item 4 step 1 frees it, with the
+    plane. ``fields`` is the segment's wire manifest: one
     ``(name, dtype, shape, offset)`` row per array, in publication order.
     The handle is a value object — hashable, comparable, and a few hundred
     bytes on the wire regardless of instance size.
@@ -73,19 +66,14 @@ class SharedProblemHandle:
     res_name: str = ""
 
 
-#: What experiment cells carry: a live problem (serial path — same process,
-#: nothing to share) or a shared-memory handle (process-pool path).
-ProblemRef = Union["MappingProblem", SharedProblemHandle]
-
-
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-#: Segment names this process created and still owns. The serial tail of
-#: a degraded dispatch makes the *owner* attach its own segments through
-#: handles; it must keep its tracker entry or the final unlink would
-#: unregister a second time (tracker-side KeyError noise).
+#: Segment names this process created and still owns. A process that
+#: attaches by name to a segment it owns must keep its tracker entry, or
+#: the final unlink would unregister a second time (tracker-side KeyError
+#: noise).
 _OWNED_NAMES: set[str] = set()
 
 
@@ -100,9 +88,8 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     tracker (the fd is inherited), where re-registering an existing name
     is a no-op; unregistering there would strip the parent's own entry
     and make the final unlink complain. The same applies when the owner
-    itself re-attaches by name (serial-tail dispatch): its single tracker
-    entry must survive until unlink. 3.13+ has ``track=False`` for
-    exactly this.
+    itself attaches by name: its single tracker entry must survive until
+    unlink. 3.13+ has ``track=False`` for exactly this.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
@@ -158,9 +145,9 @@ def _unlink_segments(segments: dict[str, shared_memory.SharedMemory]) -> None:
 class ProblemPlane:
     """Registry of problems published to shared memory by this process.
 
-    One plane is owned per :class:`~repro.utils.parallel.WorkerPool`;
-    :meth:`publish` is idempotent per problem object, so enqueuing many
-    cells over the same instance publishes its arrays exactly once.
+    No library code publishes any more: cells carry their problem. The
+    class stays for the benchmark's ``publish`` patch, and ROADMAP item 4
+    step 1 frees it. :meth:`publish` is idempotent per problem object.
     """
 
     _seq = 0  # process-wide publication counter (keys must never collide)
@@ -356,41 +343,3 @@ def mark_heartbeat(name: str, n_cells: int, index: int, attempt: int) -> None:
     except Exception:  # pragma: no cover - platform-specific degradation
         pass
 
-
-# -- worker side ------------------------------------------------------------
-
-#: Per-process attachment cache: segment key -> (segment, rebuilt problem).
-#: The SharedMemory object must stay referenced or its mapping is freed.
-_ATTACHED: dict[str, tuple[shared_memory.SharedMemory, "MappingProblem"]] = {}
-
-
-def resolve_problem(ref: ProblemRef) -> "MappingProblem":
-    """The problem behind a cell's reference, attaching if it is a handle.
-
-    Live problems pass through untouched (the serial path ships the object
-    itself). Handles are attached once per process and cached, so repeated
-    cells on one instance share a single zero-copy reconstruction.
-    """
-    from repro.mapping.problem import MappingProblem
-
-    if isinstance(ref, MappingProblem):
-        return ref
-    if not isinstance(ref, SharedProblemHandle):
-        raise ValidationError(
-            f"problem ref must be a MappingProblem or SharedProblemHandle, "
-            f"got {type(ref).__name__}"
-        )
-    cached = _ATTACHED.get(ref.key)
-    if cached is not None:
-        return cached[1]
-    shm = _attach_segment(ref.shm_name)
-    arrays: dict[str, np.ndarray] = {}
-    for name, dtype, shape, offset in ref.fields:
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset)
-        view.setflags(write=False)
-        arrays[name] = view
-    problem = MappingProblem.from_plane_arrays(
-        arrays, tig_name=ref.tig_name, res_name=ref.res_name
-    )
-    _ATTACHED[ref.key] = (shm, problem)
-    return problem

@@ -90,6 +90,10 @@ class TestMatrixCodec:
             {"dtype": "<f8", "shape": [2]},  # no data
             {"dtype": "<f8", "shape": [2], "data": "###"},  # invalid base64
             {"dtype": "nonsense", "shape": [2], "data": "AA=="},
+            {"dtype": "<f8", "shape": [-1, -8], "data": "AAAAAAAAAAA="},  # negative extents
+            {"dtype": "O", "shape": [1], "data": "AAAAAAAAAAA="},  # object dtype
+            {"dtype": "<f8", "shape": [2.5], "data": "AAAAAAAAAAAAAAAAAAAAAA=="},  # float extent
+            {"dtype": "<f4", "shape": [2], "data": "AAAAAAAAAAA="},  # not float64
         ],
     )
     def test_garbage_payloads_are_structured_errors(self, payload):

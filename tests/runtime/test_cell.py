@@ -1,10 +1,11 @@
 """The one solve cell (``repro.runtime.cell``).
 
 The runner, Table 3, the ablation sweeps and the service gateway all
-dispatch :func:`solve_cell`, so its contract is pinned once here: a cell on
-a live problem in this process and the same cell on a shared-plane handle
-in a worker pool return the same bits as a direct ``spec.build().map``,
-and a capped cell never spends more evaluations than its cap.
+dispatch :func:`solve_cell`, so its contract is pinned once here: a live
+cell run in this process (a 1-worker pool) and the same cell published by
+pickle to a worker of a 2-worker pool return the same bits as a direct
+``spec.build().map``, and a capped cell never spends more evaluations than
+its cap.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.runtime.budget import EvaluationBudget
 from repro.runtime.cell import SolveCell, solve_cell
 from repro.runtime.registry import SolverSpec
 from repro.utils.parallel import WorkerPool
-from repro.utils.shared_plane import SharedProblemHandle
 
 from tests.runtime.conftest import SMALL_PARAMS
 
@@ -26,31 +27,22 @@ CAP = 50
 @pytest.mark.parametrize("name", ["match", "fastmap-ga"])
 def test_live_and_published_cells_agree(golden_problem, name):
     spec = SolverSpec.of(name, SMALL_PARAMS[name])
+    cells = [SolveCell(golden_problem, spec, seed) for seed in SEEDS] + [
+        SolveCell(golden_problem, spec, SEEDS[0], max_evaluations=CAP)
+    ]
+    direct = [spec.build().map(golden_problem, seed) for seed in SEEDS] + [
+        spec.build().map(
+            golden_problem, SEEDS[0], budget=EvaluationBudget(max_evaluations=CAP)
+        )
+    ]
 
-    def cells(problem_ref):
-        return [SolveCell(problem_ref, spec, seed) for seed in SEEDS] + [
-            SolveCell(problem_ref, spec, SEEDS[0], max_evaluations=CAP)
-        ]
+    for n_workers in (1, 2):
+        with WorkerPool(n_workers) as pool:
+            report = pool.map_salvage(solve_cell, cells)
+        assert not report.failures, (n_workers, report.failures)
+        for result, expected in zip(report.results, direct):
+            assert np.array_equal(result.assignment, expected.assignment)
+            assert result.execution_time == expected.execution_time
+            assert result.n_evaluations == expected.n_evaluations
 
-    with WorkerPool(1) as serial:
-        live_ref = serial.publish_problem(golden_problem)
-        assert live_ref is golden_problem
-        live = serial.map_salvage(solve_cell, cells(live_ref))
-    with WorkerPool(2) as pool:
-        handle = pool.publish_problem(golden_problem)
-        assert isinstance(handle, SharedProblemHandle)
-        shared = pool.map_salvage(solve_cell, cells(handle))
-
-    assert not live.failures and not shared.failures
-    direct = [spec.build().map(golden_problem, seed) for seed in SEEDS]
-    for a, b, d in zip(live.results, shared.results, direct):
-        for result in (a, b):
-            assert np.array_equal(result.assignment, d.assignment)
-            assert result.execution_time == d.execution_time
-            assert result.n_evaluations == d.n_evaluations
-
-    capped_live, capped_shared = live.results[-1], shared.results[-1]
-    assert np.array_equal(capped_live.assignment, capped_shared.assignment)
-    assert capped_live.execution_time == capped_shared.execution_time
-    assert capped_live.n_evaluations == capped_shared.n_evaluations
-    assert capped_live.n_evaluations <= CAP < direct[0].n_evaluations
+    assert direct[-1].n_evaluations <= CAP < direct[0].n_evaluations

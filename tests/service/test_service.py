@@ -413,17 +413,29 @@ class TestPoolDispatch:
         async def main():
             config = ServiceConfig(n_workers=2)
             async with MappingService(config, run=run) as service:
-                responses = await asyncio.gather(*(
-                    service.submit(MappingRequest(
-                        problem=make_problem(seed=s), solver=SPEC, seed=s
-                    ))
-                    for s in (7, 8)
-                ))
-                # Cells carry their problem: the gateway publishes nothing.
-                return responses, service._pool._plane.n_published
+                map_salvage = service._pool.map_salvage
+                dispatched = []
 
-        responses, published = asyncio.run(main())
-        assert published == 0
+                def spy(fn, items, **kwargs):
+                    items = list(items)
+                    dispatched.extend(items)
+                    return map_salvage(fn, items, **kwargs)
+
+                service._pool.map_salvage = spy
+                responses = await asyncio.gather(*(
+                    service.submit(request) for request in requests
+                ))
+                return responses, dispatched
+
+        requests = [
+            MappingRequest(problem=make_problem(seed=s), solver=SPEC, seed=s)
+            for s in (7, 8)
+        ]
+        responses, dispatched = asyncio.run(main())
+        # Each dispatched cell carries its own request's problem.
+        assert sorted(id(cell.problem) for cell in dispatched) == sorted(
+            id(request.problem) for request in requests
+        )
         assert all(r.ok and not r.cached for r in responses)
         events = [
             e["event"]

@@ -1,9 +1,10 @@
-"""Tests for the shared-memory problem plane.
+"""Tests for the fabric's shared-memory segments.
 
-Round-trip fidelity (published arrays == attached arrays, bit for bit) and
-the lifecycle guarantees the module docstring promises: no segment survives
-a normal close, an exception unwind, a dead worker pool, or the owning
-process's exit.
+Round-trip fidelity of :class:`ProblemPlane` (published arrays == attached
+arrays, bit for bit) and the lifecycle guarantees the module docstring
+promises: no segment survives a normal close, an exception unwind, a dead
+worker pool or the owning process's exit; pool workers attach the
+heartbeat board without tracker noise; and the heartbeat's clock domain.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ import pytest
 from repro.exceptions import ValidationError, WorkerPoolError
 from repro.experiments.suite import build_suite
 from repro.mapping.cost_model import CostModel
+from repro.mapping.problem import MappingProblem
+from repro.utils import shared_plane
 from repro.utils.faults import FAULTS_ENV
 from repro.utils.parallel import RetryPolicy, WorkerPool
-from repro.utils.shared_plane import (
-    ProblemPlane,
-    SharedProblemHandle,
-    resolve_problem,
-)
+from repro.utils.shared_plane import ProblemPlane, SharedProblemHandle
 
 
 def make_problem(size: int = 8, seed: int = 11):
@@ -42,34 +41,52 @@ def segment_exists(shm_name: str) -> bool:
     return True
 
 
-def check_costs(task: "tuple[object, int]") -> float:
-    """Worker: evaluate a fixed assignment on the attached problem."""
-    ref, size = task
-    problem = resolve_problem(ref)
-    return float(CostModel(problem).evaluate(np.arange(size, dtype=np.int64)))
+def attach_problem(handle: SharedProblemHandle):
+    """Rebuild the problem behind ``handle`` from its segment.
+
+    Returns the attachment with the problem; the caller closes it once the
+    problem's zero-copy views are no longer used.
+    """
+    shm = shared_plane._attach_segment(handle.shm_name)
+    arrays = {
+        name: np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset)
+        for name, dtype, shape, offset in handle.fields
+    }
+    problem = MappingProblem.from_plane_arrays(
+        arrays, tig_name=handle.tig_name, res_name=handle.res_name
+    )
+    return shm, problem
+
+
+def board_name(_: object) -> str:
+    """Worker: the name of the heartbeat board this cell was stamped on."""
+    return shared_plane._HB_ATTACHED.name
 
 
 class TestRoundTrip:
     def test_publish_then_resolve_is_bit_identical(self):
         problem = make_problem()
         with ProblemPlane() as plane:
-            handle = plane.publish(problem)
-            rebuilt = resolve_problem(handle)
+            shm, rebuilt = attach_problem(plane.publish(problem))
             for name, arr in problem.plane_arrays().items():
                 np.testing.assert_array_equal(
                     arr, rebuilt.plane_arrays()[name], err_msg=name
                 )
             assert rebuilt.tig.name == problem.tig.name
             assert rebuilt.resources.name == problem.resources.name
+            del rebuilt
+            shm.close()
 
     def test_cost_model_identical_on_rebuilt_problem(self):
         problem = make_problem()
         assignment = np.arange(problem.n_tasks, dtype=np.int64)
         with ProblemPlane() as plane:
-            rebuilt = resolve_problem(plane.publish(problem))
+            shm, rebuilt = attach_problem(plane.publish(problem))
             assert CostModel(problem).evaluate(assignment) == CostModel(
                 rebuilt
             ).evaluate(assignment)
+            del rebuilt
+            shm.close()
 
     def test_publish_is_idempotent_per_problem(self):
         problem = make_problem()
@@ -94,14 +111,6 @@ class TestRoundTrip:
             handle = plane.publish(problem)
             assert len(pickle.dumps(handle)) < len(pickle.dumps(problem)) / 2
 
-    def test_resolve_passthrough_for_live_problem(self):
-        problem = make_problem()
-        assert resolve_problem(problem) is problem
-
-    def test_resolve_rejects_other_types(self):
-        with pytest.raises(ValidationError, match="problem ref"):
-            resolve_problem(42)
-
 
 class TestLifecycle:
     def test_segments_unlinked_on_normal_close(self):
@@ -125,58 +134,49 @@ class TestLifecycle:
         assert handle is not None and not segment_exists(handle.shm_name)
 
     def test_worker_pool_exit_unlinks_after_raising_cell(self, monkeypatch):
-        """A worker dies on a published problem's cell and the caller's
-        ``with`` block raises over the partial report: the plane unlinks."""
+        """A worker dies on a cell and the caller's ``with`` block raises
+        over the partial report: the dispatch's heartbeat board unlinks."""
         monkeypatch.setenv(FAULTS_ENV, "kill@2*99")
-        problem = make_problem()
-        handle = None
+        names: set[str] = set()
         with pytest.raises(WorkerPoolError, match="worker-death"):
             with WorkerPool(2) as pool:
-                handle = pool.publish_problem(problem)
-                assert isinstance(handle, SharedProblemHandle)
                 report = pool.map_salvage(
-                    check_costs,
-                    [(handle, problem.n_tasks)] * 4,
+                    board_name,
+                    range(4),
                     policy=RetryPolicy(max_retries=0, backoff_base=0.01),
                 )
+                names = {name for _, name in report.completed()}
                 failure = next(f for f in report.failures if f.index == 2)
                 raise WorkerPoolError(f"cell 2 lost: {failure.kind}")
-        assert handle is not None and not segment_exists(handle.shm_name)
+        assert names
+        assert not any(segment_exists(name) for name in names)
 
     def test_worker_pool_normal_exit_unlinks(self):
-        problem = make_problem()
         with WorkerPool(2) as pool:
-            handle = pool.publish_problem(problem)
-            report = pool.map_salvage(check_costs, [(handle, problem.n_tasks)] * 4)
+            report = pool.map_salvage(board_name, range(4))
         assert report.ok, report.failures
         assert len(set(report.results)) == 1
-        assert not segment_exists(handle.shm_name)
+        assert not segment_exists(report.results[0])
 
     def test_no_tracker_noise_when_pool_warms_before_publish(self):
-        """Workers forked before the first publish share the parent tracker.
+        """Workers forked by a first dispatch share the parent tracker.
 
-        A pool may dispatch plane-free work (the service gateway's solves)
-        before any problem is published. A worker forked without an
-        inherited tracker fd would start a private tracker on first
-        attach, never hear the parent's unlink, and spray "leaked
-        shared_memory" warnings at shutdown — so the whole run's stderr
-        must stay silent.
+        The first dispatch warms (forks) the workers; every later dispatch
+        publishes a fresh heartbeat board that those warmed workers attach.
+        A worker forked without an inherited tracker fd would start a
+        private tracker on attach, never hear the parent's unlink, and warn
+        of "leaked shared_memory" at shutdown, so the run's stderr must stay
+        silent.
         """
         src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         script = (
-            "from repro.experiments.suite import build_suite\n"
             "from repro.utils.parallel import WorkerPool\n"
-            "from tests.utils.test_shared_plane import check_costs\n"
-            "problem = build_suite((6,), 1, seed=3)[6][0].problem\n"
             "with WorkerPool(2) as pool:\n"
-            "    assert pool.map_salvage(abs, range(4)).ok\n"  # warm the workers plane-free
-            "    handle = pool.publish_problem(problem)\n"
-            "    report = pool.map_salvage(check_costs, [(handle, problem.n_tasks)] * 4)\n"
-            "    assert report.ok, report.failures\n"
+            "    for _ in range(3):\n"
+            "        assert pool.map_salvage(abs, range(-4, 4)).ok\n"
         )
         env = dict(os.environ)
-        repo_root = os.path.abspath(os.path.join(src_root, ".."))
-        env["PYTHONPATH"] = os.pathsep.join([os.path.abspath(src_root), repo_root])
+        env["PYTHONPATH"] = os.path.abspath(src_root)
         out = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,

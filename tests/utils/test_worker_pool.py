@@ -84,11 +84,6 @@ class TestWorkerPoolSerial:
             assert results(pool, get_pid, [0, 1]) == [os.getpid()] * 2
             assert pool.worker_pids() == []
 
-    def test_serial_publish_is_passthrough(self):
-        sentinel = object()
-        with WorkerPool(1) as pool:
-            assert pool.publish_problem(sentinel) is sentinel
-
     def test_serial_weight_does_not_reorder_results(self):
         with WorkerPool(1) as pool:
             out = results(pool, square, range(6), weight=lambda x: -x)  # repro: noqa[parallel-safety] -- serial pool never forks
@@ -149,12 +144,6 @@ class TestWorkerPoolClosed:
         pool.close()
         with pytest.raises(WorkerPoolError, match="closed"):
             pool.map_salvage(square, [1, 2])
-
-    def test_publish_on_closed_pool(self):
-        pool = WorkerPool(2)
-        pool.close()
-        with pytest.raises(WorkerPoolError, match="closed"):
-            pool.publish_problem(object())
 
     def test_close_is_idempotent(self):
         pool = WorkerPool(2)
