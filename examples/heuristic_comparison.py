@@ -2,9 +2,8 @@
 """Heuristic shoot-out: every mapper in the library on one instance suite.
 
 Extends the paper's two-heuristic comparison (MaTCH vs. FastMap-GA) with
-the distributed MaTCH variant and the full hierarchical FastMap scheme,
-reporting quality, mapping time and application turnaround (ATN, Fig. 9)
-side by side.
+the distributed MaTCH variant, reporting quality, mapping time and
+application turnaround (ATN, Fig. 9) side by side.
 
 Run:
     python examples/heuristic_comparison.py [n] [runs] [seed]
@@ -17,12 +16,7 @@ import sys
 import numpy as np
 
 from repro import MappingProblem, generate_paper_pair
-from repro.baselines import (
-    FastMapGA,
-    GAConfig,
-    HierarchicalFastMap,
-    HierarchicalFastMapConfig,
-)
+from repro.baselines import FastMapGA, GAConfig
 from repro.core import DistributedMatchMapper, MatchConfig, MatchMapper
 from repro.utils.rng import RngStreams
 from repro.utils.tables import format_table
@@ -35,7 +29,6 @@ def mappers():
         "FastMap-GA": lambda: FastMapGA(
             GAConfig(population_size=200, generations=300)
         ),
-        "FastMap-hier": lambda: HierarchicalFastMap(HierarchicalFastMapConfig()),
     }
 
 

@@ -19,7 +19,7 @@ Package map
 * :mod:`repro.ce` — the cross-entropy method library (GenPerm, elite
   updates, and the one CE engine, run on one chain or many);
 * :mod:`repro.core` — MaTCH and its distributed variant;
-* :mod:`repro.baselines` — FastMap-GA and its hierarchical variant;
+* :mod:`repro.baselines` — FastMap-GA, the paper's comparator;
 * :mod:`repro.stats` — ANOVA, confidence intervals, F/t distributions;
 * :mod:`repro.experiments` — every table/figure of the paper as code.
 """
@@ -59,7 +59,6 @@ from repro.graphs import (
 )
 from repro.mapping import (
     CostModel,
-    IncrementalEvaluator,
     Mapping,
     MappingProblem,
     TurnaroundRecord,
@@ -86,7 +85,6 @@ __all__ = [
     "Mapping",
     "CostModel",
     "evaluate_reference",
-    "IncrementalEvaluator",
     "TurnaroundRecord",
     # CE + MaTCH
     "StochasticMatrix",

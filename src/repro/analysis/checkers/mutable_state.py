@@ -8,8 +8,8 @@ Two sub-checks:
 * **undeclared parameter mutation in hot paths** — in ``repro/mapping/``
   and ``repro/ce/`` modules, a module-level function (or method) that
   assigns into a subscripted parameter (``buf[i] = ...``) mutates its
-  caller's array. That is fine *as a contract* — the incremental
-  evaluator's ``_apply_move`` documents exactly that — so the check skips
+  caller's array. That is fine *as a contract* — a scratch-buffer helper
+  whose caller hands it the array to fill — so the check skips
   functions that declare it: a docstring mentioning "in-place"/"in place",
   or the parameter being named ``out``/``*_out`` (numpy's ``out=``
   convention). Nested helper functions are exempt (their parameters are

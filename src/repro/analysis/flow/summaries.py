@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Attribute calls that cross the cost-model boundary (Eq. (2) probes).
-COST_ATTRS = frozenset({"evaluate", "evaluate_batch", "swap_cost", "move_cost"})
+COST_ATTRS = frozenset({"evaluate", "evaluate_batch"})
 #: Bare / attribute names under which library code holds a user objective.
 OBJECTIVE_NAMES = frozenset({"objective", "score"})
 

@@ -1,10 +1,6 @@
-"""Baseline mapping heuristics: FastMap-GA (the paper's comparator) and its hierarchical variant."""
+"""Baseline mapping heuristic: FastMap-GA, the paper's only comparator (§5.1)."""
 
 from repro.baselines.base import Mapper, MapperResult
-from repro.baselines.fastmap_hierarchical import (
-    HierarchicalFastMap,
-    HierarchicalFastMapConfig,
-)
 from repro.baselines.ga import FastMapGA, GAConfig
 from repro.baselines.ga_operators import (
     fitness,
@@ -16,8 +12,6 @@ from repro.baselines.ga_operators import (
 __all__ = [
     "Mapper",
     "MapperResult",
-    "HierarchicalFastMap",
-    "HierarchicalFastMapConfig",
     "FastMapGA",
     "GAConfig",
     "fitness",

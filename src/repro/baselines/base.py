@@ -3,8 +3,8 @@
 The experiment harness (Tables 1-3, Figures 7-9) treats heuristics
 uniformly: give a :class:`~repro.mapping.problem.MappingProblem` and a
 seed, get back a :class:`MapperResult` with the produced mapping, its
-execution time (ET, Eq. (2)) and the wall-clock mapping time (MT). MaTCH,
-FastMap-GA and hierarchical FastMap implement :class:`Mapper`. A mapper
+execution time (ET, Eq. (2)) and the wall-clock mapping time (MT). MaTCH
+and FastMap-GA implement :class:`Mapper`. A mapper
 runs one seed per :meth:`Mapper.map` call; repetitions fan out as
 experiment cells through :meth:`repro.utils.parallel.WorkerPool.map_salvage`
 (MaTCH alone adds a fused :meth:`~repro.core.match.MatchMapper.map_many`).

@@ -1,11 +1,6 @@
 """Graph substrate: TIGs, resource graphs, synthetic generators, JSON I/O."""
 
 from repro.graphs.base import WeightedGraph, canonicalize_edges
-from repro.graphs.clustering import (
-    ClusteringResult,
-    build_cluster_graph,
-    heavy_edge_clustering,
-)
 from repro.graphs.generators import (
     PAPER_RESOURCE_EDGE_WEIGHTS,
     PAPER_RESOURCE_NODE_WEIGHTS,
@@ -31,9 +26,6 @@ from repro.graphs.task_graph import TaskInteractionGraph
 __all__ = [
     "WeightedGraph",
     "canonicalize_edges",
-    "ClusteringResult",
-    "heavy_edge_clustering",
-    "build_cluster_graph",
     "TaskInteractionGraph",
     "ResourceGraph",
     "shortest_path_closure",

@@ -19,10 +19,10 @@ many.
 
 Placement independence falls out of the RNG discipline: agent ``k``'s
 stream is the ``k``-th ``SeedSequence`` spawn of the root seed
-(:func:`agent_streams`), which any process can reconstruct from
-``(root_seed, n_agents, k)`` alone. Which island an agent happens to run
-on — or how many times it migrates after node deaths — cannot reach any
-drawn number.
+(:func:`agent_streams`), which any process can build from
+``(root_seed, k)`` alone (:func:`agent_stream`). Which island an agent
+happens to run on — or how many times it migrates after node deaths —
+cannot reach any drawn number.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.utils.rng import (
 )
 
 __all__ = [
+    "agent_stream",
     "agent_streams",
     "is_degenerate",
     "chain_rounds",
@@ -65,6 +66,15 @@ def agent_streams(seed: SeedLike, n_agents: int) -> list[np.random.Generator]:
     on where the agent executes.
     """
     return spawn_generators(as_generator(seed), n_agents)
+
+
+def agent_stream(seed: int, k: int) -> np.random.Generator:
+    """Agent ``k``'s stream alone: ``agent_streams(seed, n)[k]`` for any ``n > k``.
+
+    Built straight from the ``k``-th ``SeedSequence`` child, so an island or
+    a replay pays for the streams it runs, not for the run's agent count.
+    """
+    return as_generator(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
 def is_degenerate(P: np.ndarray) -> np.bool_ | np.ndarray:
@@ -202,7 +212,6 @@ def apply_gossip(
 def replay_chain(
     model: CostModel,
     root_seed: int,
-    n_agents: int,
     agent_index: int,
     per_agent: int,
     rho: float,
@@ -223,7 +232,7 @@ def replay_chain(
     are empty when ``through_round`` is 0 (death before any round
     completed).
     """
-    rng = agent_streams(root_seed, n_agents)[agent_index]
+    rng = agent_stream(root_seed, agent_index)
     state = ChainState(model.problem.n_tasks, model.problem.n_resources, rng)
     by_round = {record.round: record for record in history}
     reports: dict[int, dict[str, Any]] = {}

@@ -526,7 +526,7 @@ class IslandCoordinator:
         rounds: _Rounds = {r: {} for r in range(first, through + 1)}
         for g in range(cfg.n_agents):
             chains[g], reports = replay_chain(
-                self._model, self.seed, cfg.n_agents, g, self.per_agent,
+                self._model, self.seed, g, self.per_agent,
                 cfg.rho, cfg.zeta, cfg.gossip_weight, history, through,
             )
             for r in rounds:

@@ -26,17 +26,17 @@ from __future__ import annotations
 import os
 import socket
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 import numpy as np
 
-from repro.exceptions import IslandError, ValidationError
+from repro.exceptions import FrameError, IslandError, ValidationError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
     ChainRoundCell,
     ChainState,
     SyncRecord,
-    agent_streams,
+    agent_stream,
     apply_gossip,
     replay_chain,
     run_chain_round,
@@ -47,7 +47,10 @@ from repro.service.wire import MAX_WIRE_SAMPLES, _wire_int, problem_from_wire
 from repro.utils.parallel import WorkerPool
 from repro.utils.rng import generator_from_state, generator_state
 
-__all__ = ["IslandJob", "decode_job", "IslandWorker", "run_island"]
+__all__ = [
+    "IslandJob", "IslandAdoption", "decode_job", "decode_interval",
+    "decode_matrix_request", "decode_gossip", "decode_adopt", "IslandWorker", "run_island",
+]
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,17 @@ class IslandJob:
     zeta: float
     gossip_weight: float
     agents: tuple[int, ...]
+
+
+def _agent_list(value: Any, what: str, n_agents: int) -> tuple[int, ...]:
+    """A non-empty list of distinct agent indices below ``n_agents``."""
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{what} must be a non-empty list, got {value!r}")
+    for i, g in enumerate(value):
+        _wire_int(g, f"{what}[{i}]", 0, n_agents - 1)
+    if len(set(value)) != len(value):
+        raise ValidationError(f"{what} must be distinct, got {value}")
+    return tuple(value)
 
 
 def decode_job(frame: Mapping[str, Any]) -> IslandJob:
@@ -89,15 +103,67 @@ def decode_job(frame: Mapping[str, Any]) -> IslandJob:
         DistributedMatchConfig(n_agents=n_agents, **rates)
     except ValidationError as exc:  # its message starts with the field name
         raise ValidationError(f"job.{exc}") from exc
-    agents = frame.get("agents")
-    if not isinstance(agents, list) or not agents:
-        raise ValidationError(f"job.agents must be a non-empty list, got {agents!r}")
-    for i, g in enumerate(agents):
-        _wire_int(g, f"job.agents[{i}]", 0, n_agents - 1)
-    if len(set(agents)) != len(agents):
-        raise ValidationError(f"job.agents must be distinct, got {agents}")
+    agents = _agent_list(frame.get("agents"), "job.agents", n_agents)
     problem = problem_from_wire(frame.get("problem"))
-    return IslandJob(problem, seed, n_agents, per_agent, agents=tuple(agents), **rates)
+    return IslandJob(problem, seed, n_agents, per_agent, agents=agents, **rates)
+
+
+# The frames after ``job``: one decoder per frame type, each refusal a
+# ValidationError (or, for a matrix payload, a FrameError) naming
+# ``<frame>.<field>``.
+
+
+def decode_interval(msg: Mapping[str, Any]) -> tuple[int, int]:
+    """A ``round`` frame's interval ``(round, through)``, ``1 <= round <= through``."""
+    first = _wire_int(msg.get("round"), "round.round", 1)
+    return first, _wire_int(msg.get("through"), "round.through", first)
+
+
+def decode_matrix_request(msg: Mapping[str, Any], owned: Collection[int]) -> int:
+    """The agent a ``matrix-request`` frame names: one this island runs."""
+    g = _wire_int(msg.get("agent"), "matrix-request.agent", 0)
+    if g not in owned:
+        raise ValidationError(f"matrix-request.agent {g} is not one of {sorted(owned)}")
+    return g
+
+
+def decode_gossip(msg: Any, job: IslandJob, what: str = "gossip") -> SyncRecord:
+    """A ``gossip`` frame (or an adoption's history entry ``what``): the
+    sync round, its leader and the leader's matrix, shaped like the problem."""
+    if not isinstance(msg, Mapping):
+        raise ValidationError(f"{what} must be an object, got {msg!r}")
+    r = _wire_int(msg.get("round"), f"{what}.round", 1)
+    leader = _wire_int(msg.get("leader"), f"{what}.leader", 0, job.n_agents - 1)
+    try:
+        matrix = island_wire.decode_matrix(msg.get("matrix"))
+    except FrameError as exc:
+        raise FrameError(exc.kind, f"{what}.matrix: {exc}") from exc
+    shape = (job.problem.n_tasks, job.problem.n_resources)
+    if matrix.shape != shape:
+        raise FrameError("malformed", f"{what}.matrix must be {shape}, got {matrix.shape}")
+    return SyncRecord(round=r, leader=leader, matrix=matrix)
+
+
+@dataclass(frozen=True)
+class IslandAdoption:
+    """A checked ``adopt`` frame: orphans to replay through ``through_round``."""
+
+    from_round: int
+    through_round: int
+    agents: tuple[int, ...]
+    history: tuple[SyncRecord, ...]
+
+
+def decode_adopt(msg: Mapping[str, Any], job: IslandJob) -> IslandAdoption:
+    """An ``adopt`` frame; ``through_round`` may be ``from_round - 1`` (nothing ran)."""
+    first = _wire_int(msg.get("from_round"), "adopt.from_round", 1)
+    through = _wire_int(msg.get("through_round"), "adopt.through_round", first - 1)
+    agents = _agent_list(msg.get("agents"), "adopt.agents", job.n_agents)
+    history = msg.get("history", [])
+    if not isinstance(history, list):
+        raise ValidationError(f"adopt.history must be a list, got {history!r}")
+    records = tuple(decode_gossip(h, job, f"adopt.history[{i}]") for i, h in enumerate(history))
+    return IslandAdoption(first, through, agents, records)
 
 
 def _chain_weight(cell: ChainRoundCell) -> float:
@@ -139,7 +205,7 @@ class IslandWorker:
 
         Raises :class:`IslandError`/:class:`FrameError` if the coordinator
         breaks protocol or vanishes, and :class:`ValidationError` for a
-        malformed ``job`` frame — a crash here is *meant* to be loud:
+        malformed frame — a crash here is *meant* to be loud:
         the process exit is what a supervisor (or the chaos test) observes.
         """
         with socket.create_connection(self.address) as sock:
@@ -156,19 +222,16 @@ class IslandWorker:
     # -- the protocol ------------------------------------------------------
     def _serve_job(self, sock: socket.socket, job: IslandJob) -> None:
         n_t, n_r = job.problem.n_tasks, job.problem.n_resources
-        streams = agent_streams(job.seed, job.n_agents)
-        chains = {g: ChainState(n_t, n_r, streams[g]) for g in job.agents}
+        chains = {g: ChainState(n_t, n_r, agent_stream(job.seed, g)) for g in job.agents}
 
         with WorkerPool(self.n_workers) as pool:
             while True:
                 msg = island_wire.recv_frame(sock)
                 kind = msg.get("type")
                 if kind == "round":
-                    self._run_interval(sock, pool, job, msg, chains)
+                    self._run_interval(sock, pool, job, decode_interval(msg), chains)
                 elif kind == "matrix-request":
-                    g = int(msg["agent"])
-                    if g not in chains:
-                        raise IslandError(f"matrix-request for foreign agent {g}")
+                    g = decode_matrix_request(msg, chains)
                     island_wire.send_frame(
                         sock,
                         {
@@ -178,9 +241,9 @@ class IslandWorker:
                         },
                     )
                 elif kind == "gossip":
-                    self._apply_gossip(sock, msg, chains, job.gossip_weight)
+                    self._apply_gossip(sock, decode_gossip(msg, job), chains, job.gossip_weight)
                 elif kind == "adopt":
-                    self._adopt(sock, msg, chains, job)
+                    self._adopt(sock, decode_adopt(msg, job), chains, job)
                 elif kind == "stop":
                     island_wire.send_frame(sock, {"type": "stopped"})
                     return
@@ -192,10 +255,10 @@ class IslandWorker:
         sock: socket.socket,
         pool: WorkerPool,
         job: IslandJob,
-        msg: dict[str, Any],
+        interval: tuple[int, int],
         chains: dict[int, ChainState],
     ) -> None:
-        first, through = int(msg["round"]), int(msg["through"])
+        first, through = interval
         if self.on_round is not None:
             for r in range(first, through + 1):
                 self.on_round(r)
@@ -244,19 +307,16 @@ class IslandWorker:
     def _apply_gossip(
         self,
         sock: socket.socket,
-        msg: dict[str, Any],
+        gossip: SyncRecord,
         chains: dict[int, ChainState],
         gossip_weight: float,
     ) -> None:
-        r = int(msg["round"])
-        leader = int(msg["leader"])
-        leader_P = island_wire.decode_matrix(msg["matrix"])
-        apply_gossip(chains, r, leader, leader_P, gossip_weight)
+        apply_gossip(chains, gossip.round, gossip.leader, gossip.matrix, gossip_weight)
         island_wire.send_frame(
             sock,
             {
                 "type": "gossip-ok",
-                "round": r,
+                "round": gossip.round,
                 "degenerate": {str(g): chains[g].degenerate for g in sorted(chains)},
             },
         )
@@ -264,26 +324,17 @@ class IslandWorker:
     def _adopt(
         self,
         sock: socket.socket,
-        msg: dict[str, Any],
+        adoption: IslandAdoption,
         chains: dict[int, ChainState],
         job: IslandJob,
     ) -> None:
-        first = int(msg["from_round"])
-        through = int(msg["through_round"])
-        history = [
-            SyncRecord(
-                round=int(h["round"]),
-                leader=int(h["leader"]),
-                matrix=island_wire.decode_matrix(h["matrix"]),
-            )
-            for h in msg.get("history", [])
-        ]
+        first, through = adoption.from_round, adoption.through_round
         rounds: dict[str, dict[str, Any]] = {str(r): {} for r in range(first, through + 1)}
         model = CostModel(job.problem)
-        for g in (int(a) for a in msg["agents"]):
+        for g in adoption.agents:
             chains[g], reports = replay_chain(
-                model, job.seed, job.n_agents, g, job.per_agent, job.rho, job.zeta,
-                job.gossip_weight, history, through,
+                model, job.seed, g, job.per_agent, job.rho, job.zeta,
+                job.gossip_weight, adoption.history, through,
             )
             for r in range(first, through + 1):
                 rounds[str(r)][str(g)] = _wire_entry(reports[r])

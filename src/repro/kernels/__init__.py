@@ -1,8 +1,8 @@
 """Compiled kernel backends for the hot loops (DESIGN.md §11).
 
 Two interchangeable, bit-identical implementations of the library's
-three hot kernels — batched Eq. (1)/(2) scoring, the GenPerm position
-loop, and the O(deg) delta probes — behind one dispatch point:
+two hot kernels — batched Eq. (1)/(2) scoring and the GenPerm position
+loop — behind one dispatch point:
 
 * ``cext``: scalar loops in C, compiled on demand with the system C
   compiler (no extra Python dependency);
@@ -15,7 +15,7 @@ cross-backend parity suite in ``tests/kernels/`` enforces this, and the
 golden fixtures run under each available backend).
 """
 
-from repro.kernels.csr import ProblemPack, build_adjacency, build_pack
+from repro.kernels.csr import ProblemPack, build_pack
 from repro.kernels.dispatch import (
     KERNEL_CHOICES,
     KernelBackend,
@@ -29,7 +29,6 @@ from repro.kernels.dispatch import (
 
 __all__ = [
     "ProblemPack",
-    "build_adjacency",
     "build_pack",
     "KernelBackend",
     "KERNEL_CHOICES",

@@ -55,8 +55,6 @@ class KernelBackend:
     compiled: bool
     eval_batch: Callable
     genperm: Callable
-    move_cost: Callable
-    swap_cost: Callable
 
 
 def _table(name: str, impl: object, *, compiled: bool) -> KernelBackend:
@@ -65,8 +63,6 @@ def _table(name: str, impl: object, *, compiled: bool) -> KernelBackend:
         compiled=compiled,
         eval_batch=impl.eval_batch,
         genperm=impl.genperm,
-        move_cost=impl.move_cost,
-        swap_cost=impl.swap_cost,
     )
 
 

@@ -171,16 +171,6 @@ def _bind(lib: ctypes.CDLL) -> None:
         _I64, _c_i64,  # X, n_threads
     ]
     lib.repro_genperm.restype = ctypes.c_int
-    probe_head = [
-        _F64, _I64, _c_i64, _c_i64,  # exec_s, x, n_t, n_r
-        _F64, _F64, _F64,  # W, w, ccm_flat
-        _I64, _I64, _F64,  # off, nbr, vol
-    ]
-    out_d = ctypes.POINTER(ctypes.c_double)
-    lib.repro_move_cost.argtypes = [*probe_head, _c_i64, _c_i64, out_d]
-    lib.repro_move_cost.restype = ctypes.c_int
-    lib.repro_swap_cost.argtypes = [*probe_head, _c_i64, _c_i64, out_d]
-    lib.repro_swap_cost.restype = ctypes.c_int
 
 
 class _CExtKernels:
@@ -225,37 +215,6 @@ class _CExtKernels:
         )
         return X
 
-    def _probe_args(self, pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray):
-        return (
-            exec_s, x, pack.n_tasks, pack.n_resources,
-            pack.task_weights, pack.proc_weights, pack.comm_flat,
-            pack.off, pack.nbr, pack.nbr_vol,
-        )
-
-    def move_cost(
-        self, pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray,
-        task: int, dest: int,
-    ) -> float:
-        out = ctypes.c_double()
-        self._check(
-            self._lib.repro_move_cost(
-                *self._probe_args(pack, exec_s, x), task, dest, ctypes.byref(out)
-            )
-        )
-        return out.value
-
-    def swap_cost(
-        self, pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray,
-        t1: int, t2: int,
-    ) -> float:
-        out = ctypes.c_double()
-        self._check(
-            self._lib.repro_swap_cost(
-                *self._probe_args(pack, exec_s, x), t1, t2, ctypes.byref(out)
-            )
-        )
-        return out.value
-
 
 def load() -> _CExtKernels:
     """Compile if needed, load the shared object, smoke-test one call."""
@@ -289,7 +248,4 @@ class _SmokePack(ProblemPack):
             eu=np.zeros(0, dtype=np.int64),
             ev=np.zeros(0, dtype=np.int64),
             edge_vol=np.zeros(0, dtype=np.float64),
-            off=np.zeros(2, dtype=np.int64),
-            nbr=np.zeros(0, dtype=np.int64),
-            nbr_vol=np.zeros(0, dtype=np.float64),
         )

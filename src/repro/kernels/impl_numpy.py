@@ -17,8 +17,6 @@ from repro.kernels.csr import ProblemPack
 __all__ = [
     "eval_batch",
     "genperm",
-    "move_cost",
-    "swap_cost",
 ]
 
 
@@ -187,54 +185,3 @@ def genperm(
         if square:
             rem -= choice
     return X.reshape(R, N, n_tasks)
-
-
-# -- O(deg) delta probes -----------------------------------------------------
-
-def _apply_move(
-    pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray, task: int, dest: int
-) -> None:
-    """In-place: relocate ``task`` to ``dest`` updating ``exec_s`` and ``x``."""
-    W = pack.task_weights
-    w = pack.proc_weights
-    ccm = pack.comm
-    src = x[task]
-    if src == dest:
-        return
-    exec_s[src] -= W[task] * w[src]
-    exec_s[dest] += W[task] * w[dest]
-    lo, hi = pack.off[task], pack.off[task + 1]
-    for k in range(lo, hi):
-        a = pack.nbr[k]
-        c_vol = pack.nbr_vol[k]
-        m = x[a]
-        if m != src:
-            exec_s[src] -= c_vol * ccm[src, m]
-            exec_s[m] -= c_vol * ccm[m, src]
-        if m != dest:
-            exec_s[dest] += c_vol * ccm[dest, m]
-            exec_s[m] += c_vol * ccm[m, dest]
-    x[task] = dest
-
-
-def move_cost(
-    pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray, task: int, dest: int
-) -> float:
-    """Eq. (2) cost if ``task`` were moved to ``dest`` (no state change)."""
-    ex = exec_s.copy()
-    xs = x.copy()
-    _apply_move(pack, ex, xs, task, dest)
-    return float(ex.max())
-
-
-def swap_cost(
-    pack: ProblemPack, exec_s: np.ndarray, x: np.ndarray, t1: int, t2: int
-) -> float:
-    """Eq. (2) cost if tasks ``t1`` and ``t2`` exchanged resources."""
-    ex = exec_s.copy()
-    xs = x.copy()
-    s1, s2 = xs[t1], xs[t2]
-    _apply_move(pack, ex, xs, t1, s2)
-    _apply_move(pack, ex, xs, t2, s1)
-    return float(ex.max())
-

@@ -32,8 +32,7 @@
  *
  * No Python.h: the library is plain C called through ctypes, so one
  * shared object serves every interpreter version. All functions return
- * 0 on success and -1 on allocation failure (scalar-valued probes
- * return the cost through an out-pointer for the same reason).
+ * 0 on success and -1 on allocation failure.
  */
 
 #include <pthread.h>
@@ -438,88 +437,4 @@ int repro_genperm(const double *P, const double *rand_orders,
 {
     struct genperm_args a = {P, rand_orders, rand_pos, N, n_t, n_res, X};
     return split_rows(genperm_rows, &a, R * N, n_threads);
-}
-
-/* ---------------- O(deg) delta probes ---------------- */
-
-static void apply_move(double *ex, i64 *xs, i64 task, i64 dest,
-                       const double *W, const double *w, const double *ccm,
-                       i64 n_r, const i64 *off, const i64 *nbr,
-                       const double *vol)
-{
-    i64 src = xs[task];
-    i64 k;
-    if (src == dest)
-        return;
-    ex[src] -= W[task] * w[src];
-    ex[dest] += W[task] * w[dest];
-    for (k = off[task]; k < off[task + 1]; k++) {
-        i64 m = xs[nbr[k]];
-        double cv = vol[k];
-        if (m != src) {
-            ex[src] -= cv * ccm[src * n_r + m];
-            ex[m] -= cv * ccm[m * n_r + src];
-        }
-        if (m != dest) {
-            ex[dest] += cv * ccm[dest * n_r + m];
-            ex[m] += cv * ccm[m * n_r + dest];
-        }
-    }
-    xs[task] = dest;
-}
-
-static double max_of(const double *ex, i64 n_r)
-{
-    double best = ex[0];
-    i64 r;
-    for (r = 1; r < n_r; r++)
-        if (ex[r] > best)
-            best = ex[r];
-    return best;
-}
-
-int repro_move_cost(const double *exec_s, const i64 *x, i64 n_t, i64 n_r,
-                    const double *W, const double *w, const double *ccm,
-                    const i64 *off, const i64 *nbr, const double *vol,
-                    i64 task, i64 dest, double *out)
-{
-    double *ex = malloc((size_t)n_r * sizeof(double));
-    i64 *xs = malloc((size_t)n_t * sizeof(i64));
-    if (ex == NULL || xs == NULL) {
-        free(ex);
-        free(xs);
-        return -1;
-    }
-    memcpy(ex, exec_s, (size_t)n_r * sizeof(double));
-    memcpy(xs, x, (size_t)n_t * sizeof(i64));
-    apply_move(ex, xs, task, dest, W, w, ccm, n_r, off, nbr, vol);
-    *out = max_of(ex, n_r);
-    free(ex);
-    free(xs);
-    return 0;
-}
-
-int repro_swap_cost(const double *exec_s, const i64 *x, i64 n_t, i64 n_r,
-                    const double *W, const double *w, const double *ccm,
-                    const i64 *off, const i64 *nbr, const double *vol,
-                    i64 t1, i64 t2, double *out)
-{
-    double *ex = malloc((size_t)n_r * sizeof(double));
-    i64 *xs = malloc((size_t)n_t * sizeof(i64));
-    i64 s1, s2;
-    if (ex == NULL || xs == NULL) {
-        free(ex);
-        free(xs);
-        return -1;
-    }
-    memcpy(ex, exec_s, (size_t)n_r * sizeof(double));
-    memcpy(xs, x, (size_t)n_t * sizeof(i64));
-    s1 = xs[t1];
-    s2 = xs[t2];
-    apply_move(ex, xs, t1, s2, W, w, ccm, n_r, off, nbr, vol);
-    apply_move(ex, xs, t2, s1, W, w, ccm, n_r, off, nbr, vol);
-    *out = max_of(ex, n_r);
-    free(ex);
-    free(xs);
-    return 0;
 }

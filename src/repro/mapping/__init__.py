@@ -5,7 +5,6 @@ from repro.mapping.cost_model import (
     evaluate_reference,
     per_resource_times_reference,
 )
-from repro.mapping.incremental import IncrementalEvaluator
 from repro.mapping.mapping import Mapping
 from repro.mapping.problem import MappingProblem
 from repro.mapping.problem_key import problem_key
@@ -18,6 +17,5 @@ __all__ = [
     "CostModel",
     "evaluate_reference",
     "per_resource_times_reference",
-    "IncrementalEvaluator",
     "TurnaroundRecord",
 ]

@@ -81,6 +81,31 @@ class MappingProblem:
         self.comm_costs.setflags(write=False)
         self.edges = tig.edges
         self.edge_weights = tig.edge_weights
+        self._check_time_bound()
+
+    def _check_time_bound(self) -> None:
+        """Refuse an instance on which some mapping's Eq. (1) time can overflow.
+
+        A task computes on one resource and an edge adds to each resource's
+        time at most once, so no resource's time exceeds
+        ``Σ W_t · max w_s + Σ C^{t,a} · max c_{s,b}``. The error names the
+        arrays of every term that overflows float64.
+        """
+        with np.errstate(over="ignore"):
+            compute = self.task_weights.sum() * self.proc_weights.max(initial=0.0)
+            traffic = self.edge_weights.sum() * self.comm_costs.max(initial=0.0)
+            bound = compute + traffic
+        if np.isfinite(bound):
+            return
+        names = [
+            *(("task_weights", "proc_weights") if not np.isfinite(compute) else ()),
+            *(("tig_edge_weights", "res_edge_weights") if not np.isfinite(traffic) else ()),
+        ] or ["task_weights", "proc_weights", "tig_edge_weights", "res_edge_weights"]
+        raise ValidationError(
+            f"{', '.join(names)} must keep every mapping's Eq. (1) time finite: "
+            "Σ task weights × max proc weight + Σ TIG edge weights × max "
+            "communication cost overflows float64"
+        )
 
     # -- shape ------------------------------------------------------------
     @property

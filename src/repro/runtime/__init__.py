@@ -1,8 +1,7 @@
 """Unified solver runtime: budget, loop, hooks, checkpoints, registry.
 
-Every heuristic in the library — CE, multi-chain CE, FastMap-GA and
-hierarchical FastMap — runs inside the same
-:class:`~repro.runtime.loop.SearchLoop`, governed by one
+Every heuristic in the library — CE, multi-chain CE and FastMap-GA —
+runs inside the same :class:`~repro.runtime.loop.SearchLoop`, governed by one
 :class:`~repro.runtime.budget.EvaluationBudget`, observable through
 :class:`~repro.runtime.hooks.SearchHooks`, and resumable through the
 ``repro-checkpoint/1`` format. The refactor is behavior-preserving:

@@ -1,6 +1,6 @@
 """The solver registry: heuristics as named, parameterized entries.
 
-A solver is a **name** (``"match"``, ``"fastmap-ga"``, ``"fastmap-hier"``)
+A solver is a **name** (``"match"``, ``"fastmap-ga"``)
 plus a **params dict** forwarded to the mapper's constructor, in one flat
 namespace. :class:`SolverSpec` packages the pair as a picklable value
 object: it is how the experiments runner and the service name a
@@ -111,27 +111,6 @@ def _make_fastmap_ga(**params: Any) -> "Mapper":
     return FastMapGA(GAConfig(**params))
 
 
-def _make_fastmap_hier(
-    ga_population: int = 24,
-    ga_generations: int = 30,
-    refine_sweeps: int = 2,
-    **params: Any,
-) -> "Mapper":
-    from repro.baselines.fastmap_hierarchical import (
-        HierarchicalFastMap,
-        HierarchicalFastMapConfig,
-    )
-    from repro.baselines.ga import GAConfig
-
-    return HierarchicalFastMap(
-        HierarchicalFastMapConfig(
-            ga=GAConfig(population_size=ga_population, generations=ga_generations),
-            refine_sweeps=refine_sweeps,
-            **params,
-        )
-    )
-
-
 def ensure_default_solvers() -> None:
     """Register the built-in heuristics (idempotent, lazily invoked)."""
     global _defaults_registered
@@ -141,6 +120,5 @@ def ensure_default_solvers() -> None:
     for name, factory in (
         ("match", _make_match),
         ("fastmap-ga", _make_fastmap_ga),
-        ("fastmap-hier", _make_fastmap_hier),
     ):
         register_solver(name, factory, overwrite=True)

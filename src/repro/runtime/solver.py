@@ -7,8 +7,8 @@ drives it. The inversion is what buys the shared machinery — one budget,
 one stopwatch discipline, one hook pipeline, one checkpoint format — for
 all heuristics at once.
 
-Granularity is the solver's choice (one CE iteration, one GA generation,
-one refine sweep); the only contract is that RNG
+Granularity is the solver's choice (one CE iteration, one GA
+generation); the only contract is that RNG
 consumption inside ``start``/``step``/``finalize`` is **exactly** the
 consumption of the pre-refactor loop body, so golden fixtures stay
 bit-for-bit. Checkpointable solvers additionally implement

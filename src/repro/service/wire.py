@@ -46,7 +46,6 @@ __all__ = [
     "MAX_WIRE_ITERATIONS",
     "MAX_WIRE_POPULATION",
     "MAX_WIRE_GENERATIONS",
-    "MAX_WIRE_REFINE_SWEEPS",
 ]
 
 #: Each graph's inline arrays, in the order of its constructor's
@@ -70,22 +69,17 @@ MAX_WIRE_TASKS = 128
 MAX_WIRE_SAMPLES = paper_sample_size(MAX_WIRE_TASKS)
 #: MaTCH iterations: twice the default (the paper profile's 500).
 MAX_WIRE_ITERATIONS = 1_000
-#: GA population (``population_size``, ``ga_population``): Table 3's largest.
+#: GA population: Table 3's largest.
 MAX_WIRE_POPULATION = 1_000
-#: GA generations (``generations``, ``ga_generations``): Table 3's largest.
+#: GA generations: Table 3's largest.
 MAX_WIRE_GENERATIONS = 10_000
-#: Hierarchical FastMap refine sweeps of up to n² swap probes each: 5x the default.
-MAX_WIRE_REFINE_SWEEPS = 10
 
 #: param name -> (least, greatest) integer the wire accepts.
 _PARAM_BOUNDS = {
     "n_samples": (2, MAX_WIRE_SAMPLES),
     "max_iterations": (1, MAX_WIRE_ITERATIONS),
     "population_size": (2, MAX_WIRE_POPULATION),
-    "ga_population": (2, MAX_WIRE_POPULATION),
     "generations": (1, MAX_WIRE_GENERATIONS),
-    "ga_generations": (1, MAX_WIRE_GENERATIONS),
-    "refine_sweeps": (0, MAX_WIRE_REFINE_SWEEPS),
 }
 
 
@@ -99,12 +93,11 @@ def problem_to_wire(problem: MappingProblem) -> dict[str, Any]:
     return {"arrays": {name: arrays[name].tolist() for name in _TIG_ARRAYS + _RES_ARRAYS}}
 
 
+#: Every solver maps one-to-one, so it needs at least as many resources as
+#: tasks: the rule of ``match`` and of any solver not in :data:`_SHAPE_RULES`.
+_ONE_TO_ONE = (lambda n_t, n_r: n_r >= n_t, "n_resources >= n_tasks")
 #: solver name -> (can it map n_t tasks onto n_r resources?, the rule).
-#: ``fastmap-hier`` maps any shape; a solver not named here is not checked.
-_SHAPE_RULES = {
-    "match": (lambda n_t, n_r: n_r >= n_t, "n_resources >= n_tasks"),
-    "fastmap-ga": (lambda n_t, n_r: n_t == n_r, "n_tasks == n_resources"),
-}
+_SHAPE_RULES = {"fastmap-ga": (lambda n_t, n_r: n_t == n_r, "n_tasks == n_resources")}
 
 
 def _check_count(count: int, what: str, noun: str = "tasks") -> None:
@@ -120,9 +113,9 @@ def _check_shape(solver: SolverSpec, problem: MappingProblem) -> None:
     Without this, the solver raises only inside a worker, after the quota
     charge, and the salvage dispatcher retries a cell that cannot succeed.
     """
-    rule = _SHAPE_RULES.get(solver.name)
+    rule = _SHAPE_RULES.get(solver.name, _ONE_TO_ONE)
     n_t, n_r = problem.n_tasks, problem.n_resources
-    if rule is not None and not rule[0](n_t, n_r):
+    if not rule[0](n_t, n_r):
         raise ValidationError(
             f"solver {solver.name} cannot map {n_t} tasks onto {n_r} "
             f"resources: it needs {rule[1]}"
@@ -183,6 +176,8 @@ def problem_from_wire(payload: Mapping[str, Any]) -> MappingProblem:
             return MappingProblem(tig, resources)
         except GraphError as exc:  # a disconnected platform
             raise _named(exc, _RES_ARRAYS) from exc
+        except ValidationError as exc:  # an Eq. (1) time that can overflow
+            raise ValidationError(f"problem.arrays.{exc}") from exc
     if "size" in payload:
         from repro.graphs import generate_paper_pair
 

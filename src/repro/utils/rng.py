@@ -1,7 +1,7 @@
 """Deterministic random-number-generator management.
 
 Every stochastic component in the library (graph generators, GenPerm
-sampling, GA operators, refine-sweep orders, ...) takes a *seed-like* value
+sampling, GA operators, ...) takes a *seed-like* value
 and converts it with :func:`as_generator`. Experiments that need several
 independent streams — e.g. one per heuristic per repetition — derive them
 from a single root seed with :func:`spawn_generators` or the convenience

@@ -294,20 +294,20 @@ class TestBudgetFlow:
         assert flow_findings(free) == []
 
     def test_mapping_package_is_exempt(self):
-        exempt = {
-            "src/repro/mapping/incremental.py": """
-                class SearchSolver:
-                    pass
+        source = """
+            class SearchSolver:
+                pass
 
-                class Inner(SearchSolver):
-                    def __init__(self, model):
-                        self.model = model
+            class Inner(SearchSolver):
+                def __init__(self, model):
+                    self.model = model
 
-                    def step(self, pair):
-                        return self.model.swap_cost(pair)
-            """
-        }
-        assert flow_findings(exempt) == []
+                def step(self, batch):
+                    return self.model.evaluate_batch(batch)
+        """
+        assert flow_findings({"src/repro/mapping/cost_model.py": source}) == []
+        # The same solver outside ``repro/mapping`` is flagged.
+        assert flow_findings({"src/repro/ce/opt.py": source}) != []
 
 
 class TestShmLifecycle:

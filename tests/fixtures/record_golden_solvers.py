@@ -22,10 +22,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.baselines.fastmap_hierarchical import (
-    HierarchicalFastMap,
-    HierarchicalFastMapConfig,
-)
 from repro.baselines.ga import FastMapGA, GAConfig
 from repro.core.config import MatchConfig
 from repro.core.match import MatchMapper
@@ -39,7 +35,7 @@ SEEDS = (0, 1, 2, 3, 4)
 
 #: name -> (registry solver name, params dict, direct constructor).
 #: Small-but-structured configs: fast enough for CI, deep enough that every
-#: code path (the GA phase, refinement) really runs.
+#: code path really runs.
 GOLDEN_MAPPERS = {
     "MaTCH": (
         "match",
@@ -50,15 +46,6 @@ GOLDEN_MAPPERS = {
         "fastmap-ga",
         {"population_size": 40, "generations": 60},
         lambda: FastMapGA(GAConfig(population_size=40, generations=60)),
-    ),
-    "FastMap-hier": (
-        "fastmap-hier",
-        {"ga_population": 24, "ga_generations": 30, "refine_sweeps": 2},
-        lambda: HierarchicalFastMap(
-            HierarchicalFastMapConfig(
-                ga=GAConfig(population_size=24, generations=30), refine_sweeps=2
-            )
-        ),
     ),
 }
 

@@ -25,9 +25,9 @@ def backend(request):
         yield b
 
 
-def make_problem(n: int, seed: int, *, square: bool = True) -> MappingProblem:
+def make_problem(n: int, seed: int) -> MappingProblem:
     pair = generate_paper_pair(n, seed)
-    return MappingProblem(pair.tig, pair.resources, require_square=square)
+    return MappingProblem(pair.tig, pair.resources, require_square=True)
 
 
 def random_batch(problem: MappingProblem, n_rows: int, seed: int) -> np.ndarray:

@@ -1,49 +1,12 @@
-"""CSR packing: layout, dtypes, and the historical adjacency order."""
+"""Problem packing: layout and dtypes."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import build_adjacency, build_pack
+from repro.kernels import build_pack
 
 from tests.kernels.conftest import make_problem
-
-
-def naive_adjacency(edges, vols, n_tasks):
-    """The historical per-task append loop the CSR build must replicate."""
-    adj = [[] for _ in range(n_tasks)]
-    for (u, v), c in zip(edges, vols):
-        adj[u].append((v, c))
-        adj[v].append((u, c))
-    return adj
-
-
-class TestBuildAdjacency:
-    def test_matches_historical_append_order(self):
-        problem = make_problem(12, 777)
-        off, nbr, vol = build_adjacency(
-            problem.edges, problem.edge_weights, problem.n_tasks
-        )
-        adj = naive_adjacency(problem.edges, problem.edge_weights, problem.n_tasks)
-        for t in range(problem.n_tasks):
-            lo, hi = off[t], off[t + 1]
-            assert nbr[lo:hi].tolist() == [a for a, _ in adj[t]]
-            assert vol[lo:hi].tolist() == [c for _, c in adj[t]]
-
-    def test_empty_graph(self):
-        off, nbr, vol = build_adjacency(
-            np.empty((0, 2), dtype=np.int64), np.empty(0), 4
-        )
-        assert off.tolist() == [0, 0, 0, 0, 0]
-        assert nbr.size == 0 and vol.size == 0
-
-    def test_counts(self):
-        problem = make_problem(10, 3)
-        off, nbr, _ = build_adjacency(
-            problem.edges, problem.edge_weights, problem.n_tasks
-        )
-        assert nbr.size == 2 * problem.edges.shape[0]
-        assert off[-1] == nbr.size
 
 
 class TestBuildPack:
@@ -59,9 +22,6 @@ class TestBuildPack:
             (pack.edge_vol, np.float64),
             (pack.eu, np.int64),
             (pack.ev, np.int64),
-            (pack.off, np.int64),
-            (pack.nbr, np.int64),
-            (pack.nbr_vol, np.float64),
         ):
             assert arr.dtype == dtype
             assert arr.flags["C_CONTIGUOUS"]

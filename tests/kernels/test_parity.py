@@ -2,7 +2,7 @@
 
 Every available backend (numpy always; cext when a C compiler exists)
 must produce *bit-identical* floats to the numpy reference on every
-kernel — scoring, GenPerm sampling, and the O(deg) probes.
+kernel — scoring and GenPerm sampling.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro import kernels
 from repro.ce.genperm import sample_permutations, sample_permutations_stacked
 from repro.kernels import build_pack, impl_cext, impl_numpy
 from repro.mapping import CostModel
-from repro.mapping.incremental import IncrementalEvaluator
 from repro.utils.parallel import WorkerPool
 
 from tests.kernels.conftest import AVAILABLE, COMPILED, make_problem, random_batch
@@ -144,62 +143,6 @@ class TestGenPermTieRule:
         orders[:, ::3, ::2] = np.nan
         orders[1, 1] = np.nan
         assert_one_to_one(backend.genperm(P, orders, pos), 12)
-
-
-class TestProbeParity:
-    def _setup(self, n=12, seed=777):
-        problem = make_problem(n, seed)
-        model = CostModel(problem)
-        gen = np.random.default_rng(seed)
-        x = gen.permutation(n).astype(np.int64)
-        return problem, model, x
-
-    def test_move_cost_matches_full_eval(self, backend):
-        problem, model, x = self._setup()
-        pack = model.pack
-        exec_s = model.per_resource_times(x).astype(np.float64)
-        for task in range(problem.n_tasks):
-            for dest in range(problem.n_resources):
-                probe = backend.move_cost(pack, exec_s, x, task, dest)
-                y = x.copy()
-                y[task] = dest
-                ref = impl_numpy.move_cost(pack, exec_s, x, task, dest)
-                assert probe == ref
-                np.testing.assert_allclose(
-                    probe, float(model.per_resource_times(y).max()), rtol=1e-9
-                )
-
-    def test_probes_bit_identical_to_numpy(self, backend):
-        problem, model, x = self._setup(n=9, seed=31)
-        inc = IncrementalEvaluator(model, x)
-        with kernels.use_backend("numpy"):
-            ref = IncrementalEvaluator(CostModel(problem), x)
-        for t1 in range(problem.n_tasks):
-            for t2 in range(problem.n_tasks):
-                assert inc.swap_cost(t1, t2) == ref.swap_cost(t1, t2)
-
-
-@pytest.mark.parametrize("name", AVAILABLE)
-def test_incremental_property_under_backend(name):
-    """Mixed move/swap sequences keep exec_s on Eq. (1) under every backend."""
-    with kernels.use_backend(name):
-        problem = make_problem(10, 19, square=False)
-        model = CostModel(problem)
-        rng = np.random.default_rng(19)
-        inc = IncrementalEvaluator(model, rng.integers(0, 10, size=10))
-        for _ in range(80):
-            if rng.random() < 0.5:
-                inc.apply_swap(int(rng.integers(0, 10)), int(rng.integers(0, 10)))
-            else:
-                inc.apply_move(int(rng.integers(0, 10)), int(rng.integers(0, 10)))
-            probe = inc.swap_cost(0, 1)
-            assert probe == inc.swap_cost(0, 1)  # probes are pure
-        np.testing.assert_allclose(
-            inc.per_resource_times,
-            model.per_resource_times(inc.assignment),
-            rtol=1e-9,
-            atol=1e-9,
-        )
 
 
 def _task_count() -> int:

@@ -1,21 +1,12 @@
-"""Tests for Mapping objects and the incremental (delta) evaluator."""
+"""Tests for Mapping objects and turnaround records."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.exceptions import MappingError
-from repro.graphs import generate_paper_pair
-from repro.mapping import (
-    CostModel,
-    IncrementalEvaluator,
-    Mapping,
-    MappingProblem,
-    TurnaroundRecord,
-)
+from repro.mapping import CostModel, Mapping, TurnaroundRecord
 
 
 class TestMapping:
@@ -73,84 +64,6 @@ class TestMapping:
         assert "cost" in repr(m)
 
 
-class TestIncrementalSwaps:
-    def test_swap_cost_matches_full_eval(self, small_model):
-        rng = np.random.default_rng(1)
-        inc = IncrementalEvaluator(small_model, rng.permutation(12))
-        for _ in range(50):
-            t1, t2 = rng.choice(12, 2, replace=False)
-            predicted = inc.swap_cost(int(t1), int(t2))
-            x = inc.assignment
-            x[t1], x[t2] = x[t2], x[t1]
-            assert predicted == pytest.approx(small_model.evaluate(x), rel=1e-12)
-
-    def test_swap_cost_does_not_mutate(self, small_model):
-        inc = IncrementalEvaluator(small_model, np.arange(12))
-        before = inc.assignment
-        inc.swap_cost(0, 5)
-        np.testing.assert_array_equal(inc.assignment, before)
-
-    def test_apply_swap_mutates_and_tracks(self, small_model):
-        inc = IncrementalEvaluator(small_model, np.arange(12))
-        cost = inc.apply_swap(0, 5)
-        assert inc.assignment[0] == 5 and inc.assignment[5] == 0
-        assert cost == pytest.approx(small_model.evaluate(inc.assignment))
-
-    def test_swap_self_noop(self, small_model):
-        inc = IncrementalEvaluator(small_model, np.arange(12))
-        before = inc.current_cost
-        assert inc.apply_swap(3, 3) == before
-
-    def test_long_swap_chain_no_drift(self, small_model):
-        rng = np.random.default_rng(5)
-        inc = IncrementalEvaluator(small_model, rng.permutation(12))
-        for _ in range(300):
-            t1, t2 = rng.integers(0, 12, 2)
-            inc.apply_swap(int(t1), int(t2))
-        assert inc.current_cost == pytest.approx(
-            small_model.evaluate(inc.assignment), rel=1e-9
-        )
-
-    def test_bounds(self, small_model):
-        inc = IncrementalEvaluator(small_model, np.arange(12))
-        with pytest.raises(MappingError):
-            inc.swap_cost(0, 99)
-        with pytest.raises(MappingError):
-            inc.apply_move(99, 0)
-
-
-class TestIncrementalMoves:
-    def test_move_cost_matches_full_eval(self, small_model):
-        rng = np.random.default_rng(2)
-        inc = IncrementalEvaluator(small_model, rng.integers(0, 12, size=12))
-        for _ in range(50):
-            t, r = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-            predicted = inc.move_cost(t, r)
-            x = inc.assignment
-            x[t] = r
-            assert predicted == pytest.approx(small_model.evaluate(x), rel=1e-12)
-
-    def test_apply_move(self, small_model):
-        inc = IncrementalEvaluator(small_model, np.zeros(12, dtype=np.int64))
-        cost = inc.apply_move(0, 7)
-        assert inc.assignment[0] == 7
-        assert cost == pytest.approx(small_model.evaluate(inc.assignment))
-
-    def test_resync_restores_invariant(self, small_model):
-        inc = IncrementalEvaluator(small_model, np.arange(12))
-        inc._exec[0] += 1234.0  # simulate drift
-        inc.resync()
-        assert inc.current_cost == pytest.approx(
-            small_model.evaluate(inc.assignment)
-        )
-
-    def test_per_resource_times_copy(self, small_model):
-        inc = IncrementalEvaluator(small_model, np.arange(12))
-        t = inc.per_resource_times
-        t[0] = -1
-        assert inc.per_resource_times[0] != -1
-
-
 class TestTurnaround:
     def test_atn_sum(self):
         rec = TurnaroundRecord(heuristic="x", execution_time=100.0, mapping_time=5.0)
@@ -190,41 +103,3 @@ class TestTurnaround:
         zero = TurnaroundRecord(heuristic="a", execution_time=0.0, mapping_time=0.0)
         slow = TurnaroundRecord(heuristic="b", execution_time=3.0, mapping_time=0.0)
         assert slow.speedup_over(zero) == 0.0
-
-
-from repro import kernels as _kernels
-
-_BACKENDS = [name for name, ok in _kernels.available_backends().items() if ok]
-
-
-@pytest.mark.parametrize("backend_name", _BACKENDS)
-@settings(max_examples=20, deadline=None)
-@given(
-    n=st.integers(min_value=3, max_value=12),
-    seed=st.integers(min_value=0, max_value=10**6),
-    n_ops=st.integers(min_value=1, max_value=60),
-)
-def test_property_incremental_never_drifts(backend_name, n, seed, n_ops):
-    """Random mixed move/swap sequences keep exec_s equal to Eq. (1).
-
-    Parametrized over every loadable kernel backend: the delta probes and
-    the full Eq. (1) reference must agree no matter which implementation
-    REPRO_KERNEL resolves.
-    """
-    with _kernels.use_backend(backend_name):
-        pair = generate_paper_pair(n, seed)
-        problem = MappingProblem(pair.tig, pair.resources)
-        model = CostModel(problem)
-        rng = np.random.default_rng(seed)
-        inc = IncrementalEvaluator(model, rng.integers(0, n, size=n))
-        for _ in range(n_ops):
-            if rng.random() < 0.5:
-                inc.apply_swap(int(rng.integers(0, n)), int(rng.integers(0, n)))
-            else:
-                inc.apply_move(int(rng.integers(0, n)), int(rng.integers(0, n)))
-        np.testing.assert_allclose(
-            inc.per_resource_times,
-            model.per_resource_times(inc.assignment),
-            rtol=1e-9,
-            atol=1e-9,
-        )

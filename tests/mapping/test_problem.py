@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import MappingError, ValidationError
 from repro.graphs import (
     ResourceGraph,
+    TaskInteractionGraph,
     generate_resource_graph,
     generate_tig,
 )
@@ -44,6 +45,29 @@ class TestConstruction:
         res = ResourceGraph([1, 1, 1, 1], [(0, 1), (2, 3)], [5, 5])
         with pytest.raises(Exception, match="disconnected"):
             MappingProblem(tig, res)
+
+    @pytest.mark.parametrize(
+        "task_w, tig_w, proc_w, res_w, names",
+        [
+            ([1e308, 1e308], [1.0], [1.0, 1.0], [1.0], "task_weights, proc_weights"),
+            ([2.0, 2.0], [1.0], [1e308, 1.0], [1.0], "task_weights, proc_weights"),
+            ([1.0, 1.0], [2.0], [1.0, 1.0], [1e308], "tig_edge_weights, res_edge_weights"),
+            ([0.5, 0.5], [1.0], [1e308, 1.0], [1e308],
+             "task_weights, proc_weights, tig_edge_weights, res_edge_weights"),
+        ],
+        ids=["task-sum", "compute-product", "traffic", "sum-of-terms"],
+    )
+    def test_non_finite_time_bound_rejected(self, task_w, tig_w, proc_w, res_w, names):
+        # Each weight is finite, but some mapping's Eq. (1) time can overflow.
+        tig = TaskInteractionGraph(task_w, [(0, 1)], tig_w)
+        res = ResourceGraph(proc_w, [(0, 1)], res_w)
+        with pytest.raises(ValidationError, match=rf"^{names}\b.* Eq\. \(1\) time finite"):
+            MappingProblem(tig, res)
+
+    def test_largest_finite_time_bound_accepted(self):
+        tig = TaskInteractionGraph([1.0, 1.0], [(0, 1)], [1.0])
+        res = ResourceGraph([1e307, 1.0], [(0, 1)], [1e307])
+        assert MappingProblem(tig, res).n_tasks == 2
 
     def test_comm_costs_closed_and_readonly(self):
         tig = generate_tig(3, 0)

@@ -3,7 +3,7 @@
 ``golden_problem`` is the same deterministic n=10 suite instance the
 golden fixtures were recorded on; ``SMALL_PARAMS`` gives every registry
 solver a configuration small enough for fast per-test runs but large
-enough that its real code paths (the GA phase, refinement) execute.
+enough that its real code paths execute.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.experiments.suite import build_suite
 SMALL_PARAMS = {
     "match": {"max_iterations": 30},
     "fastmap-ga": {"population_size": 12, "generations": 8},
-    "fastmap-hier": {"ga_population": 10, "ga_generations": 6, "refine_sweeps": 2},
 }
 
 

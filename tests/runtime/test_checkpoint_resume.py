@@ -47,7 +47,6 @@ class KillAfter(SearchHooks):
 KILL_POINTS = [
     ("match", 5),
     ("fastmap-ga", 3),
-    ("fastmap-hier", 1),  # after the GA phase, before refinement ends
 ]
 
 

@@ -10,7 +10,7 @@ from repro.exceptions import ConfigurationError
 from repro.runtime import SolverSpec, create_mapper, register_solver, solver_names
 from tests.runtime.conftest import SMALL_PARAMS
 
-EXPECTED_SOLVERS = {"match", "fastmap-ga", "fastmap-hier"}
+EXPECTED_SOLVERS = {"match", "fastmap-ga"}
 
 
 class TestRegistry:
@@ -80,11 +80,11 @@ class TestExperimentsIntegration:
             seed=5,
             mappers={
                 "ga": SolverSpec.of("fastmap-ga", {"population_size": 8, "generations": 4}),
-                "hier": SolverSpec.of("fastmap-hier", {"ga_population": 8, "ga_generations": 4}),
+                "match": SolverSpec.of("match", {"max_iterations": 20}),
             },
             n_workers=1,
         )
-        assert set(data.et_series.values) == {"ga", "hier"}
+        assert set(data.et_series.values) == {"ga", "match"}
         assert all(r.n_evaluations > 0 for r in data.records)
 
     def test_default_factories_resolve_through_registry(self):

@@ -43,7 +43,11 @@ json_values = st.recursive(
     ),
     max_leaves=8,
 )
-bad_numbers = st.sampled_from([float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+#: Non-finite and negative weights, and finite ones so large that some
+#: mapping's Eq. (1) time overflows float64.
+bad_numbers = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300, 1e308, 1.7976931348623157e308]
+)
 bad_indices = st.sampled_from([-1, 7, 64, 2**31, 2**63, 2**70, 10**30, 0.5, 1.0, "0", None, True])
 #: Replacement arrays: ragged, empty, 2-D, scalar and non-numeric shapes.
 bad_arrays = st.sampled_from(
@@ -133,7 +137,7 @@ def test_problem_from_wire_refuses_or_matches_a_direct_build(shape, applied):
 @given(
     shape=shapes,
     applied=st.lists(defects(), max_size=3),
-    solver=st.sampled_from(["match", "fastmap-ga", "fastmap-hier"]),
+    solver=st.sampled_from(["match", "fastmap-ga"]),
 )
 def test_request_from_wire_refuses_or_matches_a_direct_build(shape, applied, solver):
     arrays = tampered(shape, applied)

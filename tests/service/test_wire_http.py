@@ -28,7 +28,6 @@ from repro.service.wire import (
     MAX_WIRE_GENERATIONS,
     MAX_WIRE_ITERATIONS,
     MAX_WIRE_POPULATION,
-    MAX_WIRE_REFINE_SWEEPS,
     MAX_WIRE_SAMPLES,
     MAX_WIRE_TASKS,
 )
@@ -39,14 +38,13 @@ PARAM_CAPS = [
     ("match", "max_iterations", MAX_WIRE_ITERATIONS),
     ("fastmap-ga", "population_size", MAX_WIRE_POPULATION),
     ("fastmap-ga", "generations", MAX_WIRE_GENERATIONS),
-    ("fastmap-hier", "ga_population", MAX_WIRE_POPULATION),
-    ("fastmap-hier", "ga_generations", MAX_WIRE_GENERATIONS),
-    ("fastmap-hier", "refine_sweeps", MAX_WIRE_REFINE_SWEEPS),
 ]
 _CAP_IDS = [f"{solver}-{param}" for solver, param, _ in PARAM_CAPS]
 
 #: Solvers that were once registered and must now be unknown on the wire.
-DELETED_SOLVERS = ["sim-anneal", "tabu", "local-search", "random", "greedy"]
+DELETED_SOLVERS = ["sim-anneal", "tabu", "local-search", "random", "greedy", "fastmap-hier"]
+#: The params a deleted solver took, sent along with its name.
+DELETED_PARAMS = {"fastmap-hier": {"ga_population": 24, "ga_generations": 30, "refine_sweeps": 2}}
 
 #: The unbounded body from the resource audit: 10⁹ samples and iterations
 #: with per-iteration matrix snapshots.
@@ -90,7 +88,6 @@ def wide_platform_arrays(n_resources: int = 1_500) -> dict:
 QUICK_PARAMS = {
     "match": {"max_iterations": 2},
     "fastmap-ga": {"population_size": 4, "generations": 1},
-    "fastmap-hier": {"ga_population": 4, "ga_generations": 1},
 }
 
 
@@ -220,11 +217,19 @@ class TestWire:
         with pytest.raises(ValidationError, match=f"{solver} cannot map 4 tasks onto 2"):
             request_from_wire(body)
 
-    def test_many_to_one_hier_accepted(self):
+    def test_many_to_one_refused_for_a_plugin_solver(self, monkeypatch):
+        # A registered solver with no shape rule of its own gets the
+        # one-to-one rule every solver follows.
+        from repro.runtime import registry
+
+        monkeypatch.setitem(registry._REGISTRY, "plugin", registry._make_match)
         narrow = problem_to_wire(shaped_problem(4, 2))
-        body = {"problem": narrow, "solver": {"name": "fastmap-hier"}}
-        request = request_from_wire(body)
-        assert (request.problem.n_tasks, request.problem.n_resources) == (4, 2)
+        body = {"problem": narrow, "solver": {"name": "plugin"}}
+        with pytest.raises(ValidationError, match="plugin cannot map 4 tasks onto 2 .* n_resources >= n_tasks"):
+            request_from_wire(body)
+        wide = problem_to_wire(shaped_problem(2, 4))
+        request = request_from_wire({"problem": wide, "solver": {"name": "plugin"}})
+        assert (request.problem.n_tasks, request.problem.n_resources) == (2, 4)
 
     @pytest.mark.parametrize("solver", sorted(QUICK_PARAMS))
     def test_shape_rules_agree_with_the_solvers(self, solver):
@@ -309,6 +314,11 @@ def _drop_edge_weight(arrays: dict) -> None:
     arrays["tig_edge_weights"].pop()
 
 
+def _overflowing_time(arrays: dict) -> None:
+    # Finite links and routes, but an Eq. (1) time past float64's range.
+    arrays["res_edge_weights"] = [1e308] * len(arrays["res_edge_weights"])
+
+
 def _overflowing_route(arrays: dict) -> None:
     # A connected path whose multi-hop route sums past float64's range.
     n = len(arrays["proc_weights"])
@@ -330,6 +340,10 @@ GRAPH_DEFECTS = {
     "2d-task-weights": (_two_d_task_weights, "task_weights must be a non-empty 1-D"),
     "empty-res-edges": (_disconnect, "res_edges must connect .* disconnected"),
     "overflowing-route": (_overflowing_route, "res_edge_weights must keep .* overflows float64"),
+    "overflowing-time": (
+        _overflowing_time,
+        r"tig_edge_weights, res_edge_weights must keep every mapping's Eq\. \(1\) time finite",
+    ),
 }
 
 
@@ -402,14 +416,15 @@ class TestSolverParamCaps:
     def test_nested_param_rejected(self):
         # A nested object would reach the config as a dict and fail in a worker.
         body = {"problem": {"size": 8},
-                "solver": {"name": "fastmap-hier", "params": {"ga": {"population_size": 10}}}}
+                "solver": {"name": "fastmap-ga", "params": {"ga": {"population_size": 10}}}}
         with pytest.raises(ValidationError, match="JSON scalar"):
             request_from_wire(body)
 
     @pytest.mark.parametrize("name", DELETED_SOLVERS)
     def test_deleted_solver_rejected(self, name):
+        solver = {"name": name, "params": DELETED_PARAMS.get(name, {})}
         with pytest.raises(ValidationError, match="unknown solver"):
-            request_from_wire({"problem": {"size": 8}, "solver": {"name": name}})
+            request_from_wire({"problem": {"size": 8}, "solver": solver})
 
     def test_solver_checked_before_problem_is_built(self, monkeypatch):
         def _never(*args):
@@ -424,35 +439,37 @@ class TestSolverParamCaps:
         # benchmark's service workload sends ``match`` with ``{}``).
         from repro.baselines import GAConfig
         from repro.core import MatchConfig, paper_sample_size
-        from repro.runtime import create_mapper
 
         assert paper_sample_size(MAX_WIRE_TASKS) <= MAX_WIRE_SAMPLES
         assert MatchConfig().max_iterations <= MAX_WIRE_ITERATIONS
-        hier = create_mapper("fastmap-hier").config
-        for ga in (GAConfig(), hier.ga):
-            assert ga.population_size <= MAX_WIRE_POPULATION
-            assert ga.generations <= MAX_WIRE_GENERATIONS
-        assert hier.refine_sweeps <= MAX_WIRE_REFINE_SWEEPS
+        assert GAConfig().population_size <= MAX_WIRE_POPULATION
+        assert GAConfig().generations <= MAX_WIRE_GENERATIONS
 
 
 class TestHttp:
     def test_unmappable_or_wide_inline_bodies_get_400_without_charge(self):
-        """4 tasks on 1,500 resources, 4 tasks on 2 resources for the two
-        one-to-one solvers, and a platform whose cheapest route overflows
-        float64: structured 400s naming the defect, nothing admitted or
-        charged.
-        The many-to-one body for ``fastmap-hier`` is still solved."""
+        """4 tasks on 1,500 resources, 4 tasks on 2 resources for every
+        solver (the deleted many-to-one ``fastmap-hier`` included), a
+        platform whose cheapest route overflows float64, and 1e308 links
+        whose Eq. (1) time overflows for both solvers: structured 400s
+        naming the defect, nothing admitted or charged.
+        A one-to-one body of 2 tasks on 4 resources is still solved."""
         narrow = problem_to_wire(shaped_problem(4, 2))
         overflowing = problem_to_wire(make_problem(4, 1))
         _overflowing_route(overflowing["arrays"])
+        huge = problem_to_wire(make_problem(4, 1))
+        _overflowing_time(huge["arrays"])
         bodies = [
             {"problem": {"arrays": wide_platform_arrays()}, "client": "mallory"},
             {"problem": narrow, "solver": {"name": "match"}, "client": "mallory"},
             {"problem": narrow, "solver": {"name": "fastmap-ga"}, "client": "mallory"},
             {"problem": overflowing, "client": "mallory"},
+            {"problem": narrow, "solver": {"name": "fastmap-hier"}, "client": "mallory"},
+            {"problem": huge, "solver": {"name": "match"}, "client": "mallory"},
+            {"problem": huge, "solver": {"name": "fastmap-ga"}, "client": "mallory"},
         ]
-        hier = {"problem": narrow, "client": "carol",
-                "solver": {"name": "fastmap-hier", "params": QUICK_PARAMS["fastmap-hier"]}}
+        wide = {"problem": problem_to_wire(shaped_problem(2, 4)), "client": "carol",
+                "solver": {"name": "match", "params": QUICK_PARAMS["match"]}}
 
         async def main():
             config = ServiceConfig(n_workers=1, client_quota=100_000)
@@ -466,7 +483,7 @@ class TestHttp:
                     return submit_over_http(url, body, timeout=60)
 
                 answers = [await loop.run_in_executor(None, post, body) for body in bodies]
-                status, ok = await loop.run_in_executor(None, post, hier)
+                status, ok = await loop.run_in_executor(None, post, wide)
                 server.close()
                 await server.wait_closed()
                 return answers, status, ok, service.stats()
@@ -480,6 +497,12 @@ class TestHttp:
         assert answers[3][1]["error"]["message"].startswith(
             "problem.arrays.res_edge_weights must keep every route's summed cost finite"
         )
+        assert "unknown solver 'fastmap-hier'" in answers[4][1]["error"]["message"]
+        for code, reply in answers[5:]:
+            assert reply["error"]["message"].startswith(
+                "problem.arrays.tig_edge_weights, res_edge_weights must keep every "
+                "mapping's Eq. (1) time finite"
+            )
         assert status == 200 and ok["status"] == "ok"
         assert stats["requests"] == 1
         assert "mallory" not in stats["quotas"]["clients"]

@@ -49,8 +49,3 @@ class TestExamples:
         out = run_example("heuristic_comparison.py", "8", "1", "3")
         assert "All heuristics at n = 8" in out
         assert "MaTCH" in out
-
-    def test_many_to_one_clustering(self):
-        out = run_example("many_to_one_clustering.py", "12", "4", "3")
-        assert "Heavy-edge clustering" in out
-        assert "Per-resource execution times" in out
