@@ -20,7 +20,7 @@ once in ``base/`` and once in ``head/``, alternating which side goes first,
 and reads each run's result from the last line of its standard output. It
 then times two floors on head alone: the compiled kernels against the
 numpy reference (:data:`KERNEL_FLOOR`) and the fused multi-chain
-``map_many`` against the serial loop (:data:`FUSED_FLOOR`). Head's
+``map_many`` against a per-seed ``map`` loop (:data:`FUSED_FLOOR`). Head's
 perfbench records are copied back to ``perfbench/out/`` of the checkout.
 
 The gate fails, and exits 1, on any of:
@@ -62,7 +62,7 @@ KERNEL_FLOOR = 2.5
 KERNEL_N = 50
 KERNEL_ITERATIONS = 40
 
-#: Serial loop vs fused multi-chain ``map_many`` (best of
+#: Per-seed ``map`` loop vs fused multi-chain ``map_many`` (best of
 #: :data:`FUSED_REPEATS`) at n = 10 with 30 seeds, the Table 3 load, on
 #: each backend. Measured at 2.2-3.1x (cext) and 2.5-3.2x (numpy) over six
 #: gate runs on a 2-core host; single repetitions swing more, hence best-of.
@@ -183,16 +183,20 @@ def floor_probe() -> None:
     map_s = time.perf_counter() - t0
 
     small, seeds, mapper = problem(FUSED_N), list(range(FUSED_SEEDS)), MatchMapper()
+    sides = {
+        "serial": lambda: [mapper.map(small, s) for s in seeds],
+        "fused": lambda: mapper.map_many(small, seeds),
+    }
     best: dict[str, float] = {}
     ets: dict[str, list[float]] = {}
     for _ in range(FUSED_REPEATS):
-        for mode in ("serial", "fused"):
+        for side, run in sides.items():
             t0 = time.perf_counter()
-            results = mapper.map_many(small, seeds, mode=mode)
-            best[mode] = min(best.get(mode, float("inf")), time.perf_counter() - t0)
-            ets[mode] = [r.execution_time for r in results]
+            results = run()
+            best[side] = min(best.get(side, float("inf")), time.perf_counter() - t0)
+            ets[side] = [r.execution_time for r in results]
     if ets["serial"] != ets["fused"]:
-        raise SystemExit("fused and serial map_many disagree on execution times")
+        raise SystemExit("map_many and the per-seed map loop disagree on execution times")
     record = {
         "backend": get_backend().name,
         "map_s": map_s,

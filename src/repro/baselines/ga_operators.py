@@ -36,12 +36,20 @@ def fitness(costs: np.ndarray, *, k_const: float | None = None) -> np.ndarray:
 
     ``K`` defaults to the mean cost so fitness values are O(1) regardless
     of problem scale; any positive constant yields identical selection
-    probabilities (roulette normalizes).
+    probabilities (roulette normalizes). Costs near float64's limit
+    overflow the mean's sum; those take ``K = min cost`` instead, so every
+    fitness lies in ``(0, 1]`` and their sum stays finite.
     """
     c = np.asarray(costs, dtype=np.float64)
     if np.any(c <= 0):
         raise ValidationError("costs must be strictly positive for reciprocal fitness")
-    k = float(c.mean()) if k_const is None else k_const
+    if k_const is None:
+        with np.errstate(over="ignore"):
+            k = float(c.mean())
+        if not np.isfinite(k):
+            k = float(c.min())
+    else:
+        k = k_const
     if k <= 0:
         raise ValidationError(f"k_const must be > 0, got {k_const}")
     return k / c

@@ -43,36 +43,7 @@ from repro.runtime.loop import SearchLoop
 from repro.runtime.solver import SolveOutput, StepReport
 from repro.types import SeedLike
 
-__all__ = ["MatchMapper", "match_map", "FUSED_CROSSOVER_MAX_TASKS", "prefer_fused"]
-
-#: Measured fused/serial crossover for :meth:`MatchMapper.map_many`.
-#:
-#: The fused multi-chain engine wins below this task count and loses above
-#: it, on both the numpy and compiled backends (DESIGN §6, from a crossover
-#: scan at R ∈ {2, 4, 16} chains, max_iterations=500; the perf gate's
-#: ``FUSED_FLOOR`` in ``benchmarks/perf_gate.py`` holds the R=30 n=10 load):
-#:
-#: ====  =====================  =========================
-#: n     serial/fused (R=4)     notes
-#: ====  =====================  =========================
-#: 10    1.14x  (fused wins)    3.57x at the R=30 Table 3 load
-#: 16    1.05x  (fused wins)    1.14x at R=2
-#: 24    0.91x  (serial wins)   0.86x at R=16, ~1.04x at R=2
-#: 32    0.89x  (serial wins)   0.75x at R=16
-#: 50    0.75x  (serial wins)   0.85–0.88x at the bench's R=4
-#: ====  =====================  =========================
-#:
-#: Above the crossover the joint batch (R·N candidate rows per iteration)
-#: outgrows what batching amortizes: per-row scoring work is O(n + deg)
-#: and dominates the Python overhead fusion removes, so fusing only adds
-#: tensor bookkeeping. More chains make that *worse*, not better, at
-#: large n.
-FUSED_CROSSOVER_MAX_TASKS = 20
-
-
-def prefer_fused(n_tasks: int, n_chains: int) -> bool:
-    """True when the fused multi-chain path is the measured faster choice."""
-    return n_chains >= 2 and n_tasks <= FUSED_CROSSOVER_MAX_TASKS
+__all__ = ["MatchMapper", "match_map"]
 
 
 def _check_one_to_one(problem: MappingProblem) -> None:
@@ -226,54 +197,31 @@ class MatchMapper(Mapper):
         *,
         budget: EvaluationBudget | None = None,
         hooks: SearchHooks | None = None,
-        mode: str = "auto",
     ) -> list[MapperResult]:
-        """Batched repetitions, fused or serial by the measured crossover.
+        """Batched repetitions: one fused multi-chain CE run, one chain per seed.
 
-        ``mode="fused"`` advances every seed as one multi-chain CE run
-        (:class:`~repro.ce.multichain.MultiChainCE`): one shared
-        :class:`CostModel`, one batched GenPerm/score/update pass per joint
-        iteration, every sampled row scored. ``mode="serial"`` runs a
-        plain per-seed :meth:`map` loop. ``mode="auto"`` (the
-        default) picks by the measured crossover (:func:`prefer_fused`):
-        fused where fusion wins (small instances, ≥2 repetitions), serial
-        where the joint batch outgrows what batching amortizes. Both paths
-        are seed-for-seed exact — result ``r`` carries the same assignment,
+        Every seed advances in one :class:`~repro.ce.multichain.MultiChainCE`
+        run: one shared :class:`CostModel`, one batched GenPerm/score/update
+        pass per joint iteration, every sampled row scored. The run is
+        seed-for-seed exact: result ``r`` carries the same assignment,
         execution time, evaluation count and CE diagnostics a
-        ``map(problem, seeds[r])`` call would produce — so the selection
-        can never change a reported number, only the wall-clock. Each
-        result's ``extras["multichain_mode"]`` records the path taken.
+        ``map(problem, seeds[r])`` call would produce.
 
-        ``mapping_time`` is the one field that differs in kind: the fused
-        path amortizes the joint wall-clock evenly over the runs (how a
-        per-run MT should be read in Table 3 style aggregates), the serial
-        path reports each run's own stopwatch. ``budget`` caps the
-        *combined* evaluations either way: the serial loop threads one
-        shared budget through every run, and a fused step draws only the
-        rows the budget can still pay for, ``N`` per chain in chain order.
-        Each result's ``n_evaluations`` is the rows its run scored, so
-        they sum to what the budget charged. A run the budget leaves
-        without a single scored row raises
+        ``mapping_time`` is the joint wall-clock amortized evenly over the
+        runs (how a per-run MT should be read in Table 3 style aggregates).
+        ``budget`` caps the *combined* evaluations: a joint step draws only
+        the rows the budget can still pay for, ``N`` per live chain in
+        chain order, so every chain spends in the same step rather than
+        the earlier seeds first. Each result's ``n_evaluations`` is the
+        rows its chain scored, so they sum to what the budget charged. A
+        chain the budget leaves without a single scored row raises
         :class:`~repro.exceptions.MappingError` rather than return a
-        mapping it never scored. Both paths run in the calling process.
+        mapping it never scored. The run stays in the calling process.
         """
         seeds = list(seeds)
         if not seeds:
             return []
-        if mode not in ("auto", "fused", "serial"):
-            raise ConfigurationError(
-                f"map_many mode must be 'auto', 'fused' or 'serial', got {mode!r}"
-            )
         _check_one_to_one(problem)
-        if mode == "auto":
-            mode = "fused" if prefer_fused(problem.n_tasks, len(seeds)) else "serial"
-        if mode == "serial":
-            results = []
-            for seed in seeds:
-                result = self.map(problem, seed, budget=budget, hooks=hooks)
-                result.extras["multichain_mode"] = "serial"
-                results.append(result)
-            return results
         model = CostModel(problem)
         solver = _MatchSolver(self, seeds)
         solver.model = model
@@ -287,7 +235,7 @@ class MatchMapper(Mapper):
                 np.asarray(res.best_assignment, dtype=np.int64)
             )
             extras = _chain_extras(res, solver._ce_cfg.n_samples)
-            extras.update(joint_chains=joint.n_chains, multichain_mode="fused")
+            extras["joint_chains"] = joint.n_chains
             results.append(
                 MapperResult(
                     mapper_name=self.name,

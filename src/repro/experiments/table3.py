@@ -8,8 +8,8 @@ one-way ANOVA on the three groups. The paper finds F = 1547, p < 0.0001;
 the reproduced claim is the verdict (F ≫ 1, p ≪ 0.05), not the F value.
 
 Execution: the thirty MaTCH repetitions run as ONE fused multi-chain CE
-call (:meth:`MatchMapper.map_many` — seed-for-seed identical to a serial
-repetition loop, several times faster); each GA group is a
+call (:meth:`MatchMapper.map_many` — seed-for-seed identical to a
+per-seed ``map`` loop, several times faster); each GA group is a
 ``"fastmap-ga"`` :class:`~repro.runtime.registry.SolverSpec`, and its
 repetitions are :class:`~repro.runtime.cell.SolveCell` solves dispatched
 over one warm :class:`repro.utils.parallel.WorkerPool` shared by both GA

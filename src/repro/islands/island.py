@@ -129,7 +129,9 @@ def decode_matrix_request(msg: Mapping[str, Any], owned: Collection[int]) -> int
 
 def decode_gossip(msg: Any, job: IslandJob, what: str = "gossip") -> SyncRecord:
     """A ``gossip`` frame (or an adoption's history entry ``what``): the
-    sync round, its leader and the leader's matrix, shaped like the problem."""
+    sync round, its leader and the leader's matrix: shaped like the problem,
+    its rows probability vectors (a NaN or negative entry would otherwise
+    reach GenPerm through the blend)."""
     if not isinstance(msg, Mapping):
         raise ValidationError(f"{what} must be an object, got {msg!r}")
     r = _wire_int(msg.get("round"), f"{what}.round", 1)
@@ -141,6 +143,11 @@ def decode_gossip(msg: Any, job: IslandJob, what: str = "gossip") -> SyncRecord:
     shape = (job.problem.n_tasks, job.problem.n_resources)
     if matrix.shape != shape:
         raise FrameError("malformed", f"{what}.matrix must be {shape}, got {matrix.shape}")
+    in_range = np.all((matrix >= 0) & (matrix <= 1))
+    if not (in_range and np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-9)):
+        raise FrameError(
+            "malformed", f"{what}.matrix must hold probabilities whose rows sum to 1"
+        )
     return SyncRecord(round=r, leader=leader, matrix=matrix)
 
 

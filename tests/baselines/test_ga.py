@@ -7,7 +7,12 @@ import pytest
 
 from repro.baselines import FastMapGA, GAConfig
 from repro.exceptions import ConfigurationError
-from repro.graphs import generate_resource_graph, generate_tig
+from repro.graphs import (
+    ResourceGraph,
+    generate_paper_pair,
+    generate_resource_graph,
+    generate_tig,
+)
 from repro.mapping import MappingProblem
 
 
@@ -105,3 +110,16 @@ class TestFastMapGA:
         assert result.execution_time == pytest.approx(
             small_model.evaluate(result.assignment)
         )
+
+    def test_eq1_bound_near_float64_limit(self):
+        # The n = 4 paper pair with its links scaled so the Eq. (1) bound
+        # nears float64's limit: MappingProblem accepts it, and the
+        # population's mean cost overflows.
+        pair = generate_paper_pair(4, 3)
+        res = pair.resources
+        huge = ResourceGraph(res.node_weights, res.edges, np.asarray(res.edge_weights) * 1e304)
+        problem = MappingProblem(pair.tig, huge, require_square=True)
+        with np.errstate(all="raise"):
+            result = FastMapGA(fast_cfg(population_size=16, generations=3)).map(problem, 0)
+        assert problem.is_one_to_one(result.assignment)
+        assert 1e307 < result.execution_time < np.inf

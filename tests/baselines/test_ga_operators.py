@@ -41,6 +41,17 @@ class TestFitness:
         with pytest.raises(ValidationError):
             fitness(np.array([1.0]), k_const=-1.0)
 
+    def test_costs_near_float64_limit_keep_roulette_finite(self):
+        # 16 costs of ~1e307 overflow the mean's sum; the fallback keeps
+        # every fitness in (0, 1] and the selection probabilities intact.
+        costs = np.array([1e307, 2e307, 4e307, 8e307] * 4)
+        with np.errstate(all="raise"):
+            f = fitness(costs)
+            roulette_select(f, 8, 0)
+        assert np.all((f > 0) & (f <= 1.0))
+        plain = fitness(costs / 1e300)
+        np.testing.assert_allclose(f / f.sum(), plain / plain.sum(), rtol=1e-12)
+
 
 class TestRoulette:
     def test_shapes(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core import MatchConfig, MatchMapper, match_map, paper_sample_size
 from repro.exceptions import ConfigurationError
 from repro.graphs import generate_resource_graph, generate_tig
@@ -144,55 +145,33 @@ class TestMatchResult:
         assert decoded.cost(model) <= mr.best_cost * 1.5
 
 
-class TestMapManyModes:
-    """The crossover-aware multichain mode selection (PR 9, satellite 1).
+_BACKENDS = [name for name, ok in kernels.available_backends().items() if ok]
 
-    Measured at max_iterations=500 on the cext backend, the fused joint
-    engine wins below ~20 tasks and loses above (0.75x at n=50); auto
-    must pick accordingly while both paths stay seed-for-seed exact.
-    """
+
+class TestMapManyParity:
+    """``map_many`` is one fused multi-chain run whose chain ``r`` equals
+    ``map(problem, seeds[r])``, at n = 24 and for a single seed."""
 
     config = MatchConfig(n_samples=60, max_iterations=25)
 
-    def _problem(self, n, seed=5):
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("n, seeds", [(24, [1, 2]), (10, [3])], ids=["n24", "one-seed"])
+    def test_equals_per_seed_map(self, backend, n, seeds):
         from repro.graphs import generate_paper_pair
 
-        pair = generate_paper_pair(n, seed)
-        return MappingProblem(pair.tig, pair.resources, require_square=True)
-
-    def test_serial_mode_matches_fused_seed_for_seed(self, small_problem):
+        pair = generate_paper_pair(n, 5)
+        problem = MappingProblem(pair.tig, pair.resources, require_square=True)
         mapper = MatchMapper(self.config)
-        fused = mapper.map_many(small_problem, [1, 2, 3], mode="fused")
-        serial = mapper.map_many(small_problem, [1, 2, 3], mode="serial")
-        for f, s in zip(fused, serial):
-            assert f.execution_time == s.execution_time
+        with kernels.use_backend(backend):
+            fused = mapper.map_many(problem, seeds)
+            single = [mapper.map(problem, seed) for seed in seeds]
+        assert len(fused) == len(seeds)
+        for f, s in zip(fused, single):
             assert list(f.assignment) == list(s.assignment)
-        assert all(r.extras["multichain_mode"] == "fused" for r in fused)
-        assert all(r.extras["multichain_mode"] == "serial" for r in serial)
-
-    def test_auto_fuses_small_problems(self, small_problem):
-        results = MatchMapper(self.config).map_many(small_problem, [1, 2])
-        assert all(r.extras["multichain_mode"] == "fused" for r in results)
-
-    def test_auto_goes_serial_past_crossover(self):
-        problem = self._problem(24)
-        results = MatchMapper(self.config).map_many(problem, [1, 2])
-        assert all(r.extras["multichain_mode"] == "serial" for r in results)
-
-    def test_auto_goes_serial_for_single_seed(self, small_problem):
-        results = MatchMapper(self.config).map_many(small_problem, [1])
-        assert results[0].extras["multichain_mode"] == "serial"
-
-    def test_prefer_fused_rule(self):
-        from repro.core.match import FUSED_CROSSOVER_MAX_TASKS, prefer_fused
-
-        assert prefer_fused(FUSED_CROSSOVER_MAX_TASKS, 2)
-        assert not prefer_fused(FUSED_CROSSOVER_MAX_TASKS + 1, 2)
-        assert not prefer_fused(10, 1)
-
-    def test_invalid_mode_rejected(self, small_problem):
-        with pytest.raises(ConfigurationError):
-            MatchMapper(self.config).map_many(small_problem, [1, 2], mode="typo")
+            assert f.execution_time == s.execution_time
+            assert f.n_evaluations == s.n_evaluations
+            assert f.extras.pop("joint_chains") == len(seeds)
+            assert f.extras == s.extras
 
 
 class TestBudgetEdge:
@@ -222,22 +201,13 @@ class TestBudgetEdge:
         with pytest.raises(MappingError, match="scored no mapping"):
             MatchMapper(self.config).map(golden, 0, budget=budget)
 
-    def test_serial_repetitions_raise_once_the_shared_budget_is_spent(self, golden):
-        from repro.exceptions import MappingError
-        from repro.runtime import EvaluationBudget
-
-        budget = EvaluationBudget(max_evaluations=1250)
-        with pytest.raises(MappingError, match="scored no mapping"):
-            MatchMapper(self.config).map_many(golden, self.seeds, budget=budget, mode="serial")
-        assert budget.used == 1250
-
     def test_fused_chain_allotted_no_rows_raises(self, golden):
         from repro.exceptions import MappingError
         from repro.runtime import EvaluationBudget
 
         budget = EvaluationBudget(max_evaluations=300)
         with pytest.raises(MappingError, match="chain 2 scored no mapping"):
-            MatchMapper(self.config).map_many(golden, self.seeds, budget=budget, mode="fused")
+            MatchMapper(self.config).map_many(golden, self.seeds, budget=budget)
         assert budget.used == 300
 
     @pytest.mark.parametrize("cap", [401, 599, 600, 1500, None])
@@ -245,9 +215,7 @@ class TestBudgetEdge:
         from repro.runtime import EvaluationBudget
 
         budget = EvaluationBudget(max_evaluations=cap)
-        results = MatchMapper(self.config).map_many(
-            golden, self.seeds, budget=budget, mode="fused"
-        )
+        results = MatchMapper(self.config).map_many(golden, self.seeds, budget=budget)
         assert sum(r.n_evaluations for r in results) == budget.used
         if cap is not None:
             assert budget.used == cap

@@ -184,6 +184,10 @@ LATER_FRAME_DEFECTS = [
     ("adopt", _adopt(history=[7]), "adopt.history[0]"),
     ("adopt", _adopt(history=[_sync(round="5")]), "adopt.history[0].round"),
     ("adopt", _adopt(history=[_sync(matrix=_matrix((5, 6)))]), "adopt.history[0].matrix"),
+    # Entries that are not probabilities, or rows that do not sum to 1.
+    ("gossip", _sync(matrix=island_wire.encode_matrix(np.full((6, 6), np.nan))), "gossip.matrix"),
+    ("gossip", _sync(matrix=island_wire.encode_matrix(np.eye(6) * 2 - 1 / 6)), "gossip.matrix"),
+    ("gossip", _sync(matrix=island_wire.encode_matrix(np.full((6, 6), 0.1))), "gossip.matrix"),
 ]
 
 

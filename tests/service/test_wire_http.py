@@ -508,6 +508,35 @@ class TestHttp:
         assert "mallory" not in stats["quotas"]["clients"]
         assert stats["quotas"]["clients"]["carol"] > 0
 
+    def test_fastmap_ga_solves_a_bound_near_float64_limit(self):
+        """The n = 4 paper pair with its links scaled by 1e304 passes the
+        Eq. (1) bound; the GA's population mean cost overflows float64, and
+        the solve still answers 200 with a finite ET."""
+        arrays = problem_to_wire(make_problem(4, 3))["arrays"]
+        arrays["res_edge_weights"] = [w * 1e304 for w in arrays["res_edge_weights"]]
+        body = {
+            "problem": {"arrays": arrays},
+            "solver": {"name": "fastmap-ga",
+                       "params": {"population_size": 16, "generations": 3}},
+        }
+
+        async def main():
+            async with MappingService(ServiceConfig(n_workers=1)) as service:
+                server = await start_http_server(service, host="127.0.0.1", port=0)
+                port = server.sockets[0].getsockname()[1]
+                url = f"http://127.0.0.1:{port}"
+                answer = await asyncio.get_running_loop().run_in_executor(
+                    None, lambda: submit_over_http(url, body, timeout=60)
+                )
+                server.close()
+                await server.wait_closed()
+                return answer
+
+        status, reply = asyncio.run(main())
+        assert status == 200, reply
+        assert reply["status"] == "ok"
+        assert 1e307 < reply["result"]["execution_time"] < float("inf")
+
     def test_solve_healthz_stats_and_errors(self):
         """One daemon lifecycle: healthz, a solve, the cached re-solve,
         /stats, and the 400/404 paths — blocking clients always run in the
@@ -640,13 +669,16 @@ class TestHttp:
         assert stats["requests"] == 0
 
     def test_over_cap_bodies_get_400_before_admission(self):
-        """Each capped param just past its bound, the unbounded audit body and
-        deleted solver names: all get a structured 400, none is admitted,
-        and the daemon keeps serving."""
-        bodies = [
-            {"problem": {"size": 8}, "solver": {"name": solver, "params": {param: cap + 1}}}
+        """Each capped param just past its bound and at 2**63, the unbounded
+        audit body and deleted solver names: all get a structured 400, none
+        is admitted, and the daemon keeps serving. A capped param's 400
+        names the param."""
+        capped = [
+            (param, {"problem": {"size": 8}, "solver": {"name": solver, "params": {param: value}}})
             for solver, param, cap in PARAM_CAPS
+            for value in (cap + 1, 2**63)
         ]
+        bodies = [body for _, body in capped]
         bodies.append(UNBOUNDED_MATCH)
         bodies += [{"problem": {"size": 8}, "solver": {"name": name}} for name in DELETED_SOLVERS]
         bodies.append(
@@ -677,6 +709,9 @@ class TestHttp:
         for body, (code, reply) in zip(bodies, answers):
             assert code == 400, body
             assert reply["error"]["kind"] == "bad-request", body
+        for (param, body), (_, reply) in zip(capped, answers):
+            value = body["solver"]["params"][param]
+            assert reply["error"]["message"].startswith(f"solver.params.{param} is {value};")
         assert status == 200 and ok["status"] == "ok"
         # Only the valid solve reached admission.
         assert stats["requests"] == 1

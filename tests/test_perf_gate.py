@@ -3,7 +3,9 @@
 ``benchmarks/perf_gate.py`` runs perfbench on a base revision and on the
 working tree; these tests feed its pure verdict functions hand-made run
 records, so no perfbench run is needed, and check the working-tree
-snapshot head runs from on a throwaway git repository.
+snapshot head runs from on a throwaway git repository. The floor probe
+runs here in-process, so a call it makes that the library no longer
+takes fails in the test suite rather than in the gate.
 """
 
 from __future__ import annotations
@@ -146,3 +148,13 @@ def test_snapshot_copies_the_working_tree_without_ignored_files(tmp_path):
     copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
     assert copied == [".gitignore", "new.py", "pkg/tracked.py"]
     assert (dest / "pkg" / "tracked.py").read_text() == "edited = 2\n"
+
+
+def test_floor_probe_runs_both_sides_and_prints_one_record(capsys):
+    # Times only; the floors are not asserted (a loaded runner is too noisy).
+    gate.floor_probe()
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    for key in ("map_s", "serial_s", "fused_s"):
+        assert record[key] > 0
