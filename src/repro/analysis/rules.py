@@ -11,7 +11,7 @@ Two rule families share this registry: the per-file AST checkers
 (:mod:`repro.analysis.checkers`) and the whole-program flow rules
 (:mod:`repro.analysis.flow`). Flow rules see the call graph, so their
 exemptions mark *sanctioned boundaries* — the execution fabric itself may
-read monotonic clocks for liveness, the solver registry is an idempotent
+read monotonic clocks for liveness, kernel dispatch is an idempotent
 per-process cache — rather than "places we don't look".
 
 Paths are matched with :func:`fnmatch.fnmatch` against ``/``-normalized
@@ -237,15 +237,14 @@ RULES: dict[str, Rule] = {
                 "writes of mutable module globals anywhere in the dispatched "
                 "call chain; the fabric's own liveness plumbing (parallel, "
                 "shared_plane, faults, timing) and the idempotent per-process "
-                "caches (solver registry, kernel dispatch) are sanctioned "
-                "boundaries and exempt by path"
+                "kernel dispatch cache are sanctioned boundaries and exempt "
+                "by path"
             ),
             exempt_globs=(
                 "repro/utils/parallel.py",
                 "repro/utils/shared_plane.py",
                 "repro/utils/faults.py",
                 "repro/utils/timing.py",
-                "repro/runtime/registry.py",
                 "repro/kernels/*",
                 "tests/*",
                 "benchmarks/*",

@@ -18,15 +18,12 @@ Every ``map`` call runs inside the unified
 live state — resumable from a ``repro-checkpoint/1`` file. The loop owns
 the MT stopwatch, so cost-model construction, hook execution and
 checkpoint writes are uniformly excluded from the measured mapping time.
-Heuristics that only implement the legacy :meth:`Mapper._solve` hook run
-as a single opaque step through :class:`_LegacySolveAdapter` with
-identical results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from dataclasses import asdict, dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -38,7 +35,7 @@ from repro.runtime.budget import EvaluationBudget
 from repro.runtime.checkpoint import CheckpointWriter
 from repro.runtime.hooks import SearchHooks
 from repro.runtime.loop import LoopOutcome, SearchLoop
-from repro.runtime.solver import SearchSolver, SolveOutput, StepReport
+from repro.runtime.solver import SearchSolver
 from repro.types import SeedLike
 
 __all__ = ["MapperResult", "Mapper", "MapperSolver"]
@@ -82,65 +79,12 @@ class MapperSolver(SearchSolver):
         self.model: CostModel | None = None
 
 
-class _LegacySolveAdapter(MapperSolver):
-    """Run a mapper's monolithic ``_solve`` as one opaque loop step.
-
-    Mappers that predate the solver protocol (or whose search has no
-    meaningful step granularity) keep working unchanged: the whole
-    ``_solve`` body executes inside a single ``step()``, so MT covers
-    exactly what the pre-runtime ``Stopwatch`` wrapped and the returned
-    ``(assignment, n_evaluations, extras)`` triple is passed through
-    untouched. No mid-run checkpointing is possible at this granularity —
-    ``export_state`` keeps the loud :class:`CheckpointError` default.
-    """
-
-    def __init__(self, mapper: "Mapper") -> None:
-        super().__init__()
-        self.mapper = mapper
-        self._problem: MappingProblem | None = None
-        self._seed: SeedLike = None
-        self._output: SolveOutput | None = None
-        self._done = False
-
-    def start(self, problem: MappingProblem, seed: SeedLike) -> None:
-        self._problem = problem
-        self._seed = seed
-        self._output = None
-        self._done = False
-
-    @property
-    def finished(self) -> bool:
-        return self._done
-
-    def step(self) -> StepReport:
-        assert self._problem is not None
-        assignment, n_evals, extras = self.mapper._solve(
-            self._problem, self.model, self._seed
-        )
-        if n_evals:  # a legacy mapper may legitimately report zero evaluations
-            self.budget.charge(n_evals)
-        self._output = SolveOutput(
-            assignment=np.asarray(assignment, dtype=np.int64),
-            n_evaluations=n_evals,
-            extras=extras,
-        )
-        self._done = True
-        it = self._iteration
-        self._iteration += 1
-        return StepReport(iteration=it)
-
-    def finalize(self) -> SolveOutput:
-        assert self._output is not None
-        return self._output
-
-
 class Mapper:
     """Abstract mapping heuristic.
 
-    Subclasses either provide a :class:`~repro.runtime.solver.SearchSolver`
-    via :meth:`_make_solver` (step-resolved heuristics: budget-governed,
-    hook-observable, checkpointable) or just implement the legacy
-    :meth:`_solve` hook (run as one opaque step). Either way the public
+    Subclasses provide a :class:`~repro.runtime.solver.SearchSolver` via
+    :meth:`_make_solver` (budget-governed, hook-observable, and
+    checkpointable where the solver exports its state). The public
     :meth:`map` adds uniform timing, validation and cost computation so
     MT/ET are measured identically for every heuristic — a prerequisite
     for fair Table 2 comparisons.
@@ -148,18 +92,16 @@ class Mapper:
 
     #: Short name used in tables ("MaTCH", "FastMap-GA", ...).
     name: str = "mapper"
-    #: Solver-registry identity (see :mod:`repro.runtime.registry`) used in
-    #: checkpoints so ``repro resume`` can rebuild the mapper; ``None``
-    #: marks heuristics that are not registry-resumable.
-    registry_name: ClassVar[str | None] = None
+    #: The heuristic's parameters, a dataclass.
+    config: Any
 
     def checkpoint_params(self) -> dict[str, Any]:
-        """Constructor params that rebuild this mapper via the registry."""
-        return {}
+        """Config params that rebuild this mapper via the solver table."""
+        return asdict(self.config)
 
     def _make_solver(self) -> MapperSolver:
-        """Build a fresh solver instance; default wraps legacy ``_solve``."""
-        return _LegacySolveAdapter(self)
+        """Build a fresh solver instance for one run."""
+        raise NotImplementedError
 
     def map(
         self,
@@ -206,13 +148,6 @@ class Mapper:
             n_evaluations=out.n_evaluations,
             extras=out.extras,
         )
-
-    # -- subclass hook ---------------------------------------------------------
-    def _solve(
-        self, problem: MappingProblem, model: CostModel, rng: SeedLike
-    ) -> tuple[np.ndarray, int, dict[str, Any]]:
-        """Produce ``(assignment, n_evaluations, extras)`` for ``problem``."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

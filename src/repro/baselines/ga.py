@@ -27,7 +27,7 @@ checkpoints and resumes bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import Any
 
 import numpy as np
 
@@ -214,22 +214,9 @@ class FastMapGA(Mapper):
     """The GA of FastMap [16] as specified in §5.1, on one-to-one mappings."""
 
     name = "FastMap-GA"
-    registry_name: ClassVar[str | None] = "fastmap-ga"
 
     def __init__(self, config: GAConfig = GAConfig()) -> None:
         self.config = config
-
-    def checkpoint_params(self) -> dict[str, Any]:
-        cfg = self.config
-        return {
-            "population_size": cfg.population_size,
-            "generations": cfg.generations,
-            "p_crossover": cfg.p_crossover,
-            "p_mutation": cfg.p_mutation,
-            "elitism": cfg.elitism,
-            "track_history": cfg.track_history,
-            "report_final_population": cfg.report_final_population,
-        }
 
     def _make_solver(self) -> MapperSolver:
         return _GASolver(self.config)

@@ -69,6 +69,14 @@ GAMMA_TOL = 1e-9
 DEGENERATE_TOL = 1e-6
 
 
+def is_row_stochastic(matrix: np.ndarray) -> bool:
+    """Whether every entry is a probability and every row sums to 1 within
+    1e-9: the check a matrix from outside the engine (a checkpoint, a
+    gossip frame) must pass. A NaN entry fails it."""
+    in_range = np.all((matrix >= 0) & (matrix <= 1))
+    return bool(in_range and np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-9))
+
+
 @dataclass(frozen=True)
 class CEConfig:
     """Hyper-parameters of one CE run.
@@ -656,7 +664,18 @@ class MultiChainCE:
             stable[0] = int(member.get("stable", 0))
         k = int(state["k"])
         self._k = self._joint.n_joint_iterations = k
-        self._P[0] = np.asarray(state["matrix"], dtype=np.float64)
+        # A checkpoint is outside input: a NaN or off-simplex matrix would
+        # sample differently per kernel backend instead of failing.
+        try:
+            matrix = np.asarray(state["matrix"], dtype=np.float64)
+        except (TypeError, ValueError):
+            matrix = np.empty(0)
+        if matrix.shape != self._P.shape[1:] or not is_row_stochastic(matrix):
+            raise CheckpointError(
+                f"state.ce.matrix must be a {self._P.shape[1:]} matrix of "
+                "probabilities whose rows sum to 1"
+            )
+        self._P[0] = matrix
         self._gens[0] = generator_from_state(state["rng"])
         best_cost = state.get("best_cost")
         self._best_costs[0] = np.inf if best_cost is None else float(best_cost)

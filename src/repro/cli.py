@@ -500,7 +500,8 @@ def _record_solve_result(run, result) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.graphs import generate_paper_pair
     from repro.mapping import MappingProblem
-    from repro.runstore import RunEventHook, problem_checksum
+    from repro.mapping.problem_key import problem_key
+    from repro.runstore import RunEventHook
     from repro.runtime import CheckpointWriter, create_mapper
 
     pair = generate_paper_pair(args.size, args.seed)
@@ -518,7 +519,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "target_cost": args.target_cost,
         },
         solver={"name": args.heuristic, "params": params},
-        problems={"instance": problem_checksum(problem)},
+        problems={"instance": problem_key(problem)},
     )
     checkpointer = None
     if args.checkpoint:
@@ -664,7 +665,7 @@ def _cmd_island(args: argparse.Namespace) -> int:
     from repro.graphs import generate_paper_pair
     from repro.islands import IslandCoordinator
     from repro.mapping import MappingProblem
-    from repro.runstore import problem_checksum
+    from repro.mapping.problem_key import problem_key
     from repro.utils.tables import render_kv_block
 
     pair = generate_paper_pair(args.size, args.seed)
@@ -685,7 +686,7 @@ def _cmd_island(args: argparse.Namespace) -> int:
         seed=args.seed,
         config={"size": args.size, "n_islands": args.islands, "timeout": args.timeout},
         solver={"name": "match-islands", "params": params},
-        problems={"instance": problem_checksum(problem)},
+        problems={"instance": problem_key(problem)},
     )
     coordinator = IslandCoordinator(
         problem,
@@ -818,12 +819,8 @@ def _cmd_runs_replay(args: argparse.Namespace, store) -> int:
     from repro.exceptions import ReproError
     from repro.graphs import generate_paper_pair
     from repro.mapping import MappingProblem
-    from repro.runstore import (
-        RunEventHook,
-        build_manifest,
-        pinned_env,
-        problem_checksum,
-    )
+    from repro.mapping.problem_key import problem_key
+    from repro.runstore import RunEventHook, build_manifest, pinned_env
     from repro.runtime import EvaluationBudget, create_mapper
 
     manifest = store.load_manifest(args.run_id)
@@ -844,7 +841,7 @@ def _cmd_runs_replay(args: argparse.Namespace, store) -> int:
     with pinned_env(manifest.get("env") or {}):
         pair = generate_paper_pair(int(config["size"]), int(seed))
         problem = MappingProblem(pair.tig, pair.resources, require_square=True)
-        checksum = problem_checksum(problem)
+        checksum = problem_key(problem)
         recorded = (manifest.get("problems") or {}).get("instance")
         if recorded is not None and checksum != recorded:
             print(

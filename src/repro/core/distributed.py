@@ -24,21 +24,25 @@ parallel speedup. Each round advances every agent at once as one
 execution see :mod:`repro.islands`, which runs the same agent rounds over
 a socket transport and is pinned bit-identical to this simulation by the
 loopback parity tests.
+
+The simulation runs in the :class:`~repro.runtime.loop.SearchLoop` like
+every heuristic, one agent round per step, so budgets and hooks govern it
+the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
-from repro.baselines.base import Mapper
+from repro.baselines.base import Mapper, MapperSolver
 from repro.core.config import paper_sample_size
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, MappingError
 from repro.islands.chains import agent_streams, blend_towards, chain_rounds, is_degenerate
-from repro.mapping.cost_model import CostModel
 from repro.mapping.problem import MappingProblem
+from repro.runtime.budget import BUDGET_EVALUATIONS
+from repro.runtime.solver import SolveOutput, StepReport
 from repro.types import SeedLike
 from repro.utils.validation import check_in_range
 
@@ -72,6 +76,115 @@ class DistributedMatchConfig:
             raise ConfigurationError(f"gamma_window must be >= 1, got {self.gamma_window}")
 
 
+class _DistributedSolver(MapperSolver):
+    """One agent round of every agent per loop step.
+
+    A round draws ``per_agent`` samples for each of the ``A`` agents and is
+    indivisible: a round the budget cannot pay in full is not drawn, and
+    the run stops ``budget-evaluations``.
+    """
+
+    def __init__(self, config: DistributedMatchConfig) -> None:
+        super().__init__()
+        self.config = config
+
+    def start(self, problem: MappingProblem, seed: SeedLike) -> None:
+        if problem.n_tasks > problem.n_resources:
+            raise ConfigurationError("distributed MaTCH needs n_resources >= n_tasks")
+        cfg = self.config
+        n_t, n_r = problem.n_tasks, problem.n_resources
+        total = cfg.total_samples if cfg.total_samples is not None else paper_sample_size(n_r)
+        self.per_agent = max(2, total // cfg.n_agents)
+        A = cfg.n_agents
+        self.round_cost = A * self.per_agent
+        self.gens = agent_streams(seed, A)
+        self.P = np.full((A, n_t, n_r), 1.0 / n_r)
+        self.agent_best = np.full(A, np.inf)
+        self.agent_x = [np.zeros(n_t, dtype=np.int64) for _ in range(A)]
+        self.global_best = np.inf
+        self.global_x = np.zeros(n_t, dtype=np.int64)
+        self.stagnant = 0
+        self.n_syncs = 0
+        self.done = False
+        self._check_affordable()
+
+    @property
+    def finished(self) -> bool:
+        return self.done
+
+    def _check_affordable(self) -> None:
+        cost = self.round_cost
+        if self.budget.clamp_batch(cost) < cost:
+            self.done = True
+            self.stop = (
+                BUDGET_EVALUATIONS,
+                f"evaluation budget of {self.budget.max_evaluations} cannot pay "
+                f"a {cost}-sample round ({self.budget.used} charged)",
+            )
+
+    def step(self) -> StepReport:
+        cfg = self.config
+        A = cfg.n_agents
+        self.P, (entries,) = chain_rounds(
+            self.P, self.gens, self.model, self.per_agent, cfg.rho, cfg.zeta, 1,
+            budget=self.budget,
+        )
+        prev_global = self.global_best
+        # Fold in agent order: the global incumbent moves on strict
+        # improvement, so the order is part of the result.
+        for a, entry in enumerate(entries):
+            if entry["cost"] < self.agent_best[a]:
+                self.agent_best[a] = entry["cost"]
+                self.agent_x[a] = entry["x"]
+            if self.agent_best[a] < self.global_best:
+                self.global_best = self.agent_best[a]
+                self.global_x = self.agent_x[a].copy()
+
+        it = self._iteration
+        self._iteration = r = it + 1
+        if A > 1 and r % cfg.sync_every == 0:
+            # Gossip: everyone drifts towards the best agent's matrix.
+            leader = int(np.argmin(self.agent_best))
+            others = np.arange(A) != leader
+            self.P[others] = blend_towards(self.P[others], self.P[leader], cfg.gossip_weight)
+            self.n_syncs += 1
+
+        if abs(self.global_best - prev_global) <= 1e-9:
+            self.stagnant += 1
+        else:
+            self.stagnant = 0
+        if (
+            r >= cfg.max_rounds
+            or self.stagnant >= cfg.gamma_window
+            or is_degenerate(self.P).all()
+        ):
+            self.done = True
+        else:
+            self._check_affordable()
+        return StepReport(
+            iteration=it,
+            best_cost=float(self.global_best),
+            improved=bool(self.global_best < prev_global),
+        )
+
+    def finalize(self) -> SolveOutput:
+        if self._iteration == 0:
+            # The best mapping would be the all-zeros placeholder.
+            raise MappingError(
+                f"distributed MaTCH scored no mapping before it stopped ({self.stop[1]})"
+            )
+        return SolveOutput(
+            assignment=self.global_x,
+            n_evaluations=self._iteration * self.round_cost,
+            extras={
+                "rounds": self._iteration,
+                "n_agents": self.config.n_agents,
+                "samples_per_agent": self.per_agent,
+                "n_syncs": self.n_syncs,
+            },
+        )
+
+
 class DistributedMatchMapper(Mapper):
     """Island-model MaTCH with periodic elite-attraction gossip."""
 
@@ -80,64 +193,5 @@ class DistributedMatchMapper(Mapper):
     def __init__(self, config: DistributedMatchConfig = DistributedMatchConfig()) -> None:
         self.config = config
 
-    def _solve(
-        self, problem: MappingProblem, model: CostModel, rng: SeedLike
-    ) -> tuple[np.ndarray, int, dict[str, Any]]:
-        if problem.n_tasks > problem.n_resources:
-            raise ConfigurationError("distributed MaTCH needs n_resources >= n_tasks")
-        cfg = self.config
-        n_t, n_r = problem.n_tasks, problem.n_resources
-        total = cfg.total_samples if cfg.total_samples is not None else paper_sample_size(n_r)
-        per_agent = max(2, total // cfg.n_agents)
-
-        A = cfg.n_agents
-        gens = agent_streams(rng, A)
-        P = np.full((A, n_t, n_r), 1.0 / n_r)
-        agent_best = np.full(A, np.inf)
-        agent_x = [np.zeros(n_t, dtype=np.int64) for _ in range(A)]
-
-        global_best = np.inf
-        global_x = np.zeros(n_t, dtype=np.int64)
-        n_evals = 0
-        stagnant = 0
-        prev_global = np.inf
-        rounds = 0
-        n_syncs = 0
-
-        for r in range(1, cfg.max_rounds + 1):
-            rounds = r
-            P, (entries,) = chain_rounds(P, gens, model, per_agent, cfg.rho, cfg.zeta, 1)
-            n_evals += A * per_agent
-            # Fold in agent order: the global incumbent moves on strict
-            # improvement, so the order is part of the result.
-            for a, entry in enumerate(entries):
-                if entry["cost"] < agent_best[a]:
-                    agent_best[a] = entry["cost"]
-                    agent_x[a] = entry["x"]
-                if agent_best[a] < global_best:
-                    global_best = agent_best[a]
-                    global_x = agent_x[a].copy()
-
-            if A > 1 and r % cfg.sync_every == 0:
-                # Gossip: everyone drifts towards the best agent's matrix.
-                leader = int(np.argmin(agent_best))
-                others = np.arange(A) != leader
-                P[others] = blend_towards(P[others], P[leader], cfg.gossip_weight)
-                n_syncs += 1
-
-            if abs(global_best - prev_global) <= 1e-9:
-                stagnant += 1
-            else:
-                stagnant = 0
-            prev_global = global_best
-            if stagnant >= cfg.gamma_window:
-                break
-            if is_degenerate(P).all():
-                break
-
-        return global_x, n_evals, {
-            "rounds": rounds,
-            "n_agents": cfg.n_agents,
-            "samples_per_agent": per_agent,
-            "n_syncs": n_syncs,
-        }
+    def _make_solver(self) -> MapperSolver:
+        return _DistributedSolver(self.config)

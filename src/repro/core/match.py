@@ -26,7 +26,7 @@ they govern every baseline.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -161,7 +161,6 @@ class MatchMapper(Mapper):
     """The MaTCH heuristic as a :class:`Mapper`."""
 
     name = "MaTCH"
-    registry_name: ClassVar[str | None] = "match"
 
     def __init__(self, config: MatchConfig = MatchConfig()) -> None:
         self.config = config
@@ -171,21 +170,6 @@ class MatchMapper(Mapper):
     def last_result(self) -> MatchResult | None:
         """Full diagnostics of the most recent :meth:`map` call."""
         return self._last_result
-
-    def checkpoint_params(self) -> dict[str, Any]:
-        cfg = self.config
-        return {
-            "rho": cfg.rho,
-            "zeta": cfg.zeta,
-            "n_samples": cfg.n_samples,
-            "stability_window": cfg.stability_window,
-            "stability_tol": cfg.stability_tol,
-            "gamma_window": cfg.gamma_window,
-            "elite_mode": cfg.elite_mode,
-            "max_iterations": cfg.max_iterations,
-            "track_matrices": cfg.track_matrices,
-            "matrix_snapshot_every": cfg.matrix_snapshot_every,
-        }
 
     def _make_solver(self) -> MapperSolver:
         return _MatchSolver(self)

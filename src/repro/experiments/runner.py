@@ -13,23 +13,20 @@ and each carries its own derived seed, so :func:`run_comparison` dispatches
 them over the persistent execution fabric
 (:class:`repro.utils.parallel.WorkerPool`) as the library's one solve cell,
 :class:`~repro.runtime.cell.SolveCell`: one warm pool serves every cell,
-each instance's arrays are published once to the shared-memory problem
-plane (a cell carries a handle, a
-:class:`~repro.runtime.registry.SolverSpec` and a seed instead of pickled
-graphs), and cells are scheduled longest-first so big-``n`` stragglers
-cannot hold the tail. The runner keeps each cell's (heuristic, size, pair,
-repetition) identity beside the dispatch and turns every returned
+each cell carries its problem by value, a
+:class:`~repro.runtime.registry.SolverSpec` and a seed, and cells are
+scheduled heaviest-first so big-``n`` stragglers cannot hold the tail. The
+runner keeps each cell's (heuristic, size, pair, repetition) identity
+beside the dispatch and turns every returned
 :class:`~repro.baselines.base.MapperResult` into a :class:`RunRecord` in
 the parent. Every result field except the measured ``mapping_time``
 wall-clock is identical — record for record — to the serial loop for any
 worker count.
 
-Heuristics are addressed through the solver registry
-(:mod:`repro.runtime.registry`): ``mappers`` maps each heuristic's label to
-a picklable :class:`~repro.runtime.registry.SolverSpec` (name + constructor
-params), and a cell's mapper is rebuilt from it in the worker, so any
-registered solver — built-in or third-party — plugs into the §5.3
-protocol by name.
+Heuristics are addressed by solver name (:mod:`repro.runtime.registry`):
+``mappers`` maps each heuristic's label to a picklable
+:class:`~repro.runtime.registry.SolverSpec` (name + config params), and a
+cell's mapper is rebuilt from it in the worker.
 """
 
 from __future__ import annotations

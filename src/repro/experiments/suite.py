@@ -16,7 +16,8 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.graphs.generators import GraphPair, generate_paper_pair
 from repro.mapping.problem import MappingProblem
-from repro.runstore import current_run, problem_checksum
+from repro.mapping.problem_key import problem_key
+from repro.runstore import current_run
 from repro.utils.rng import RngStreams, as_generator
 
 __all__ = ["SuiteInstance", "build_suite", "ccr_multipliers"]
@@ -101,7 +102,7 @@ def build_suite(
         run.merge_manifest(
             "problems",
             {
-                f"size{i.size}-pair{i.pair_index}": problem_checksum(i.problem)
+                f"size{i.size}-pair{i.pair_index}": problem_key(i.problem)
                 for i in instances
             },
         )

@@ -35,6 +35,7 @@ import numpy as np
 from repro.ce.multichain import DEGENERATE_TOL, ce_round
 from repro.mapping.cost_model import CostModel
 from repro.mapping.problem import MappingProblem
+from repro.runtime.budget import EvaluationBudget
 from repro.types import SeedLike
 from repro.utils.rng import (
     as_generator,
@@ -101,17 +102,22 @@ def chain_rounds(
     rho: float,
     zeta: float,
     n_rounds: int,
+    *,
+    budget: EvaluationBudget | None = None,
 ) -> tuple[np.ndarray, list[list[dict[str, Any]]]]:
     """``n_rounds`` engine rounds of the agent stack ``P`` with no gossip.
 
     Agent ``j`` draws from ``gens[j]`` (advanced in place). Returns the
     updated stack and, per round, one entry per agent: ``cost`` and ``x``
     of its best sample, and whether its matrix is ``degenerate`` after the
-    update.
+    update. ``budget``, when given, is charged every sample scored (the
+    simulation's loop budget; island cells run uncharged).
     """
     rounds = []
     for _ in range(n_rounds):
         P, Xs, costs, _ = ce_round(P, gens, model.evaluate_batch, per_agent, rho, zeta)
+        if budget is not None:
+            budget.charge(costs.size)
         rounds.append(
             [
                 {"cost": float(costs[j, b]), "x": Xs[j, b].copy(), "degenerate": bool(flag)}

@@ -209,7 +209,7 @@ class IslandCoordinator:
     def run(self) -> dict[str, Any]:
         """Accept islands, drive the run, return the result payload.
 
-        The payload mirrors the sequential mapper's ``_solve`` contract:
+        The payload mirrors the sequential mapper's result:
         ``assignment``, ``best_cost``, ``n_evaluations`` and the same
         ``extras`` keys, plus island-runtime diagnostics.
         """

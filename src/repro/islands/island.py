@@ -30,6 +30,7 @@ from typing import Any, Callable, Collection, Mapping
 
 import numpy as np
 
+from repro.ce.multichain import is_row_stochastic
 from repro.exceptions import FrameError, IslandError, ValidationError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
@@ -143,8 +144,7 @@ def decode_gossip(msg: Any, job: IslandJob, what: str = "gossip") -> SyncRecord:
     shape = (job.problem.n_tasks, job.problem.n_resources)
     if matrix.shape != shape:
         raise FrameError("malformed", f"{what}.matrix must be {shape}, got {matrix.shape}")
-    in_range = np.all((matrix >= 0) & (matrix <= 1))
-    if not (in_range and np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-9)):
+    if not is_row_stochastic(matrix):
         raise FrameError(
             "malformed", f"{what}.matrix must hold probabilities whose rows sum to 1"
         )

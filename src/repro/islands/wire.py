@@ -75,28 +75,28 @@ def decode_matrix(payload: Any) -> np.ndarray:
     if not isinstance(payload, dict):
         raise FrameError("malformed", f"matrix payload must be an object, got {type(payload).__name__}")
     try:
-        dtype = np.dtype(payload["dtype"])
+        dtype = payload["dtype"]
         shape = payload["shape"]
         raw = base64.b64decode(payload["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameError("malformed", f"undecodable matrix payload: {exc}") from exc
-    if dtype != _DTYPE:
-        raise FrameError("malformed", f"matrix dtype must be {_DTYPE.str}, got {dtype.str}")
+    if dtype != _DTYPE.str:  # compared raw: np.dtype(None) is float64
+        raise FrameError("malformed", f"matrix dtype must be {_DTYPE.str}, got {dtype!r}")
     if not isinstance(shape, list) or not all(
         isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
     ):
         raise FrameError(
             "malformed", f"matrix shape must be a list of non-negative integers, got {shape!r}"
         )
-    expected = dtype.itemsize * math.prod(shape)
+    expected = _DTYPE.itemsize * math.prod(shape)
     if len(raw) != expected:
         raise FrameError(
             "malformed",
             f"matrix payload carries {len(raw)} bytes but shape {tuple(shape)} "
-            f"({dtype}) needs {expected}",
+            f"({_DTYPE}) needs {expected}",
         )
     try:  # an empty matrix can still name extents numpy cannot index
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        return np.frombuffer(raw, dtype=_DTYPE).reshape(shape).copy()
     except ValueError as exc:
         raise FrameError("malformed", f"matrix shape {tuple(shape)} is unusable: {exc}") from exc
 

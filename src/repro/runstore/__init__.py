@@ -20,7 +20,6 @@ from repro.runstore.manifest import (
     host_info,
     kernel_backend_name,
     pinned_env,
-    problem_checksum,
 )
 from repro.runstore.store import (
     RunEventHook,
@@ -45,7 +44,6 @@ __all__ = [
     "host_info",
     "kernel_backend_name",
     "pinned_env",
-    "problem_checksum",
     "RunEventHook",
     "RunHandle",
     "RunStore",

@@ -35,7 +35,6 @@ __all__ = [
     "host_class",
     "env_surface",
     "kernel_backend_name",
-    "problem_checksum",
     "build_manifest",
     "pinned_env",
 ]
@@ -154,20 +153,6 @@ def kernel_backend_name() -> str:
         return "unresolved"
 
 
-def problem_checksum(problem: Any) -> str:
-    """Stable sha256 over a :class:`~repro.mapping.problem.MappingProblem`.
-
-    Delegates to :func:`repro.mapping.problem_key.problem_key`, the
-    canonical problem hash: arrays are canonicalized to 64-bit C-contiguous
-    form before hashing, so two runs solved the same instance iff their
-    checksums match — regardless of how the instance was built, shipped,
-    or which integer/float width its inputs arrived in.
-    """
-    from repro.mapping.problem_key import problem_key
-
-    return problem_key(problem)
-
-
 def build_manifest(
     kind: str,
     *,
@@ -181,8 +166,9 @@ def build_manifest(
     added by the store when the manifest is first written).
 
     ``config`` is the resolved run configuration (profile fields, CLI
-    flags), ``solver`` the resolved solver identity (registry name +
-    params), ``problems`` a label → checksum map of the instances solved.
+    flags), ``solver`` the resolved solver identity (solver name +
+    params), ``problems`` a label → ``problem_key`` map of the instances
+    solved.
     """
     from repro.utils.parallel import RetryPolicy
 

@@ -1,10 +1,11 @@
-"""Unified solver runtime: budget, loop, hooks, checkpoints, registry.
+"""Unified solver runtime: budget, loop, hooks, checkpoints, solver table.
 
-Every heuristic in the library — CE, multi-chain CE and FastMap-GA —
-runs inside the same :class:`~repro.runtime.loop.SearchLoop`, governed by one
-:class:`~repro.runtime.budget.EvaluationBudget`, observable through
-:class:`~repro.runtime.hooks.SearchHooks`, and resumable through the
-``repro-checkpoint/1`` format. The refactor is behavior-preserving:
+Every heuristic in the library — CE, multi-chain CE, FastMap-GA and
+distributed MaTCH — runs inside the same
+:class:`~repro.runtime.loop.SearchLoop`, governed by one
+:class:`~repro.runtime.budget.EvaluationBudget` and observable through
+:class:`~repro.runtime.hooks.SearchHooks`; MaTCH and FastMap-GA are also
+resumable through the ``repro-checkpoint/1`` format. The refactor is behavior-preserving:
 golden fixtures (``tests/fixtures/golden_solvers.json``) pin every
 heuristic's results seed-for-seed against the pre-runtime code.
 
@@ -23,7 +24,6 @@ from repro.runtime.loop import STOP_CONVERGED, STOP_INTERRUPTED, LoopOutcome, Se
 from repro.runtime.registry import (
     SolverSpec,
     create_mapper,
-    register_solver,
     solver_names,
 )
 from repro.runtime.resume import resume_run
@@ -45,7 +45,6 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "load_checkpoint",
     "SolverSpec",
-    "register_solver",
     "create_mapper",
     "solver_names",
     "resume_run",

@@ -1,11 +1,13 @@
 """Lifecycle hooks: observation without contaminating the measurement.
 
-Everything that used to be inlined into heuristic loops as special cases —
-Fig. 3 trace snapshots, convergence recording, run-store events — is a
+Per-step observation — run-store events, best-cost recording — is a
 :class:`SearchHooks` subclass attached to the
-:class:`~repro.runtime.loop.SearchLoop`. The loop *pauses its stopwatch*
-around every hook call, so arbitrarily expensive observation (plotting,
-disk writes) never pollutes the MT column.
+:class:`~repro.runtime.loop.SearchLoop`. (Fig. 3 trace snapshots and the
+convergence figures read the CE diagnostics in
+:attr:`~repro.core.match.MatchMapper.last_result` after the run instead.)
+The loop *pauses its stopwatch* around every hook call, so arbitrarily
+expensive observation (plotting, disk writes) never pollutes the MT
+column.
 
 Ordering guarantees (DESIGN.md §8):
 

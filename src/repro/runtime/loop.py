@@ -10,7 +10,8 @@ observation and durability never contaminate mapping time.
 
 Stop kinds reported to ``on_stop`` (and in :class:`LoopOutcome`):
 
-* ``"converged"`` — the solver's own stopping rule tripped;
+* ``"converged"`` — the solver's own stopping rule tripped (a solver may
+  report another kind through :attr:`SearchSolver.stop`);
 * ``"budget-evaluations"`` / ``"budget-seconds"`` / ``"budget-target"`` —
   an :class:`EvaluationBudget` limit tripped (checked between steps, in
   that priority order — see ``EvaluationBudget.exhausted``);
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.runtime.budget import EvaluationBudget
 from repro.runtime.hooks import SearchHooks
-from repro.runtime.solver import SearchSolver, SolveOutput
+from repro.runtime.solver import STOP_CONVERGED, SearchSolver, SolveOutput
 from repro.utils.timing import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SearchLoop", "LoopOutcome", "STOP_CONVERGED", "STOP_INTERRUPTED"]
 
-STOP_CONVERGED = "converged"
 STOP_INTERRUPTED = "interrupted"
 
 
@@ -107,8 +107,6 @@ class SearchLoop:
         self.hooks.on_start(solver, problem)
 
         best_cost = math.inf
-        stop_kind = STOP_CONVERGED
-        stop_reason = "solver stopping rule satisfied"
         in_step = False
         try:
             while True:
@@ -119,6 +117,7 @@ class SearchLoop:
                     solver.note_external_stop(stop_kind, stop_reason)
                     break
                 if solver.finished:
+                    stop_kind, stop_reason = solver.stop
                     break
                 sw.start()
                 in_step = True

@@ -1,17 +1,11 @@
-"""The solver registry: heuristics as named, parameterized entries.
+"""The solver table: heuristics as named, parameterized entries.
 
-A solver is a **name** (``"match"``, ``"fastmap-ga"``)
-plus a **params dict** forwarded to the mapper's constructor, in one flat
-namespace. :class:`SolverSpec` packages the pair as a picklable value
-object: it is how the experiments runner and the service name a
-heuristic, and how their cells cross process-pool boundaries.
-
-Built-in solvers register lazily on first lookup
-(:func:`ensure_default_solvers`) — the registry must not import
-``repro.baselines`` at module scope because ``baselines.base`` imports
-``repro.runtime``. Third-party heuristics join with
-:func:`register_solver` and immediately work everywhere a name does:
-``create_mapper``, the experiments runner, checkpoints, and the CLI.
+A solver is a **name** (``"match"``, ``"fastmap-ga"``) plus a **params
+dict** forwarded to the constructor of the mapper's config, in one flat
+namespace. The names form a closed table; :class:`SolverSpec` packages
+the pair as a picklable value object: it is how the experiments runner,
+checkpoints, the CLI and the service name a heuristic, and how their
+cells cross process-pool boundaries.
 """
 
 from __future__ import annotations
@@ -24,45 +18,37 @@ from repro.exceptions import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.baselines.base import Mapper
 
-__all__ = ["SolverSpec", "register_solver", "create_mapper", "solver_names"]
-
-#: name -> factory taking keyword params and returning a fresh Mapper.
-_REGISTRY: dict[str, Callable[..., "Mapper"]] = {}
-_defaults_registered = False
+__all__ = ["SolverSpec", "create_mapper", "solver_names"]
 
 
-def register_solver(
-    name: str, factory: Callable[..., "Mapper"], *, overwrite: bool = False
-) -> None:
-    """Register ``factory`` under ``name`` (lowercase, stable across runs).
+def _solver_table() -> dict[str, tuple[Callable[[Any], "Mapper"], Callable[..., Any]]]:
+    """``name -> (mapper class, config class)`` for every solver.
 
-    ``factory(**params)`` must return a fresh, independent mapper each
-    call. Registering an existing name raises unless ``overwrite=True``.
+    Imported on call because ``repro.baselines`` imports ``repro.runtime``.
     """
-    if not name or name != name.lower():
-        raise ConfigurationError(f"solver names must be non-empty lowercase, got {name!r}")
-    if not overwrite and name in _REGISTRY:
-        raise ConfigurationError(f"solver {name!r} is already registered")
-    _REGISTRY[name] = factory
+    from repro.baselines.ga import FastMapGA, GAConfig
+    from repro.core.config import MatchConfig
+    from repro.core.match import MatchMapper
+
+    return {"match": (MatchMapper, MatchConfig), "fastmap-ga": (FastMapGA, GAConfig)}
 
 
 def create_mapper(name: str, params: dict[str, Any] | None = None) -> "Mapper":
-    """Build a fresh mapper for registry entry ``name`` with ``params``."""
-    ensure_default_solvers()
+    """Build a fresh mapper for solver ``name`` with config ``params``."""
+    table = _solver_table()
     try:
-        factory = _REGISTRY[name]
+        mapper_class, config_class = table[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(sorted(table))
         raise ConfigurationError(
             f"unknown solver {name!r}; registered solvers: {known}"
         ) from None
-    return factory(**(params or {}))
+    return mapper_class(config_class(**(params or {})))
 
 
 def solver_names() -> list[str]:
-    """Sorted names of every registered solver."""
-    ensure_default_solvers()
-    return sorted(_REGISTRY)
+    """Sorted names of every solver."""
+    return sorted(_solver_table())
 
 
 @dataclass(frozen=True)
@@ -93,32 +79,3 @@ class SolverSpec:
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params)
         return f"{self.name}({inner})"
-
-
-# -- built-in solvers --------------------------------------------------------
-
-
-def _make_match(**params: Any) -> "Mapper":
-    from repro.core.config import MatchConfig
-    from repro.core.match import MatchMapper
-
-    return MatchMapper(MatchConfig(**params))
-
-
-def _make_fastmap_ga(**params: Any) -> "Mapper":
-    from repro.baselines.ga import FastMapGA, GAConfig
-
-    return FastMapGA(GAConfig(**params))
-
-
-def ensure_default_solvers() -> None:
-    """Register the built-in heuristics (idempotent, lazily invoked)."""
-    global _defaults_registered
-    if _defaults_registered:
-        return
-    _defaults_registered = True
-    for name, factory in (
-        ("match", _make_match),
-        ("fastmap-ga", _make_fastmap_ga),
-    ):
-        register_solver(name, factory, overwrite=True)

@@ -28,7 +28,9 @@ import numpy as np
 from repro.exceptions import CheckpointError
 from repro.runtime.budget import EvaluationBudget
 
-__all__ = ["StepReport", "SolveOutput", "SearchSolver"]
+__all__ = ["StepReport", "SolveOutput", "SearchSolver", "STOP_CONVERGED"]
+
+STOP_CONVERGED = "converged"
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,9 @@ class SolveOutput:
 
     #: Best task->resource assignment found.
     assignment: np.ndarray
-    #: Evaluation count in the heuristic's *legacy* accounting (what
-    #: ``MapperResult.n_evaluations`` has always reported; golden fixtures
-    #: pin these numbers). The budget's ``used`` may differ for solvers
-    #: that charge probes they do not count here.
+    #: Cost evaluations the run scored (``MapperResult.n_evaluations``;
+    #: golden fixtures pin these numbers). Every solver charges the budget
+    #: for exactly these, so the budget's ``used`` equals it on a fresh run.
     n_evaluations: int = 0
     #: Heuristic-specific extras merged into ``MapperResult.extras``.
     extras: dict[str, Any] = field(default_factory=dict)
@@ -75,6 +76,11 @@ class SearchSolver:
     :class:`~repro.exceptions.CheckpointError` so non-checkpointable
     solvers degrade loudly rather than silently resuming wrong.
     """
+
+    #: ``(kind, reason)`` the loop reports when ``finished`` ends the run. A
+    #: solver whose budget cannot pay its next (indivisible) step sets a
+    #: budget stop kind here instead.
+    stop: tuple[str, str] = (STOP_CONVERGED, "solver stopping rule satisfied")
 
     def __init__(self) -> None:
         self.budget: EvaluationBudget = EvaluationBudget()

@@ -93,11 +93,11 @@ def problem_to_wire(problem: MappingProblem) -> dict[str, Any]:
     return {"arrays": {name: arrays[name].tolist() for name in _TIG_ARRAYS + _RES_ARRAYS}}
 
 
-#: Every solver maps one-to-one, so it needs at least as many resources as
-#: tasks: the rule of ``match`` and of any solver not in :data:`_SHAPE_RULES`.
-_ONE_TO_ONE = (lambda n_t, n_r: n_r >= n_t, "n_resources >= n_tasks")
 #: solver name -> (can it map n_t tasks onto n_r resources?, the rule).
-_SHAPE_RULES = {"fastmap-ga": (lambda n_t, n_r: n_t == n_r, "n_tasks == n_resources")}
+_SHAPE_RULES = {
+    "match": (lambda n_t, n_r: n_r >= n_t, "n_resources >= n_tasks"),
+    "fastmap-ga": (lambda n_t, n_r: n_t == n_r, "n_tasks == n_resources"),
+}
 
 
 def _check_count(count: int, what: str, noun: str = "tasks") -> None:
@@ -113,7 +113,7 @@ def _check_shape(solver: SolverSpec, problem: MappingProblem) -> None:
     Without this, the solver raises only inside a worker, after the quota
     charge, and the salvage dispatcher retries a cell that cannot succeed.
     """
-    rule = _SHAPE_RULES.get(solver.name, _ONE_TO_ONE)
+    rule = _SHAPE_RULES[solver.name]
     n_t, n_r = problem.n_tasks, problem.n_resources
     if not rule[0](n_t, n_r):
         raise ValidationError(

@@ -5,8 +5,35 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.base import Mapper
+from repro.baselines.base import Mapper, MapperSolver
 from repro.mapping import Mapping
+from repro.runtime.solver import SolveOutput, StepReport
+
+
+class _OneStepSolver(MapperSolver):
+    """Test double: one step that returns ``assignment_for(problem)``."""
+
+    def __init__(self, assignment_for, n_evaluations, extras):
+        super().__init__()
+        self.assignment_for = assignment_for
+        self.n_evaluations = n_evaluations
+        self.extras = extras
+
+    def start(self, problem, seed):
+        self.problem = problem
+
+    @property
+    def finished(self):
+        return self._iteration > 0
+
+    def step(self):
+        self._iteration += 1
+        return StepReport(iteration=0)
+
+    def finalize(self):
+        return SolveOutput(
+            self.assignment_for(self.problem), self.n_evaluations, self.extras
+        )
 
 
 class _FixedMapper(Mapper):
@@ -14,8 +41,8 @@ class _FixedMapper(Mapper):
 
     name = "Fixed"
 
-    def _solve(self, problem, model, rng):
-        return np.arange(problem.n_tasks), 7, {"note": "fixed"}
+    def _make_solver(self):
+        return _OneStepSolver(lambda p: np.arange(p.n_tasks), 7, {"note": "fixed"})
 
 
 class _InvalidMapper(Mapper):
@@ -23,8 +50,10 @@ class _InvalidMapper(Mapper):
 
     name = "Broken"
 
-    def _solve(self, problem, model, rng):
-        return np.full(problem.n_tasks, problem.n_resources + 5), 0, {}
+    def _make_solver(self):
+        return _OneStepSolver(
+            lambda p: np.full(p.n_tasks, p.n_resources + 5), 0, {}
+        )
 
 
 class TestMapperBase:

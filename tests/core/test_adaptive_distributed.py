@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedMatchConfig, DistributedMatchMapper
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, MappingError
 from repro.graphs import generate_resource_graph, generate_tig
 from repro.mapping import MappingProblem
+from repro.runtime import EvaluationBudget, SearchHooks
 
 
 class TestDistributedConfig:
@@ -78,3 +79,52 @@ class TestDistributedMapper:
         res = generate_resource_graph(3, 0)
         with pytest.raises(ConfigurationError):
             DistributedMatchMapper().map(MappingProblem(tig, res), 0)
+
+
+class _RoundLog(SearchHooks):
+    def __init__(self):
+        self.iterations = []
+        self.stop = None
+
+    def on_iteration(self, solver, report):
+        self.iterations.append(report.iteration)
+
+    def on_stop(self, solver, kind, reason):
+        self.stop = kind
+
+
+class TestDistributedUnderTheLoop:
+    """Distributed MaTCH steps through the search loop one round at a time."""
+
+    CONFIG = DistributedMatchConfig(n_agents=4, total_samples=128, max_rounds=30)
+
+    def test_hooks_fire_once_per_round(self, small_problem):
+        log = _RoundLog()
+        budget = EvaluationBudget()
+        result = DistributedMatchMapper(self.CONFIG).map(
+            small_problem, 3, budget=budget, hooks=log
+        )
+        rounds = result.extras["rounds"]
+        assert rounds > 1
+        assert log.iterations == list(range(rounds))
+        assert log.stop == "converged"
+        assert budget.used == result.n_evaluations == rounds * 128
+
+    def test_capped_run_stays_within_its_cap(self, small_problem):
+        uncapped = DistributedMatchMapper(self.CONFIG).map(small_problem, 3)
+        assert uncapped.n_evaluations > 300
+        log = _RoundLog()
+        budget = EvaluationBudget(max_evaluations=300)
+        result = DistributedMatchMapper(self.CONFIG).map(
+            small_problem, 3, budget=budget, hooks=log
+        )
+        # Two 128-sample rounds fit; the third is not drawn.
+        assert budget.used == result.n_evaluations == 256
+        assert result.extras["rounds"] == 2
+        assert log.stop == "budget-evaluations"
+
+    def test_cap_below_one_round_scores_nothing(self, small_problem):
+        budget = EvaluationBudget(max_evaluations=100)
+        with pytest.raises(MappingError, match="scored no mapping"):
+            DistributedMatchMapper(self.CONFIG).map(small_problem, 3, budget=budget)
+        assert budget.used == 0

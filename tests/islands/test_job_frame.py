@@ -188,6 +188,8 @@ LATER_FRAME_DEFECTS = [
     ("gossip", _sync(matrix=island_wire.encode_matrix(np.full((6, 6), np.nan))), "gossip.matrix"),
     ("gossip", _sync(matrix=island_wire.encode_matrix(np.eye(6) * 2 - 1 / 6)), "gossip.matrix"),
     ("gossip", _sync(matrix=island_wire.encode_matrix(np.full((6, 6), 0.1))), "gossip.matrix"),
+    # np.dtype(None) is float64, so only the raw field can tell.
+    ("gossip", _sync(matrix={**_matrix(), "dtype": None}), "gossip.matrix"),
 ]
 
 

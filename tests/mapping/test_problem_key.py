@@ -13,7 +13,6 @@ import pytest
 from repro.graphs import generate_paper_pair
 from repro.mapping import MappingProblem, problem_key
 from repro.mapping.problem_key import canonical_array
-from repro.runstore import problem_checksum
 
 
 def make_problem(n: int, seed: int) -> MappingProblem:
@@ -61,7 +60,3 @@ class TestProblemKey:
         problem = make_problem(12, 7)
         rebuilt = MappingProblem.from_plane_arrays(problem.plane_arrays())
         assert problem_key(rebuilt) == problem_key(problem)
-
-    def test_runstore_checksum_is_the_same_digest(self):
-        problem = make_problem(10, 5)
-        assert problem_checksum(problem) == problem_key(problem)

@@ -7,14 +7,13 @@ import os
 import pytest
 
 from repro.graphs import generate_paper_pair
-from repro.mapping import MappingProblem
+from repro.mapping import MappingProblem, problem_key
 from repro.runstore import (
     REPRO_ENV_KEYS,
     build_manifest,
     env_surface,
     host_class,
     pinned_env,
-    problem_checksum,
 )
 
 
@@ -75,10 +74,10 @@ class TestPinnedEnv:
 
 class TestProblemChecksum:
     def test_same_instance_same_checksum(self):
-        assert problem_checksum(_problem()) == problem_checksum(_problem())
+        assert problem_key(_problem()) == problem_key(_problem())
 
     def test_different_seed_different_checksum(self):
-        assert problem_checksum(_problem(seed=3)) != problem_checksum(_problem(seed=4))
+        assert problem_key(_problem(seed=3)) != problem_key(_problem(seed=4))
 
 
 class TestBuildManifest:

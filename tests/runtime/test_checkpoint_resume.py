@@ -4,7 +4,7 @@ The kill is delivered as a ``KeyboardInterrupt`` raised from an
 ``on_iteration`` hook — between steps, exactly where a real SIGINT is
 checkpointable — so the loop's emergency save captures a consistent
 solver state. ``resume_run`` then rebuilds everything from the JSON file
-alone (registry identity, problem graphs, budget, RNG stream position)
+alone (solver identity, problem graphs, budget, RNG stream position)
 and must land on the same final cost, assignment and evaluation count.
 """
 
@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.exceptions import CheckpointError
 from repro.runtime import (
     CHECKPOINT_FORMAT,
@@ -28,6 +29,9 @@ from repro.runtime import (
 )
 from repro.runtime.checkpoint import problem_from_payload, problem_to_payload
 from tests.runtime.conftest import SMALL_PARAMS
+
+#: Kernel backends that load here (numpy always; cext needs a C compiler).
+AVAILABLE_BACKENDS = [name for name, ok in kernels.available_backends().items() if ok]
 
 
 class KillAfter(SearchHooks):
@@ -41,7 +45,7 @@ class KillAfter(SearchHooks):
             raise KeyboardInterrupt
 
 
-#: (registry name, steps to run before the kill). Every checkpointable
+#: (solver name, steps to run before the kill). Every checkpointable
 #: solver is covered; the counts sit strictly inside each run so the
 #: resumed segment still has real work to do.
 KILL_POINTS = [
@@ -113,6 +117,36 @@ def test_committed_v1_checkpoint_resumes_bit_identically(golden_problem, tmp_pat
         assert result.n_evaluations == expect["n_evaluations"]
 
 
+def _rows_scaled(matrix):
+    matrix[0] = [0.5 * p for p in matrix[0]]
+
+
+def _entry_past_one(matrix):
+    matrix[0][0], matrix[0][1] = 1.5, matrix[0][1] - 0.5
+
+
+def _nan_entry(matrix):
+    matrix[0][0] = float("nan")
+
+
+def _ragged_row(matrix):
+    matrix[0] = matrix[0][:1]
+
+
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("corrupt", [_nan_entry, _entry_past_one, _rows_scaled, _ragged_row])
+def test_resume_refuses_a_matrix_that_is_not_stochastic(corrupt, backend, tmp_path):
+    """A checkpoint is outside input: its CE matrix is checked on resume, the
+    same rule gossip frames follow, whatever the kernel backend would do."""
+    payload = json.loads(CHECKPOINT_V1.read_text())
+    corrupt(payload["state"]["ce"]["matrix"])
+    path = tmp_path / CHECKPOINT_V1.name
+    path.write_text(json.dumps(payload))
+    with kernels.use_backend(backend):
+        with pytest.raises(CheckpointError, match=r"state\.ce\.matrix"):
+            resume_run(path, keep_checkpointing=False)
+
+
 def test_resumed_run_keeps_checkpointing(golden_problem, tmp_path):
     path = tmp_path / "ga.ckpt"
     mapper = create_mapper("fastmap-ga", SMALL_PARAMS["fastmap-ga"])
@@ -162,23 +196,15 @@ class TestCheckpointFormat:
             )
 
     def test_non_checkpointable_solver_fails_loudly(self, golden_problem, tmp_path):
-        """Legacy one-shot mappers refuse to checkpoint instead of lying."""
-        import numpy as _np
-
-        from repro.baselines.base import Mapper
-
-        class Legacy(Mapper):
-            name = "legacy"
-
-            def _solve(self, problem, model, seed):
-                return _np.arange(problem.n_tasks, dtype=_np.int64), 1, {}
+        """A solver without ``export_state`` refuses to checkpoint instead of lying."""
+        from tests.baselines.test_base_mapper import _FixedMapper
 
         writer = CheckpointWriter(
-            tmp_path / "legacy.json",
-            solver_name="legacy",
+            tmp_path / "fixed.json",
+            solver_name="fixed",
             params={},
             problem=golden_problem,
             every=1,
         )
         with pytest.raises(CheckpointError, match="checkpoint"):
-            Legacy().map(golden_problem, 0, checkpointer=writer)
+            _FixedMapper().map(golden_problem, 0, checkpointer=writer)

@@ -1,4 +1,4 @@
-"""Solver registry: names, specs, and experiment-layer integration."""
+"""Solver table: names, specs, and experiment-layer integration."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.runtime import SolverSpec, create_mapper, register_solver, solver_names
+from repro.runtime import SolverSpec, create_mapper, solver_names
 from tests.runtime.conftest import SMALL_PARAMS
 
 EXPECTED_SOLVERS = {"match", "fastmap-ga"}
@@ -20,21 +20,15 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(EXPECTED_SOLVERS))
     def test_create_mapper_matches_registry_identity(self, name):
         mapper = create_mapper(name, SMALL_PARAMS[name])
-        assert mapper.registry_name == name
-        # checkpoint_params() must round-trip through the registry: the
+        # checkpoint_params() must round-trip through the table: the
         # resume path rebuilds the mapper with exactly these kwargs.
         clone = create_mapper(name, mapper.checkpoint_params())
         assert type(clone) is type(mapper)
+        assert clone.config == mapper.config
 
     def test_unknown_solver_lists_known_names(self):
         with pytest.raises(ConfigurationError, match="registered solvers"):
             create_mapper("no-such-solver")
-
-    def test_register_rejects_uppercase_and_duplicates(self):
-        with pytest.raises(ConfigurationError, match="lowercase"):
-            register_solver("Match", lambda: None)
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_solver("match", lambda: None)
 
 
 class TestSolverSpec:
@@ -88,16 +82,18 @@ class TestExperimentsIntegration:
         assert all(r.n_evaluations > 0 for r in data.records)
 
     def test_default_factories_resolve_through_registry(self):
+        from repro.baselines.ga import FastMapGA
+        from repro.core.match import MatchMapper
         from repro.experiments.runner import default_mappers
         from repro.experiments.spec import SMOKE_PROFILE
 
         specs = default_mappers(SMOKE_PROFILE)
         assert list(specs) == ["MaTCH", "FastMap-GA"]
         match = specs["MaTCH"].build()
-        assert match.registry_name == "match"
+        assert isinstance(match, MatchMapper)
         assert match.config.max_iterations == SMOKE_PROFILE.match_max_iterations
         ga = specs["FastMap-GA"].build()
-        assert ga.registry_name == "fastmap-ga"
+        assert isinstance(ga, FastMapGA)
         assert ga.config.population_size == SMOKE_PROFILE.ga_population
         assert ga.config.generations == SMOKE_PROFILE.ga_generations
 

@@ -217,20 +217,6 @@ class TestWire:
         with pytest.raises(ValidationError, match=f"{solver} cannot map 4 tasks onto 2"):
             request_from_wire(body)
 
-    def test_many_to_one_refused_for_a_plugin_solver(self, monkeypatch):
-        # A registered solver with no shape rule of its own gets the
-        # one-to-one rule every solver follows.
-        from repro.runtime import registry
-
-        monkeypatch.setitem(registry._REGISTRY, "plugin", registry._make_match)
-        narrow = problem_to_wire(shaped_problem(4, 2))
-        body = {"problem": narrow, "solver": {"name": "plugin"}}
-        with pytest.raises(ValidationError, match="plugin cannot map 4 tasks onto 2 .* n_resources >= n_tasks"):
-            request_from_wire(body)
-        wide = problem_to_wire(shaped_problem(2, 4))
-        request = request_from_wire({"problem": wide, "solver": {"name": "plugin"}})
-        assert (request.problem.n_tasks, request.problem.n_resources) == (2, 4)
-
     @pytest.mark.parametrize("solver", sorted(QUICK_PARAMS))
     def test_shape_rules_agree_with_the_solvers(self, solver):
         """The wire accepts exactly the shapes the solver itself maps."""
