@@ -46,8 +46,9 @@ budget charged.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from repro.exceptions import CheckpointError, ConfigurationError
 from repro.runtime.budget import EvaluationBudget
 from repro.types import BatchObjectiveFn, SeedLike
 from repro.utils.rng import as_generator, generator_from_state, generator_state
-from repro.utils.validation import check_in_range
+from repro.utils.validation import check_in_range, is_row_stochastic
 
 __all__ = ["CEConfig", "CEResult", "MultiChainResult", "MultiChainCE", "ce_round"]
 
@@ -67,14 +68,6 @@ __all__ = ["CEConfig", "CEResult", "MultiChainResult", "MultiChainCE", "ce_round
 GAMMA_TOL = 1e-9
 #: A row is committed once its maximum is within this of 1.
 DEGENERATE_TOL = 1e-6
-
-
-def is_row_stochastic(matrix: np.ndarray) -> bool:
-    """Whether every entry is a probability and every row sums to 1 within
-    1e-9: the check a matrix from outside the engine (a checkpoint, a
-    gossip frame) must pass. A NaN entry fails it."""
-    in_range = np.all((matrix >= 0) & (matrix <= 1))
-    return bool(in_range and np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-9))
 
 
 @dataclass(frozen=True)
@@ -648,51 +641,73 @@ class MultiChainCE:
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Resume mid-run from :meth:`export_state` output (same config)."""
+        """Resume mid-run from :meth:`export_state` output (same config).
+
+        A checkpoint is outside input: a missing or malformed field raises
+        :class:`CheckpointError` naming ``state.ce.<field>``. A NaN or
+        off-simplex matrix would sample differently per kernel backend
+        instead of failing, so the matrix must be row-stochastic.
+        """
         self._require_one_chain()
         self.start()
-        members = state["stopping"].get("members", [])
+        shape = self._P.shape[1:]
+        members = _read(state, "stopping", lambda stopping: list(stopping.get("members", [])))
         counters = self._counters()
         if len(members) != len(counters) + 2:
             raise ConfigurationError(
                 f"stopping state has {len(members)} members, "
                 f"expected {len(counters) + 2} — config mismatch on resume"
             )
-        for (prev, stable), member in zip(counters, members[1:-1]):
-            value = member.get("prev")
-            prev[0] = np.nan if value is None else value
-            stable[0] = int(member.get("stable", 0))
-        k = int(state["k"])
+        for i, (prev, stable) in enumerate(counters, start=1):
+            prev[0], stable[0] = _read(members, i, _counter, prev.shape[1:], at="stopping.members.")
+        k = _read(state, "k", operator.index)
+        if not 0 <= k <= self.config.max_iterations:
+            raise CheckpointError(f"state.ce.k must be in [0, {self.config.max_iterations}]")
         self._k = self._joint.n_joint_iterations = k
-        # A checkpoint is outside input: a NaN or off-simplex matrix would
-        # sample differently per kernel backend instead of failing.
-        try:
-            matrix = np.asarray(state["matrix"], dtype=np.float64)
-        except (TypeError, ValueError):
-            matrix = np.empty(0)
-        if matrix.shape != self._P.shape[1:] or not is_row_stochastic(matrix):
-            raise CheckpointError(
-                f"state.ce.matrix must be a {self._P.shape[1:]} matrix of "
-                "probabilities whose rows sum to 1"
-            )
-        self._P[0] = matrix
-        self._gens[0] = generator_from_state(state["rng"])
-        best_cost = state.get("best_cost")
-        self._best_costs[0] = np.inf if best_cost is None else float(best_cost)
-        self._best_xs[0] = np.asarray(state["best_x"], dtype=np.int64)
-        saved = state["result"]
-        self._evals[0] = int(saved["n_evaluations"])
-        self._joint.n_evaluations = int(saved["n_evaluations"])
+        self._P[0] = _read(state, "matrix", _array, shape)
+        if not is_row_stochastic(self._P[0]):
+            raise CheckpointError("state.ce.matrix rows must be probabilities summing to 1")
+        self._gens[0] = _read(state, "rng", generator_from_state)
+        self._best_costs[0] = _read(state, "best_cost", lambda c: np.inf if c is None else float(c))
+        self._best_xs[0] = _read(state, "best_x", _array, shape[:1], np.int64)
+        saved = _read(state, "result", dict)
+        n_evaluations = _read(saved, "n_evaluations", operator.index, at="result.")
+        self._evals[0] = self._joint.n_evaluations = n_evaluations
         for hist, key in zip(
             self._histories,
             ("gamma_history", "best_cost_history", "degeneracy_history", "entropy_history"),
         ):
-            hist[0, :k] = np.asarray(saved[key], dtype=np.float64)
+            hist[0, :k] = _read(saved, key, _array, (k,), at="result.")
         res = self._results[0]
         if self.config.track_matrices and "matrix_history" in state:
-            res.matrix_history = [
-                np.asarray(m, dtype=np.float64) for m in state["matrix_history"]
-            ]
-        if state["finished"]:
-            self._stop_chain(0, StopKind(saved["stop_kind"]), str(saved["stop_reason"]))
+            res.matrix_history = _read(
+                state, "matrix_history", lambda ms: [_array(m, shape) for m in ms]
+            )
+        if _read(state, "finished", bool):
+            kind = _read(saved, "stop_kind", StopKind, at="result.")
+            self._stop_chain(0, kind, _read(saved, "stop_reason", str, at="result."))
             self._live = []
+
+
+
+def _read(state: Any, key: str | int, parse: Callable[..., Any], *args: Any, at: str = "") -> Any:
+    """``parse(state[key], *args)``; any defect is a :class:`CheckpointError`
+    naming the field ``state.ce.<at><key>``."""
+    try:
+        return parse(state[key], *args)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"state.ce.{at}{key} is missing or malformed: {exc}") from exc
+
+
+def _array(value: Any, shape: tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _counter(member: dict, shape: tuple[int, ...]) -> tuple[Any, int]:
+    """One stopping member's ``(prev, stable)``; ``prev`` is NaN before round 1."""
+    prev = member.get("prev")
+    stable = operator.index(member.get("stable", 0))
+    return (np.nan if prev is None else _array(prev, shape)), stable

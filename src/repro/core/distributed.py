@@ -23,7 +23,9 @@ parallel speedup. Each round advances every agent at once as one
 :func:`repro.islands.chains.chain_rounds`). For actual multi-node
 execution see :mod:`repro.islands`, which runs the same agent rounds over
 a socket transport and is pinned bit-identical to this simulation by the
-loopback parity tests.
+loopback parity tests. Both fold their rounds through one
+:class:`~repro.islands.chains.AgentFold`, which holds the budget split,
+the fold, the leader rule and the stopping rules.
 
 The simulation runs in the :class:`~repro.runtime.loop.SearchLoop` like
 every heuristic, one agent round per step, so budgets and hooks govern it
@@ -37,9 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import Mapper, MapperSolver
-from repro.core.config import paper_sample_size
 from repro.exceptions import ConfigurationError, MappingError
-from repro.islands.chains import agent_streams, blend_towards, chain_rounds, is_degenerate
+from repro.islands.chains import (
+    AgentFold,
+    agent_streams,
+    blend_towards,
+    chain_rounds,
+    is_degenerate,
+)
 from repro.mapping.problem import MappingProblem
 from repro.runtime.budget import BUDGET_EVALUATIONS
 from repro.runtime.solver import SolveOutput, StepReport
@@ -77,11 +84,11 @@ class DistributedMatchConfig:
 
 
 class _DistributedSolver(MapperSolver):
-    """One agent round of every agent per loop step.
-
-    A round draws ``per_agent`` samples for each of the ``A`` agents and is
-    indivisible: a round the budget cannot pay in full is not drawn, and
-    the run stops ``budget-evaluations``.
+    """One agent round of every agent per loop step, folded by the shared
+    :class:`~repro.islands.chains.AgentFold`; the solver keeps the agents'
+    matrix stack and blends it at each sync. A round is indivisible: one
+    the budget cannot pay in full is not drawn, and the run stops
+    ``budget-evaluations``.
     """
 
     def __init__(self, config: DistributedMatchConfig) -> None:
@@ -89,22 +96,10 @@ class _DistributedSolver(MapperSolver):
         self.config = config
 
     def start(self, problem: MappingProblem, seed: SeedLike) -> None:
-        if problem.n_tasks > problem.n_resources:
-            raise ConfigurationError("distributed MaTCH needs n_resources >= n_tasks")
-        cfg = self.config
-        n_t, n_r = problem.n_tasks, problem.n_resources
-        total = cfg.total_samples if cfg.total_samples is not None else paper_sample_size(n_r)
-        self.per_agent = max(2, total // cfg.n_agents)
-        A = cfg.n_agents
-        self.round_cost = A * self.per_agent
+        self.fold = AgentFold(problem, self.config)
+        A = self.config.n_agents
         self.gens = agent_streams(seed, A)
-        self.P = np.full((A, n_t, n_r), 1.0 / n_r)
-        self.agent_best = np.full(A, np.inf)
-        self.agent_x = [np.zeros(n_t, dtype=np.int64) for _ in range(A)]
-        self.global_best = np.inf
-        self.global_x = np.zeros(n_t, dtype=np.int64)
-        self.stagnant = 0
-        self.n_syncs = 0
+        self.P = np.full((A, problem.n_tasks, problem.n_resources), 1.0 / problem.n_resources)
         self.done = False
         self._check_affordable()
 
@@ -113,7 +108,7 @@ class _DistributedSolver(MapperSolver):
         return self.done
 
     def _check_affordable(self) -> None:
-        cost = self.round_cost
+        cost = self.config.n_agents * self.fold.per_agent
         if self.budget.clamp_batch(cost) < cost:
             self.done = True
             self.stop = (
@@ -123,49 +118,21 @@ class _DistributedSolver(MapperSolver):
             )
 
     def step(self) -> StepReport:
-        cfg = self.config
-        A = cfg.n_agents
+        cfg, fold = self.config, self.fold
         self.P, (entries,) = chain_rounds(
-            self.P, self.gens, self.model, self.per_agent, cfg.rho, cfg.zeta, 1,
+            self.P, self.gens, self.model, fold.per_agent, cfg.rho, cfg.zeta, 1,
             budget=self.budget,
         )
-        prev_global = self.global_best
-        # Fold in agent order: the global incumbent moves on strict
-        # improvement, so the order is part of the result.
-        for a, entry in enumerate(entries):
-            if entry["cost"] < self.agent_best[a]:
-                self.agent_best[a] = entry["cost"]
-                self.agent_x[a] = entry["x"]
-            if self.agent_best[a] < self.global_best:
-                self.global_best = self.agent_best[a]
-                self.global_x = self.agent_x[a].copy()
-
-        it = self._iteration
-        self._iteration = r = it + 1
-        if A > 1 and r % cfg.sync_every == 0:
-            # Gossip: everyone drifts towards the best agent's matrix.
-            leader = int(np.argmin(self.agent_best))
-            others = np.arange(A) != leader
+        improved = fold.fold(entries)
+        it, self._iteration = self._iteration, fold.rounds
+        leader = fold.leader()
+        if leader is not None:
+            others = np.arange(cfg.n_agents) != leader
             self.P[others] = blend_towards(self.P[others], self.P[leader], cfg.gossip_weight)
-            self.n_syncs += 1
-
-        if abs(self.global_best - prev_global) <= 1e-9:
-            self.stagnant += 1
-        else:
-            self.stagnant = 0
-        if (
-            r >= cfg.max_rounds
-            or self.stagnant >= cfg.gamma_window
-            or is_degenerate(self.P).all()
-        ):
-            self.done = True
-        else:
+        self.done = fold.stop(bool(is_degenerate(self.P).all())) is not None
+        if not self.done:
             self._check_affordable()
-        return StepReport(
-            iteration=it,
-            best_cost=float(self.global_best),
-            improved=bool(self.global_best < prev_global),
-        )
+        return StepReport(iteration=it, best_cost=float(fold.best), improved=improved)
 
     def finalize(self) -> SolveOutput:
         if self._iteration == 0:
@@ -173,16 +140,7 @@ class _DistributedSolver(MapperSolver):
             raise MappingError(
                 f"distributed MaTCH scored no mapping before it stopped ({self.stop[1]})"
             )
-        return SolveOutput(
-            assignment=self.global_x,
-            n_evaluations=self._iteration * self.round_cost,
-            extras={
-                "rounds": self._iteration,
-                "n_agents": self.config.n_agents,
-                "samples_per_agent": self.per_agent,
-                "n_syncs": self.n_syncs,
-            },
-        )
+        return SolveOutput(self.fold.x, self.fold.n_evaluations, self.fold.extras())
 
 
 class DistributedMatchMapper(Mapper):

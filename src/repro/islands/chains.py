@@ -27,12 +27,14 @@ cannot reach any drawn number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.ce.multichain import DEGENERATE_TOL, ce_round
+from repro.ce.multichain import DEGENERATE_TOL, GAMMA_TOL, ce_round
+from repro.exceptions import ConfigurationError
 from repro.mapping.cost_model import CostModel
 from repro.mapping.problem import MappingProblem
 from repro.runtime.budget import EvaluationBudget
@@ -44,12 +46,16 @@ from repro.utils.rng import (
     spawn_generators,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.distributed import DistributedMatchConfig
+
 __all__ = [
     "agent_stream",
     "agent_streams",
     "is_degenerate",
     "chain_rounds",
     "blend_towards",
+    "AgentFold",
     "apply_gossip",
     "ChainRoundCell",
     "run_chain_round",
@@ -125,6 +131,82 @@ def chain_rounds(
             ]
         )
     return P, rounds
+
+
+class AgentFold:
+    """The run-global half of distributed MaTCH, shared by the simulation
+    and the island coordinator.
+
+    Each round the caller passes :meth:`fold` the agents' entries in agent
+    order (the incumbent moves on strict improvement, so the order is part
+    of the result), blends towards the agent :meth:`leader` names (the
+    lowest ``(best cost, index)`` on every ``sync_every``-th round), then
+    asks :meth:`stop`. Every agent draws ``per_agent = max(2, total //
+    n_agents)`` samples a round, ``total`` defaulting to ``2·|V_r|²``.
+    """
+
+    def __init__(self, problem: MappingProblem, config: "DistributedMatchConfig") -> None:
+        if problem.n_tasks > problem.n_resources:
+            raise ConfigurationError("distributed MaTCH needs n_resources >= n_tasks")
+        from repro.core.config import paper_sample_size  # repro.core imports this module
+
+        total = config.total_samples
+        if total is None:
+            total = paper_sample_size(problem.n_resources)
+        self.config = config
+        self.per_agent = max(2, total // config.n_agents)
+        self.rounds = 0
+        self.n_syncs = 0
+        self.best = math.inf
+        self.x = np.zeros(problem.n_tasks, dtype=np.int64)
+        self._agent_best = [math.inf] * config.n_agents
+        self._stagnant = 0
+
+    def fold(self, entries: Sequence[Mapping[str, Any]]) -> bool:
+        """Fold one round's entries; whether the best improved. An agent
+        that did not improve its own best cannot beat the global one."""
+        before = self.best
+        for a, entry in enumerate(entries):
+            cost = entry["cost"]
+            if cost < self._agent_best[a]:
+                self._agent_best[a] = cost
+                if cost < self.best:
+                    self.best = cost
+                    self.x = np.array(entry["x"], dtype=np.int64)
+        self.rounds += 1
+        self._stagnant = self._stagnant + 1 if abs(self.best - before) <= GAMMA_TOL else 0
+        return self.best < before
+
+    def leader(self) -> int | None:
+        """The agent everyone blends towards this round, or ``None`` when
+        the round is no sync round or there is no one to gossip with."""
+        cfg = self.config
+        if cfg.n_agents == 1 or self.rounds % cfg.sync_every:
+            return None
+        self.n_syncs += 1
+        return min(range(cfg.n_agents), key=lambda a: (self._agent_best[a], a))
+
+    def stop(self, all_degenerate: bool) -> str | None:
+        """The rule that ends the run after this round, or ``None``;
+        ``all_degenerate`` reads every agent's matrix after the blend."""
+        cfg = self.config
+        if self.rounds >= cfg.max_rounds:
+            return "max_rounds"
+        if self._stagnant >= cfg.gamma_window:
+            return "stagnation"
+        return "degenerate" if all_degenerate else None
+
+    @property
+    def n_evaluations(self) -> int:
+        return self.rounds * self.config.n_agents * self.per_agent
+
+    def extras(self) -> dict[str, Any]:
+        return {
+            "rounds": self.rounds,
+            "n_agents": self.config.n_agents,
+            "samples_per_agent": self.per_agent,
+            "n_syncs": self.n_syncs,
+        }
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,19 @@
 """The island coordinator: budget sharding, gossip, node-loss healing.
 
-The coordinator owns everything *global* about a distributed MaTCH run:
-it shards the per-round sample budget across agents exactly as the
-sequential simulation does (``per_agent = max(2, total // n_agents)``, so
-the run stays compute-fair against a monolithic solve), elects the gossip
-leader (minimum best cost, ties to the lowest agent index — the same
-``min()`` the simulation runs), and applies the simulation's stopping
-rules.
+The coordinator owns everything *global* about a distributed MaTCH run by
+the simulation's own rules: both fold every round through one
+:class:`~repro.islands.chains.AgentFold` (budget split, incumbent, gossip
+leader, stops). What is left here is transport.
 
 Islands are driven one *interval* at a time, not one round: an interval
 runs up to the next sync round (or ``max_rounds``), so no gossip falls
 inside it and each island computes it unbroken, then sends one report
 holding every round's entries. The coordinator folds those entries round
-by round with the simulation's agent order, gossip and stop logic, and
-discards the rounds an island computed past the stop
+by round, fetches the leader's matrix from its island at each sync and
+broadcasts it, and discards the rounds an island computed past the stop
 (``discarded_agent_rounds``). Every reply is validated before it is
-folded; a malformed one is a protocol violation that loses the node.
+folded; a malformed one (a leader matrix whose rows are not probability
+vectors included) is a protocol violation that loses the node.
 
 Because every number an agent draws depends only on the root seed and the
 agent index (:mod:`repro.islands.chains`), the coordinator's result is
@@ -39,6 +37,7 @@ from __future__ import annotations
 
 import math
 import socket
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -46,6 +45,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, FrameError, IslandError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
+    AgentFold,
     ChainState,
     SyncRecord,
     apply_gossip,
@@ -75,6 +75,12 @@ def _merge(into: _Rounds, rounds: _Rounds) -> None:
         into[r].update(by_agent)
 
 
+def _sync_to_wire(record: SyncRecord) -> dict[str, Any]:
+    """A committed gossip as a ``gossip`` frame's (and ``adopt`` history's) fields."""
+    matrix = island_wire.encode_matrix(record.matrix)
+    return {"round": record.round, "leader": record.leader, "matrix": matrix}
+
+
 def shard_agents(n_agents: int, n_islands: int) -> list[list[int]]:
     """Contiguous agent shards, sizes differing by at most one.
 
@@ -98,17 +104,15 @@ def shard_agents(n_agents: int, n_islands: int) -> list[list[int]]:
     return shards
 
 
+@dataclass(slots=True)
 class _IslandConn:
     """Coordinator-side record of one joined island."""
 
-    __slots__ = ("id", "sock", "name", "pid", "alive")
-
-    def __init__(self, island_id: int, sock: socket.socket, name: str, pid: int) -> None:
-        self.id = island_id
-        self.sock = sock
-        self.name = name
-        self.pid = pid
-        self.alive = True
+    id: int
+    sock: socket.socket
+    name: str
+    pid: int
+    alive: bool = True
 
 
 class _AllIslandsLost(Exception):
@@ -164,8 +168,7 @@ class IslandCoordinator:
 
         if config is None:
             config = DistributedMatchConfig()
-        if problem.n_tasks > problem.n_resources:
-            raise ConfigurationError("distributed MaTCH needs n_resources >= n_tasks")
+        self._fold = AgentFold(problem, config)
         shard_agents(config.n_agents, n_islands)  # validates the pair
         self.problem = problem
         self.config = config
@@ -175,20 +178,11 @@ class IslandCoordinator:
         self.accept_timeout = accept_timeout
         self.run_handle = run
         self.round_hook = round_hook
-        from repro.core.config import paper_sample_size
-
         self._model = CostModel(problem)
-        total = (
-            config.total_samples
-            if config.total_samples is not None
-            else paper_sample_size(problem.n_resources)
-        )
-        self.per_agent = max(2, total // config.n_agents)
 
         self._islands: dict[int, _IslandConn] = {}
         self._owner: dict[int, int] = {}  # agent -> island id
         self._history: list[SyncRecord] = []
-        self._history_wire: list[dict[str, Any]] = []
         self._failures: list[dict[str, Any]] = []
         self._local_chains: dict[int, ChainState] | None = None
         self._replayed_rounds = 0
@@ -253,7 +247,7 @@ class IslandCoordinator:
             "problem": problem_to_wire(self.problem),
             "seed": self.seed,
             "n_agents": cfg.n_agents,
-            "per_agent": self.per_agent,
+            "per_agent": self._fold.per_agent,
             "rho": cfg.rho,
             "zeta": cfg.zeta,
             "gossip_weight": cfg.gossip_weight,
@@ -272,78 +266,37 @@ class IslandCoordinator:
             self._go_local(1, 0)
 
     def _drive(self) -> dict[str, Any]:
-        cfg = self.config
-        n_t = self.problem.n_tasks
-        n_agents = cfg.n_agents
-
-        agent_best = [float("inf")] * n_agents
-        agent_best_x = [np.zeros(n_t, dtype=np.int64) for _ in range(n_agents)]
-        agent_degenerate = [False] * n_agents
-        global_best = float("inf")
-        global_x = np.zeros(n_t, dtype=np.int64)
-        stagnant = 0
-        prev_global = float("inf")
-        rounds = 0
-        n_syncs = 0
-        discarded = 0
-        stopped = False
-
-        while not stopped and rounds < cfg.max_rounds:
+        cfg, fold = self.config, self._fold
+        reason, discarded = None, 0
+        while reason is None:
             # One interval: every round up to the next sync (or the last
             # round). No gossip falls inside it, so islands run it unbroken.
-            first = rounds + 1
+            first = fold.rounds + 1
             through = min(cfg.max_rounds, -(-first // cfg.sync_every) * cfg.sync_every)
             if self.round_hook is not None:
                 for r in range(first, through + 1):
                     self.round_hook(r)
             interval = self._phase_interval(first, through)
             for r in range(first, through + 1):
-                rounds = r
                 entries = interval[r]
-                # Fold in agent index order — the simulation updates the
-                # global incumbent inside its agent loop, so
-                # strict-improvement order is part of the bit-for-bit
-                # contract.
-                for g in range(n_agents):
-                    entry = entries[g]
-                    cost = entry["cost"]
-                    if cost < agent_best[g]:
-                        agent_best[g] = cost
-                        agent_best_x[g] = np.asarray(entry["x"], dtype=np.int64)
-                    agent_degenerate[g] = entry["degenerate"]
-                    if agent_best[g] < global_best:
-                        global_best = agent_best[g]
-                        global_x = agent_best_x[g].copy()
-
-                if n_agents > 1 and r % cfg.sync_every == 0:
-                    leader = min(range(n_agents), key=lambda g: (agent_best[g], g))
-                    flags = self._phase_gossip(r, leader)
-                    for g, flag in flags.items():
-                        agent_degenerate[g] = flag
-                    n_syncs += 1
-
-                if abs(global_best - prev_global) <= 1e-9:
-                    stagnant += 1
-                else:
-                    stagnant = 0
-                prev_global = global_best
-                if stagnant >= cfg.gamma_window or all(agent_degenerate):
+                fold.fold([entries[g] for g in range(cfg.n_agents)])
+                degenerate = {g: entry["degenerate"] for g, entry in entries.items()}
+                leader = fold.leader()
+                if leader is not None:
+                    degenerate.update(self._phase_gossip(r, leader))
+                reason = fold.stop(all(degenerate.values()))
+                if reason is not None:
                     # The interval's later rounds were computed but the
                     # simulation never runs them: discard, and count them.
-                    stopped = True
-                    discarded = (through - r) * n_agents
+                    discarded = (through - r) * cfg.n_agents
                     break
 
-        n_evals = rounds * n_agents * self.per_agent
         result = {
-            "assignment": [int(v) for v in global_x],
-            "best_cost": float(global_best),
-            "n_evaluations": int(n_evals),
+            "assignment": [int(v) for v in fold.x],
+            "best_cost": float(fold.best),
+            "n_evaluations": fold.n_evaluations,
             "extras": {
-                "rounds": rounds,
-                "n_agents": n_agents,
-                "samples_per_agent": self.per_agent,
-                "n_syncs": n_syncs,
+                **fold.extras(),
                 "n_islands": self.n_islands,
                 "node_failures": len(self._failures),
                 "replayed_agent_rounds": self._replayed_rounds,
@@ -409,20 +362,9 @@ class IslandCoordinator:
             except (OSError, FrameError) as exc:
                 self._mark_dead(owner, r, r, "node-death", f"matrix request failed: {exc}")
 
-        self._history.append(SyncRecord(round=r, leader=leader, matrix=leader_matrix))
-        self._history_wire.append(
-            {
-                "round": r,
-                "leader": leader,
-                "matrix": island_wire.encode_matrix(leader_matrix),
-            }
-        )
-        gossip = {
-            "type": "gossip",
-            "round": r,
-            "leader": leader,
-            "matrix": self._history_wire[-1]["matrix"],
-        }
+        record = SyncRecord(round=r, leader=leader, matrix=leader_matrix)
+        self._history.append(record)
+        gossip = {"type": "gossip", **_sync_to_wire(record)}
         flags: dict[int, bool] = {}
         sent: list[_IslandConn] = []
         for conn in self._alive():
@@ -461,7 +403,7 @@ class IslandCoordinator:
         the survivors that applied it live.
         """
         rounds: _Rounds = {r: {} for r in range(first, through + 1)}
-        history = self._history_wire
+        history = [_sync_to_wire(record) for record in self._history]
         while True:
             orphans = sorted(
                 g for g, island_id in self._owner.items()
@@ -526,7 +468,7 @@ class IslandCoordinator:
         rounds: _Rounds = {r: {} for r in range(first, through + 1)}
         for g in range(cfg.n_agents):
             chains[g], reports = replay_chain(
-                self._model, self.seed, g, self.per_agent,
+                self._model, self.seed, g, self._fold.per_agent,
                 cfg.rho, cfg.zeta, cfg.gossip_weight, history, through,
             )
             for r in rounds:
@@ -551,7 +493,7 @@ class IslandCoordinator:
         P, entries = chain_rounds(
             np.stack([chains[g].matrix for g in order]),
             [chains[g].rng for g in order],
-            self._model, self.per_agent, cfg.rho, cfg.zeta, through - first + 1,
+            self._model, self._fold.per_agent, cfg.rho, cfg.zeta, through - first + 1,
         )
         for j, g in enumerate(order):
             chains[g].matrix = P[j]
@@ -665,23 +607,15 @@ class IslandCoordinator:
         return {int(g): f for g, f in flags.items()}
 
     def _check_matrix(self, msg: dict[str, Any], leader: int) -> np.ndarray:
-        """Validate a ``matrix`` reply: the leader's finite float64 P."""
+        """Validate a ``matrix`` reply: the leader's P, decoded by the rule a
+        ``gossip`` frame's matrix follows on the islands."""
+        if msg.get("agent") != leader:
+            raise _PeerLost("node-protocol", f"matrix reply must be for agent {leader}")
         shape = (self.problem.n_tasks, self.problem.n_resources)
         try:
-            matrix = island_wire.decode_matrix(msg.get("matrix"))
+            return island_wire.decode_leader_matrix(msg.get("matrix"), shape, "matrix")
         except FrameError as exc:
-            raise _PeerLost("node-protocol", f"matrix: {exc}") from exc
-        if (
-            msg.get("agent") != leader
-            or matrix.dtype != np.float64
-            or matrix.shape != shape
-            or not np.isfinite(matrix).all()
-        ):
-            raise _PeerLost(
-                "node-protocol",
-                f"matrix for agent {leader} must be finite float64 of shape {shape}",
-            )
-        return matrix
+            raise _PeerLost("node-protocol", str(exc)) from exc
 
     def _mark_dead(
         self, conn: _IslandConn, first: int, through: int, kind: str, message: str

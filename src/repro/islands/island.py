@@ -30,8 +30,7 @@ from typing import Any, Callable, Collection, Mapping
 
 import numpy as np
 
-from repro.ce.multichain import is_row_stochastic
-from repro.exceptions import FrameError, IslandError, ValidationError
+from repro.exceptions import IslandError, ValidationError
 from repro.islands import wire as island_wire
 from repro.islands.chains import (
     ChainRoundCell,
@@ -130,24 +129,14 @@ def decode_matrix_request(msg: Mapping[str, Any], owned: Collection[int]) -> int
 
 def decode_gossip(msg: Any, job: IslandJob, what: str = "gossip") -> SyncRecord:
     """A ``gossip`` frame (or an adoption's history entry ``what``): the
-    sync round, its leader and the leader's matrix: shaped like the problem,
-    its rows probability vectors (a NaN or negative entry would otherwise
-    reach GenPerm through the blend)."""
+    sync round, its leader and the leader's matrix
+    (:func:`~repro.islands.wire.decode_leader_matrix`)."""
     if not isinstance(msg, Mapping):
         raise ValidationError(f"{what} must be an object, got {msg!r}")
     r = _wire_int(msg.get("round"), f"{what}.round", 1)
     leader = _wire_int(msg.get("leader"), f"{what}.leader", 0, job.n_agents - 1)
-    try:
-        matrix = island_wire.decode_matrix(msg.get("matrix"))
-    except FrameError as exc:
-        raise FrameError(exc.kind, f"{what}.matrix: {exc}") from exc
     shape = (job.problem.n_tasks, job.problem.n_resources)
-    if matrix.shape != shape:
-        raise FrameError("malformed", f"{what}.matrix must be {shape}, got {matrix.shape}")
-    if not is_row_stochastic(matrix):
-        raise FrameError(
-            "malformed", f"{what}.matrix must hold probabilities whose rows sum to 1"
-        )
+    matrix = island_wire.decode_leader_matrix(msg.get("matrix"), shape, f"{what}.matrix")
     return SyncRecord(round=r, leader=leader, matrix=matrix)
 
 

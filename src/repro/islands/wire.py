@@ -13,7 +13,8 @@ parity pin compares the distributed run against the sequential simulation
 to the last ulp), so they travel as base64 of the raw C-order float64
 buffer, not as JSON number lists: :func:`encode_matrix` /
 :func:`decode_matrix` round-trip any float64 array without touching its
-bits.
+bits; :func:`decode_leader_matrix` also holds a gossip leader's matrix to
+the problem's shape and to the row-stochastic rule.
 
 Malformed traffic is rejected with a structured
 :class:`~repro.exceptions.FrameError` whose ``kind`` distinguishes a peer
@@ -34,11 +35,13 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import FrameError
+from repro.utils.validation import is_row_stochastic
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "encode_matrix",
     "decode_matrix",
+    "decode_leader_matrix",
     "send_frame",
     "recv_frame",
 ]
@@ -99,6 +102,21 @@ def decode_matrix(payload: Any) -> np.ndarray:
         return np.frombuffer(raw, dtype=_DTYPE).reshape(shape).copy()
     except ValueError as exc:
         raise FrameError("malformed", f"matrix shape {tuple(shape)} is unusable: {exc}") from exc
+
+
+def decode_leader_matrix(payload: Any, shape: tuple[int, int], what: str) -> np.ndarray:
+    """:func:`decode_matrix` for a gossip leader's matrix ``what``: of
+    ``shape``, rows probability vectors (a NaN or off-simplex entry would
+    reach GenPerm through the blend). Any defect is ``malformed``."""
+    try:
+        matrix = decode_matrix(payload)
+    except FrameError as exc:
+        raise FrameError(exc.kind, f"{what}: {exc}") from exc
+    if matrix.shape != shape:
+        raise FrameError("malformed", f"{what} must be {shape}, got {matrix.shape}")
+    if not is_row_stochastic(matrix):
+        raise FrameError("malformed", f"{what} must hold probabilities whose rows sum to 1")
+    return matrix
 
 
 def send_frame(

@@ -97,9 +97,10 @@ def generator_state(gen: np.random.Generator) -> dict:
 def generator_from_state(state: dict) -> np.random.Generator:
     """Rebuild a generator positioned exactly where :func:`generator_state` left it."""
     name = state.get("bit_generator")
-    if not isinstance(name, str) or not hasattr(np.random, name):
+    cls = getattr(np.random, name, None) if isinstance(name, str) else None
+    if not (isinstance(cls, type) and issubclass(cls, np.random.BitGenerator)):
         raise ValueError(f"unknown bit generator in rng state: {name!r}")
-    bit_gen = getattr(np.random, name)()
+    bit_gen = cls()
     bit_gen.state = state
     return np.random.Generator(bit_gen)
 

@@ -18,6 +18,7 @@ __all__ = [
     "check_in_range",
     "check_probability",
     "check_probability_matrix",
+    "is_row_stochastic",
     "check_permutation",
     "is_permutation",
 ]
@@ -57,24 +58,25 @@ def check_probability(name: str, value: float) -> float:
     return check_in_range(name, value, 0.0, 1.0)
 
 
-def check_probability_matrix(matrix: Any, *, atol: float = 1e-8) -> np.ndarray:
-    """Validate a row-stochastic matrix and return it as ``float64``.
+def is_row_stochastic(matrix: np.ndarray) -> bool:
+    """Whether every entry is a probability and every row sums to 1 within
+    1e-9: the one rule for a CE matrix from outside the engine (a checkpoint,
+    a gossip frame, a constructor argument). A NaN entry fails it."""
+    in_range = np.all((matrix >= 0) & (matrix <= 1))
+    return bool(in_range and np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-9))
 
-    Checks: 2-D, non-negative entries, each row sums to 1 within ``atol``.
-    """
+
+def check_probability_matrix(matrix: Any) -> np.ndarray:
+    """Validate a 2-D, non-empty row-stochastic matrix
+    (:func:`is_row_stochastic`) and return it as ``float64``."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"probability matrix must be 2-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError("probability matrix must be non-empty")
-    if np.any(arr < -atol):
-        raise ValidationError("probability matrix has negative entries")
-    row_sums = arr.sum(axis=1)
-    bad = np.flatnonzero(np.abs(row_sums - 1.0) > atol)
-    if bad.size:
+    if not is_row_stochastic(arr):
         raise ValidationError(
-            f"rows {bad[:5].tolist()} of probability matrix do not sum to 1 "
-            f"(sums {row_sums[bad[:5]].tolist()})"
+            "probability matrix needs entries in [0, 1] (no NaN, no negative) and rows that sum to 1"
         )
     return arr
 

@@ -25,6 +25,7 @@ from repro.exceptions import ConfigurationError
 from repro.graphs import generate_paper_pair
 from repro.islands import IslandCoordinator, run_loopback, shard_agents
 from repro.islands import wire as island_wire
+from repro.islands.chains import AgentFold
 from repro.islands.island import IslandWorker
 from repro.mapping import MappingProblem
 from repro.runstore import RunStore
@@ -173,6 +174,55 @@ class TestLoopbackParity:
         final = np.ascontiguousarray(stacks[-1], dtype="<f8")
         assert final.shape == (4, 8, 8)
         assert hashlib.sha256(final.tobytes()).hexdigest() == SIMULATION_MATRICES_SHA256
+
+
+#: One config per rule of the shared fold that ends a run (seed 7, size 8).
+STOP_PATHS = {
+    "max_rounds": DistributedMatchConfig(
+        n_agents=4, sync_every=5, total_samples=64, max_rounds=7
+    ),
+    "stagnation": CONFIG,
+    "degenerate": DistributedMatchConfig(
+        n_agents=4, sync_every=5, total_samples=64, max_rounds=100, gamma_window=100, zeta=0.9
+    ),
+    "single-agent": DistributedMatchConfig(n_agents=1, total_samples=64, max_rounds=30),
+}
+
+
+class TestStopPaths:
+    @pytest.mark.parametrize("path", sorted(STOP_PATHS))
+    def test_every_stop_rule_keeps_parity(self, monkeypatch, path):
+        """The simulation and a loopback run stop on the same rule, on the
+        same round, with the same bytes; the islands' rounds past the stop
+        are discarded, not folded."""
+        config = STOP_PATHS[path]
+        fired: list[str | None] = []
+        stop = AgentFold.stop
+
+        def recording(self, all_degenerate):
+            fired.append(stop(self, all_degenerate))
+            return fired[-1]
+
+        monkeypatch.setattr(AgentFold, "stop", recording)
+        problem = make_problem()
+        reference = sequential(problem, 7, config)
+        sequential_rule = fired[-1]
+        fired.clear()
+        result = run_loopback(problem, config, seed=7, n_islands=min(2, config.n_agents))
+        assert_parity(result, reference)
+        rule = "stagnation" if path == "single-agent" else path
+        assert sequential_rule == fired[-1] == rule
+        rounds = result["extras"]["rounds"]
+        interval_end = min(
+            config.max_rounds, math.ceil(rounds / config.sync_every) * config.sync_every
+        )
+        assert result["extras"]["discarded_agent_rounds"] == (
+            (interval_end - rounds) * config.n_agents
+        )
+        if path == "single-agent":
+            assert result["extras"]["n_syncs"] == 0
+        if path == "max_rounds":
+            assert rounds == config.max_rounds and rounds % config.sync_every
 
 
 class _TamperedSocket:
@@ -450,6 +500,10 @@ EVIL_REPLIES = {
                 np.full(f["matrix"]["shape"], float("nan"))
             ),
         },
+    ),
+    "off-simplex-matrix": (
+        "matrix",
+        lambda f: {**f, "matrix": island_wire.encode_matrix(np.full(f["matrix"]["shape"], 0.5))},
     ),
     "gossip-flag-not-bool": (
         "gossip-ok", lambda f: {**f, "degenerate": {g: "yes" for g in f["degenerate"]}}

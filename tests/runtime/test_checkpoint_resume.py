@@ -147,6 +147,46 @@ def test_resume_refuses_a_matrix_that_is_not_stochastic(corrupt, backend, tmp_pa
             resume_run(path, keep_checkpointing=False)
 
 
+def _set(key, value):
+    return lambda ce: ce.__setitem__(key, value)
+
+
+def _drop(key):
+    return lambda ce: ce.pop(key)
+
+
+def _ragged_best_x(ce):
+    ce["best_x"] = [ce["best_x"][:2], ce["best_x"][2:]]
+
+
+def _empty_gamma_history(ce):
+    ce["result"]["gamma_history"] = []
+
+
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (_set("k", "x"), "k"),
+        (_drop("rng"), "rng"),
+        (_drop("stopping"), "stopping"),
+        (_ragged_best_x, "best_x"),
+        (_empty_gamma_history, "result.gamma_history"),
+    ],
+    ids=["k-not-an-int", "rng-missing", "stopping-missing", "best_x-ragged", "gamma_history-empty"],
+)
+def test_resume_names_a_malformed_field(corrupt, field, backend, tmp_path):
+    """Every ``state.ce`` field is outside input: a defect is a
+    CheckpointError naming the field, not a bare KeyError or ValueError."""
+    payload = json.loads(CHECKPOINT_V1.read_text())
+    corrupt(payload["state"]["ce"])
+    path = tmp_path / CHECKPOINT_V1.name
+    path.write_text(json.dumps(payload))
+    with kernels.use_backend(backend):
+        with pytest.raises(CheckpointError, match=rf"state\.ce\.{field}\b"):
+            resume_run(path, keep_checkpointing=False)
+
+
 def test_resumed_run_keeps_checkpointing(golden_problem, tmp_path):
     path = tmp_path / "ga.ckpt"
     mapper = create_mapper("fastmap-ga", SMALL_PARAMS["fastmap-ga"])

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngStreams, as_generator, derive_seed, spawn_generators
+from repro.utils.rng import (
+    RngStreams,
+    as_generator,
+    derive_seed,
+    generator_from_state,
+    spawn_generators,
+)
 
 
 class TestAsGenerator:
@@ -101,3 +107,16 @@ class TestRngStreams:
     def test_label_order_irrelevant(self):
         streams = RngStreams(seed=5)
         assert streams.seed_for("x", a=1, b=2) == streams.seed_for("x", b=2, a=1)
+
+
+class TestGeneratorFromState:
+    @pytest.mark.parametrize("name", ["seed", "random", "NoSuchGenerator", None])
+    def test_only_a_bit_generator_class_is_built(self, name):
+        """A state must name a BitGenerator class. Any other ``numpy.random``
+        attribute is refused before it is called (``seed`` would reseed the
+        legacy global stream)."""
+        legacy = np.random.get_state  # repro: noqa[seed-discipline] -- asserts it is untouched
+        before = legacy()[1].copy()
+        with pytest.raises(ValueError, match="unknown bit generator"):
+            generator_from_state({"bit_generator": name})
+        np.testing.assert_array_equal(legacy()[1], before)

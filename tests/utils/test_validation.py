@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.ce.stochastic_matrix import StochasticMatrix
 from repro.exceptions import ValidationError
 from repro.utils.validation import (
     check_in_range,
@@ -102,7 +103,24 @@ class TestCheckProbabilityMatrix:
 
     def test_tolerance_respected(self):
         m = np.array([[0.5 + 1e-10, 0.5]])
-        check_probability_matrix(m)  # within default atol
+        check_probability_matrix(m)  # within the 1e-9 row-sum tolerance
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[np.nan, 1.0], [0.5, 0.5]],
+            [[1.0, -1e-12], [0.5, 0.5]],
+            [[0.5 + 1e-8, 0.5], [0.5, 0.5]],
+        ],
+        ids=["nan", "negative", "row-off-by-1e-8"],
+    )
+    def test_one_row_stochastic_rule(self, bad):
+        """The constructor rule is the checkpoint and gossip rule: entries
+        in [0, 1], rows summing to 1 within 1e-9, no NaN."""
+        with pytest.raises(ValidationError):
+            check_probability_matrix(bad)
+        with pytest.raises(ValidationError):
+            StochasticMatrix(np.array(bad))
 
 
 class TestIsPermutation:
